@@ -43,7 +43,7 @@ def main():
 
     est_sparse = hr_decode(fracs, eps, k, mode="sparse", s=s)
     est_dense = hr_decode(fracs, eps, k, mode="dense")
-    print("\nprojection comparison (same message batch):")
+    print("\nprojection comparison (same group fractions):")
     print(f"  sparse projection  TV error {tv_distance(est_sparse, target):.4f}")
     print(f"  dense projection   TV error {tv_distance(est_dense, target):.4f}")
     found = np.nonzero(est_sparse.probs)[0]

@@ -8,6 +8,8 @@ do (chi-squared contraction over a packing family). See the README for the
 map.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
     Channel,
@@ -71,4 +73,4 @@ from .harness import ExperimentConfig, TrialResult, run_grid, run_trial, summari
 from .projection import project_simplex, project_sparse_simplex
 from .rappor import RapporMessage, rappor_channel_matrix, rappor_encode, rappor_estimate, rappor_run
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

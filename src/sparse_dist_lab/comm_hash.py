@@ -16,11 +16,12 @@ inverted on T and projected. When 2^ell exceeds roughly 2s the extra buckets
 buy nothing, so the scheme silently hashes into min(ell, ceil(log2 s)+1)
 bits; the raw ell is kept for reporting.
 
-Hashes are realized as a 64-bit avalanche mix of (public seed, user index,
-symbol) so that runs replay bit-exactly anywhere; at the statistics measured
-here the mix is indistinguishable from the ideal random hash, and an exact
-sampler for the ideal-hash law of (M, N) is provided for sample sizes where
-materializing n messages is out of the question.
+Protocol runs draw (M, N) from their exact ideal-hash law given the halves'
+symbol histograms, in O(k) whatever n is. The per-user encoders and the
+preimage scan stay as reference oracles: there hashes are realized as a
+64-bit avalanche mix of (public seed, user index, symbol) that replays
+bit-exactly anywhere and, at the statistics measured here, is
+indistinguishable from the ideal random hash.
 """
 
 from __future__ import annotations
@@ -30,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ALT64, GOLDEN64, Distribution, RandomStream, as_probs, mix64, mix64_array, sample_iid
+from .core import ALT64, GOLDEN64, MASK64, Distribution, RandomStream, as_probs, mix64, mix64_array
 from .projection import project_simplex_vec, top_s_indices
-
-_MASK64 = (1 << 64) - 1
-
-# Above this many (user, symbol) PRF evaluations per half, run_trial-style
-# drivers switch from literal per-user messages to the exact counts sampler.
-COUNTS_PATH_THRESHOLD = 1 << 25
 
 # Users per block when scanning preimages; keeps the (block x k) hash matrix
 # around 32 MB at k = 1000.
@@ -72,7 +67,7 @@ class HashScheme:
             raise ValueError("ell must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        object.__setattr__(self, "public_seed", int(self.public_seed) & _MASK64)
+        object.__setattr__(self, "public_seed", int(self.public_seed) & MASK64)
 
     @property
     def ell_eff(self) -> int:
@@ -95,7 +90,7 @@ def hash_eval(scheme: HashScheme, user_index: int, x: int) -> int:
     """h_{user_index}(x): deterministic, near-uniform over the buckets."""
     if not 0 <= x < scheme.k:
         raise ValueError(f"symbol {x} out of range for k={scheme.k}")
-    z = scheme.public_seed ^ ((user_index + 1) * GOLDEN64 & _MASK64) ^ ((x + 1) * ALT64 & _MASK64)
+    z = scheme.public_seed ^ ((user_index + 1) * GOLDEN64 & MASK64) ^ ((x + 1) * ALT64 & MASK64)
     return mix64(z) & (scheme.num_buckets - 1)
 
 
@@ -202,13 +197,11 @@ def sample_preimage_counts(xs: np.ndarray, scheme: HashScheme, stream: RandomStr
     return sample_preimage_counts_hist(np.bincount(xs, minlength=scheme.k), xs.size, scheme, stream)
 
 
-def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream, public_seed: int | None = None):
+def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
     """One full protocol run; returns (T, raw estimate, Distribution).
 
-    Splits the n users in half, simulates both halves, decodes. Per-user
-    messages are materialized through the PRF hashes while m*k stays under
-    COUNTS_PATH_THRESHOLD; past it the exact ideal-hash counts sampler takes
-    over (the path depends only on (m, k), so seeds replay identically).
+    Splits the n users in half, draws each half's symbol histogram and then
+    its consistency counts from their exact ideal-hash law, and decodes.
     """
     pv = as_probs(p)
     k = pv.size
@@ -216,28 +209,18 @@ def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream, public_s
     m2 = n - m1
     if m1 == 0:
         raise ValueError("need at least two users")
-    if public_seed is None:
-        public_seed = mix64(stream.key ^ ALT64)
-    scheme = HashScheme(public_seed, ell, k, s)
-    if max(m1, m2) * k > COUNTS_PATH_THRESHOLD:
-        # Exact-law path: never materializes per-user samples or messages.
-        c1 = stream.child(0).gen.multinomial(m1, pv)
-        c2 = stream.child(1).gen.multinomial(m2, pv)
-        M = sample_preimage_counts_hist(c1, m1, scheme, stream.child(2))
-        N = sample_preimage_counts_hist(c2, m2, scheme, stream.child(3))
-    else:
-        xs1 = sample_iid(pv, m1, stream.child(0))
-        xs2 = sample_iid(pv, m2, stream.child(1))
-        values1 = comm_encode_batch(xs1, scheme, first_user=0)
-        values2 = comm_encode_batch(xs2, scheme, first_user=m1)
-        M = preimage_counts((np.arange(m1), values1), scheme, k)
-        N = preimage_counts((m1 + np.arange(m2), values2), scheme, k)
+    # The ideal-hash law of the counts does not depend on the public coins.
+    scheme = HashScheme(0, ell, k, s)
+    c1 = stream.child(0).gen.multinomial(m1, pv)
+    c2 = stream.child(1).gen.multinomial(m2, pv)
+    M = sample_preimage_counts_hist(c1, m1, scheme, stream.child(2))
+    N = sample_preimage_counts_hist(c2, m2, scheme, stream.child(3))
     return comm_decode_from_counts(M, N, m2, scheme, k, s)
 
 
-def comm_run(p, n: int, ell: int, s: int, stream: RandomStream, public_seed: int | None = None) -> Distribution:
+def comm_run(p, n: int, ell: int, s: int, stream: RandomStream) -> Distribution:
     """One full protocol run returning the estimated distribution."""
-    return comm_run_details(p, n, ell, s, stream, public_seed)[2]
+    return comm_run_details(p, n, ell, s, stream)[2]
 
 
 def pack_values(values: np.ndarray, ell: int) -> bytes:

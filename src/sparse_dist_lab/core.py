@@ -26,7 +26,7 @@ SUM_TOL = 1e-9  # absolute tolerance on sum(probs) == 1
 
 # 64-bit mixing constants (SplitMix64 finalizer plus two independent odd
 # multipliers used to decorrelate the separate inputs of keyed hashes).
-_MASK64 = (1 << 64) - 1
+MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX_M1 = 0xBF58476D1CE4E5B9
 _MIX_M2 = 0x94D049BB133111EB
@@ -40,9 +40,9 @@ def mix64(z: int) -> int:
     seed derivation in the package, so two runs (or two implementations)
     agree on every derived stream.
     """
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_M2) & _MASK64
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * _MIX_M1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX_M2) & MASK64
     return z ^ (z >> 31)
 
 
@@ -59,14 +59,14 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
 
 def derive_key(master_seed: int, stream_id: int) -> int:
     """Map (master_seed, stream_id) to a 64-bit key, injectively in practice."""
-    return mix64(mix64(master_seed) ^ ((stream_id + 1) * GOLDEN64 & _MASK64))
+    return mix64(mix64(master_seed) ^ ((stream_id + 1) * GOLDEN64 & MASK64))
 
 
 def fold_string(text: str) -> int:
     """Stable 64-bit FNV-1a hash of a string (unlike builtin hash())."""
     h = 0xCBF29CE484222325
     for b in text.encode("utf-8"):
-        h = ((h ^ b) * 0x100000001B3) & _MASK64
+        h = ((h ^ b) * 0x100000001B3) & MASK64
     return h
 
 
@@ -85,7 +85,7 @@ class RandomStream:
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        self.master_seed = int(master_seed) & _MASK64
+        self.master_seed = int(master_seed) & MASK64
         self.stream_id = int(stream_id)
         self.key = derive_key(self.master_seed, self.stream_id)
         self.gen = np.random.Generator(np.random.Philox(key=self.key))
@@ -116,6 +116,8 @@ class Distribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < -SUM_TOL) or np.any(p > 1 + SUM_TOL):
             raise ValueError("probabilities must lie in [0, 1]")
         total = float(p.sum())

@@ -13,8 +13,12 @@ frequencies are (up to the known affine noise map) one Hadamard transform
 away from the padded input distribution, so a single fast transform inverts
 the whole pipeline. The signed intermediate estimate is then projected onto
 the simplex ("dense" mode) or the s-sparse simplex ("sparse" mode); both
-modes can decode the same message batch, which is how the projection
+modes can decode the same fractions, which is how the projection
 comparison experiments are run.
+
+Protocol runs draw the per-group counts of ones from their exact binomial
+law, in O(K) whatever n is; the per-user encoders and hr_aggregate stay as
+the reference oracles that law is tested against.
 """
 
 from __future__ import annotations
@@ -169,18 +173,23 @@ def hr_decode(fracs, epsilon: float, k: int, mode: str = "sparse", s: int | None
 
 
 def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> HRFractions:
-    """Sample n users from p, encode them, and aggregate, in one call.
+    """Draw the per-group fractions of n users with symbols from p.
 
-    Substream 0 draws the samples and substream 1 the response bits, so the
-    two sources of randomness are independent and individually replayable.
+    Round-robin assignment fixes each group's size, and marginally over its
+    symbol every user in group j sends a 1 with probability t_j (see
+    hr_expected_fractions), independently of all other users, so
+    ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and aggregating
+    every user's bit.
     """
-    from .core import sample_iid
-
     pv = as_probs(p)
     K = hadamard_dim(pv.size)
-    xs = sample_iid(pv, n, stream.child(0))
-    bits = hr_encode_batch(xs, epsilon, K, stream.child(1))
-    return hr_aggregate(bits, n, K)
+    if n < K:
+        raise ValueError(f"need at least K={K} users, got n={n}")
+    sizes = np.full(K, n // K, dtype=np.int64)
+    sizes[: n % K] += 1
+    t = np.clip(hr_expected_fractions(pv, epsilon, K), 0.0, 1.0)  # round-off can pass 1 at large eps
+    ones = stream.gen.binomial(sizes, t)
+    return HRFractions(ones / sizes, sizes)
 
 
 def hr_run(p, n: int, epsilon: float, stream: RandomStream, mode: str = "sparse", s: int | None = None) -> Distribution:

@@ -4,8 +4,9 @@ A grid is the Cartesian product of sparsity values, constraint values
 (epsilon or ell), and trial indices, at fixed (scheme, k, n). Each trial
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
 records the TV error. Results stream to a CSV with a fixed header; runs are
-resumable (existing (cell, trial) rows are skipped) and byte-identical
-across repetitions and thread counts.
+resumable (existing (cell, trial) rows are skipped, and a row written under
+another master seed is an error) and byte-identical across repetitions and
+thread counts.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -14,7 +15,7 @@ scheduling. Two deliberate wrinkles, both load-bearing for the experiment
 semantics:
 
 * hr_dense and hr_sparse hash to the same cell string (family "hr"), so the
-  two projection modes decode identical message batches - the projection
+  two projection modes decode identical group fractions - the projection
   comparison is paired, not independent.
 * comm_hash cells hash their *effective* bit count; raising ell past the
   ceil(log2 s)+1 cap changes nothing about the protocol, so such cells are
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
 from .comm_hash import comm_run, effective_ell
-from .core import GOLDEN64, RandomStream, fold_string, make_uniform_sparse, mix64, tv_distance
+from .core import GOLDEN64, MASK64, RandomStream, fold_string, make_uniform_sparse, mix64, tv_distance
 from .hadamard import hadamard_dim
 from .hadamard_response import hr_run
 from .rappor import rappor_run
@@ -166,7 +167,7 @@ def cell_hash(cell: Cell) -> int:
 def trial_seed(master_seed: int, cell: Cell, trial_index: int) -> int:
     """The 64-bit seed that fully determines one trial."""
     mixed = mix64(mix64(master_seed) ^ cell_hash(cell))
-    return mix64(mixed ^ ((trial_index + 1) * GOLDEN64 & (2**64 - 1)))
+    return mix64(mixed ^ ((trial_index + 1) * GOLDEN64 & MASK64))
 
 
 def bits_per_user(scheme: str, k: int, param) -> int:
@@ -218,9 +219,9 @@ def _row_key(scheme: str, k, s, n, param_str: str, trial) -> tuple:
     return (scheme, str(k), str(s), str(n), param_str, str(trial))
 
 
-def existing_row_keys(path: str) -> set[tuple]:
-    """Keys of rows already present in a results CSV (for resuming)."""
-    keys: set[tuple] = set()
+def existing_row_keys(path: str) -> dict[tuple, int]:
+    """Seeds of rows already present in a results CSV, by row key (for resuming)."""
+    keys: dict[tuple, int] = {}
     if not os.path.exists(path):
         return keys
     with open(path, encoding="utf-8", newline="") as fh:
@@ -229,7 +230,9 @@ def existing_row_keys(path: str) -> set[tuple]:
             if i == 0 or not line:
                 continue
             parts = line.split(",")
-            keys.add(_row_key(parts[0], parts[1], parts[2], parts[3], parts[4], parts[5]))
+            if len(parts) != 9:
+                raise ValueError(f"{path}: line {i + 1} has {len(parts)} fields, not the header's 9")
+            keys[_row_key(parts[0], parts[1], parts[2], parts[3], parts[4], parts[5])] = int(parts[8])
     return keys
 
 
@@ -238,17 +241,26 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
 
     Trials execute in a thread pool, but rows are written strictly in grid
     order by a single writer, so output bytes never depend on scheduling.
-    Returns the number of rows written.
+    Returns the number of rows written. Raises ValueError, before writing
+    anything, if a row already in out_path was written under another master
+    seed: its key leaves the seed out, so it would otherwise count as done.
     """
     seed = config.master_seed if master_seed is None else master_seed
-    cells = config_cells(config)
-    tasks = [(cell, t) for cell in cells for t in range(config.trials)]
     done = existing_row_keys(out_path)
-    todo = [
-        (cell, t)
-        for cell, t in tasks
-        if _row_key(cell.scheme, cell.k, cell.s, cell.n, cell.param_str(), t) not in done
-    ]
+    todo = []
+    for cell in config_cells(config):
+        for t in range(config.trials):
+            found = done.get(_row_key(cell.scheme, cell.k, cell.s, cell.n, cell.param_str(), t))
+            if found is None:
+                todo.append((cell, t))
+                continue
+            want = trial_seed(seed, cell, t)
+            if found != want:
+                raise ValueError(
+                    f"{out_path}: row ({cell.scheme}, s={cell.s}, {cell.param_str()}, trial {t}) has seed "
+                    f"{found}, but master seed {seed} gives {want}; "
+                    "resume with the master seed the file was written with, or use a new file"
+                )
 
     fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
     written = 0

@@ -13,6 +13,10 @@ affine map gives per-coordinate unbiased estimates on T, which are then
 projected onto the simplex supported on T. Messages cost k bits per user -
 the price paid for needing no public randomness.
 
+Protocol runs draw both halves' column sums from their exact law given the
+symbol histograms, in O(k); the per-user encoders and column_sums stay as
+the reference oracles that law is tested against.
+
 Note the inversion constants: with flip probability q = 1/(e^{eps/2}+1) the
 unbiased map is (N(x)/(n/2) - beta)/gamma with beta = q and gamma = 1 - 2q.
 Pairing this encoder with the (1/(e^eps+1), (e^eps-1)/(e^eps+1)) constants
@@ -27,12 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Channel
-from .core import Distribution, RandomStream, as_probs, sample_iid
+from .core import Distribution, RandomStream, as_probs
 from .projection import project_simplex_vec, top_s_indices
-
-# Above this many (user, bit) cells a trial draws the column-sum sufficient
-# statistic from its exact law instead of materializing per-user messages.
-COUNTS_PATH_THRESHOLD = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,13 @@ def sample_column_sums_hist(sample_counts: np.ndarray, m: int, epsilon: float, s
     zeros from the other m-c_x users, and distinct columns are independent
     because every bit flip is, so
     M(x) ~ Binomial(c_x, 1-q) + Binomial(m-c_x, q).
-    O(k) instead of O(m*k); used for large trials.
+    O(k) instead of the O(m*k) of encoding every user.
     """
     c = np.asarray(sample_counts, dtype=np.int64)
     q = flip_probability(epsilon)
     kept = stream.gen.binomial(c, 1 - q)
     noise = stream.gen.binomial(m - c, q)
     return (kept + noise).astype(np.int64)
-
-
-def sample_column_sums(xs: np.ndarray, epsilon: float, k: int, stream: RandomStream) -> np.ndarray:
-    """sample_column_sums_hist applied to an explicit symbol list."""
-    xs = np.asarray(xs, dtype=np.int64)
-    return sample_column_sums_hist(np.bincount(xs, minlength=k), xs.size, epsilon, stream)
 
 
 def rappor_estimate_details(first_half, second_half, k: int, s: int, epsilon: float):
@@ -136,12 +130,11 @@ def rappor_estimate_from_counts(M: np.ndarray, N: np.ndarray, m2: int, k: int, s
 
 
 def rappor_run(p, n: int, epsilon: float, s: int, stream: RandomStream) -> Distribution:
-    """One full protocol run: sample users, privatize both halves, estimate.
+    """One full protocol run: draw both halves' column sums, estimate.
 
-    Picks the exact column-sum sampler once m*k crosses
-    COUNTS_PATH_THRESHOLD; below it, per-user messages are materialized. The
-    choice depends only on (m, k), so a given seed always replays the same
-    way.
+    Each half's symbol histogram is multinomial and its column sums follow
+    from sample_column_sums_hist, which is the exact law of encoding every
+    user, so no per-user sample or message is materialized.
     """
     pv = as_probs(p)
     k = pv.size
@@ -149,17 +142,10 @@ def rappor_run(p, n: int, epsilon: float, s: int, stream: RandomStream) -> Distr
     m2 = n - m1
     if m1 == 0:
         raise ValueError("need at least two users")
-    if max(m1, m2) * k > COUNTS_PATH_THRESHOLD:
-        # Exact-law path: never materializes per-user samples or messages.
-        c1 = stream.child(0).gen.multinomial(m1, pv)
-        c2 = stream.child(1).gen.multinomial(m2, pv)
-        M = sample_column_sums_hist(c1, m1, epsilon, stream.child(2))
-        N = sample_column_sums_hist(c2, m2, epsilon, stream.child(3))
-    else:
-        xs1 = sample_iid(pv, m1, stream.child(0))
-        xs2 = sample_iid(pv, m2, stream.child(1))
-        M = column_sums(rappor_encode_batch(xs1, epsilon, k, stream.child(2)))
-        N = column_sums(rappor_encode_batch(xs2, epsilon, k, stream.child(3)))
+    c1 = stream.child(0).gen.multinomial(m1, pv)
+    c2 = stream.child(1).gen.multinomial(m2, pv)
+    M = sample_column_sums_hist(c1, m1, epsilon, stream.child(2))
+    N = sample_column_sums_hist(c2, m2, epsilon, stream.child(3))
     return rappor_estimate_from_counts(M, N, m2, k, s, epsilon)[2]
 
 

@@ -281,11 +281,13 @@ def test_more_bits_do_not_hurt():
 
 
 def test_run_deterministic_and_public_seed_matters():
+    # The ideal-hash counts law has no public coins left to vary; the
+    # trial's stream is the only seed, and changing it changes the run.
     p = np.zeros(20)
     p[[1, 15]] = 0.5
     a = comm_run(p, 2000, 3, 2, RandomStream(5, 0))
     b = comm_run(p, 2000, 3, 2, RandomStream(5, 0))
-    c = comm_run(p, 2000, 3, 2, RandomStream(5, 0), public_seed=999)
+    c = comm_run(p, 2000, 3, 2, RandomStream(6, 0))
     assert np.array_equal(a.probs, b.probs)
     assert not np.array_equal(a.probs, c.probs)
 

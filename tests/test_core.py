@@ -226,6 +226,13 @@ def test_distribution_rejects_bad_sum():
         Distribution([0.5, 0.4])
 
 
+def test_distribution_rejects_non_finite():
+    # NaN fails every comparison, so range and sum checks alone let it in.
+    for bad in ([math.nan, 0.5, 0.5], [math.inf, 0.5], [0.5, 0.5, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(bad)
+
+
 def test_packing_index_popcount_enforced():
     z = PackingIndex(8, (2, 5))
     assert z.s == 2

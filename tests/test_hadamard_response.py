@@ -191,6 +191,42 @@ def test_run_recovers_sparse_target():
     assert tv <= 0.05
 
 
+def test_sampler_agrees_with_encoder_in_distribution():
+    # A symbol batch laid out so every group holds exactly n_j * p of each
+    # symbol goes through per-user encoding plus aggregation; the binomial
+    # sampler draws from p directly. Both mean fractions must sit within
+    # 4 sigma of the noiseless t = hr_expected_fractions(p).
+    k, eps, reps, draws = 6, 1.0, 50, 200
+    K = hadamard_dim(k)
+    rounds = np.array([0, 0, 0, 1, 1, 2, 3, 4])  # one cycle: p = (3,2,1,1,1,0)/8
+    p = np.bincount(rounds, minlength=k) / rounds.size
+    xs = np.repeat(np.tile(rounds, reps), K)  # user i holds rounds[(i // K) % 8]
+    n = xs.size
+    t_want = hr_expected_fractions(p, eps, K)
+    acc_enc = np.zeros(K)
+    acc_sim = np.zeros(K)
+    for t in range(draws):
+        acc_enc += hr_aggregate(hr_encode_batch(xs, eps, K, RandomStream(t, 17)), n, K).s_hat
+        acc_sim += hr_simulate_fractions(p, n, eps, RandomStream(t, 19)).s_hat
+    sigma = np.sqrt(t_want * (1 - t_want) / (n // K)) / math.sqrt(draws)
+    assert np.all(np.abs(acc_enc / draws - t_want) <= 4 * sigma)
+    assert np.all(np.abs(acc_sim / draws - t_want) <= 4 * sigma)
+
+
+def test_simulate_fractions_tolerates_round_off_past_one():
+    # At eps=40 the in-set response rate rounds to 1.0, and this p's
+    # noiseless fraction for group 0 then lands one ulp above 1.
+    p = np.random.default_rng(3).dirichlet(np.ones(21))
+    assert hr_expected_fractions(p, 40.0, 32).max() > 1
+    fr = hr_simulate_fractions(p, 3200, 40.0, RandomStream(0, 0))
+    assert np.all(fr.s_hat <= 1)
+
+
+def test_simulate_fractions_requires_full_groups():
+    with pytest.raises(ValueError, match="K=8"):
+        hr_simulate_fractions([0.25] * 4, 7, 1.0, RandomStream(0, 0))
+
+
 def test_simulate_fractions_deterministic():
     p = Distribution([0.25] * 4)
     a = hr_simulate_fractions(p, 1000, 1.0, RandomStream(7, 7))

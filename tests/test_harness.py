@@ -213,6 +213,33 @@ def test_grid_row_count_and_resume(tmp_path):
     assert out.read_bytes() == full
 
 
+def test_resume_rejects_other_master_seed(tmp_path):
+    # Row keys leave the seed out, so without a seed check a resume under a
+    # different master seed would treat every row as done and write nothing.
+    cfg = tiny_config(trials=1)
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=1)
+    before = out.read_bytes()
+    with pytest.raises(ValueError) as err:
+        run_grid(cfg, str(out), threads=1, master_seed=99)
+    cell = config_cells(cfg)[0]
+    message = str(err.value)
+    assert str(out) in message
+    assert str(trial_seed(cfg.master_seed, cell, 0)) in message
+    assert str(trial_seed(99, cell, 0)) in message
+    assert out.read_bytes() == before
+
+
+def test_resume_rejects_torn_row(tmp_path):
+    cfg = tiny_config(trials=1)
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=1)
+    torn = out.read_text().rstrip("\n").rsplit(",", 3)[0]
+    out.write_text(torn)
+    with pytest.raises(ValueError, match="line 5 has 6 fields"):
+        run_grid(cfg, str(out), threads=1)
+
+
 def test_grid_thread_count_invariance(tmp_path):
     cfg = tiny_config(trials=2)
     a = tmp_path / "a.csv"

@@ -182,6 +182,26 @@ def test_hist_sampler_matches_expectation():
     assert np.all(np.abs(mean - want) <= 4 * sigma)
 
 
+def test_sampler_agrees_with_encoder_in_distribution():
+    # One symbol batch pushed through per-user encoding plus column sums and
+    # through the histogram sampler: both means within 4 sigma of the
+    # common target c(1-q) + (m-c)q.
+    k, m, eps = 8, 500, 1.0
+    q = flip_probability(eps)
+    xs = np.random.default_rng(21).integers(0, 5, m)  # symbols 5..7 unused
+    c = np.bincount(xs, minlength=k)
+    draws = 200
+    acc_enc = np.zeros(k)
+    acc_hist = np.zeros(k)
+    for t in range(draws):
+        acc_enc += column_sums(rappor_encode_batch(xs, eps, k, RandomStream(t, 17)))
+        acc_hist += sample_column_sums_hist(c, m, eps, RandomStream(t, 19))
+    want = c * (1 - q) + (m - c) * q
+    sigma = math.sqrt(m * q * (1 - q)) / math.sqrt(draws)
+    assert np.all(np.abs(acc_enc / draws - want) <= 4 * sigma)
+    assert np.all(np.abs(acc_hist / draws - want) <= 4 * sigma)
+
+
 def test_run_deterministic():
     p = np.zeros(16)
     p[[0, 9]] = 0.5

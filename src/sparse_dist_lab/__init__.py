@@ -45,7 +45,6 @@ from .comm_hash import (
 from .core import (
     Distribution,
     PackingIndex,
-    ProblemConfig,
     RandomStream,
     chi_square,
     enumerate_packing_indices,

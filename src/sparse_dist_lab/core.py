@@ -17,8 +17,10 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -70,6 +72,25 @@ def fold_string(text: str) -> int:
     return h
 
 
+def exp_epsilon(epsilon: float, divisor: int = 1) -> float:
+    """e^(epsilon / divisor) for a privacy budget epsilon.
+
+    Raises ValueError naming epsilon unless epsilon is positive and the
+    exponential is a finite float (e^x overflows past x ~ 709.78), so a
+    too-large budget fails with a message instead of an OverflowError or NaN
+    probabilities.
+    """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    try:
+        e = math.exp(epsilon / divisor)
+    except OverflowError:
+        e = math.inf
+    if e == math.inf:
+        raise ValueError(f"epsilon={epsilon!r} is too large: e^(epsilon/{divisor}) overflows a float")
+    return e
+
+
 class RandomStream:
     """A named, replayable source of randomness.
 
@@ -78,7 +99,8 @@ class RandomStream:
     identical sequences on every platform. Distinct stream_ids give streams
     that are independent for all practical purposes, so per-trial and
     per-purpose substreams can run concurrently without any ordering
-    sensitivity.
+    sensitivity. The generator is built on the first read of ``gen``, since
+    streams that only parent children never draw.
 
     A stream is single-owner: share the (master_seed, stream_id) recipe, not
     the object, across threads.
@@ -88,7 +110,13 @@ class RandomStream:
         self.master_seed = int(master_seed) & MASK64
         self.stream_id = int(stream_id)
         self.key = derive_key(self.master_seed, self.stream_id)
-        self.gen = np.random.Generator(np.random.Philox(key=self.key))
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        """The stream's generator, bit for bit ``Generator(Philox(key=self.key))``."""
+        from ._philox_key import PhiloxKey
+
+        return np.random.Generator(np.random.Philox(PhiloxKey(self.key)))
 
     def child(self, substream_id: int) -> "RandomStream":
         """A fresh stream deterministically derived from this one's identity.
@@ -116,9 +144,9 @@ class Distribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("probabilities must be finite")
-        if np.any(p < -SUM_TOL) or np.any(p > 1 + SUM_TOL):
+        if p.min() < -SUM_TOL or p.max() > 1 + SUM_TOL:
             raise ValueError("probabilities must lie in [0, 1]")
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -141,44 +169,6 @@ def as_probs(p) -> np.ndarray:
     if isinstance(p, Distribution):
         return p.probs
     return np.asarray(p, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ProblemConfig:
-    """Scalar parameters of one estimation problem.
-
-    Exactly one of ``epsilon`` (privacy budget) and ``ell`` (bits per
-    message) must be set; which one identifies the constraint regime.
-    """
-
-    k: int
-    s: int
-    alpha: float
-    n: int
-    master_seed: int
-    epsilon: float | None = None
-    ell: int | None = None
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if not 1 <= self.s <= self.k:
-            raise ValueError("require 1 <= s <= k")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0,1)")
-        if self.n <= 0:
-            raise ValueError("n must be positive")
-        if (self.epsilon is None) == (self.ell is None):
-            raise ValueError("set exactly one of epsilon / ell")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.ell is not None and self.ell < 1:
-            raise ValueError("ell must be a positive integer")
-
-    def require_packing_regime(self) -> None:
-        """Lower-bound routines assume mild sparsity: s <= k/100."""
-        if self.s > self.k / 100:
-            raise ValueError(f"packing construction needs s <= k/100, got s={self.s}, k={self.k}")
 
 
 @dataclass(frozen=True)

@@ -60,21 +60,42 @@ def membership_parity(K: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def fwht(v: np.ndarray) -> np.ndarray:
     """Multiply by H_K in place-order: returns H_K @ v for len(v) = K.
 
-    Standard iterative butterflies: log2(K) passes of paired sums and
-    differences. The transform is its own inverse up to the factor K
+    log2(K) levels of paired sums and differences, at strides 1, 2, ..., K/2
+    in that order. The transform is its own inverse up to the factor K
     (H_K @ H_K = K * I), which tests exploit.
+
+    With K = 2^m, index i is viewed as i = r*C + c in an R x C matrix
+    (R = 2^floor(m/2), C = K/R). The levels of stride h < C pair columns, so they run on a
+    transposed (C x R) copy, where each half of a butterfly is one contiguous
+    run of h*R values rather than K/2h runs of h; the rest pair rows and run
+    in the original layout. Every level adds the same pairs as the textbook
+    butterfly, so the result is bit-identical to it.
     """
-    v = np.array(v, dtype=np.float64, copy=True)
+    v = np.asarray(v, dtype=np.float64)
     K = v.size
     _check_dim(K)
-    h = 1
-    while h < K:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        v[:, :h] += v[:, h:]
-        v[:, h:] = left - v[:, h:]
+    rows = 1 << ((K.bit_length() - 1) // 2)
+    cols = K // rows
+    low = _butterflies(v.reshape(rows, cols).T.copy().reshape(-1), 1, cols, rows)
+    return _butterflies(low.reshape(cols, rows).T.copy().reshape(-1), cols, K, 1)
+
+
+def _butterflies(x: np.ndarray, h: int, stop: int, run: int) -> np.ndarray:
+    """Apply the levels of stride h, 2h, ... below stop to the flat buffer x.
+
+    At stride h a value's partner sits h*run places further on. Levels
+    ping-pong between x and one spare buffer; returns the one holding the
+    result.
+    """
+    y = np.empty_like(x)
+    while h < stop:
+        a = x.reshape(-1, 2, h * run)
+        b = y.reshape(-1, 2, h * run)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+        x, y = y, x
         h *= 2
-    return v.reshape(-1)
+    return x
 
 
 def dense_matrix(K: int) -> np.ndarray:

@@ -23,13 +23,12 @@ the reference oracles that law is tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import Channel
-from .core import Distribution, RandomStream, as_probs
+from .core import Distribution, RandomStream, as_probs, exp_epsilon
 from .hadamard import fwht, hadamard_dim, in_column_set, membership_parity
 from .projection import project_simplex, project_sparse_simplex
 
@@ -62,11 +61,13 @@ class HRFractions:
             raise ValueError("fractions must lie in [0,1]")
 
 
-def _flip_probs(epsilon: float) -> tuple[float, float]:
-    """(P[bit=1 | member], P[bit=1 | non-member]) for the response channel."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    e = math.exp(epsilon)
+def hr_flip_probs(epsilon: float) -> tuple[float, float]:
+    """(P[bit=1 | member], P[bit=1 | non-member]) for the response channel.
+
+    Raises ValueError naming epsilon when it is not positive or e^epsilon
+    overflows a float.
+    """
+    e = exp_epsilon(epsilon)
     return e / (e + 1), 1 / (e + 1)
 
 
@@ -76,7 +77,7 @@ def hr_encode(x: int, user_index: int, epsilon: float, K: int, stream: RandomStr
     The user's group is user_index mod K; the bit is a randomized response
     to membership of x in that group's column set.
     """
-    q_in, q_out = _flip_probs(epsilon)
+    q_in, q_out = hr_flip_probs(epsilon)
     j = user_index % K
     prob_one = q_in if in_column_set(K, j, x) else q_out
     bit = int(stream.gen.random() < prob_one)
@@ -90,7 +91,7 @@ def hr_encode_batch(xs: np.ndarray, epsilon: float, K: int, stream: RandomStream
     hr_encode per user on independent substreams.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    q_in, q_out = _flip_probs(epsilon)
+    q_in, q_out = hr_flip_probs(epsilon)
     groups = (first_user + np.arange(xs.size, dtype=np.int64)) % K
     member = membership_parity(K, groups, xs)
     prob_one = np.where(member, q_in, q_out)
@@ -132,7 +133,7 @@ def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
     pv = as_probs(p)
     if pv.size > K:
         raise ValueError("distribution does not fit the block size")
-    q_in, q_out = _flip_probs(epsilon)
+    q_in, q_out = hr_flip_probs(epsilon)
     p_K = np.zeros(K)
     p_K[: pv.size] = pv
     member_prob = 0.5 * (1 + fwht(p_K))  # P(X in B_j) for each column j
@@ -149,9 +150,9 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
     K = s_hat.size
     if k > K:
         raise ValueError("k exceeds block size")
-    e = math.exp(epsilon)
+    e = exp_epsilon(epsilon)
     if e == 1.0:
-        raise ValueError("epsilon must be positive")
+        raise ValueError(f"epsilon={epsilon!r} is too small: e^epsilon rounds to 1")
     scale = (e + 1) / (K * (e - 1))
     return scale * fwht(2.0 * s_hat - 1.0)[:k]
 
@@ -212,7 +213,7 @@ def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> C
         k = K - 1
     if not 1 <= k <= K:
         raise ValueError("k out of range")
-    q_in, q_out = _flip_probs(epsilon)
+    q_in, q_out = hr_flip_probs(epsilon)
     xs = np.arange(k, dtype=np.int64)
     member = membership_parity(K, np.full(k, j, dtype=np.int64), xs)
     ones = np.where(member, q_in, q_out)

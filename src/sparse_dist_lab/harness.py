@@ -3,10 +3,11 @@
 A grid is the Cartesian product of sparsity values, constraint values
 (epsilon or ell), and trial indices, at fixed (scheme, k, n). Each trial
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
-records the TV error. Results stream to a CSV with a fixed header; runs are
-resumable (existing (cell, trial) rows are skipped, and a row written under
-another master seed is an error) and byte-identical across repetitions and
-thread counts.
+records the TV error. Results stream to a CSV with a fixed header, one
+write per cell; runs are resumable (existing (cell, trial) rows are skipped,
+a torn last line is dropped and rerun, and a row written under another
+master seed is an error) and byte-identical across repetitions and thread
+counts.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -24,9 +25,11 @@ semantics:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,9 +39,8 @@ import numpy as np
 from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
 from .comm_hash import comm_run, effective_ell
 from .core import GOLDEN64, MASK64, RandomStream, fold_string, make_uniform_sparse, mix64, tv_distance
-from .hadamard import hadamard_dim
-from .hadamard_response import hr_run
-from .rappor import rappor_run
+from .hadamard_response import hr_flip_probs, hr_run
+from .rappor import flip_probability, rappor_run
 
 CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed"
 
@@ -82,8 +84,11 @@ class ExperimentConfig:
             if self.epsilon_list is None or self.ell_list is not None:
                 raise ValueError(f"{self.scheme} takes epsilon_list (and no ell_list)")
             object.__setattr__(self, "epsilon_list", tuple(float(v) for v in self.epsilon_list))
-            if any(v <= 0 for v in self.epsilon_list):
-                raise ValueError("epsilon values must be positive")
+            # the scheme's own response probabilities reject an epsilon that is
+            # not positive or whose exponential overflows
+            check = flip_probability if self.scheme == "rappor" else hr_flip_probs
+            for v in self.epsilon_list:
+                check(v)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -120,6 +125,12 @@ class Cell:
     n: int
     param: float | int
 
+    def __post_init__(self):
+        # ell is an int and epsilon a float, so that equal cells (1 == 1.0)
+        # share one canonical string, row text and cached cell_hash
+        param = int(self.param) if self.scheme == "comm_hash" else float(self.param)
+        object.__setattr__(self, "param", param)
+
     def param_str(self) -> str:
         return repr(self.param) if isinstance(self.param, float) else str(self.param)
 
@@ -150,6 +161,7 @@ def scheme_family(scheme: str) -> str:
     return "hr" if scheme in ("hr_dense", "hr_sparse") else scheme
 
 
+@functools.lru_cache(maxsize=4096)
 def cell_hash(cell: Cell) -> int:
     """Stable 64-bit identity of a cell's experiment (not of its reporting).
 
@@ -220,13 +232,19 @@ def _row_key(scheme: str, k, s, n, param_str: str, trial) -> tuple:
 
 
 def existing_row_keys(path: str) -> dict[tuple, int]:
-    """Seeds of rows already present in a results CSV, by row key (for resuming)."""
+    """Seeds of rows already present in a results CSV, by row key (for resuming).
+
+    A last line with no trailing newline is a write cut short, not a row, and
+    is left out.
+    """
     keys: dict[tuple, int] = {}
     if not os.path.exists(path):
         return keys
     with open(path, encoding="utf-8", newline="") as fh:
         for i, line in enumerate(fh):
-            line = line.rstrip("\n")
+            if not line.endswith("\n"):
+                break
+            line = line[:-1]
             if i == 0 or not line:
                 continue
             parts = line.split(",")
@@ -236,23 +254,52 @@ def existing_row_keys(path: str) -> dict[tuple, int]:
     return keys
 
 
+def _drop_torn_tail(path: str) -> int:
+    """Truncate a last line that has no trailing newline; return the bytes dropped.
+
+    Rows are written whole, each ending in a newline, so such a line is a
+    write cut short by a crash. Dropping it lets a resume rewrite the row.
+    """
+    if not os.path.exists(path):
+        return 0
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return 0
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return 0
+        fh.seek(0)
+        keep = fh.read().rfind(b"\n") + 1
+        fh.truncate(keep)
+    return size - keep
+
+
+def _run_cell(cell: Cell, trials: list[int], master_seed: int) -> str:
+    """The CSV rows of one cell's pending trials, run in order."""
+    return "".join(run_trial(cell, t, master_seed).csv_row() + "\n" for t in trials)
+
+
 def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_seed: int | None = None) -> int:
     """Run (or resume) one config's grid, appending rows to out_path.
 
-    Trials execute in a thread pool, but rows are written strictly in grid
-    order by a single writer, so output bytes never depend on scheduling.
-    Returns the number of rows written. Raises ValueError, before writing
-    anything, if a row already in out_path was written under another master
-    seed: its key leaves the seed out, so it would otherwise count as done.
+    Each cell's pending trials run in order as one task of a thread pool,
+    and a single writer appends each cell's rows in grid order, so output
+    bytes never depend on scheduling. Returns the number of rows written.
+    Raises ValueError, before writing anything, if a row already in
+    out_path was written under another master seed: its key leaves the seed
+    out, so it would otherwise count as done. A torn last line (no trailing
+    newline) is truncated, with a note on stderr, and its row rerun.
     """
     seed = config.master_seed if master_seed is None else master_seed
     done = existing_row_keys(out_path)
     todo = []
     for cell in config_cells(config):
+        pending = []
         for t in range(config.trials):
             found = done.get(_row_key(cell.scheme, cell.k, cell.s, cell.n, cell.param_str(), t))
             if found is None:
-                todo.append((cell, t))
+                pending.append(t)
                 continue
             want = trial_seed(seed, cell, t)
             if found != want:
@@ -261,7 +308,12 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
                     f"{found}, but master seed {seed} gives {want}; "
                     "resume with the master seed the file was written with, or use a new file"
                 )
+        if pending:
+            todo.append((cell, pending))
 
+    dropped = _drop_torn_tail(out_path)
+    if dropped:
+        print(f"{out_path}: dropped a torn last line ({dropped} bytes with no newline); resuming", file=sys.stderr)
     fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
     written = 0
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
@@ -269,11 +321,11 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            futures = [pool.submit(run_trial, cell, t, seed) for cell, t in todo]
-            for future in futures:  # in submission order, regardless of completion order
-                fh.write(future.result().csv_row() + "\n")
+            futures = [pool.submit(_run_cell, cell, pending, seed) for cell, pending in todo]
+            for (_, pending), future in zip(todo, futures):  # in grid order, regardless of completion order
+                fh.write(future.result())
                 fh.flush()
-                written += 1
+                written += len(pending)
     return written
 
 
@@ -285,7 +337,9 @@ def read_results(path: str) -> list[dict]:
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
         for line in fh:
-            line = line.rstrip("\n")
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}: the last line has no newline (a torn write); resume the run to repair it")
+            line = line[:-1]
             if not line:
                 continue
             parts = line.split(",")
@@ -307,10 +361,6 @@ def read_results(path: str) -> list[dict]:
     return rows
 
 
-def _param_sort_value(text: str) -> float:
-    return float(text)
-
-
 def summarize(rows: list[dict]) -> list[dict]:
     """Per-cell mean TV error, standard error, and trial count.
 
@@ -323,7 +373,7 @@ def summarize(rows: list[dict]) -> list[dict]:
         key = (row["scheme"], row["k"], row["n"], row["eps_or_ell"], row["s"])
         groups.setdefault(key, []).append(row["tv_error"])
     out = []
-    for key in sorted(groups, key=lambda g: (g[0], g[1], g[2], _param_sort_value(g[3]), g[4])):
+    for key in sorted(groups, key=lambda g: (g[0], g[1], g[2], float(g[3]), g[4])):
         errs = np.asarray(groups[key])
         scheme, k, n, param, s = key
         stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
@@ -385,10 +435,9 @@ def resolve_threads(cli_threads: int | None) -> int:
     """--threads, overridden by SPARSE_DIST_LAB_THREADS when set."""
     env = os.environ.get("SPARSE_DIST_LAB_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SPARSE_DIST_LAB_THREADS={env!r} is not an integer thread count") from None
     return max(1, cli_threads if cli_threads is not None else 1)
 
-
-def hr_block_size(k: int) -> int:
-    """Re-export of the HR group count for error messages and planning."""
-    return hadamard_dim(k)

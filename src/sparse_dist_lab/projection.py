@@ -33,7 +33,7 @@ def project_simplex_vec(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("input must be a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("input must be finite")
     out = np.maximum(v - simplex_threshold(v), 0.0)
     # kill the float dust so the result is a valid distribution bit-for-bit
@@ -54,9 +54,12 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
     v = np.asarray(v)
     if not 1 <= s <= v.size:
         raise ValueError(f"require 1 <= s <= {v.size}, got s={s}")
-    # stable argsort of -v keeps the smaller index first among equal values
-    order = np.argsort(-v, kind="stable")[:s]
-    return np.sort(order)
+    # the s-th largest value is the cut: keep everything above it, then the
+    # entries equal to it in index order until s are taken
+    cut = np.partition(v, v.size - s)[v.size - s]
+    above = np.flatnonzero(v > cut)
+    ties = np.flatnonzero(v == cut)[: s - above.size]
+    return np.sort(np.concatenate((above, ties)))
 
 
 def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
@@ -64,7 +67,7 @@ def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("input must be a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("input must be finite")
     if not 1 <= s <= v.size:
         raise ValueError(f"require 1 <= s <= {v.size}, got s={s}")

@@ -25,13 +25,12 @@ sometimes quoted for rate-1/(e^eps+1) flipping would bias every coordinate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import Channel
-from .core import Distribution, RandomStream, as_probs
+from .core import Distribution, RandomStream, as_probs, exp_epsilon
 from .projection import project_simplex_vec, top_s_indices
 
 
@@ -49,10 +48,12 @@ class RapporMessage:
 
 
 def flip_probability(epsilon: float) -> float:
-    """Per-bit flip probability giving an exactly epsilon-LDP channel."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return 1 / (math.exp(epsilon / 2) + 1)
+    """Per-bit flip probability giving an exactly epsilon-LDP channel.
+
+    Raises ValueError naming epsilon when it is not positive or e^(epsilon/2)
+    overflows a float.
+    """
+    return 1 / (exp_epsilon(epsilon, 2) + 1)
 
 
 def rappor_encode(x: int, epsilon: float, k: int, stream: RandomStream) -> RapporMessage:

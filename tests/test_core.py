@@ -8,7 +8,6 @@ import pytest
 from sparse_dist_lab.core import (
     Distribution,
     PackingIndex,
-    ProblemConfig,
     RandomStream,
     chi_square,
     derive_key,
@@ -242,24 +241,6 @@ def test_packing_index_popcount_enforced():
         PackingIndex(8, (2, 9))
 
 
-def test_problem_config_exactly_one_constraint():
-    base = dict(k=1000, s=8, alpha=0.2, n=100, master_seed=0)
-    ProblemConfig(**base, epsilon=1.0)
-    ProblemConfig(**base, ell=3)
-    with pytest.raises(ValueError):
-        ProblemConfig(**base)
-    with pytest.raises(ValueError):
-        ProblemConfig(**base, epsilon=1.0, ell=3)
-
-
-def test_problem_config_packing_regime_guard():
-    cfg = ProblemConfig(k=1000, s=8, alpha=0.2, n=100, master_seed=0, epsilon=1.0)
-    cfg.require_packing_regime()
-    tight = ProblemConfig(k=100, s=8, alpha=0.2, n=100, master_seed=0, epsilon=1.0)
-    with pytest.raises(ValueError):
-        tight.require_packing_regime()
-
-
 # -------------------------------------------------------------------- seeding
 
 
@@ -289,6 +270,20 @@ def test_stream_child_chains():
 
 def test_derive_key_matches_stream():
     assert RandomStream(7, 2).key == derive_key(7, 2)
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_stream_is_philox_keyed_by_its_key(master_seed):
+    # Every output byte rests on the stream being Generator(Philox(key=key));
+    # a NumPy change to how Philox takes its seed must fail here, loudly.
+    stream = RandomStream(master_seed, 3)
+    ref = np.random.Generator(np.random.Philox(key=stream.key))
+    assert stream.gen.bit_generator.state["state"]["key"].tolist() == [stream.key, 0]
+    assert np.array_equal(stream.gen.random(17), ref.random(17))
+    sizes, probs = [10, 1000, 10**6], [0.5, 0.01, 0.3]
+    assert np.array_equal(stream.gen.binomial(sizes, probs), ref.binomial(sizes, probs))
+    assert np.array_equal(stream.gen.multinomial(10**5, [0.2, 0.3, 0.5]), ref.multinomial(10**5, [0.2, 0.3, 0.5]))
+    assert np.array_equal(stream.gen.choice(1000, size=40, replace=False), ref.choice(1000, size=40, replace=False))
 
 
 def test_fold_string_stable():

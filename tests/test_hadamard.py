@@ -22,6 +22,20 @@ def sylvester(K):
     return H
 
 
+def textbook_fwht(v):
+    """Reference butterfly: strides 1, 2, ..., K/2 over blocks of 2h, in place."""
+    v = np.array(v, dtype=np.float64, copy=True)
+    K = v.size
+    h = 1
+    while h < K:
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        v[:, :h] += v[:, h:]
+        v[:, h:] = left - v[:, h:]
+        h *= 2
+    return v.reshape(-1)
+
+
 def test_hadamard_dim_bounds():
     for k in range(1, 300):
         K = hadamard_dim(k)
@@ -135,6 +149,17 @@ def test_fwht_matches_naive_product():
         want = H @ v
         got = fwht(v)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_fwht_bit_identical_to_textbook_butterfly():
+    # Seeded results depend on every rounding of the transform, so the
+    # fast layout must add exactly the textbook pairs in the textbook order.
+    gen = np.random.default_rng(4)
+    for m in range(14):
+        K = 1 << m
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            v = gen.standard_normal(K) * scale * 10.0 ** gen.uniform(-2, 2, K)
+            assert np.array_equal(fwht(v), textbook_fwht(v)), (K, scale)
 
 
 def test_fwht_rejects_non_power_of_two():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main
 from sparse_dist_lab.harness import (
     CSV_HEADER,
@@ -14,7 +15,6 @@ from sparse_dist_lab.harness import (
     cell_hash,
     config_cells,
     existing_row_keys,
-    hr_block_size,
     load_configs,
     plan_report,
     read_results,
@@ -91,6 +91,17 @@ def test_config_validates_ranges():
         tiny_config(scheme="nope")
     with pytest.raises(ValueError):
         tiny_config(epsilon_list=[0.0])
+
+
+def test_config_rejects_epsilon_whose_exponential_overflows():
+    # HR needs e^eps and rappor e^(eps/2) to be finite floats.
+    with pytest.raises(ValueError, match="epsilon=800.0"):
+        tiny_config(epsilon_list=[0.5, 800.0])
+    with pytest.raises(ValueError, match="epsilon=inf"):
+        tiny_config(epsilon_list=[float("inf")])
+    with pytest.raises(ValueError, match="epsilon=1600.0"):
+        tiny_config(scheme="rappor", epsilon_list=[1600.0])
+    assert tiny_config(scheme="rappor", epsilon_list=[800.0]).params() == (800.0,)
 
 
 def test_load_configs_accepts_object_or_list(tmp_path):
@@ -171,9 +182,26 @@ def test_run_trial_csv_row_shape():
 def test_run_trial_errors_carry_cell_identity():
     # k=32 needs K=64 groups; n=50 cannot fill them.
     cell = Cell("hr_sparse", 32, 2, 50, 1.0)
-    assert hr_block_size(32) == 64
     with pytest.raises(ValueError, match="cell Cell"):
         run_trial(cell, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [Cell("hr_sparse", 32, 2, 2000, 800.0), Cell("hr_dense", 32, 2, 2000, 800.0), Cell("rappor", 32, 2, 2000, 1600.0)],
+)
+def test_run_trial_reports_epsilon_too_large(cell):
+    # e^eps (HR) or e^(eps/2) (rappor) overflows a float here.
+    with pytest.raises(ValueError, match=r"cell Cell.*epsilon=.*too large"):
+        run_trial(cell, 0, 1)
+
+
+def test_cell_param_is_canonical():
+    # Equal cells must share one cell_hash, row text and seed.
+    assert Cell("rappor", 16, 2, 1000, 1) == Cell("rappor", 16, 2, 1000, 1.0)
+    assert Cell("rappor", 16, 2, 1000, 1).param_str() == "1.0"
+    assert Cell("comm_hash", 16, 2, 1000, 3.0).param_str() == "3"
+    assert trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1), 0) == trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1.0), 0)
 
 
 def test_all_schemes_consistent_at_large_n():
@@ -234,10 +262,57 @@ def test_resume_rejects_torn_row(tmp_path):
     cfg = tiny_config(trials=1)
     out = tmp_path / "res.csv"
     run_grid(cfg, str(out), threads=1)
+    # A short row that ends in a newline was not cut off mid-write, so it is
+    # corruption, not a torn tail to repair.
     torn = out.read_text().rstrip("\n").rsplit(",", 3)[0]
-    out.write_text(torn)
+    out.write_text(torn + "\n")
     with pytest.raises(ValueError, match="line 5 has 6 fields"):
         run_grid(cfg, str(out), threads=1)
+
+
+def test_resume_repairs_torn_tail(tmp_path, capsys):
+    cfg = tiny_config()
+    fresh = tmp_path / "fresh.csv"
+    run_grid(cfg, str(fresh), threads=1)
+    full = fresh.read_bytes()
+    out = tmp_path / "res.csv"
+    out.write_bytes(full[:-7])  # the newline and six digits of the last seed
+    last_line = full[:-1].rsplit(b"\n", 1)[1]
+    with pytest.raises(ValueError, match="no newline"):
+        read_results(str(out))
+    assert run_grid(cfg, str(out), threads=2) == 1
+    assert out.read_bytes() == full
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert f"{len(last_line) - 6} bytes" in err
+
+    # a torn header leaves nothing to keep
+    out.write_bytes(full[:5])
+    assert run_grid(cfg, str(out), threads=1) == 12
+    assert out.read_bytes() == full
+
+
+def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    fresh = tmp_path / "fresh.csv"
+    run_grid(cfg, str(fresh), threads=1)
+    full = fresh.read_bytes()
+    lines = full.decode().split("\n")
+    out = tmp_path / "res.csv"
+    # header, all of the first cell (3 trials), one trial of the second
+    out.write_text("\n".join(lines[:5]) + "\n")
+
+    calls = {}
+    real_run_trial = harness.run_trial
+
+    def recording_run_trial(cell, trial_index, master_seed):
+        calls.setdefault((cell.s, cell.param), []).append(trial_index)
+        return real_run_trial(cell, trial_index, master_seed)
+
+    monkeypatch.setattr(harness, "run_trial", recording_run_trial)
+    assert run_grid(cfg, str(out), threads=2) == 8
+    assert out.read_bytes() == full
+    assert calls == {(2, 1.0): [1, 2], (4, 0.5): [0, 1, 2], (4, 1.0): [0, 1, 2]}
 
 
 def test_grid_thread_count_invariance(tmp_path):
@@ -351,6 +426,10 @@ def test_resolve_threads_env_override(monkeypatch):
     assert resolve_threads(6) == 3
     monkeypatch.setenv("SPARSE_DIST_LAB_THREADS", "0")
     assert resolve_threads(6) == 1
+    for bad in ("x", "2.5", ""):
+        monkeypatch.setenv("SPARSE_DIST_LAB_THREADS", bad)
+        with pytest.raises(ValueError, match=f"SPARSE_DIST_LAB_THREADS={bad!r}"):
+            resolve_threads(6)
 
 
 # ------------------------------------------------------------------------ CLI

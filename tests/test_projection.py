@@ -140,6 +140,28 @@ def test_top_s_ties_prefer_smaller_index():
     assert top_s_indices(v, 3).tolist() == [0, 1, 3]
 
 
+# Vectors with many ties: small ints (the counts M that rappor and hashing
+# rank) and floats drawn from a few values, signed zeros included.
+_tied_vectors = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40),
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=40),
+    st.lists(
+        st.sampled_from([-2.5, -0.0, 0.0, 0.1, float(np.nextafter(0.1, 1.0)), 7.0, 1e300]),
+        min_size=1,
+        max_size=40,
+    ),
+).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_vectors, st.data())
+def test_top_s_matches_stable_argsort(v, data):
+    s = data.draw(st.integers(min_value=1, max_value=v.size))
+    want = np.sort(np.argsort(-v, kind="stable")[:s])
+    got = top_s_indices(v, s)
+    assert got.tolist() == want.tolist()
+
+
 def test_sparse_range_checks():
     with pytest.raises(ValueError):
         project_sparse_simplex_vec(np.ones(3), 0)

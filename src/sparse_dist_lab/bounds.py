@@ -23,7 +23,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, exp_epsilon
 
 ROW_TOL = 1e-9
 REPORT_TOL = 1e-9
@@ -239,7 +239,7 @@ def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: floa
     if scheme == "ldp":
         if epsilon is None or epsilon <= 0:
             raise ValueError("ldp scheme needs epsilon > 0")
-        e = math.exp(epsilon)
+        e = exp_epsilon(epsilon)
         root = 40 * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
         n = math.ceil(root * root)
         return n + (n % 2)
@@ -256,7 +256,7 @@ def comm_stage_sizes(k: int, s: int, alpha: float, ell: int) -> tuple[int, int]:
 
 def ldp_risk_bound(k: int, s: int, epsilon: float, n: int) -> float:
     """The proven accuracy of the one-bit scheme at sample size n."""
-    e = math.exp(epsilon)
+    e = exp_epsilon(epsilon)
     return 40 * s * math.sqrt(math.log(2 * k / s) / n) * (e + 1) / (e - 1)
 
 
@@ -266,7 +266,7 @@ def randomized_response_channel(num_symbols: int, epsilon: float) -> Channel:
     Keeps the input with probability e^eps/(e^eps+D-1), otherwise moves to a
     uniformly random other symbol; the classic epsilon-LDP channel.
     """
-    e = math.exp(epsilon)
+    e = exp_epsilon(epsilon)
     off = 1 / (e + num_symbols - 1)
     mat = np.full((num_symbols, num_symbols), off)
     np.fill_diagonal(mat, e * off)
@@ -275,7 +275,7 @@ def randomized_response_channel(num_symbols: int, epsilon: float) -> Channel:
 
 def indicator_response_channel(num_symbols: int, epsilon: float, member: np.ndarray) -> Channel:
     """Two-output randomized response to membership of x in a fixed set."""
-    e = math.exp(epsilon)
+    e = exp_epsilon(epsilon)
     q_in, q_out = e / (e + 1), 1 / (e + 1)
     member = np.asarray(member, dtype=bool)
     if member.size != num_symbols:

@@ -156,14 +156,24 @@ def comm_decode_from_counts(M: np.ndarray, N: np.ndarray, m2: int, scheme: HashS
     consistency probability b(x) at the scheme's effective bit count, then
     projection onto the simplex over T makes the output a distribution.
     """
-    size = min(2 * s, k)
-    T = top_s_indices(np.asarray(M), size)
+    T, raw, out = _decode_stack(np.asarray(M)[None], np.asarray(N)[None], m2, scheme, k, s)
+    return T[0], raw[0], Distribution(out[0])
+
+
+def _decode_stack(M: np.ndarray, N: np.ndarray, m2: int, scheme: HashScheme, k: int, s: int):
+    """comm_decode_from_counts on each row of (B, k) count stacks.
+
+    Returns the (B, min(2s, k)) supports and the (B, k) raw and projected
+    estimates.
+    """
+    T = top_s_indices(M, min(2 * s, k))
+    at = np.arange(M.shape[0])[:, None], T
     buckets = scheme.num_buckets
-    raw = np.zeros(k)
-    raw[T] = (buckets * np.asarray(N, dtype=np.float64)[T] / m2 - 1) / (buckets - 1)
-    out = np.zeros(k)
-    out[T] = project_simplex_vec(raw[T])
-    return T, raw, Distribution(out)
+    raw = np.zeros((M.shape[0], k))
+    raw[at] = (buckets * N[at].astype(np.float64) / m2 - 1) / (buckets - 1)
+    out = np.zeros((M.shape[0], k))
+    out[at] = project_simplex_vec(raw[at])
+    return T, raw, out
 
 
 def comm_decode(first_half, second_half, scheme: HashScheme, k: int, s: int) -> Distribution:
@@ -203,19 +213,33 @@ def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
     Splits the n users in half, draws each half's symbol histogram and then
     its consistency counts from their exact ideal-hash law, and decodes.
     """
-    pv = as_probs(p)
-    k = pv.size
+    T, raw, out = comm_run_stack(as_probs(p)[None], n, ell, s, [stream])
+    return T[0], raw[0], Distribution(out[0])
+
+
+def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, streams: list[RandomStream]):
+    """comm_run_details on each row of a (B, k) stack of targets with its own stream.
+
+    Each row draws its counts from its stream's children exactly as
+    comm_run_details does; support selection and projection then run once
+    over the whole stack. Returns the (B, min(2s, k)) supports and the
+    (B, k) raw and projected estimates.
+    """
+    P = np.asarray(P, dtype=np.float64)
     m1 = n // 2
     m2 = n - m1
     if m1 == 0:
         raise ValueError("need at least two users")
     # The ideal-hash law of the counts does not depend on the public coins.
-    scheme = HashScheme(0, ell, k, s)
-    c1 = stream.child(0).gen.multinomial(m1, pv)
-    c2 = stream.child(1).gen.multinomial(m2, pv)
-    M = sample_preimage_counts_hist(c1, m1, scheme, stream.child(2))
-    N = sample_preimage_counts_hist(c2, m2, scheme, stream.child(3))
-    return comm_decode_from_counts(M, N, m2, scheme, k, s)
+    scheme = HashScheme(0, ell, P.shape[1], s)
+    M = np.empty(P.shape, dtype=np.int64)
+    N = np.empty(P.shape, dtype=np.int64)
+    for i, stream in enumerate(streams):
+        c1 = stream.child(0).gen.multinomial(m1, P[i])
+        c2 = stream.child(1).gen.multinomial(m2, P[i])
+        M[i] = sample_preimage_counts_hist(c1, m1, scheme, stream.child(2))
+        N[i] = sample_preimage_counts_hist(c2, m2, scheme, stream.child(3))
+    return _decode_stack(M, N, m2, scheme, P.shape[1], s)
 
 
 def comm_run(p, n: int, ell: int, s: int, stream: RandomStream) -> Distribution:

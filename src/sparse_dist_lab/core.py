@@ -130,6 +130,22 @@ class RandomStream:
         return f"RandomStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
+def check_probs(p: np.ndarray) -> None:
+    """Raise ValueError unless p, or each row of a (B, k) stack, is a distribution.
+
+    Entries must be finite and in [0, 1], and each row must sum to 1 within
+    ``SUM_TOL``. Distribution and the harness's stacked trials share this rule.
+    """
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if p.min() < -SUM_TOL or p.max() > 1 + SUM_TOL:
+        raise ValueError("probabilities must lie in [0, 1]")
+    totals = p.sum(axis=-1, keepdims=True)
+    off = np.abs(totals - 1.0) > SUM_TOL
+    if off.any():
+        raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A probability vector over a finite 0-indexed alphabet.
@@ -144,13 +160,7 @@ class Distribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
-        if not np.isfinite(p).all():
-            raise ValueError("probabilities must be finite")
-        if p.min() < -SUM_TOL or p.max() > 1 + SUM_TOL:
-            raise ValueError("probabilities must lie in [0, 1]")
-        total = float(p.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        check_probs(p)
 
     @property
     def k(self) -> int:
@@ -195,15 +205,17 @@ class PackingIndex:
         return z
 
 
-def tv_distance(p, q) -> float:
+def tv_distance(p, q):
     """Total variation distance, half the l1 distance between the vectors.
 
-    Raises on length mismatch. Always in [0, 1].
+    Raises on length mismatch. Always in [0, 1]. For two (B, k) stacks,
+    returns the B row-wise distances as an array.
     """
     pv, qv = as_probs(p), as_probs(q)
     if pv.shape != qv.shape:
         raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
-    return float(0.5 * np.abs(pv - qv).sum())
+    tv = 0.5 * np.abs(pv - qv).sum(axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
 def chi_square(p, q) -> float:
@@ -243,12 +255,17 @@ def sample_iid(p, n: int, stream: RandomStream) -> np.ndarray:
 
 def make_uniform_sparse(k: int, s: int, stream: RandomStream) -> Distribution:
     """Uniform distribution over a uniformly chosen size-s subset of [k]."""
+    return Distribution(uniform_sparse_stack(k, s, [stream])[0])
+
+
+def uniform_sparse_stack(k: int, s: int, streams: list[RandomStream]) -> np.ndarray:
+    """Row i is the make_uniform_sparse target drawn from streams[i]; shape (B, k)."""
     if not 1 <= s <= k:
         raise ValueError("require 1 <= s <= k")
-    support = stream.gen.choice(k, size=s, replace=False)
-    probs = np.zeros(k)
-    probs[support] = 1.0 / s
-    return Distribution(probs)
+    probs = np.zeros((len(streams), k))
+    for row, stream in zip(probs, streams):
+        row[stream.gen.choice(k, size=s, replace=False)] = 1.0 / s
+    return probs
 
 
 def make_packing_dist(z: PackingIndex, alpha: float) -> Distribution:

@@ -58,7 +58,7 @@ def membership_parity(K: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
-    """Multiply by H_K in place-order: returns H_K @ v for len(v) = K.
+    """Multiply by H_K in place-order: H_K @ v for len(v) = K, row-wise on a (B, K) stack.
 
     log2(K) levels of paired sums and differences, at strides 1, 2, ..., K/2
     in that order. The transform is its own inverse up to the factor K
@@ -69,23 +69,27 @@ def fwht(v: np.ndarray) -> np.ndarray:
     transposed (C x R) copy, where each half of a butterfly is one contiguous
     run of h*R values rather than K/2h runs of h; the rest pair rows and run
     in the original layout. Every level adds the same pairs as the textbook
-    butterfly, so the result is bit-identical to it.
+    butterfly, so each row is bit-identical to it.
     """
     v = np.asarray(v, dtype=np.float64)
-    K = v.size
+    if v.ndim not in (1, 2):
+        raise ValueError(f"fwht takes a vector or a (B, K) stack, got shape {v.shape}")
+    K = v.shape[-1]
     _check_dim(K)
     rows = 1 << ((K.bit_length() - 1) // 2)
     cols = K // rows
-    low = _butterflies(v.reshape(rows, cols).T.copy().reshape(-1), 1, cols, rows)
-    return _butterflies(low.reshape(cols, rows).T.copy().reshape(-1), cols, K, 1)
+    low = _butterflies(v.reshape(-1, rows, cols).transpose(0, 2, 1).copy().reshape(-1), 1, cols, rows)
+    high = _butterflies(low.reshape(-1, cols, rows).transpose(0, 2, 1).copy().reshape(-1), cols, K, 1)
+    return high.reshape(v.shape)
 
 
 def _butterflies(x: np.ndarray, h: int, stop: int, run: int) -> np.ndarray:
     """Apply the levels of stride h, 2h, ... below stop to the flat buffer x.
 
-    At stride h a value's partner sits h*run places further on. Levels
-    ping-pong between x and one spare buffer; returns the one holding the
-    result.
+    At stride h a value's partner sits h*run places further on. Every block
+    of 2*h*run values divides K, so x may hold several K-value rows back to
+    back and no block spans two of them. Levels ping-pong between x and one
+    spare buffer; returns the one holding the result.
     """
     y = np.empty_like(x)
     while h < stop:

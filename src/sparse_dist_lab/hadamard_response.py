@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import Channel
 from .core import Distribution, RandomStream, as_probs, exp_epsilon
 from .hadamard import fwht, hadamard_dim, in_column_set, membership_parity
-from .projection import project_simplex, project_sparse_simplex
+from .projection import project_simplex_vec, project_sparse_simplex_vec
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,16 @@ def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
 
     t_j = P(bit=1 | group j) when users' symbols are drawn from p. Feeding
     this vector to the decoder recovers p exactly (up to float round-off),
-    which is the identity the decoder tests pin down.
+    which is the identity the decoder tests pin down. For a (B, k) stack of
+    distributions, returns the (B, K) stack of their fractions.
     """
     pv = as_probs(p)
-    if pv.size > K:
+    k = pv.shape[-1]
+    if k > K:
         raise ValueError("distribution does not fit the block size")
     q_in, q_out = hr_flip_probs(epsilon)
-    p_K = np.zeros(K)
-    p_K[: pv.size] = pv
+    p_K = np.zeros(pv.shape[:-1] + (K,))
+    p_K[..., :k] = pv
     member_prob = 0.5 * (1 + fwht(p_K))  # P(X in B_j) for each column j
     return q_out + (q_in - q_out) * member_prob
 
@@ -145,16 +147,17 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
 
     Inverts the response map: recenter the fractions to 2*s_hat - 1, apply
     the transform, rescale by (e^eps+1)/(K(e^eps-1)), truncate to k entries.
+    A (B, K) stack of fractions gives a (B, k) stack of estimates.
     """
     s_hat = fracs.s_hat if isinstance(fracs, HRFractions) else np.asarray(fracs, dtype=np.float64)
-    K = s_hat.size
+    K = s_hat.shape[-1]
     if k > K:
         raise ValueError("k exceeds block size")
     e = exp_epsilon(epsilon)
     if e == 1.0:
         raise ValueError(f"epsilon={epsilon!r} is too small: e^epsilon rounds to 1")
     scale = (e + 1) / (K * (e - 1))
-    return scale * fwht(2.0 * s_hat - 1.0)[:k]
+    return scale * fwht(2.0 * s_hat - 1.0)[..., :k]
 
 
 def hr_decode(fracs, epsilon: float, k: int, mode: str = "sparse", s: int | None = None) -> Distribution:
@@ -163,13 +166,17 @@ def hr_decode(fracs, epsilon: float, k: int, mode: str = "sparse", s: int | None
     mode "dense" projects onto the whole simplex; mode "sparse" projects onto
     the s-sparse simplex and requires s.
     """
-    tilde = hr_decode_raw(fracs, epsilon, k)
+    return Distribution(_project(hr_decode_raw(fracs, epsilon, k), mode, s))
+
+
+def _project(tilde: np.ndarray, mode: str, s: int | None) -> np.ndarray:
+    """Project a raw estimate, or each row of a stack, as hr_decode's mode says."""
     if mode == "dense":
-        return project_simplex(tilde)
+        return project_simplex_vec(tilde)
     if mode == "sparse":
         if s is None:
             raise ValueError("sparse mode needs s")
-        return project_sparse_simplex(tilde, s)
+        return project_sparse_simplex_vec(tilde, s)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -182,22 +189,42 @@ def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> HR
     ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and aggregating
     every user's bit.
     """
-    pv = as_probs(p)
-    K = hadamard_dim(pv.size)
+    fracs, sizes = _draw_fractions(as_probs(p)[None], n, epsilon, [stream])
+    return HRFractions(fracs[0], sizes)
+
+
+def _draw_fractions(P: np.ndarray, n: int, epsilon: float, streams: list[RandomStream]):
+    """Row i of a (B, k) stack through hr_simulate_fractions on streams[i].
+
+    Returns the (B, K) fractions and the K group sizes they share.
+    """
+    K = hadamard_dim(P.shape[1])
     if n < K:
         raise ValueError(f"need at least K={K} users, got n={n}")
     sizes = np.full(K, n // K, dtype=np.int64)
     sizes[: n % K] += 1
-    t = np.clip(hr_expected_fractions(pv, epsilon, K), 0.0, 1.0)  # round-off can pass 1 at large eps
-    ones = stream.gen.binomial(sizes, t)
-    return HRFractions(ones / sizes, sizes)
+    t = np.clip(hr_expected_fractions(P, epsilon, K), 0.0, 1.0)  # round-off can pass 1 at large eps
+    ones = np.stack([stream.gen.binomial(sizes, row) for stream, row in zip(streams, t)])
+    return ones / sizes, sizes
 
 
 def hr_run(p, n: int, epsilon: float, stream: RandomStream, mode: str = "sparse", s: int | None = None) -> Distribution:
     """One full protocol run returning the estimated distribution."""
-    pv = as_probs(p)
-    fracs = hr_simulate_fractions(pv, n, epsilon, stream)
-    return hr_decode(fracs, epsilon, pv.size, mode=mode, s=s)
+    return Distribution(hr_run_stack(as_probs(p)[None], n, epsilon, [stream], mode=mode, s=s)[0])
+
+
+def hr_run_stack(
+    P: np.ndarray, n: int, epsilon: float, streams: list[RandomStream], mode: str = "sparse", s: int | None = None
+) -> np.ndarray:
+    """hr_run on each row of a (B, k) stack of targets with its own stream.
+
+    Each row draws its fractions from its stream exactly as hr_run does;
+    the transforms and projections then run once over the whole stack.
+    Returns the (B, k) estimates.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    fracs, _ = _draw_fractions(P, n, epsilon, streams)
+    return _project(hr_decode_raw(fracs, epsilon, P.shape[1]), mode, s)
 
 
 def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> Channel:

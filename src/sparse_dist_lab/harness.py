@@ -3,7 +3,9 @@
 A grid is the Cartesian product of sparsity values, constraint values
 (epsilon or ell), and trial indices, at fixed (scheme, k, n). Each trial
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
-records the TV error. Results stream to a CSV with a fixed header, one
+records the TV error. A cell's pending trials run as one stack: each trial
+draws from its own streams, and decoding, projection and scoring run once
+over the stack, row by row. Results stream to a CSV with a fixed header, one
 write per cell; runs are resumable (existing (cell, trial) rows are skipped,
 a torn last line is dropped and rerun, and a row written under another
 master seed is an error) and byte-identical across repetitions and thread
@@ -30,17 +32,17 @@ import json
 import math
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
-from .comm_hash import comm_run, effective_ell
-from .core import GOLDEN64, MASK64, RandomStream, fold_string, make_uniform_sparse, mix64, tv_distance
-from .hadamard_response import hr_flip_probs, hr_run
-from .rappor import flip_probability, rappor_run
+from .comm_hash import comm_run_stack, effective_ell
+from .core import GOLDEN64, MASK64, RandomStream, check_probs, fold_string, mix64, tv_distance, uniform_sparse_stack
+from .hadamard import hadamard_dim
+from .hadamard_response import hr_flip_probs, hr_run_stack
+from .rappor import flip_probability, rappor_run_stack
 
 CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed"
 
@@ -89,6 +91,14 @@ class ExperimentConfig:
             check = flip_probability if self.scheme == "rappor" else hr_flip_probs
             for v in self.epsilon_list:
                 check(v)
+        # grids that no trial could run fail here, not at their first trial
+        if self.scheme in ("hr_dense", "hr_sparse") and self.n < hadamard_dim(self.k):
+            raise ValueError(f"n={self.n} is below the block size K={hadamard_dim(self.k)} of k={self.k}: HR needs n >= K")
+        if self.scheme == "rappor":
+            if 2 * max(self.s_list) > self.k:
+                raise ValueError(f"s_list holds s={max(self.s_list)}, but rappor needs 2s <= k={self.k}")
+            if self.n < 2:
+                raise ValueError(f"n={self.n}: rappor splits users in half and needs n >= 2")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -145,7 +155,6 @@ class TrialResult:
     trial_index: int
     tv_error: float
     bits_per_user: int
-    wall_time: float
     seed_used: int
 
     def csv_row(self) -> str:
@@ -192,34 +201,42 @@ def bits_per_user(scheme: str, k: int, param) -> int:
 
 def run_trial(cell: Cell, trial_index: int, master_seed: int) -> TrialResult:
     """Run one seeded trial of a cell; pure function of its arguments."""
-    seed = trial_seed(master_seed, cell, trial_index)
-    stream = RandomStream(seed)
-    start = time.perf_counter()
+    return run_cell(cell, [trial_index], master_seed)[0]
+
+
+def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResult]:
+    """Run a cell's trials as one stacked batch; results in the order of trials.
+
+    Each trial draws its target from its seed's child(0) and its protocol
+    randomness from child(1), so a trial's result does not depend on which
+    other trials share its batch. Decoding, projection and scoring run once
+    over the stack. Errors name the cell.
+    """
+    seeds = [trial_seed(master_seed, cell, t) for t in trials]
+    streams = [RandomStream(seed) for seed in seeds]
     try:
-        target = make_uniform_sparse(cell.k, cell.s, stream.child(0))
-        run_stream = stream.child(1)
-        if cell.scheme in ("hr_dense", "hr_sparse"):
-            mode = "dense" if cell.scheme == "hr_dense" else "sparse"
-            estimate = hr_run(target, cell.n, float(cell.param), run_stream, mode=mode, s=cell.s)
-        elif cell.scheme == "rappor":
-            estimate = rappor_run(target, cell.n, float(cell.param), cell.s, run_stream)
-        else:
-            estimate = comm_run(target, cell.n, int(cell.param), cell.s, run_stream)
+        targets = uniform_sparse_stack(cell.k, cell.s, [stream.child(0) for stream in streams])
+        check_probs(targets)
+        estimates = _run_stack(cell, targets, [stream.child(1) for stream in streams])
+        check_probs(estimates)
     except ValueError as err:
         raise ValueError(f"cell {cell}: {err}") from err
-    elapsed = time.perf_counter() - start
-    return TrialResult(
-        scheme=cell.scheme,
-        k=cell.k,
-        s=cell.s,
-        n=cell.n,
-        eps_or_ell=cell.param,
-        trial_index=trial_index,
-        tv_error=tv_distance(estimate, target),
-        bits_per_user=bits_per_user(cell.scheme, cell.k, cell.param),
-        wall_time=elapsed,
-        seed_used=seed,
-    )
+    bits = bits_per_user(cell.scheme, cell.k, cell.param)
+    tvs = tv_distance(estimates, targets).tolist()
+    return [
+        TrialResult(cell.scheme, cell.k, cell.s, cell.n, cell.param, t, tv, bits, seed)
+        for t, tv, seed in zip(trials, tvs, seeds)
+    ]
+
+
+def _run_stack(cell: Cell, targets: np.ndarray, streams: list[RandomStream]) -> np.ndarray:
+    """The cell's scheme run on each row of targets with its own stream."""
+    if cell.scheme in ("hr_dense", "hr_sparse"):
+        mode = "dense" if cell.scheme == "hr_dense" else "sparse"
+        return hr_run_stack(targets, cell.n, cell.param, streams, mode=mode, s=cell.s)
+    if cell.scheme == "rappor":
+        return rappor_run_stack(targets, cell.n, cell.param, cell.s, streams)
+    return comm_run_stack(targets, cell.n, cell.param, cell.s, streams)[2]
 
 
 def config_cells(config: ExperimentConfig) -> list[Cell]:
@@ -275,15 +292,16 @@ def _drop_torn_tail(path: str) -> int:
     return size - keep
 
 
-def _run_cell(cell: Cell, trials: list[int], master_seed: int) -> str:
-    """The CSV rows of one cell's pending trials, run in order."""
-    return "".join(run_trial(cell, t, master_seed).csv_row() + "\n" for t in trials)
+def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
+    """The CSV rows of one cell's pending trials, in order."""
+    return "".join(result.csv_row() + "\n" for result in run_cell(cell, trials, master_seed))
 
 
 def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_seed: int | None = None) -> int:
     """Run (or resume) one config's grid, appending rows to out_path.
 
-    Each cell's pending trials run in order as one task of a thread pool,
+    Each cell's pending trials run as one stacked batch (see run_cell) in
+    one task of a thread pool,
     and a single writer appends each cell's rows in grid order, so output
     bytes never depend on scheduling. Returns the number of rows written.
     Raises ValueError, before writing anything, if a row already in
@@ -321,7 +339,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            futures = [pool.submit(_run_cell, cell, pending, seed) for cell, pending in todo]
+            futures = [pool.submit(_cell_rows, cell, pending, seed) for cell, pending in todo]
             for (_, pending), future in zip(todo, futures):  # in grid order, regardless of completion order
                 fh.write(future.result())
                 fh.flush()

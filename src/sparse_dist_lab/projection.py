@@ -18,27 +18,36 @@ import numpy as np
 from .core import Distribution
 
 
-def simplex_threshold(v: np.ndarray) -> float:
-    """The shift tau such that sum(max(v - tau, 0)) = 1."""
-    u = np.sort(v)[::-1]
-    cumsum = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    feasible = u - (cumsum - 1) / j > 0
-    rho = int(np.nonzero(feasible)[0][-1])  # largest feasible j (0-based)
-    return float((cumsum[rho] - 1) / (rho + 1))
+def _as_rows(v) -> np.ndarray:
+    """v as a finite float64 (B, k) stack; a vector becomes one row."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("input must be a nonempty vector or (B, k) stack")
+    if not np.isfinite(v).all():
+        raise ValueError("input must be finite")
+    return v.reshape(-1, v.shape[-1])
+
+
+def simplex_threshold(v: np.ndarray) -> np.ndarray:
+    """Per row of a (B, k) stack, the shift tau with sum(max(row - tau, 0)) = 1."""
+    B, k = v.shape
+    u = np.sort(v, axis=1)[:, ::-1]
+    cumsum = u.cumsum(axis=1)
+    feasible = u - (cumsum - 1) / np.arange(1, k + 1) > 0
+    rho = k - 1 - feasible[:, ::-1].argmax(axis=1)  # largest feasible j (0-based)
+    return (cumsum[np.arange(B), rho] - 1) / (rho + 1)
 
 
 def project_simplex_vec(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex, as an array."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a nonempty vector")
-    if not np.isfinite(v).all():
-        raise ValueError("input must be finite")
-    out = np.maximum(v - simplex_threshold(v), 0.0)
+    """Euclidean projection of v onto the probability simplex, as an array.
+
+    A (B, k) stack is projected row by row.
+    """
+    rows = _as_rows(v)
+    out = np.maximum(rows - simplex_threshold(rows)[:, None], 0.0)
     # kill the float dust so the result is a valid distribution bit-for-bit
-    out /= out.sum()
-    return out
+    out /= out.sum(axis=1, keepdims=True)
+    return out.reshape(np.shape(v))
 
 
 def project_simplex(v: np.ndarray) -> Distribution:
@@ -49,34 +58,38 @@ def project_simplex(v: np.ndarray) -> Distribution:
 def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
     """Indices of the s largest entries of v, ties broken by smaller index.
 
-    Returned in increasing index order.
+    Returned in increasing index order; for a (B, k) stack, one such row of
+    s indices per row of v.
     """
     v = np.asarray(v)
-    if not 1 <= s <= v.size:
-        raise ValueError(f"require 1 <= s <= {v.size}, got s={s}")
-    # the s-th largest value is the cut: keep everything above it, then the
-    # entries equal to it in index order until s are taken
-    cut = np.partition(v, v.size - s)[v.size - s]
-    above = np.flatnonzero(v > cut)
-    ties = np.flatnonzero(v == cut)[: s - above.size]
-    return np.sort(np.concatenate((above, ties)))
+    if v.ndim not in (1, 2):
+        raise ValueError(f"input must be a vector or (B, k) stack, got shape {v.shape}")
+    rows = v.reshape(-1, v.shape[-1])
+    k = rows.shape[1]
+    if not 1 <= s <= k:
+        raise ValueError(f"require 1 <= s <= {k}, got s={s}")
+    # each row's s-th largest value is its cut: keep everything above it,
+    # then the entries equal to it in index order until s are taken
+    cut = np.partition(rows, k - s, axis=1)[:, k - s, None]
+    above = rows > cut
+    ties = rows == cut
+    wanted = s - above.sum(axis=1, keepdims=True)
+    keep = above | (ties & (ties.cumsum(axis=1) <= wanted))
+    return keep.nonzero()[1].reshape(v.shape[:-1] + (s,))
 
 
 def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
-    """Projection onto the s-sparse simplex, as an array."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a nonempty vector")
-    if not np.isfinite(v).all():
-        raise ValueError("input must be finite")
-    if not 1 <= s <= v.size:
-        raise ValueError(f"require 1 <= s <= {v.size}, got s={s}")
-    if s == v.size:
+    """Projection onto the s-sparse simplex, as an array (row-wise on a stack)."""
+    rows = _as_rows(v)
+    k = rows.shape[1]
+    if not 1 <= s <= k:
+        raise ValueError(f"require 1 <= s <= {k}, got s={s}")
+    if s == k:
         return project_simplex_vec(v)
-    keep = top_s_indices(v, s)
-    out = np.zeros_like(v)
-    out[keep] = project_simplex_vec(v[keep])
-    return out
+    at = np.arange(rows.shape[0])[:, None], top_s_indices(rows, s)
+    out = np.zeros_like(rows)
+    out[at] = project_simplex_vec(rows[at])
+    return out.reshape(np.shape(v))
 
 
 def project_sparse_simplex(v: np.ndarray, s: int) -> Distribution:

@@ -118,16 +118,26 @@ def rappor_estimate(first_half, second_half, k: int, s: int, epsilon: float) -> 
 
 
 def rappor_estimate_from_counts(M: np.ndarray, N: np.ndarray, m2: int, k: int, s: int, epsilon: float):
-    """Counts-first variant used by the harness; returns (T, raw, Distribution)."""
+    """Counts-first variant; returns (T, raw, Distribution)."""
+    T, raw, out = _estimate_stack(np.asarray(M)[None], np.asarray(N)[None], m2, k, s, epsilon)
+    return T[0], raw[0], Distribution(out[0])
+
+
+def _estimate_stack(M: np.ndarray, N: np.ndarray, m2: int, k: int, s: int, epsilon: float):
+    """rappor_estimate_from_counts on each row of (B, k) count stacks.
+
+    Returns the (B, 2s) supports and the (B, k) raw and projected estimates.
+    """
     if 2 * s > k:
         raise ValueError(f"candidate support 2s={2 * s} would exceed k={k}")
     q = flip_probability(epsilon)
-    T = top_s_indices(np.asarray(M), 2 * s)
-    raw = np.zeros(k)
-    raw[T] = (np.asarray(N, dtype=np.float64)[T] / m2 - q) / (1 - 2 * q)
-    out = np.zeros(k)
-    out[T] = project_simplex_vec(raw[T])
-    return T, raw, Distribution(out)
+    T = top_s_indices(M, 2 * s)
+    at = np.arange(M.shape[0])[:, None], T
+    raw = np.zeros((M.shape[0], k))
+    raw[at] = (N[at].astype(np.float64) / m2 - q) / (1 - 2 * q)
+    out = np.zeros((M.shape[0], k))
+    out[at] = project_simplex_vec(raw[at])
+    return T, raw, out
 
 
 def rappor_run(p, n: int, epsilon: float, s: int, stream: RandomStream) -> Distribution:
@@ -137,17 +147,29 @@ def rappor_run(p, n: int, epsilon: float, s: int, stream: RandomStream) -> Distr
     from sample_column_sums_hist, which is the exact law of encoding every
     user, so no per-user sample or message is materialized.
     """
-    pv = as_probs(p)
-    k = pv.size
+    return Distribution(rappor_run_stack(as_probs(p)[None], n, epsilon, s, [stream])[0])
+
+
+def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, streams: list[RandomStream]) -> np.ndarray:
+    """rappor_run on each row of a (B, k) stack of targets with its own stream.
+
+    Each row draws its counts from its stream's children exactly as
+    rappor_run does; support selection and projection then run once over the
+    whole stack. Returns the (B, k) estimates.
+    """
+    P = np.asarray(P, dtype=np.float64)
     m1 = n // 2
     m2 = n - m1
     if m1 == 0:
         raise ValueError("need at least two users")
-    c1 = stream.child(0).gen.multinomial(m1, pv)
-    c2 = stream.child(1).gen.multinomial(m2, pv)
-    M = sample_column_sums_hist(c1, m1, epsilon, stream.child(2))
-    N = sample_column_sums_hist(c2, m2, epsilon, stream.child(3))
-    return rappor_estimate_from_counts(M, N, m2, k, s, epsilon)[2]
+    M = np.empty(P.shape, dtype=np.int64)
+    N = np.empty(P.shape, dtype=np.int64)
+    for i, stream in enumerate(streams):
+        c1 = stream.child(0).gen.multinomial(m1, P[i])
+        c2 = stream.child(1).gen.multinomial(m2, P[i])
+        M[i] = sample_column_sums_hist(c1, m1, epsilon, stream.child(2))
+        N[i] = sample_column_sums_hist(c2, m2, epsilon, stream.child(3))
+    return _estimate_stack(M, N, m2, P.shape[1], s, epsilon)[2]
 
 
 def rappor_channel_matrix(epsilon: float, k: int) -> Channel:

@@ -253,6 +253,19 @@ def test_planning_validates_inputs():
         planned_sample_size("other", 1000, 8, 0.2, epsilon=1.0)
 
 
+def test_bounds_reject_epsilon_whose_exponential_overflows():
+    # e^800 overflows a float; each must name epsilon, not raise OverflowError.
+    calls = (
+        lambda: planned_sample_size("ldp", 1000, 8, 0.2, epsilon=800.0),
+        lambda: ldp_risk_bound(1000, 8, 800.0, 10**6),
+        lambda: randomized_response_channel(5, 800.0),
+        lambda: indicator_response_channel(2, 800.0, np.array([1, 0])),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"epsilon=800.0 is too large"):
+            call()
+
+
 def test_ldp_risk_bound_formula():
     k, s, eps, n = 1000, 8, 1.0, 200000
     e = math.exp(eps)

@@ -154,12 +154,17 @@ def test_fwht_matches_naive_product():
 def test_fwht_bit_identical_to_textbook_butterfly():
     # Seeded results depend on every rounding of the transform, so the
     # fast layout must add exactly the textbook pairs in the textbook order.
+    # A (B, K) stack must transform each row exactly as the vector form.
     gen = np.random.default_rng(4)
     for m in range(14):
         K = 1 << m
         for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
             v = gen.standard_normal(K) * scale * 10.0 ** gen.uniform(-2, 2, K)
             assert np.array_equal(fwht(v), textbook_fwht(v)), (K, scale)
+        for B in (1, 3):
+            stack = gen.standard_normal((B, K)) * 10.0 ** gen.uniform(-10, 10, (B, K))
+            want = np.array([textbook_fwht(row) for row in stack])
+            assert np.array_equal(fwht(stack), want), (K, B)
 
 
 def test_fwht_rejects_non_power_of_two():
@@ -167,6 +172,10 @@ def test_fwht_rejects_non_power_of_two():
         fwht(np.ones(6))
     with pytest.raises(ValueError):
         fwht(np.ones(0))
+    with pytest.raises(ValueError):
+        fwht(np.ones((2, 6)))
+    with pytest.raises(ValueError):
+        fwht(np.ones((2, 2, 4)))
 
 
 def test_fwht_does_not_mutate_input():

@@ -104,6 +104,26 @@ def test_config_rejects_epsilon_whose_exponential_overflows():
     assert tiny_config(scheme="rappor", epsilon_list=[800.0]).params() == (800.0,)
 
 
+@pytest.mark.parametrize("scheme", ["hr_sparse", "hr_dense"])
+def test_config_rejects_hr_grid_with_fewer_users_than_groups(scheme):
+    # k=32 needs K=64 groups; n=50 cannot fill them.
+    with pytest.raises(ValueError, match=r"n=50 .*K=64"):
+        tiny_config(scheme=scheme, n=50)
+    assert tiny_config(scheme=scheme, n=64).n == 64
+
+
+def test_config_rejects_rappor_support_wider_than_k():
+    with pytest.raises(ValueError, match=r"s_list holds s=17.*k=32"):
+        tiny_config(scheme="rappor", s_list=[2, 17])
+    assert tiny_config(scheme="rappor", s_list=[2, 16]).s_list == (2, 16)
+
+
+def test_config_rejects_rappor_with_one_user():
+    with pytest.raises(ValueError, match=r"n=1\b"):
+        tiny_config(scheme="rappor", n=1)
+    assert tiny_config(scheme="rappor", n=2).n == 2
+
+
 def test_load_configs_accepts_object_or_list(tmp_path):
     raw = dict(
         scheme="rappor", k=8, s_list=[1], n=100, trials=1, master_seed=0, epsilon_list=[1.0]
@@ -303,16 +323,36 @@ def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
     out.write_text("\n".join(lines[:5]) + "\n")
 
     calls = {}
-    real_run_trial = harness.run_trial
+    real_run_cell = harness.run_cell
 
-    def recording_run_trial(cell, trial_index, master_seed):
-        calls.setdefault((cell.s, cell.param), []).append(trial_index)
-        return real_run_trial(cell, trial_index, master_seed)
+    def recording_run_cell(cell, trials, master_seed):
+        assert (cell.s, cell.param) not in calls  # one batch per cell
+        calls[(cell.s, cell.param)] = list(trials)
+        return real_run_cell(cell, trials, master_seed)
 
-    monkeypatch.setattr(harness, "run_trial", recording_run_trial)
+    monkeypatch.setattr(harness, "run_cell", recording_run_cell)
     assert run_grid(cfg, str(out), threads=2) == 8
     assert out.read_bytes() == full
     assert calls == {(2, 1.0): [1, 2], (4, 0.5): [0, 1, 2], (4, 1.0): [0, 1, 2]}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(scheme="hr_sparse", k=32, s_list=[1, 5], n=2000, epsilon_list=[0.5, 3.0]),
+        dict(scheme="hr_dense", k=12, s_list=[1, 12], n=100, epsilon_list=[1.0]),
+        dict(scheme="rappor", k=20, s_list=[1, 10], n=400, epsilon_list=[0.5, 6.0]),
+        # 20 users a half over 300 symbols: most counts tie at 0, 1 or 2
+        dict(scheme="comm_hash", k=300, s_list=[3, 150], n=40, ell_list=[1, 4]),
+    ],
+)
+def test_grid_rows_equal_trials_run_one_by_one(tmp_path, grid):
+    # A cell's trials run as one stack; each row must equal its trial alone.
+    cfg = ExperimentConfig(trials=4, master_seed=13, **grid)
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=2)
+    rows = [run_trial(cell, t, 13).csv_row() for cell in config_cells(cfg) for t in range(4)]
+    assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def test_grid_thread_count_invariance(tmp_path):
@@ -471,6 +511,11 @@ def test_cli_verify_bounds(tmp_path, capsys):
     assert len(reports) == 13
     assert all(r["satisfied"] for r in reports)
     assert "[ok]" in capsys.readouterr().err
+
+
+def test_cli_plan_rejects_epsilon_whose_exponential_overflows():
+    with pytest.raises(ValueError, match=r"epsilon=800.0 is too large"):
+        main(["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "800"])
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -160,6 +160,32 @@ def test_top_s_matches_stable_argsort(v, data):
     want = np.sort(np.argsort(-v, kind="stable")[:s])
     got = top_s_indices(v, s)
     assert got.tolist() == want.tolist()
+    # a (B, k) stack of tied rows selects each row as the vector form would
+    stack = np.stack([v, v[::-1], np.roll(v, 1), np.sort(v), np.zeros_like(v)])
+    want_rows = [np.sort(np.argsort(-row, kind="stable")[:s]).tolist() for row in stack]
+    assert top_s_indices(stack, s).tolist() == want_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.data(),
+)
+def test_rowwise_projections_equal_per_row(B, k, seed, tied, data):
+    # Row-wise sorts, cumsums and sums must round exactly as on one vector.
+    gen = np.random.default_rng(seed)
+    if tied:
+        stack = gen.choice([-1.0, 0.0, 0.25, 0.5, 3.0], size=(B, k))
+    else:
+        stack = gen.standard_normal((B, k)) * 10.0 ** gen.uniform(-3, 3, (B, k))
+    s = data.draw(st.integers(min_value=1, max_value=k))
+    rows = np.array([project_simplex_vec(row) for row in stack])
+    assert np.array_equal(project_simplex_vec(stack), rows)
+    rows = np.array([project_sparse_simplex_vec(row, s) for row in stack])
+    assert np.array_equal(project_sparse_simplex_vec(stack, s), rows)
 
 
 def test_sparse_range_checks():

@@ -23,7 +23,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import RandomStream, exp_epsilon
+from .core import RandomStream, exp_epsilon, invertible_exp_epsilon
 
 ROW_TOL = 1e-9
 REPORT_TOL = 1e-9
@@ -105,10 +105,14 @@ def verify_ldp(W: Channel, epsilon: float) -> bool:
     A column mixing zero and positive entries has an unbounded ratio and
     fails for every finite epsilon; an all-zero column constrains nothing.
     The comparison carries 1e-9 relative slack so channels sitting exactly
-    at their privacy level pass.
+    at their privacy level pass. An e^epsilon that overflows a float sets no
+    limit.
     """
     mat = W.matrix
-    limit = math.exp(epsilon)
+    try:
+        limit = math.exp(epsilon)
+    except OverflowError:
+        limit = math.inf
     for y in range(mat.shape[1]):
         col = mat[:, y]
         top = float(col.max())
@@ -239,7 +243,7 @@ def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: floa
     if scheme == "ldp":
         if epsilon is None or epsilon <= 0:
             raise ValueError("ldp scheme needs epsilon > 0")
-        e = exp_epsilon(epsilon)
+        e = invertible_exp_epsilon(epsilon)
         root = 40 * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
         n = math.ceil(root * root)
         return n + (n % 2)
@@ -256,7 +260,7 @@ def comm_stage_sizes(k: int, s: int, alpha: float, ell: int) -> tuple[int, int]:
 
 def ldp_risk_bound(k: int, s: int, epsilon: float, n: int) -> float:
     """The proven accuracy of the one-bit scheme at sample size n."""
-    e = exp_epsilon(epsilon)
+    e = invertible_exp_epsilon(epsilon)
     return 40 * s * math.sqrt(math.log(2 * k / s) / n) * (e + 1) / (e - 1)
 
 

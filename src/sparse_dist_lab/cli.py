@@ -6,7 +6,9 @@ sample sizes, and run the lower-bound verification suite.
     sparse-dist-lab plan --scheme comm --k 1000 --s 8 --alpha 0.2 --ell 3
     sparse-dist-lab verify-bounds --out reports.json
 
-The SPARSE_DIST_LAB_THREADS environment variable overrides --threads.
+--threads N runs a grid's cells on up to N worker processes (N - 1 forked
+children; POSIX only); the SPARSE_DIST_LAB_THREADS environment variable
+overrides it. Rows are written in grid order whatever N is.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run (or resume) an experiment grid from a JSON config")
     run.add_argument("--config", required=True, help="JSON config: one grid object or a list")
     run.add_argument("--out", default=None, help="results CSV (overrides the config's own 'out')")
-    run.add_argument("--threads", type=int, default=1, help="worker threads (env SPARSE_DIST_LAB_THREADS wins)")
+    run.add_argument("--threads", type=int, default=1, help="worker processes, forked (env SPARSE_DIST_LAB_THREADS wins)")
     run.add_argument("--seed", type=int, default=None, help="override every grid's master_seed")
 
     summ = sub.add_parser("summarize", help="aggregate a results CSV into per-cell statistics")

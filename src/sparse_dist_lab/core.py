@@ -5,7 +5,7 @@ the experiment harness) builds on the primitives here: a validated probability
 vector type, total-variation and chi-squared divergences, i.i.d. sampling,
 the s-sparse uniform targets used in experiments, the packing family of hard
 distributions used by the lower bounds, and counter-based random streams that
-make every run replayable regardless of thread count.
+make every run replayable regardless of worker count.
 
 Conventions
 -----------
@@ -88,6 +88,18 @@ def exp_epsilon(epsilon: float, divisor: int = 1) -> float:
         e = math.inf
     if e == math.inf:
         raise ValueError(f"epsilon={epsilon!r} is too large: e^(epsilon/{divisor}) overflows a float")
+    return e
+
+
+def invertible_exp_epsilon(epsilon: float) -> float:
+    """exp_epsilon(epsilon) for a map that divides by e^epsilon - 1.
+
+    Also raises ValueError naming epsilon when e^epsilon rounds to 1 (epsilon
+    below about 1e-16), where that divisor is 0.
+    """
+    e = exp_epsilon(epsilon)
+    if e == 1.0:
+        raise ValueError(f"epsilon={epsilon!r} is too small: e^epsilon rounds to 1")
     return e
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Channel
-from .core import Distribution, RandomStream, as_probs, exp_epsilon
+from .core import Distribution, RandomStream, as_probs, exp_epsilon, invertible_exp_epsilon
 from .hadamard import fwht, hadamard_dim, in_column_set, membership_parity
 from .projection import project_simplex_vec, project_sparse_simplex_vec
 
@@ -153,9 +153,7 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
     K = s_hat.shape[-1]
     if k > K:
         raise ValueError("k exceeds block size")
-    e = exp_epsilon(epsilon)
-    if e == 1.0:
-        raise ValueError(f"epsilon={epsilon!r} is too small: e^epsilon rounds to 1")
+    e = invertible_exp_epsilon(epsilon)
     scale = (e + 1) / (K * (e - 1))
     return scale * fwht(2.0 * s_hat - 1.0)[..., :k]
 

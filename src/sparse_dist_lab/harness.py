@@ -5,11 +5,12 @@ A grid is the Cartesian product of sparsity values, constraint values
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
 records the TV error. A cell's pending trials run as one stack: each trial
 draws from its own streams, and decoding, projection and scoring run once
-over the stack, row by row. Results stream to a CSV with a fixed header, one
-write per cell; runs are resumable (existing (cell, trial) rows are skipped,
-a torn last line is dropped and rerun, and a row written under another
-master seed is an error) and byte-identical across repetitions and thread
-counts.
+over the stack, row by row. Cells run in this process or, with more than one
+worker, in forked worker processes (POSIX only). Results stream to a CSV
+with a fixed header, one write per cell, in grid order; runs are resumable
+(existing (cell, trial) rows are skipped, a torn last line is dropped and
+rerun, and a row written under another master seed is an error) and
+byte-identical across repetitions and worker counts.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -31,8 +32,9 @@ import functools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,13 +299,108 @@ def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
     return "".join(result.csv_row() + "\n" for result in run_cell(cell, trials, master_seed))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork is missing (workers are forked)."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, cells: int, cpus: int) -> int:
+    """Workers for a grid: the requested count, capped at the pending cells and the CPUs."""
+    return max(1, min(threads, cells, cpus))
+
+
+def _run_stripe(fd: int, stripe: list[tuple[Cell, list[int]]], master_seed: int) -> None:
+    """Body of a forked worker: pickle each cell's rows, or the error that stopped it, to fd.
+
+    Leaves with os._exit, so the child never returns into its caller and
+    never flushes a buffer it inherited (the results CSV, stdout).
+    """
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for cell, pending in stripe:
+                try:
+                    rows = _cell_rows(cell, pending, master_seed)
+                except Exception as err:
+                    try:
+                        payload = pickle.dumps(err)
+                        pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
+                    except Exception:
+                        payload = pickle.dumps(RuntimeError(f"cell {cell}: {type(err).__name__}: {err}"))
+                    out.write(payload)
+                    break
+                pickle.dump(rows, out)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_cells(fh, todo: list[tuple[Cell, list[int]]], master_seed: int, workers: int) -> None:
+    """Run todo on workers processes and write each cell's rows to fh in grid order.
+
+    The calling process forks workers - 1 children (none for one worker) and
+    works as worker 0; cell i runs in worker i % workers. Each child pickles
+    its rows to its own pipe. Children are reaped before returning, and
+    killed first if anything raised.
+    """
+    pids = []  # worker w's pid is pids[w - 1]
+    readers = {}  # pid -> its pipe's read end, until the worker is reaped
+    finished = False
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_stripe(write_fd, todo[w::workers], master_seed)
+            os.close(write_fd)
+            pids.append(pid)
+            readers[pid] = os.fdopen(read_fd, "rb")
+        for i, (cell, pending) in enumerate(todo):
+            if i % workers == 0:
+                rows = _cell_rows(cell, pending, master_seed)
+            else:
+                pid = pids[i % workers - 1]
+                try:
+                    rows = pickle.load(readers[pid])
+                except (EOFError, pickle.UnpicklingError):
+                    readers.pop(pid).close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+                    raise RuntimeError(f"cell {cell}: worker process {pid} {how} before sending the cell's rows") from None
+                if isinstance(rows, BaseException):
+                    raise rows
+            fh.write(rows)
+            fh.flush()
+        finished = True
+    finally:
+        for pid, reader in readers.items():
+            reader.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_seed: int | None = None) -> int:
     """Run (or resume) one config's grid, appending rows to out_path.
 
-    Each cell's pending trials run as one stacked batch (see run_cell) in
-    one task of a thread pool,
-    and a single writer appends each cell's rows in grid order, so output
-    bytes never depend on scheduling. Returns the number of rows written.
+    Each cell's pending trials run as one stacked batch (see run_cell).
+    ``threads`` is the number of worker processes, w, capped at the pending
+    cells and the CPUs this process may use. One worker runs every cell in
+    this process. More fork (POSIX only): this process runs pending cells
+    0, w, 2w, ... itself and w - 1 forked children run the rest, so do not
+    call it while other threads of the caller hold locks. Each cell's rows
+    are written with one write and one flush, in grid order, so output bytes
+    never depend on w. The first failing cell in grid order stops the grid,
+    with the whole rows of the cells before it written, and its error (or,
+    for a worker that died, a RuntimeError) names the cell. Returns the
+    number of rows written.
+
     Raises ValueError, before writing anything, if a row already in
     out_path was written under another master seed: its key leaves the seed
     out, so it would otherwise count as done. A torn last line (no trailing
@@ -333,18 +430,13 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
     if dropped:
         print(f"{out_path}: dropped a torn last line ({dropped} bytes with no newline); resuming", file=sys.stderr)
     fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
-    written = 0
+    workers = _worker_count(threads, len(todo), _usable_cpus())
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(CSV_HEADER + "\n")
             fh.flush()
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            futures = [pool.submit(_cell_rows, cell, pending, seed) for cell, pending in todo]
-            for (_, pending), future in zip(todo, futures):  # in grid order, regardless of completion order
-                fh.write(future.result())
-                fh.flush()
-                written += len(pending)
-    return written
+        _write_cells(fh, todo, seed, workers)
+    return sum(len(pending) for _, pending in todo)
 
 
 def read_results(path: str) -> list[dict]:
@@ -450,12 +542,12 @@ def plan_report(scheme: str, k: int, s: int, alpha: float, epsilon: float | None
 
 
 def resolve_threads(cli_threads: int | None) -> int:
-    """--threads, overridden by SPARSE_DIST_LAB_THREADS when set."""
+    """The worker-process count: --threads, overridden by SPARSE_DIST_LAB_THREADS when set."""
     env = os.environ.get("SPARSE_DIST_LAB_THREADS")
     if env is not None:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(f"SPARSE_DIST_LAB_THREADS={env!r} is not an integer thread count") from None
+            raise ValueError(f"SPARSE_DIST_LAB_THREADS={env!r} is not an integer worker count") from None
     return max(1, cli_threads if cli_threads is not None else 1)
 

@@ -60,7 +60,7 @@ DESK_GRID = Path(__file__).resolve().parents[1] / "configs" / "desk_grid.json"
 
 @pytest.fixture(scope="module")
 def desk_grid_run(tmp_path_factory):
-    """One full desk-grid run (8 threads), shared by criteria 7 and 10."""
+    """One full desk-grid run (8 workers), shared by criteria 7 and 10."""
     out = tmp_path_factory.mktemp("grid") / "desk.csv"
     configs = load_configs(str(DESK_GRID))
     start = time.perf_counter()
@@ -309,12 +309,12 @@ def test_criterion_10_grid_determinism(desk_grid_run, tmp_path):
     out, _ = desk_grid_run
     again = tmp_path / "desk_again.csv"
     for cfg in load_configs(str(DESK_GRID)):
-        run_grid(cfg, str(again), threads=3)
+        run_grid(cfg, str(again), threads=1)
     a = out.read_bytes()
     b = again.read_bytes()
-    assert a == b, "thread count changed the result bytes"
+    assert a == b, "worker count changed the result bytes"
     print(
         f"[criterion 10] PASS: {len(a)} bytes identical across runs "
-        f"(8 threads vs 3)",
+        f"(8 workers vs 1)",
         flush=True,
     )

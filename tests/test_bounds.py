@@ -32,6 +32,7 @@ from sparse_dist_lab.core import (
     make_packing_dist,
     packing_reference_dist,
 )
+from sparse_dist_lab.hadamard_response import hr_decode_raw
 
 
 def slow_expected_chisq(W, k, s, alpha):
@@ -70,8 +71,15 @@ def test_rr_channel_is_ldp_exactly():
 
 def test_identity_channel_never_ldp():
     W = Channel(np.eye(3))
-    for eps in (0.1, 1.0, 10.0, 100.0):
+    for eps in (0.1, 1.0, 10.0, 100.0, 800.0):
         assert not verify_ldp(W, eps)
+
+
+def test_verify_ldp_sets_no_limit_when_exponential_overflows():
+    # e^800 overflows a float, so any ratio between positive entries passes.
+    assert verify_ldp(randomized_response_channel(3, 1.0), 800.0)
+    assert verify_ldp(Channel(np.array([[1 - 1e-300, 1e-300], [1e-300, 1 - 1e-300]])), 800.0)
+    assert not verify_ldp(Channel(np.array([[1.0, 0.0], [0.5, 0.5]])), 800.0)
 
 
 def test_indicator_channel_is_ldp():
@@ -264,6 +272,20 @@ def test_bounds_reject_epsilon_whose_exponential_overflows():
     for call in calls:
         with pytest.raises(ValueError, match=r"epsilon=800.0 is too large"):
             call()
+
+
+def test_inversions_reject_epsilon_whose_exponential_rounds_to_one():
+    # e^1e-17 == 1.0, so each would divide by e^eps - 1 = 0.
+    calls = (
+        lambda: planned_sample_size("ldp", 1000, 8, 0.2, epsilon=1e-17),
+        lambda: ldp_risk_bound(1000, 8, 1e-17, 10**6),
+        lambda: hr_decode_raw(np.full(16, 0.5), 1e-17, 10),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"epsilon=1e-17 is too small: e\^epsilon rounds to 1"):
+            call()
+    assert planned_sample_size("ldp", 1000, 8, 0.2, epsilon=1e-15) > 10**30
+    assert math.isfinite(ldp_risk_bound(1000, 8, 1e-15, 10**6))
 
 
 def test_ldp_risk_bound_formula():

@@ -1,6 +1,9 @@
 """Experiment grid runner: configs, seeding, CSV contract, CLI."""
 
 import json
+import os
+import re
+import signal
 
 import numpy as np
 import pytest
@@ -331,7 +334,8 @@ def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
         return real_run_cell(cell, trials, master_seed)
 
     monkeypatch.setattr(harness, "run_cell", recording_run_cell)
-    assert run_grid(cfg, str(out), threads=2) == 8
+    # one worker: a recorder in a forked worker could not report back
+    assert run_grid(cfg, str(out), threads=1) == 8
     assert out.read_bytes() == full
     assert calls == {(2, 1.0): [1, 2], (4, 0.5): [0, 1, 2], (4, 1.0): [0, 1, 2]}
 
@@ -355,13 +359,89 @@ def test_grid_rows_equal_trials_run_one_by_one(tmp_path, grid):
     assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-def test_grid_thread_count_invariance(tmp_path):
-    cfg = tiny_config(trials=2)
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_grid(cfg, str(a), threads=1)
-    run_grid(cfg, str(b), threads=4)
-    assert a.read_bytes() == b.read_bytes()
+def test_grid_thread_count_invariance(tmp_path, monkeypatch):
+    # 8 cells over 4 workers: each forked worker runs two cells, striped.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    cfg = tiny_config(trials=2, s_list=[1, 2, 3, 4])
+    outs = {}
+    for workers in (1, 2, 4):
+        outs[workers] = tmp_path / f"w{workers}.csv"
+        assert run_grid(cfg, str(outs[workers]), threads=workers) == 16
+    assert outs[1].read_bytes() == outs[2].read_bytes() == outs[4].read_bytes()
+
+
+def test_worker_count_is_capped():
+    assert harness._worker_count(1, 40, 2) == 1
+    assert harness._worker_count(2, 40, 2) == 2
+    assert harness._worker_count(100000, 40, 2) == 2
+    assert harness._worker_count(100000, 3, 64) == 3
+    assert harness._worker_count(8, 0, 2) == 1  # nothing pending
+    assert harness._worker_count(0, 40, 2) == 1
+
+
+def test_no_fork_means_one_worker(monkeypatch):
+    assert harness._usable_cpus() >= 1
+    monkeypatch.delattr(harness.os, "fork")
+    assert harness._usable_cpus() == 1
+
+
+def _fail_in_worker(monkeypatch, target, fail):
+    """Make target's trials call fail() in place of the scheme; target must run in a forked worker."""
+    parent = os.getpid()
+    real_run_stack = harness._run_stack
+
+    def run_stack(cell, targets, streams):
+        if cell == target:
+            assert os.getpid() != parent, "the cell ran in the calling process"
+            fail()
+        return real_run_stack(cell, targets, streams)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_run_stack", run_stack)
+
+
+def _assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rows_before_cell(full: bytes, cells_before: int, trials: int) -> bytes:
+    return b"".join(full.splitlines(keepends=True)[: 1 + cells_before * trials])
+
+
+def test_worker_error_names_cell(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    fresh = tmp_path / "fresh.csv"
+    run_grid(cfg, str(fresh), threads=1)
+    target = config_cells(cfg)[3]  # worker 1 of 2 runs cells 1 and 3
+
+    def fail():
+        raise ValueError("no estimate")
+
+    _fail_in_worker(monkeypatch, target, fail)
+    out = tmp_path / "res.csv"
+    with pytest.raises(ValueError, match=re.escape(f"cell {target}: no estimate")):
+        run_grid(cfg, str(out), threads=2)
+    assert out.read_bytes() == _rows_before_cell(fresh.read_bytes(), 3, cfg.trials)
+    _assert_no_child_processes()
+
+
+def test_killed_worker_leaves_resumable_csv(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    fresh = tmp_path / "fresh.csv"
+    run_grid(cfg, str(fresh), threads=1)
+    full = fresh.read_bytes()
+    target = config_cells(cfg)[3]
+    _fail_in_worker(monkeypatch, target, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    out = tmp_path / "res.csv"
+    with pytest.raises(RuntimeError, match=re.escape(f"cell {target}: worker process ") + r"\d+ was killed by SIGKILL"):
+        run_grid(cfg, str(out), threads=2)
+    # whole rows of the cells before the killed one, in grid order
+    assert out.read_bytes() == _rows_before_cell(full, 3, cfg.trials)
+    _assert_no_child_processes()
+    monkeypatch.undo()
+    assert run_grid(cfg, str(out), threads=2) == cfg.trials
+    assert out.read_bytes() == full
 
 
 def test_existing_row_keys_roundtrip(tmp_path):
@@ -516,6 +596,11 @@ def test_cli_verify_bounds(tmp_path, capsys):
 def test_cli_plan_rejects_epsilon_whose_exponential_overflows():
     with pytest.raises(ValueError, match=r"epsilon=800.0 is too large"):
         main(["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "800"])
+
+
+def test_cli_plan_rejects_epsilon_whose_exponential_rounds_to_one():
+    with pytest.raises(ValueError, match=r"epsilon=1e-17 is too small: e\^epsilon rounds to 1"):
+        main(["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "1e-17"])
 
 
 def test_cli_rejects_bad_config(tmp_path):

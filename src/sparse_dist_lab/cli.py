@@ -7,8 +7,10 @@ sample sizes, and run the lower-bound verification suite.
     sparse-dist-lab verify-bounds --out reports.json
 
 --threads N runs a grid's cells on up to N worker processes (N - 1 forked
-children; POSIX only); the SPARSE_DIST_LAB_THREADS environment variable
-overrides it. Rows are written in grid order whatever N is.
+children; POSIX only), capped at the pending cells, the CPUs and the grid's
+work (pending trials x k), so a small grid runs in-process whatever N is.
+The SPARSE_DIST_LAB_THREADS environment variable overrides N. Rows are
+written in grid order whatever N is.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run (or resume) an experiment grid from a JSON config")
     run.add_argument("--config", required=True, help="JSON config: one grid object or a list")
     run.add_argument("--out", default=None, help="results CSV (overrides the config's own 'out')")
-    run.add_argument("--threads", type=int, default=1, help="worker processes, forked (env SPARSE_DIST_LAB_THREADS wins)")
+    run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help=f"worker processes, forked; a grid of under {2 * harness._WORKER_MIN_WORK:,} trials x k runs in-process "
+        "(env SPARSE_DIST_LAB_THREADS wins)",
+    )
     run.add_argument("--seed", type=int, default=None, help="override every grid's master_seed")
 
     summ = sub.add_parser("summarize", help="aggregate a results CSV into per-cell statistics")

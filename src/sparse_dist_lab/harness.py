@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -47,6 +48,7 @@ from .hadamard_response import hr_flip_probs, hr_run_stack
 from .rappor import flip_probability, rappor_run_stack
 
 CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed"
+_CSV_FIELDS = CSV_HEADER.count(",") + 1
 
 SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 
@@ -70,16 +72,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        for name in ("k", "n", "trials", "master_seed"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.k < 1 or self.n < 1 or self.trials < 1:
             raise ValueError("k, n, trials must be positive")
-        object.__setattr__(self, "s_list", tuple(int(s) for s in self.s_list))
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, not {self.out!r}")
+        object.__setattr__(self, "s_list", _numbers("s_list", self.s_list))
         if not self.s_list or any(not 1 <= s <= self.k for s in self.s_list):
             raise ValueError("every s must satisfy 1 <= s <= k")
         wants_ell = self.scheme == "comm_hash"
         if wants_ell:
             if self.ell_list is None or self.epsilon_list is not None:
                 raise ValueError("comm_hash takes ell_list (and no epsilon_list)")
-            object.__setattr__(self, "ell_list", tuple(int(v) for v in self.ell_list))
+            object.__setattr__(self, "ell_list", _numbers("ell_list", self.ell_list))
             if any(v < 1 for v in self.ell_list):
                 raise ValueError("ell values must be >= 1")
             if self.n % 2:
@@ -87,7 +93,7 @@ class ExperimentConfig:
         else:
             if self.epsilon_list is None or self.ell_list is not None:
                 raise ValueError(f"{self.scheme} takes epsilon_list (and no ell_list)")
-            object.__setattr__(self, "epsilon_list", tuple(float(v) for v in self.epsilon_list))
+            object.__setattr__(self, "epsilon_list", _numbers("epsilon_list", self.epsilon_list, integral=False))
             # the scheme's own response probabilities reject an epsilon that is
             # not positive or whose exponential overflows
             check = flip_probability if self.scheme == "rappor" else hr_flip_probs
@@ -114,6 +120,23 @@ class ExperimentConfig:
 
     def params(self) -> tuple:
         return self.ell_list if self.scheme == "comm_hash" else self.epsilon_list
+
+
+def _number(name: str, value, integral: bool = True):
+    """value as an int (or, if not integral, a float); ValueError naming the field if it is another type.
+
+    A bool is not a number here, and neither is a float where an int is due.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, not {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _numbers(name: str, values, integral: bool = True) -> tuple:
+    """Each entry of the list values checked as by _number."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, not {values!r}")
+    return tuple(_number(f"{name} entry", v, integral) for v in values)
 
 
 def load_configs(path: str) -> list[ExperimentConfig]:
@@ -250,6 +273,14 @@ def _row_key(scheme: str, k, s, n, param_str: str, trial) -> tuple:
     return (scheme, str(k), str(s), str(n), param_str, str(trial))
 
 
+def _row_fields(path: str, line_no: int, line: str) -> list[str]:
+    """A results row's fields; ValueError naming path and line unless it has the header's count."""
+    parts = line.split(",")
+    if len(parts) != _CSV_FIELDS:
+        raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, not the header's {_CSV_FIELDS}")
+    return parts
+
+
 def existing_row_keys(path: str) -> dict[tuple, int]:
     """Seeds of rows already present in a results CSV, by row key (for resuming).
 
@@ -266,9 +297,7 @@ def existing_row_keys(path: str) -> dict[tuple, int]:
             line = line[:-1]
             if i == 0 or not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 9:
-                raise ValueError(f"{path}: line {i + 1} has {len(parts)} fields, not the header's 9")
+            parts = _row_fields(path, i + 1, line)
             keys[_row_key(parts[0], parts[1], parts[2], parts[3], parts[4], parts[5])] = int(parts[8])
     return keys
 
@@ -308,9 +337,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int, cells: int, cpus: int) -> int:
-    """Workers for a grid: the requested count, capped at the pending cells and the CPUs."""
-    return max(1, min(threads, cells, cpus))
+# symbol-trials a worker must get to pay for its fork: 2 workers break even at 32-50k (k=1000-5000, 2 vCPUs)
+_WORKER_MIN_WORK = 20_000
+
+
+def _worker_count(threads: int, cells: int, cpus: int, work: int) -> int:
+    """Workers for a grid: the requested count, capped at the pending cells, the CPUs and the work.
+
+    work is the grid's pending symbol-trials (pending trials x k), which
+    tracks a trial's cost whatever n is; each worker gets at least
+    _WORKER_MIN_WORK of it, so a grid too small to pay for a fork runs
+    in-process. Reads no clock: the count never depends on timing.
+    """
+    return max(1, min(threads, cells, cpus, work // _WORKER_MIN_WORK))
 
 
 def _run_stripe(fd: int, stripe: list[tuple[Cell, list[int]]], master_seed: int) -> None:
@@ -391,8 +430,11 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
 
     Each cell's pending trials run as one stacked batch (see run_cell).
     ``threads`` is the number of worker processes, w, capped at the pending
-    cells and the CPUs this process may use. One worker runs every cell in
-    this process. More fork (POSIX only): this process runs pending cells
+    cells, at the CPUs this process may use and at one worker per
+    _WORKER_MIN_WORK pending symbol-trials (trials x k), so a small grid runs
+    in this process whatever ``threads`` is (on 2 vCPUs, two workers beat
+    one from about 32,000-50,000 symbol-trials). One worker runs every cell
+    in this process. More fork (POSIX only): this process runs pending cells
     0, w, 2w, ... itself and w - 1 forked children run the rest, so do not
     call it while other threads of the caller hold locks. Each cell's rows
     are written with one write and one flush, in grid order, so output bytes
@@ -430,13 +472,14 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
     if dropped:
         print(f"{out_path}: dropped a torn last line ({dropped} bytes with no newline); resuming", file=sys.stderr)
     fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
-    workers = _worker_count(threads, len(todo), _usable_cpus())
+    trials = sum(len(pending) for _, pending in todo)
+    workers = _worker_count(threads, len(todo), _usable_cpus(), config.k * trials)
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         _write_cells(fh, todo, seed, workers)
-    return sum(len(pending) for _, pending in todo)
+    return trials
 
 
 def read_results(path: str) -> list[dict]:
@@ -446,13 +489,13 @@ def read_results(path: str) -> list[dict]:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             if not line.endswith("\n"):
                 raise ValueError(f"{path}: the last line has no newline (a torn write); resume the run to repair it")
             line = line[:-1]
             if not line:
                 continue
-            parts = line.split(",")
+            parts = _row_fields(path, line_no, line)
             rows.append(
                 {
                     "scheme": parts[0],

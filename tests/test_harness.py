@@ -96,6 +96,40 @@ def test_config_validates_ranges():
         tiny_config(epsilon_list=[0.0])
 
 
+_COMM = dict(scheme="comm_hash", epsilon_list=None)
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        (dict(k=40.0), "k must be an integer, not 40.0"),
+        (dict(n=200.0), "n must be an integer, not 200.0"),
+        (dict(trials=2.0), "trials must be an integer, not 2.0"),
+        (dict(trials=True), "trials must be an integer, not True"),
+        (dict(master_seed="7"), "master_seed must be an integer, not '7'"),
+        (dict(s_list=[2.7]), "s_list entry must be an integer, not 2.7"),
+        (dict(s_list=[1, True]), "s_list entry must be an integer, not True"),
+        (dict(s_list=2), "s_list must be a list, not 2"),
+        (dict(_COMM, ell_list=[1.9]), "ell_list entry must be an integer, not 1.9"),
+        (dict(_COMM, ell_list=[False]), "ell_list entry must be an integer, not False"),
+        (dict(epsilon_list=["1.0"]), "epsilon_list entry must be a real number, not '1.0'"),
+        (dict(epsilon_list=[False]), "epsilon_list entry must be a real number, not False"),
+        (dict(out=1), "out must be a path string, not 1"),  # 1 would open stdout's descriptor
+    ],
+)
+def test_config_rejects_field_of_wrong_type(over, message):
+    # such values once ran as another grid (s=2.7 as s=2, trials=True as one
+    # trial) or died mid-run with a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tiny_config(**over)
+
+
+def test_config_keeps_integral_and_real_values():
+    cfg = tiny_config(k=np.int64(32), s_list=(np.int64(2),), epsilon_list=[1, np.float64(0.5)])
+    assert (cfg.k, cfg.s_list, cfg.epsilon_list) == (32, (2,), (1.0, 0.5))
+    assert type(cfg.k) is int and type(cfg.epsilon_list[0]) is float
+
+
 def test_config_rejects_epsilon_whose_exponential_overflows():
     # HR needs e^eps and rappor e^(eps/2) to be finite floats.
     with pytest.raises(ValueError, match="epsilon=800.0"):
@@ -350,8 +384,9 @@ def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
         dict(scheme="comm_hash", k=300, s_list=[3, 150], n=40, ell_list=[1, 4]),
     ],
 )
-def test_grid_rows_equal_trials_run_one_by_one(tmp_path, grid):
+def test_grid_rows_equal_trials_run_one_by_one(tmp_path, monkeypatch, grid):
     # A cell's trials run as one stack; each row must equal its trial alone.
+    monkeypatch.setattr(harness, "_WORKER_MIN_WORK", 1)  # fork for this small grid
     cfg = ExperimentConfig(trials=4, master_seed=13, **grid)
     out = tmp_path / "res.csv"
     run_grid(cfg, str(out), threads=2)
@@ -362,6 +397,7 @@ def test_grid_rows_equal_trials_run_one_by_one(tmp_path, grid):
 def test_grid_thread_count_invariance(tmp_path, monkeypatch):
     # 8 cells over 4 workers: each forked worker runs two cells, striped.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(harness, "_WORKER_MIN_WORK", 1)
     cfg = tiny_config(trials=2, s_list=[1, 2, 3, 4])
     outs = {}
     for workers in (1, 2, 4):
@@ -371,12 +407,47 @@ def test_grid_thread_count_invariance(tmp_path, monkeypatch):
 
 
 def test_worker_count_is_capped():
-    assert harness._worker_count(1, 40, 2) == 1
-    assert harness._worker_count(2, 40, 2) == 2
-    assert harness._worker_count(100000, 40, 2) == 2
-    assert harness._worker_count(100000, 3, 64) == 3
-    assert harness._worker_count(8, 0, 2) == 1  # nothing pending
-    assert harness._worker_count(0, 40, 2) == 1
+    ample = 10**9  # symbol-trials: enough work for any worker count below
+    assert harness._worker_count(1, 40, 2, ample) == 1
+    assert harness._worker_count(2, 40, 2, ample) == 2
+    assert harness._worker_count(100000, 40, 2, ample) == 2
+    assert harness._worker_count(100000, 3, 64, ample) == 3
+    assert harness._worker_count(8, 0, 2, 0) == 1  # nothing pending
+    assert harness._worker_count(0, 40, 2, ample) == 1
+    # work = cells x trials x k: the desk grids (k=1000, 20 trials) fork,
+    # the message_paths grids (k=1000, 4 cells of 4 trials or of 1) do not
+    assert harness._worker_count(2, 16, 2, 16 * 20 * 1000) == 2
+    assert harness._worker_count(2, 40, 2, 40 * 20 * 1000) == 2
+    assert harness._worker_count(2, 4, 2, 4 * 4 * 1000) == 1
+    assert harness._worker_count(2, 4, 2, 4 * 1 * 1000) == 1
+    assert harness._worker_count(8, 40, 8, 3 * harness._WORKER_MIN_WORK) == 3
+
+
+def test_grid_work_is_pending_trials_times_k(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(harness, "_worker_count", lambda threads, cells, cpus, work: seen.append((cells, work)) or 1)
+    cfg = tiny_config()  # 4 cells of 3 trials at k=32
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=2)
+    # keep the header, the first cell and one trial of the second
+    out.write_text("\n".join(out.read_text().split("\n")[:5]) + "\n")
+    run_grid(cfg, str(out), threads=2)
+    assert seen == [(4, 12 * 32), (3, 8 * 32)]
+
+
+def test_small_grid_runs_in_process(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    one = tmp_path / "one.csv"
+    run_grid(cfg, str(one), threads=1)
+
+    def no_fork():
+        raise AssertionError("a small grid forked a worker")
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness.os, "fork", no_fork)
+    two = tmp_path / "two.csv"
+    assert run_grid(cfg, str(two), threads=2) == 12
+    assert two.read_bytes() == one.read_bytes()
 
 
 def test_no_fork_means_one_worker(monkeypatch):
@@ -397,6 +468,7 @@ def _fail_in_worker(monkeypatch, target, fail):
         return real_run_stack(cell, targets, streams)
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_WORKER_MIN_WORK", 1)
     monkeypatch.setattr(harness, "_run_stack", run_stack)
 
 
@@ -451,6 +523,19 @@ def test_existing_row_keys_roundtrip(tmp_path):
     keys = existing_row_keys(str(out))
     assert len(keys) == 4
     assert ("hr_sparse", "32", "2", "2000", "0.5", "0") in keys
+
+
+@pytest.mark.parametrize("cut", ["extra", "short"])
+def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
+    cfg = tiny_config(trials=1)
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=1)
+    lines = out.read_text().splitlines()
+    lines[2] = lines[2] + ",0" if cut == "extra" else ",".join(lines[2].split(",")[:3])
+    out.write_text("\n".join(lines) + "\n")
+    width = 10 if cut == "extra" else 3
+    with pytest.raises(ValueError, match=re.escape(f"{out}: line 3 has {width} fields, not the header's 9")):
+        read_results(str(out))
 
 
 def test_read_results_validates_header(tmp_path):

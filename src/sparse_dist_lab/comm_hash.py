@@ -17,22 +17,22 @@ buy nothing, so the scheme silently hashes into min(ell, ceil(log2 s)+1)
 bits; the raw ell is kept for reporting.
 
 Protocol runs draw (M, N) from their exact ideal-hash law given the halves'
-symbol histograms, in O(k) whatever n is. The per-user encoders and the
-preimage scan stay as reference oracles: there hashes are realized as a
-64-bit avalanche mix of (public seed, user index, symbol) that replays
-bit-exactly anywhere and, at the statistics measured here, is
-indistinguishable from the ideal random hash.
+symbol histograms, in O(k) whatever n is, and decode through the split-half
+estimator shared with rappor (projection.split_half_estimate). The batch
+encoder and the preimage scan realize the hashes as a 64-bit avalanche mix
+of (public seed, user index, symbol) that replays bit-exactly anywhere and,
+at the statistics measured here, is indistinguishable from the ideal random
+hash; the demos and the tests use them, protocol runs do not.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ALT64, GOLDEN64, MASK64, Distribution, RandomStream, as_probs, mix64, mix64_array
-from .projection import project_simplex_vec, top_s_indices
+from .core import ALT64, GOLDEN64, MASK64, Distribution, RandomStream, as_probs, mix64_array
+from .projection import split_half_estimate
 
 # Users per block when scanning preimages; keeps the (block x k) hash matrix
 # around 32 MB at k = 1000.
@@ -78,33 +78,16 @@ class HashScheme:
         return 1 << self.ell_eff
 
 
-@dataclass(frozen=True)
-class CommMessage:
-    """One user's hashed value."""
-
-    user_index: int
-    value: int
-
-
-def hash_eval(scheme: HashScheme, user_index: int, x: int) -> int:
-    """h_{user_index}(x): deterministic, near-uniform over the buckets."""
-    if not 0 <= x < scheme.k:
-        raise ValueError(f"symbol {x} out of range for k={scheme.k}")
-    z = scheme.public_seed ^ ((user_index + 1) * GOLDEN64 & MASK64) ^ ((x + 1) * ALT64 & MASK64)
-    return mix64(z) & (scheme.num_buckets - 1)
-
-
 def hash_eval_batch(scheme: HashScheme, users: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized hash_eval; users and xs broadcast against each other."""
+    """h_u(x) for users u and symbols x, broadcast against each other.
+
+    Each value is a 64-bit avalanche mix of (public seed, u, x) masked to
+    the bucket count: deterministic and near-uniform over the buckets.
+    """
     u = (np.asarray(users).astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN64)
     v = (np.asarray(xs).astype(np.uint64) + np.uint64(1)) * np.uint64(ALT64)
     z = mix64_array(np.uint64(scheme.public_seed) ^ u ^ v)
     return (z & np.uint64(scheme.num_buckets - 1)).astype(np.int64)
-
-
-def comm_encode(x: int, user_index: int, scheme: HashScheme) -> CommMessage:
-    """A user's whole privatization step: hash and send."""
-    return CommMessage(user_index, hash_eval(scheme, user_index, x))
 
 
 def comm_encode_batch(xs: np.ndarray, scheme: HashScheme, first_user: int = 0) -> np.ndarray:
@@ -121,21 +104,16 @@ def b_of(p_x: float, ell: int) -> float:
     return p_x * (1 - 2.0**-ell) + 2.0**-ell
 
 
-def preimage_counts(messages, scheme: HashScheme, k: int | None = None) -> np.ndarray:
+def preimage_counts(messages: tuple[np.ndarray, np.ndarray], scheme: HashScheme, k: int | None = None) -> np.ndarray:
     """For each symbol x, how many messages are consistent with x.
 
-    ``messages`` is a list of CommMessage or a (users, values) pair of
-    arrays. The scan re-evaluates every user's hash at every symbol in
-    blocks, so memory stays bounded while the work is one big vectorized
-    comparison.
+    ``messages`` is a (users, values) pair of arrays. The scan re-evaluates
+    every user's hash at every symbol in blocks, so memory stays bounded
+    while the work is one big vectorized comparison.
     """
     if k is None:
         k = scheme.k
-    if isinstance(messages, tuple):
-        users, values = (np.asarray(a, dtype=np.int64) for a in messages)
-    else:
-        users = np.fromiter((m.user_index for m in messages), dtype=np.int64, count=len(messages))
-        values = np.fromiter((m.value for m in messages), dtype=np.int64, count=len(messages))
+    users, values = (np.asarray(a, dtype=np.int64) for a in messages)
     counts = np.zeros(k, dtype=np.int64)
     if users.size == 0:
         return counts
@@ -146,44 +124,6 @@ def preimage_counts(messages, scheme: HashScheme, k: int | None = None) -> np.nd
         evals = hash_eval_batch(scheme, users[lo:hi, None], symbols[None, :])
         counts += (evals == values[lo:hi, None]).sum(axis=0)
     return counts
-
-
-def comm_decode_from_counts(M: np.ndarray, N: np.ndarray, m2: int, scheme: HashScheme, k: int, s: int):
-    """Support selection and affine inversion from the two halves' counts.
-
-    Returns (T, raw estimate, Distribution). T is the top min(2s, k) symbols
-    of M (ties to the smaller index); on T the estimate inverts the
-    consistency probability b(x) at the scheme's effective bit count, then
-    projection onto the simplex over T makes the output a distribution.
-    """
-    T, raw, out = _decode_stack(np.asarray(M)[None], np.asarray(N)[None], m2, scheme, k, s)
-    return T[0], raw[0], Distribution(out[0])
-
-
-def _decode_stack(M: np.ndarray, N: np.ndarray, m2: int, scheme: HashScheme, k: int, s: int):
-    """comm_decode_from_counts on each row of (B, k) count stacks.
-
-    Returns the (B, min(2s, k)) supports and the (B, k) raw and projected
-    estimates.
-    """
-    T = top_s_indices(M, min(2 * s, k))
-    at = np.arange(M.shape[0])[:, None], T
-    buckets = scheme.num_buckets
-    raw = np.zeros((M.shape[0], k))
-    raw[at] = (buckets * N[at].astype(np.float64) / m2 - 1) / (buckets - 1)
-    out = np.zeros((M.shape[0], k))
-    out[at] = project_simplex_vec(raw[at])
-    return T, raw, out
-
-
-def comm_decode(first_half, second_half, scheme: HashScheme, k: int, s: int) -> Distribution:
-    """Full decode from message batches (see comm_decode_from_counts)."""
-    m2 = len(second_half[0]) if isinstance(second_half, tuple) else len(second_half)
-    if m2 == 0 or (len(first_half[0]) if isinstance(first_half, tuple) else len(first_half)) == 0:
-        raise ValueError("both halves must be nonempty")
-    M = preimage_counts(first_half, scheme, k)
-    N = preimage_counts(second_half, scheme, k)
-    return comm_decode_from_counts(M, N, m2, scheme, k, s)[2]
 
 
 def sample_preimage_counts_hist(sample_counts: np.ndarray, m: int, scheme: HashScheme, stream: RandomStream) -> np.ndarray:
@@ -201,12 +141,6 @@ def sample_preimage_counts_hist(sample_counts: np.ndarray, m: int, scheme: HashS
     return (c + extra).astype(np.int64)
 
 
-def sample_preimage_counts(xs: np.ndarray, scheme: HashScheme, stream: RandomStream) -> np.ndarray:
-    """sample_preimage_counts_hist applied to an explicit symbol list."""
-    xs = np.asarray(xs, dtype=np.int64)
-    return sample_preimage_counts_hist(np.bincount(xs, minlength=scheme.k), xs.size, scheme, stream)
-
-
 def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
     """One full protocol run; returns (T, raw estimate, Distribution).
 
@@ -220,31 +154,22 @@ def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
 def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, streams: list[RandomStream]):
     """comm_run_details on each row of a (B, k) stack of targets with its own stream.
 
-    Each row draws its counts from its stream's children exactly as
-    comm_run_details does; support selection and projection then run once
-    over the whole stack. Returns the (B, min(2s, k)) supports and the
-    (B, k) raw and projected estimates.
+    Both halves' consistency counts are drawn from
+    sample_preimage_counts_hist and decoded by split_half_estimate on a
+    candidate support of min(2s, k) symbols, inverting b(x) at the scheme's
+    effective bit count: beta = 1/B and gamma = 1 - 1/B for B buckets.
+    Returns the (B, min(2s, k)) supports and the (B, k) raw and projected
+    estimates.
     """
-    P = np.asarray(P, dtype=np.float64)
-    m1 = n // 2
-    m2 = n - m1
-    if m1 == 0:
-        raise ValueError("need at least two users")
+    k = np.shape(P)[1]
     # The ideal-hash law of the counts does not depend on the public coins.
-    scheme = HashScheme(0, ell, P.shape[1], s)
-    M = np.empty(P.shape, dtype=np.int64)
-    N = np.empty(P.shape, dtype=np.int64)
-    for i, stream in enumerate(streams):
-        c1 = stream.child(0).gen.multinomial(m1, P[i])
-        c2 = stream.child(1).gen.multinomial(m2, P[i])
-        M[i] = sample_preimage_counts_hist(c1, m1, scheme, stream.child(2))
-        N[i] = sample_preimage_counts_hist(c2, m2, scheme, stream.child(3))
-    return _decode_stack(M, N, m2, scheme, P.shape[1], s)
+    scheme = HashScheme(0, ell, k, s)
+    inv_buckets = 1.0 / scheme.num_buckets
 
+    def law(counts, m, stream):
+        return sample_preimage_counts_hist(counts, m, scheme, stream)
 
-def comm_run(p, n: int, ell: int, s: int, stream: RandomStream) -> Distribution:
-    """One full protocol run returning the estimated distribution."""
-    return comm_run_details(p, n, ell, s, stream)[2]
+    return split_half_estimate(P, n, law, min(2 * s, k), inv_buckets, 1 - inv_buckets, streams)
 
 
 def pack_values(values: np.ndarray, ell: int) -> bytes:

@@ -35,11 +35,6 @@ def entry(K: int, x: int, y: int) -> int:
     return 1 - 2 * ((x & y).bit_count() & 1)
 
 
-def in_column_set(K: int, y: int, x: int) -> bool:
-    """True iff row x carries +1 in column y (membership in the set B_y)."""
-    return entry(K, x, y) == 1
-
-
 def column_membership(K: int, y: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized B_y membership for an int array of rows; returns bools."""
     _check_dim(K)

@@ -17,8 +17,8 @@ modes can decode the same fractions, which is how the projection
 comparison experiments are run.
 
 Protocol runs draw the per-group counts of ones from their exact binomial
-law, in O(K) whatever n is; the per-user encoders and hr_aggregate stay as
-the reference oracles that law is tested against.
+law, in O(K) whatever n is. No per-user message is materialized; the tests
+hold the per-user encoder and aggregator that law is checked against.
 """
 
 from __future__ import annotations
@@ -29,20 +29,8 @@ import numpy as np
 
 from .bounds import Channel
 from .core import Distribution, RandomStream, as_probs, exp_epsilon, invertible_exp_epsilon
-from .hadamard import fwht, hadamard_dim, in_column_set, membership_parity
+from .hadamard import fwht, hadamard_dim, membership_parity
 from .projection import project_simplex_vec, project_sparse_simplex_vec
-
-
-@dataclass(frozen=True)
-class HRMessage:
-    """One user's single-bit report."""
-
-    user_index: int
-    bit: int
-
-    def group(self, K: int) -> int:
-        """The Hadamard column this user's bit refers to."""
-        return self.user_index % K
 
 
 @dataclass(frozen=True)
@@ -69,58 +57,6 @@ def hr_flip_probs(epsilon: float) -> tuple[float, float]:
     """
     e = exp_epsilon(epsilon)
     return e / (e + 1), 1 / (e + 1)
-
-
-def hr_encode(x: int, user_index: int, epsilon: float, K: int, stream: RandomStream) -> HRMessage:
-    """Privatize one symbol into a single bit.
-
-    The user's group is user_index mod K; the bit is a randomized response
-    to membership of x in that group's column set.
-    """
-    q_in, q_out = hr_flip_probs(epsilon)
-    j = user_index % K
-    prob_one = q_in if in_column_set(K, j, x) else q_out
-    bit = int(stream.gen.random() < prob_one)
-    return HRMessage(user_index, bit)
-
-
-def hr_encode_batch(xs: np.ndarray, epsilon: float, K: int, stream: RandomStream, first_user: int = 0) -> np.ndarray:
-    """Encode symbols for users first_user, first_user+1, ... in one pass.
-
-    Returns a uint8 bit vector aligned with xs. Equivalent in law to calling
-    hr_encode per user on independent substreams.
-    """
-    xs = np.asarray(xs, dtype=np.int64)
-    q_in, q_out = hr_flip_probs(epsilon)
-    groups = (first_user + np.arange(xs.size, dtype=np.int64)) % K
-    member = membership_parity(K, groups, xs)
-    prob_one = np.where(member, q_in, q_out)
-    return (stream.gen.random(xs.size) < prob_one).astype(np.uint8)
-
-
-def hr_aggregate(messages, n: int, K: int) -> HRFractions:
-    """Per-group fractions of ones from a full batch of n messages.
-
-    ``messages`` is either a list of HRMessage or a bit array whose position
-    i is user i's bit. Requires n >= K so every group is populated (with
-    fewer users some group would be empty and decoding undefined).
-    """
-    if n < K:
-        raise ValueError(f"need at least K={K} users, got n={n}")
-    if isinstance(messages, np.ndarray):
-        bits = messages.astype(np.float64)
-        users = np.arange(n, dtype=np.int64)
-        if bits.size != n:
-            raise ValueError("bit vector length must equal n")
-    else:
-        users = np.fromiter((m.user_index for m in messages), dtype=np.int64, count=len(messages))
-        bits = np.fromiter((m.bit for m in messages), dtype=np.float64, count=len(messages))
-        if users.size != n or np.unique(users).size != n or users.min() < 0 or users.max() >= n:
-            raise ValueError("messages must carry distinct user indices covering [0, n)")
-    groups = users % K
-    sizes = np.bincount(groups, minlength=K)
-    ones = np.bincount(groups, weights=bits, minlength=K)
-    return HRFractions(ones / sizes, sizes)
 
 
 def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
@@ -206,18 +142,13 @@ def _draw_fractions(P: np.ndarray, n: int, epsilon: float, streams: list[RandomS
     return ones / sizes, sizes
 
 
-def hr_run(p, n: int, epsilon: float, stream: RandomStream, mode: str = "sparse", s: int | None = None) -> Distribution:
-    """One full protocol run returning the estimated distribution."""
-    return Distribution(hr_run_stack(as_probs(p)[None], n, epsilon, [stream], mode=mode, s=s)[0])
-
-
 def hr_run_stack(
     P: np.ndarray, n: int, epsilon: float, streams: list[RandomStream], mode: str = "sparse", s: int | None = None
 ) -> np.ndarray:
-    """hr_run on each row of a (B, k) stack of targets with its own stream.
+    """One protocol run on each row of a (B, k) stack of targets with its own stream.
 
-    Each row draws its fractions from its stream exactly as hr_run does;
-    the transforms and projections then run once over the whole stack.
+    Each row draws its fractions from its stream as hr_simulate_fractions
+    does; the transforms and projections then run once over the whole stack.
     Returns the (B, k) estimates.
     """
     P = np.asarray(P, dtype=np.float64)

@@ -150,6 +150,11 @@ def load_configs(path: str) -> list[ExperimentConfig]:
     return [ExperimentConfig.from_dict(item) for item in raw]
 
 
+def _param_text(param: float | int) -> str:
+    """A cell's epsilon or ell as the results CSV writes it: repr for floats."""
+    return repr(param) if isinstance(param, float) else str(param)
+
+
 @dataclass(frozen=True)
 class Cell:
     """One grid point; ``param`` is epsilon or ell depending on the scheme."""
@@ -167,7 +172,7 @@ class Cell:
         object.__setattr__(self, "param", param)
 
     def param_str(self) -> str:
-        return repr(self.param) if isinstance(self.param, float) else str(self.param)
+        return _param_text(self.param)
 
 
 @dataclass(frozen=True)
@@ -183,9 +188,8 @@ class TrialResult:
     seed_used: int
 
     def csv_row(self) -> str:
-        param = repr(self.eps_or_ell) if isinstance(self.eps_or_ell, float) else str(self.eps_or_ell)
         return (
-            f"{self.scheme},{self.k},{self.s},{self.n},{param},"
+            f"{self.scheme},{self.k},{self.s},{self.n},{_param_text(self.eps_or_ell)},"
             f"{self.trial_index},{self.tv_error!r},{self.bits_per_user},{self.seed_used}"
         )
 
@@ -260,7 +264,7 @@ def _run_stack(cell: Cell, targets: np.ndarray, streams: list[RandomStream]) -> 
         mode = "dense" if cell.scheme == "hr_dense" else "sparse"
         return hr_run_stack(targets, cell.n, cell.param, streams, mode=mode, s=cell.s)
     if cell.scheme == "rappor":
-        return rappor_run_stack(targets, cell.n, cell.param, cell.s, streams)
+        return rappor_run_stack(targets, cell.n, cell.param, cell.s, streams)[2]
     return comm_run_stack(targets, cell.n, cell.param, cell.s, streams)[2]
 
 

@@ -1,4 +1,5 @@
-"""Euclidean projection onto the probability simplex and its s-sparse subset.
+"""Euclidean projection onto the probability simplex and its s-sparse subset,
+and the split-half estimator built on them.
 
 Decoders produce signed intermediate estimates; these projections turn them
 into valid distributions. The plain simplex projection is the usual
@@ -9,13 +10,21 @@ greedy selection for this constraint set.
 
 Tie-breaking on equal values prefers the smaller index, so outputs are fully
 deterministic - seeded experiment replays depend on this.
+
+rappor and comm_hash share one two-stage estimator (split_half_estimate):
+per-symbol counts of the first half of the users rank the symbols and pick
+a candidate support T, and the second half's counts, whose mean is affine in
+p, are inverted on T and projected onto the simplex over T. The schemes
+differ only in their count law and the affine constants.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .core import Distribution
+from .core import Distribution, RandomStream
 
 
 def _as_rows(v) -> np.ndarray:
@@ -99,3 +108,50 @@ def project_sparse_simplex(v: np.ndarray, s: int) -> Distribution:
     projects the restricted vector onto the s-simplex, and zeros the rest.
     """
     return Distribution(project_sparse_simplex_vec(v, s))
+
+
+def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, beta: float, gamma: float):
+    """The two-stage estimate from each row of (B, k) count stacks.
+
+    T is the top t entries of each row of M (ties to the smaller index). On
+    T the raw estimate inverts E[N(x)]/m2 = beta + gamma p(x), and the
+    output is raw projected onto the simplex over T; both are zero off T.
+    Returns the (B, t) supports and the (B, k) raw and projected estimates.
+    """
+    T = top_s_indices(M, t)
+    at = np.arange(M.shape[0])[:, None], T
+    raw = np.zeros(M.shape)
+    raw[at] = (N[at].astype(np.float64) / m2 - beta) / gamma
+    out = np.zeros(M.shape)
+    out[at] = project_simplex_vec(raw[at])
+    return T, raw, out
+
+
+def split_half_estimate(
+    P: np.ndarray,
+    n: int,
+    count_law: Callable[[np.ndarray, int, RandomStream], np.ndarray],
+    t: int,
+    beta: float,
+    gamma: float,
+    streams: list[RandomStream],
+):
+    """Split n users in half and run split_half_decode on each row of a (B, k) stack of targets.
+
+    Row i draws the halves' symbol histograms from streams[i].child(0) and
+    child(1), then each half's counts as count_law(histogram, users, stream)
+    on child(2) and child(3). Returns split_half_decode's (T, raw, out).
+    """
+    P = np.asarray(P, dtype=np.float64)
+    m1 = n // 2
+    m2 = n - m1
+    if m1 == 0:
+        raise ValueError("need at least two users")
+    M = np.empty(P.shape, dtype=np.int64)
+    N = np.empty(P.shape, dtype=np.int64)
+    for i, stream in enumerate(streams):
+        c1 = stream.child(0).gen.multinomial(m1, P[i])
+        c2 = stream.child(1).gen.multinomial(m2, P[i])
+        M[i] = count_law(c1, m1, stream.child(2))
+        N[i] = count_law(c2, m2, stream.child(3))
+    return split_half_decode(M, N, m2, t, beta, gamma)

@@ -7,26 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hash_eval
 from sparse_dist_lab.comm_hash import (
-    CommMessage,
     HashScheme,
     b_of,
-    comm_decode,
-    comm_decode_from_counts,
-    comm_encode,
     comm_encode_batch,
-    comm_run,
     comm_run_details,
+    comm_run_stack,
     effective_ell,
-    hash_eval,
     hash_eval_batch,
     pack_values,
     preimage_counts,
-    sample_preimage_counts,
     sample_preimage_counts_hist,
     unpack_values,
 )
 from sparse_dist_lab.core import RandomStream, sample_iid, tv_distance
+from sparse_dist_lab.projection import split_half_decode
+
+
+def decode(M, N, m2, scheme, k, s):
+    """The split-half decode of one row of counts at comm_hash's constants."""
+    inv_b = 1 / scheme.num_buckets
+    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, min(2 * s, k), inv_b, 1 - inv_b)
+    return T[0], raw[0], out[0]
 
 
 def test_effective_ell_cap():
@@ -81,12 +84,12 @@ def test_hash_seed_sensitivity():
 
 def test_encode_range_and_value():
     s = HashScheme(11, 1, 10)
+    values = comm_encode_batch(np.arange(10), s, first_user=3)  # user 3 + x holds x
     for x in range(10):
-        msg = comm_encode(x, 3, s)
-        assert msg.value in (0, 1)
-        assert msg.value == hash_eval(s, 3, x)
+        assert values[x] in (0, 1)
+        assert values[x] == hash_eval(s, 3 + x, x)
     with pytest.raises(ValueError):
-        comm_encode(10, 3, s)
+        hash_eval(s, 3, 10)
 
 
 def test_b_of_values():
@@ -97,7 +100,8 @@ def test_b_of_values():
 
 def test_preimage_counts_empty():
     s = HashScheme(5, 2, 6)
-    assert np.array_equal(preimage_counts([], s, 6), np.zeros(6, dtype=np.int64))
+    none = np.array([], dtype=np.int64)
+    assert np.array_equal(preimage_counts((none, none), s, 6), np.zeros(6, dtype=np.int64))
 
 
 def test_preimage_counts_injective_regime():
@@ -140,16 +144,6 @@ def test_preimage_counts_total_mass():
     assert abs(total - want) <= 4 * sigma
 
 
-def test_message_list_input():
-    k = 8
-    s = HashScheme(13, 2, k)
-    msgs = [CommMessage(i, hash_eval(s, i, i % k)) for i in range(32)]
-    got = preimage_counts(msgs, s, k)
-    values = np.array([m.value for m in msgs])
-    want = preimage_counts((np.arange(32), values), s, k)
-    assert np.array_equal(got, want)
-
-
 def test_decode_exact_counts_invert():
     # N(x) = m2 * b(p(x)) exactly -> raw estimate equals p on T.
     k, s_sp, ell, m2 = 12, 2, 3, 4096
@@ -161,10 +155,10 @@ def test_decode_exact_counts_invert():
     M = np.zeros(k)
     M[[2, 9, 0, 5]] = [40, 60, 10, 5]
     N = m2 * (p * (1 - inv_b) + inv_b)
-    T, raw, dist = comm_decode_from_counts(M, N, m2, scheme, k, s_sp)
+    T, raw, out = decode(M, N, m2, scheme, k, s_sp)
     assert set(T) == {0, 2, 5, 9}
     assert np.allclose(raw[[2, 9]], [0.25, 0.75], atol=1e-12)
-    assert np.allclose(dist.probs, p, atol=1e-9)
+    assert np.allclose(out, p, atol=1e-9)
 
 
 def test_decode_full_preimage_means_one():
@@ -173,16 +167,15 @@ def test_decode_full_preimage_means_one():
     m2 = 100
     M = np.arange(k, dtype=float)
     N = np.full(k, m2, dtype=float)
-    _, raw, _ = comm_decode_from_counts(M, N, m2, scheme, k, s_sp)
+    _, raw, _ = decode(M, N, m2, scheme, k, s_sp)
     on_T = raw[np.nonzero(raw)]
     assert np.allclose(on_T, 1.0, atol=1e-12)
 
 
 def test_decode_clamps_support_to_k():
     k, s_sp = 3, 2  # 2s > k
-    scheme = HashScheme(3, 2, k, s_sp)
-    T, _, _ = comm_decode_from_counts(np.ones(k), np.ones(k) * 30, 100, scheme, k, s_sp)
-    assert sorted(T.tolist()) == [0, 1, 2]
+    T, _, _ = comm_run_stack(np.full((1, k), 1 / k), 200, 2, s_sp, [RandomStream(3, 0)])
+    assert sorted(T[0].tolist()) == [0, 1, 2]
 
 
 def test_decode_from_messages_roundtrip():
@@ -193,12 +186,12 @@ def test_decode_from_messages_roundtrip():
     stream = RandomStream(3, 0)
     xs1 = sample_iid(p, n // 2, stream.child(0))
     xs2 = sample_iid(p, n // 2, stream.child(1))
-    v1 = comm_encode_batch(xs1, scheme, first_user=0)
-    v2 = comm_encode_batch(xs2, scheme, first_user=n // 2)
-    first = [CommMessage(i, int(v)) for i, v in enumerate(v1)]
-    second = [CommMessage(n // 2 + i, int(v)) for i, v in enumerate(v2)]
-    dist = comm_decode(first, second, scheme, k, s_sp)
-    assert tv_distance(dist.probs, p) <= 0.1
+    users1 = np.arange(n // 2)
+    users2 = n // 2 + users1
+    M = preimage_counts((users1, comm_encode_batch(xs1, scheme, first_user=0)), scheme, k)
+    N = preimage_counts((users2, comm_encode_batch(xs2, scheme, first_user=n // 2)), scheme, k)
+    _, _, out = decode(M, N, n // 2, scheme, k, s_sp)
+    assert tv_distance(out, p) <= 0.1
 
 
 def test_hist_sampler_matches_expectation():
@@ -231,7 +224,7 @@ def test_sampler_agrees_with_scan_in_distribution():
         sch = HashScheme(1000 + t, ell, k)  # fresh public coins per draw
         values = comm_encode_batch(xs, sch, first_user=0)
         acc_scan += preimage_counts((np.arange(m), values), sch, k)
-        acc_hist += sample_preimage_counts(xs, scheme, RandomStream(t, 13))
+        acc_hist += sample_preimage_counts_hist(c, m, scheme, RandomStream(t, 13))
     want = c + (m - c) / 4
     sigma = np.sqrt((m - c) * 0.25 * 0.75) / math.sqrt(draws)
     assert np.all(np.abs(acc_scan / draws - want) <= 4 * sigma)
@@ -274,7 +267,7 @@ def test_more_bits_do_not_hurt():
             supp = RandomStream(50 + t, 0).gen.choice(k, size=s_sp, replace=False)
             p = np.zeros(k)
             p[supp] = 1 / s_sp
-            total += tv_distance(comm_run(p, n, ell, s_sp, RandomStream(t, ell)).probs, p)
+            total += tv_distance(comm_run_details(p, n, ell, s_sp, RandomStream(t, ell))[2], p)
         return total / trials
 
     assert mean_tv(3) < mean_tv(1)
@@ -285,16 +278,16 @@ def test_run_deterministic_and_public_seed_matters():
     # trial's stream is the only seed, and changing it changes the run.
     p = np.zeros(20)
     p[[1, 15]] = 0.5
-    a = comm_run(p, 2000, 3, 2, RandomStream(5, 0))
-    b = comm_run(p, 2000, 3, 2, RandomStream(5, 0))
-    c = comm_run(p, 2000, 3, 2, RandomStream(6, 0))
+    a = comm_run_details(p, 2000, 3, 2, RandomStream(5, 0))[2]
+    b = comm_run_details(p, 2000, 3, 2, RandomStream(5, 0))[2]
+    c = comm_run_details(p, 2000, 3, 2, RandomStream(6, 0))[2]
     assert np.array_equal(a.probs, b.probs)
     assert not np.array_equal(a.probs, c.probs)
 
 
 def test_run_rejects_tiny_n():
     with pytest.raises(ValueError):
-        comm_run([1.0], 1, 1, 1, RandomStream(0, 0))
+        comm_run_details([1.0], 1, 1, 1, RandomStream(0, 0))
 
 
 def test_pack_unpack_roundtrip_basic():

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles import in_column_set
 from sparse_dist_lab.hadamard import (
     column_membership,
     dense_matrix,
     entry,
     fwht,
     hadamard_dim,
-    in_column_set,
     membership_parity,
 )
 

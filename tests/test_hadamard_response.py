@@ -5,20 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import hr_aggregate, hr_encode, hr_encode_batch, in_column_set
 from sparse_dist_lab.bounds import verify_ldp
 from sparse_dist_lab.core import Distribution, RandomStream
-from sparse_dist_lab.hadamard import hadamard_dim, in_column_set
+from sparse_dist_lab.hadamard import hadamard_dim
 from sparse_dist_lab.hadamard_response import (
     HRFractions,
-    HRMessage,
-    hr_aggregate,
     hr_channel_matrix,
     hr_decode,
     hr_decode_raw,
-    hr_encode,
-    hr_encode_batch,
     hr_expected_fractions,
-    hr_run,
+    hr_run_stack,
     hr_simulate_fractions,
 )
 
@@ -27,10 +24,7 @@ from sparse_dist_lab.hadamard_response import (
 
 
 def test_encode_emits_one_bit():
-    msg = hr_encode(3, 11, 1.0, 8, RandomStream(0, 0))
-    assert msg.bit in (0, 1)
-    assert msg.user_index == 11
-    assert msg.group(8) == 3
+    assert hr_encode(3, 11, 1.0, 8, RandomStream(0, 0)) in (0, 1)
 
 
 def test_encode_deterministic():
@@ -57,7 +51,7 @@ def test_encode_scalar_rate_smoke():
     # 2000 draws of the in-set cell at eps = ln 3; mean within 4 sigma.
     eps = math.log(3)
     stream = RandomStream(8, 0)
-    bits = [hr_encode(0, 0, eps, 2, stream).bit for _ in range(2000)]
+    bits = [hr_encode(0, 0, eps, 2, stream) for _ in range(2000)]
     rate = np.mean(bits)
     assert abs(rate - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / 2000)
 
@@ -83,26 +77,9 @@ def test_aggregate_two_rounds_split_evenly():
     assert np.all(fr.group_sizes == 2)
 
 
-def test_aggregate_message_order_irrelevant():
-    gen = np.random.default_rng(3)
-    n, K = 40, 8
-    msgs = [HRMessage(i, int(gen.integers(2))) for i in range(n)]
-    fr1 = hr_aggregate(msgs, n, K)
-    perm = list(msgs)
-    gen.shuffle(perm)
-    fr2 = hr_aggregate(perm, n, K)
-    assert np.array_equal(fr1.s_hat, fr2.s_hat)
-
-
 def test_aggregate_requires_full_groups():
     with pytest.raises(ValueError):
         hr_aggregate(np.ones(7, dtype=np.uint8), 7, 8)
-
-
-def test_aggregate_rejects_duplicate_users():
-    msgs = [HRMessage(0, 1), HRMessage(0, 0), HRMessage(1, 1), HRMessage(2, 0)]
-    with pytest.raises(ValueError):
-        hr_aggregate(msgs, 4, 2)
 
 
 def test_fractions_validation():
@@ -186,8 +163,8 @@ def test_decode_mode_validation():
 def test_run_recovers_sparse_target():
     p = np.zeros(50)
     p[[3, 30]] = 0.5
-    out = hr_run(p, 200000, 1.0, RandomStream(5, 0), mode="sparse", s=2)
-    tv = 0.5 * np.abs(out.probs - p).sum()
+    out = hr_run_stack(p[None], 200000, 1.0, [RandomStream(5, 0)], mode="sparse", s=2)[0]
+    tv = 0.5 * np.abs(out - p).sum()
     assert tv <= 0.05
 
 

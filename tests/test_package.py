@@ -1,0 +1,51 @@
+"""The package surface: every export is used, and every demo runs."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sparse_dist_lab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sparse_dist_lab"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _names_used(tree: ast.AST, skip_def: str | None = None) -> set[str]:
+    """Names and attributes read anywhere in tree, outside a def or class named skip_def."""
+    used = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip_def:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_export_is_used_in_src_or_demos():
+    # A name earns its place in __all__ by a use in the package (outside its
+    # own definition) or in a demo; anything else belongs in its module only.
+    modules = [ast.parse(path.read_text()) for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    demo_uses = set().union(*(_names_used(ast.parse(path.read_text())) for path in DEMOS))
+    unused = [
+        name
+        for name in sparse_dist_lab.__all__
+        if name not in demo_uses and not any(name in _names_used(tree, skip_def=name) for tree in modules)
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -5,20 +5,28 @@ import math
 import numpy as np
 import pytest
 
+from oracles import column_sums, rappor_encode, rappor_encode_batch
 from sparse_dist_lab.bounds import verify_ldp
-from sparse_dist_lab.core import RandomStream, sample_iid, tv_distance
+from sparse_dist_lab.core import RandomStream, tv_distance
+from sparse_dist_lab.projection import split_half_decode
 from sparse_dist_lab.rappor import (
-    column_sums,
     flip_probability,
     rappor_channel_matrix,
-    rappor_encode,
-    rappor_encode_batch,
-    rappor_estimate,
-    rappor_estimate_details,
-    rappor_estimate_from_counts,
-    rappor_run,
+    rappor_run_stack,
     sample_column_sums_hist,
 )
+
+
+def decode(M, N, m2, s, eps):
+    """The split-half decode of one row of counts at rappor's constants."""
+    q = flip_probability(eps)
+    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, 2 * s, q, 1 - 2 * q)
+    return T[0], raw[0], out[0]
+
+
+def run(P, n, eps, s, streams):
+    """rappor_run_stack's projected estimates of a (B, k) stack."""
+    return rappor_run_stack(P, n, eps, s, streams)[2]
 
 
 def test_flip_probability_values():
@@ -35,7 +43,7 @@ def test_encode_high_epsilon_is_one_hot():
         msg = rappor_encode(3, 40.0, 8, stream)
         want = np.zeros(8, dtype=np.uint8)
         want[3] = 1
-        assert np.array_equal(msg.bits, want)
+        assert np.array_equal(msg, want)
 
 
 def test_encode_empirical_flip_rates():
@@ -52,8 +60,8 @@ def test_encode_empirical_flip_rates():
 
 def test_encode_batch_matches_scalar_law():
     msg = rappor_encode(1, 1.0, 5, RandomStream(9, 0))
-    assert msg.bits.shape == (5,)
-    assert set(np.unique(msg.bits)) <= {0, 1}
+    assert msg.shape == (5,)
+    assert set(np.unique(msg)) <= {0, 1}
 
 
 def test_estimate_noiseless_fixture():
@@ -67,10 +75,10 @@ def test_estimate_noiseless_fixture():
     M = np.zeros(k)
     M[[1, 7, 3, 5]] = [50, 60, 10, 5]  # top-2s = {1,3,5,7}
     N = m2 * (gamma * p + beta)
-    T, raw, dist = rappor_estimate_from_counts(M, N, m2, k, s, eps)
+    T, raw, out = decode(M, N, m2, s, eps)
     assert set(T) == {1, 3, 5, 7}
     assert np.allclose(raw[[1, 7]], [0.4, 0.6], atol=1e-12)
-    assert np.allclose(dist.probs, p, atol=1e-9)
+    assert np.allclose(out, p, atol=1e-9)
 
 
 def test_point_mass_recovery_rate():
@@ -79,11 +87,8 @@ def test_point_mass_recovery_rate():
     k, s, eps, n = 100, 1, 1.0, 10**5
     p = np.zeros(k)
     p[42] = 1.0
-    hits = 0
-    for t in range(100):
-        out = rappor_run(p, n, eps, s, RandomStream(t, 1))
-        if tv_distance(out.probs, p) <= 0.05:
-            hits += 1
+    out = run(np.tile(p, (100, 1)), n, eps, s, [RandomStream(t, 1) for t in range(100)])
+    hits = sum(tv_distance(row, p) <= 0.05 for row in out)
     assert hits >= 95
 
 
@@ -92,21 +97,22 @@ def test_user_permutation_within_half_is_irrelevant():
     k, s, eps = 12, 2, 1.0
     first = rappor_encode_batch(gen.integers(0, k, 60), eps, k, RandomStream(5, 0))
     second = rappor_encode_batch(gen.integers(0, k, 60), eps, k, RandomStream(5, 1))
-    base = rappor_estimate(first, second, k, s, eps)
+    base = decode(column_sums(first), column_sums(second), 60, s, eps)[2]
     perm1 = first[gen.permutation(60)]
     perm2 = second[gen.permutation(60)]
-    shuffled = rappor_estimate(perm1, perm2, k, s, eps)
-    assert np.array_equal(base.probs, shuffled.probs)
+    shuffled = decode(column_sums(perm1), column_sums(perm2), 60, s, eps)[2]
+    assert np.array_equal(base, shuffled)
 
 
 def test_estimate_rejects_oversized_support():
-    with pytest.raises(ValueError):
-        rappor_estimate_from_counts(np.ones(5), np.ones(5), 10, 5, 3, 1.0)
+    with pytest.raises(ValueError, match="2s=6 would exceed k=5"):
+        run(np.full((1, 5), 0.2), 10, 1.0, 3, [RandomStream(0, 0)])
 
 
 def test_estimate_rejects_empty_half():
-    with pytest.raises(ValueError):
-        rappor_estimate([], np.ones((3, 4), dtype=np.uint8), 4, 1, 1.0)
+    # one user leaves the first half empty
+    with pytest.raises(ValueError, match="at least two users"):
+        run(np.full((1, 4), 0.25), 1, 1.0, 1, [RandomStream(0, 0)])
 
 
 def test_channel_is_ldp_exactly():
@@ -128,20 +134,9 @@ def test_unbiasedness_on_support():
     q = flip_probability(eps)
     p = np.zeros(k)
     p[[4, 11]] = [0.35, 0.65]
-    acc = np.zeros(k)
-    captured = 0
-    for t in range(trials):
-        stream = RandomStream(t, 2)
-        xs1 = sample_iid(p, n - m2, stream.child(0))
-        xs2 = sample_iid(p, m2, stream.child(1))
-        M = column_sums(rappor_encode_batch(xs1, eps, k, stream.child(2)))
-        N = column_sums(rappor_encode_batch(xs2, eps, k, stream.child(3)))
-        T, raw, _ = rappor_estimate_from_counts(M, N, m2, k, s, eps)
-        if {4, 11} <= set(T):
-            captured += 1
-        acc += raw
-    assert captured == trials  # easy support at this n
-    mean = acc / trials
+    T, raw, _ = rappor_run_stack(np.tile(p, (trials, 1)), n, eps, s, [RandomStream(t, 2) for t in range(trials)])
+    assert all({4, 11} <= set(row) for row in T)  # easy support at this n
+    mean = raw.mean(axis=0)
     gamma = 1 - 2 * q
     for x, px in ((4, 0.35), (11, 0.65)):
         b = gamma * px + q
@@ -155,14 +150,11 @@ def test_error_shrinks_with_sparsity():
     k, eps, n, trials = 64, 1.0, 30000, 10
 
     def mean_tv(s):
-        total = 0.0
+        P = np.zeros((trials, k))
         for t in range(trials):
-            stream = RandomStream(100 + t, s)
-            supp = RandomStream(200 + t, s).gen.choice(k, size=s, replace=False)
-            p = np.zeros(k)
-            p[supp] = 1 / s
-            total += tv_distance(rappor_run(p, n, eps, s, stream).probs, p)
-        return total / trials
+            P[t, RandomStream(200 + t, s).gen.choice(k, size=s, replace=False)] = 1 / s
+        out = run(P, n, eps, s, [RandomStream(100 + t, s) for t in range(trials)])
+        return tv_distance(out, P).mean()
 
     assert mean_tv(1) < mean_tv(16)
 
@@ -203,19 +195,8 @@ def test_sampler_agrees_with_encoder_in_distribution():
 
 
 def test_run_deterministic():
-    p = np.zeros(16)
-    p[[0, 9]] = 0.5
-    a = rappor_run(p, 2000, 1.0, 2, RandomStream(11, 0))
-    b = rappor_run(p, 2000, 1.0, 2, RandomStream(11, 0))
-    assert np.array_equal(a.probs, b.probs)
-
-
-def test_details_and_estimate_agree():
-    gen = np.random.default_rng(6)
-    k, s, eps = 10, 2, 1.0
-    first = rappor_encode_batch(gen.integers(0, k, 50), eps, k, RandomStream(1, 0))
-    second = rappor_encode_batch(gen.integers(0, k, 50), eps, k, RandomStream(1, 1))
-    T, raw, dist = rappor_estimate_details(first, second, k, s, eps)
-    assert np.array_equal(dist.probs, rappor_estimate(first, second, k, s, eps).probs)
-    assert T.size == 2 * s
-    assert np.count_nonzero(dist.probs) <= 2 * s
+    p = np.zeros((1, 16))
+    p[0, [0, 9]] = 0.5
+    a = run(p, 2000, 1.0, 2, [RandomStream(11, 0)])
+    b = run(p, 2000, 1.0, 2, [RandomStream(11, 0)])
+    assert np.array_equal(a, b)

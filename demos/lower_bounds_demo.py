@@ -10,14 +10,12 @@ exactly on small instances and compares the floor against the protocols'
 planned sample sizes.
 """
 
-import math
-
-import numpy as np
-
 from sparse_dist_lab import (
     RandomStream,
     expected_chisq_over_packing,
     implied_sample_lower_bound,
+    lbit_contraction_ceiling,
+    ldp_contraction_ceiling,
     packing_gap,
     planned_sample_size,
     random_lbit_channel,
@@ -34,7 +32,7 @@ def main():
     for eps in (0.5, 1.0, 2.0):
         W = randomized_response_channel(k + 1, eps)
         val = expected_chisq_over_packing(W, k, s, alpha)
-        bound = 64 * alpha**2 * (math.exp(eps) - 1) ** 2 / s
+        bound = ldp_contraction_ceiling(eps, s, alpha)
         print(f"  randomized response, eps={eps}: E[chi2] = {val:.6f}  "
               f"(privacy bound {bound:.4f}, LDP verified: {verify_ldp(W, eps)})")
     stream = RandomStream(0, 1)
@@ -44,7 +42,7 @@ def main():
             for t in range(20)
         )
         print(f"  worst of 20 random {ell}-bit channels: E[chi2] = {worst:.6f}  "
-              f"(bucket bound {8 * alpha * 2**ell / s:.2f})")
+              f"(bucket bound {lbit_contraction_ceiling(ell, s, alpha):.2f})")
 
     print("\n== packing gap: log |Z_k,s| - log N (vs (s/8) log(k/s)) ==")
     for kk, ss in ((128, 1), (200, 2), (400, 4), (1000, 8)):
@@ -57,10 +55,10 @@ def main():
     gap = packing_gap(kk, ss).value
     for label, chisq, planned in (
         ("eps=1 (LDP)",
-         64 * aa**2 * (math.exp(1.0) - 1) ** 2 / ss,
+         ldp_contraction_ceiling(1.0, ss, aa),
          planned_sample_size("ldp", kk, ss, aa, epsilon=1.0)),
         ("ell=3 (comm)",
-         8 * aa * 2**3 / ss,
+         lbit_contraction_ceiling(3, ss, aa),
          planned_sample_size("comm", kk, ss, aa, ell=3)),
     ):
         floor = implied_sample_lower_bound(gap, chisq)

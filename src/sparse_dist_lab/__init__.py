@@ -18,6 +18,8 @@ from .bounds import (
     expected_chisq_over_packing,
     hamming_ball_count,
     implied_sample_lower_bound,
+    lbit_contraction_ceiling,
+    ldp_contraction_ceiling,
     ldp_risk_bound,
     packing_gap,
     planned_sample_size,

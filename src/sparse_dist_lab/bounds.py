@@ -33,9 +33,6 @@ REPORT_TOL = 1e-9
 C1_SUPPORT = 700000
 C2_ESTIMATE = 6400
 
-# Explicit constant carried by the privacy-contraction proof.
-LDP_CONTRACTION_CONST = 64
-
 ENUMERATION_BUDGET = 10**6
 
 
@@ -163,6 +160,19 @@ def expected_chisq_over_packing(W: Channel, k: int, s: int, alpha: float) -> flo
         diff = qz[:, mask] - q0m
         total += float((diff * diff / q0m).sum())
     return total / count
+
+
+def ldp_contraction_ceiling(epsilon: float, s: int, alpha: float) -> float:
+    """Ceiling 64 alpha^2 (e^epsilon - 1)^2 / s on expected_chisq_over_packing for any epsilon-LDP channel.
+
+    64 is the explicit constant the privacy-contraction proof carries.
+    """
+    return 64 * alpha**2 * (math.exp(epsilon) - 1) ** 2 / s
+
+
+def lbit_contraction_ceiling(ell: int, s: int, alpha: float) -> float:
+    """Ceiling 8 alpha 2^ell / s on expected_chisq_over_packing for any channel with 2^ell outputs."""
+    return 8 * alpha * 2**ell / s
 
 
 def mutual_info_bound(n: int, per_user_chisq: float) -> float:
@@ -313,11 +323,10 @@ def verification_suite(master_seed: int = 0) -> list[BoundReport]:
             ("indicator_response", indicator_response_channel(k + 1, eps, np.arange(k + 1) % 2 == 0)),
         ):
             value = expected_chisq_over_packing(channel, k, s, alpha)
-            bound = LDP_CONTRACTION_CONST * alpha**2 * (math.exp(eps) - 1) ** 2 / s
             reports.append(
                 BoundReport(
                     value=value,
-                    bound=bound,
+                    bound=ldp_contraction_ceiling(eps, s, alpha),
                     context={
                         "kind": "ldp_chisq_contraction",
                         "channel": name,
@@ -339,7 +348,7 @@ def verification_suite(master_seed: int = 0) -> list[BoundReport]:
         reports.append(
             BoundReport(
                 value=worst,
-                bound=8 * alpha * 2**ell / s,
+                bound=lbit_contraction_ceiling(ell, s, alpha),
                 context={
                     "kind": "lbit_chisq_contraction",
                     "ell": ell,

@@ -8,14 +8,16 @@ sample sizes, and run the lower-bound verification suite.
 
 --threads N runs a grid's cells on up to N worker processes (N - 1 forked
 children; POSIX only), capped at the pending cells, the CPUs and the grid's
-work (pending trials x k), so a small grid runs in-process whatever N is.
-The SPARSE_DIST_LAB_THREADS environment variable overrides N. Rows are
-written in grid order whatever N is.
+work (pending trials x k), so a small grid runs in-process whatever N is;
+N below 1 means one worker. Rows are written in grid order whatever N is.
+--seed S runs every grid of the config with master_seed S, as if the config
+said so.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -33,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help=f"worker processes, forked; a grid of under {2 * harness._WORKER_MIN_WORK:,} trials x k runs in-process "
-        "(env SPARSE_DIST_LAB_THREADS wins)",
+        help=f"worker processes, forked; a grid of under {2 * harness._WORKER_MIN_WORK:,} trials x k runs in-process, "
+        "and a value below 1 means one worker",
     )
     run.add_argument("--seed", type=int, default=None, help="override every grid's master_seed")
 
@@ -59,13 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     configs = harness.load_configs(args.config)
-    threads = harness.resolve_threads(args.threads)
     total = 0
     for config in configs:
         out_path = args.out or config.out
         if out_path is None:
             raise SystemExit("no output path: pass --out or set 'out' in the config")
-        written = harness.run_grid(config, out_path, threads=threads, master_seed=args.seed)
+        if args.seed is not None:
+            config = dataclasses.replace(config, master_seed=args.seed)
+        written = harness.run_grid(config, out_path, threads=args.threads)
         total += written
         print(f"{config.scheme}: wrote {written} rows to {out_path}")
     print(f"done: {total} new rows")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Channel
+from .bounds import Channel, indicator_response_channel
 from .core import Distribution, RandomStream, as_probs, exp_epsilon, invertible_exp_epsilon
 from .hadamard import fwht, hadamard_dim, membership_parity
 from .projection import project_simplex_vec, project_sparse_simplex_vec
@@ -169,8 +169,5 @@ def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> C
         k = K - 1
     if not 1 <= k <= K:
         raise ValueError("k out of range")
-    q_in, q_out = hr_flip_probs(epsilon)
-    xs = np.arange(k, dtype=np.int64)
-    member = membership_parity(K, np.full(k, j, dtype=np.int64), xs)
-    ones = np.where(member, q_in, q_out)
-    return Channel(np.column_stack([1 - ones, ones]))
+    member = membership_parity(K, np.full(k, j, dtype=np.int64), np.arange(k, dtype=np.int64))
+    return indicator_response_channel(k, epsilon, member)

@@ -9,8 +9,10 @@ over the stack, row by row. Cells run in this process or, with more than one
 worker, in forked worker processes (POSIX only). Results stream to a CSV
 with a fixed header, one write per cell, in grid order; runs are resumable
 (existing (cell, trial) rows are skipped, a torn last line is dropped and
-rerun, and a row written under another master seed is an error) and
-byte-identical across repetitions and worker counts.
+rerun, and a foreign header, a row of the wrong width or a row written under
+another master seed is an error) and byte-identical across repetitions and
+worker counts. One reader, _read_rows, parses the file for both resuming and
+summarizing.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -273,10 +275,6 @@ def config_cells(config: ExperimentConfig) -> list[Cell]:
     return [Cell(config.scheme, config.k, s, config.n, param) for s in config.s_list for param in config.params()]
 
 
-def _row_key(scheme: str, k, s, n, param_str: str, trial) -> tuple:
-    return (scheme, str(k), str(s), str(n), param_str, str(trial))
-
-
 def _row_fields(path: str, line_no: int, line: str) -> list[str]:
     """A results row's fields; ValueError naming path and line unless it has the header's count."""
     parts = line.split(",")
@@ -285,46 +283,27 @@ def _row_fields(path: str, line_no: int, line: str) -> list[str]:
     return parts
 
 
-def existing_row_keys(path: str) -> dict[tuple, int]:
-    """Seeds of rows already present in a results CSV, by row key (for resuming).
+def _read_rows(path: str) -> tuple[list[list[str]], int]:
+    """The fields of each row of a results CSV, and the byte length of its torn last line.
 
-    A last line with no trailing newline is a write cut short, not a row, and
-    is left out.
+    Reads path once. Raises ValueError naming path unless the first line is
+    CSV_HEADER and every row has the header's field count. Rows are written
+    whole, each ending in a newline, so a last line with no newline is a
+    write cut short by a crash, not a row: it is left out and its length in
+    bytes returned (0 when the file ends in a newline). A torn first line
+    must be a prefix of the header. Blank lines are skipped.
     """
-    keys: dict[tuple, int] = {}
-    if not os.path.exists(path):
-        return keys
+    rows = []
+    torn = 0
     with open(path, encoding="utf-8", newline="") as fh:
-        for i, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=1):
+            if line_no == 1 and not (CSV_HEADER + "\n").startswith(line):
+                raise ValueError(f"{path}: the first line {line!r} is not the results header {CSV_HEADER!r}")
             if not line.endswith("\n"):
-                break
-            line = line[:-1]
-            if i == 0 or not line:
-                continue
-            parts = _row_fields(path, i + 1, line)
-            keys[_row_key(parts[0], parts[1], parts[2], parts[3], parts[4], parts[5])] = int(parts[8])
-    return keys
-
-
-def _drop_torn_tail(path: str) -> int:
-    """Truncate a last line that has no trailing newline; return the bytes dropped.
-
-    Rows are written whole, each ending in a newline, so such a line is a
-    write cut short by a crash. Dropping it lets a resume rewrite the row.
-    """
-    if not os.path.exists(path):
-        return 0
-    with open(path, "rb+") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        if size == 0:
-            return 0
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return 0
-        fh.seek(0)
-        keep = fh.read().rfind(b"\n") + 1
-        fh.truncate(keep)
-    return size - keep
+                torn = len(line.encode())
+            elif line_no > 1 and line != "\n":
+                rows.append(_row_fields(path, line_no, line[:-1]))
+    return rows, torn
 
 
 def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
@@ -429,7 +408,7 @@ def _write_cells(fh, todo: list[tuple[Cell, list[int]]], master_seed: int, worke
             os.waitpid(pid, 0)
 
 
-def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_seed: int | None = None) -> int:
+def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     """Run (or resume) one config's grid, appending rows to out_path.
 
     Each cell's pending trials run as one stacked batch (see run_cell).
@@ -447,18 +426,24 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
     for a worker that died, a RuntimeError) names the cell. Returns the
     number of rows written.
 
-    Raises ValueError, before writing anything, if a row already in
-    out_path was written under another master seed: its key leaves the seed
-    out, so it would otherwise count as done. A torn last line (no trailing
-    newline) is truncated, with a note on stderr, and its row rerun.
+    Reads out_path once, if it exists, and raises ValueError naming it,
+    before writing anything, if its first line is not CSV_HEADER, if a row
+    has the wrong number of fields, or if a row was written under another
+    master seed than config's: a row's key leaves the seed out, so it would
+    otherwise count as done. A torn last line (no trailing newline) is
+    truncated, with a note on stderr, and its row rerun.
     """
-    seed = config.master_seed if master_seed is None else master_seed
-    done = existing_row_keys(out_path)
+    seed = config.master_seed
+    try:
+        rows, torn = _read_rows(out_path)
+    except FileNotFoundError:
+        rows, torn = [], 0
+    done = {tuple(parts[:6]): int(parts[8]) for parts in rows}
     todo = []
     for cell in config_cells(config):
         pending = []
         for t in range(config.trials):
-            found = done.get(_row_key(cell.scheme, cell.k, cell.s, cell.n, cell.param_str(), t))
+            found = done.get((cell.scheme, str(cell.k), str(cell.s), str(cell.n), cell.param_str(), str(t)))
             if found is None:
                 pending.append(t)
                 continue
@@ -472,9 +457,9 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
         if pending:
             todo.append((cell, pending))
 
-    dropped = _drop_torn_tail(out_path)
-    if dropped:
-        print(f"{out_path}: dropped a torn last line ({dropped} bytes with no newline); resuming", file=sys.stderr)
+    if torn:
+        os.truncate(out_path, os.path.getsize(out_path) - torn)
+        print(f"{out_path}: dropped a torn last line ({torn} bytes with no newline); resuming", file=sys.stderr)
     fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
     trials = sum(len(pending) for _, pending in todo)
     workers = _worker_count(threads, len(todo), _usable_cpus(), config.k * trials)
@@ -487,35 +472,30 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1, master_s
 
 
 def read_results(path: str) -> list[dict]:
-    """Parse a results CSV into row dicts (numbers parsed, param kept verbatim)."""
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.endswith("\n"):
-                raise ValueError(f"{path}: the last line has no newline (a torn write); resume the run to repair it")
-            line = line[:-1]
-            if not line:
-                continue
-            parts = _row_fields(path, line_no, line)
-            rows.append(
-                {
-                    "scheme": parts[0],
-                    "k": int(parts[1]),
-                    "s": int(parts[2]),
-                    "n": int(parts[3]),
-                    "eps_or_ell": parts[4],
-                    "trial": int(parts[5]),
-                    "tv_error": float(parts[6]),
-                    "bits_per_user": int(parts[7]),
-                    "seed": int(parts[8]),
-                }
-            )
+    """Parse a results CSV into row dicts (numbers parsed, param kept verbatim).
+
+    Raises ValueError naming path if the file is malformed (see _read_rows),
+    ends in a torn line, or holds no rows.
+    """
+    rows, torn = _read_rows(path)
+    if torn:
+        raise ValueError(f"{path}: the last line has no newline (a torn write); resume the run to repair it")
     if not rows:
-        raise ValueError("results file holds no rows")
-    return rows
+        raise ValueError(f"{path}: the results file holds no rows")
+    return [
+        {
+            "scheme": parts[0],
+            "k": int(parts[1]),
+            "s": int(parts[2]),
+            "n": int(parts[3]),
+            "eps_or_ell": parts[4],
+            "trial": int(parts[5]),
+            "tv_error": float(parts[6]),
+            "bits_per_user": int(parts[7]),
+            "seed": int(parts[8]),
+        }
+        for parts in rows
+    ]
 
 
 def summarize(rows: list[dict]) -> list[dict]:
@@ -586,15 +566,3 @@ def plan_report(scheme: str, k: int, s: int, alpha: float, epsilon: float | None
     else:
         raise ValueError("scheme must be 'ldp' or 'comm'")
     return "\n".join(lines)
-
-
-def resolve_threads(cli_threads: int | None) -> int:
-    """The worker-process count: --threads, overridden by SPARSE_DIST_LAB_THREADS when set."""
-    env = os.environ.get("SPARSE_DIST_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SPARSE_DIST_LAB_THREADS={env!r} is not an integer worker count") from None
-    return max(1, cli_threads if cli_threads is not None else 1)
-

@@ -1,5 +1,6 @@
 """Experiment grid runner: configs, seeding, CSV contract, CLI."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,11 +19,9 @@ from sparse_dist_lab.harness import (
     bits_per_user,
     cell_hash,
     config_cells,
-    existing_row_keys,
     load_configs,
     plan_report,
     read_results,
-    resolve_threads,
     run_grid,
     run_trial,
     scheme_family,
@@ -307,7 +306,7 @@ def test_resume_rejects_other_master_seed(tmp_path):
     run_grid(cfg, str(out), threads=1)
     before = out.read_bytes()
     with pytest.raises(ValueError) as err:
-        run_grid(cfg, str(out), threads=1, master_seed=99)
+        run_grid(dataclasses.replace(cfg, master_seed=99), str(out), threads=1)
     cell = config_cells(cfg)[0]
     message = str(err.value)
     assert str(out) in message
@@ -348,6 +347,22 @@ def test_resume_repairs_torn_tail(tmp_path, capsys):
     out.write_bytes(full[:5])
     assert run_grid(cfg, str(out), threads=1) == 12
     assert out.read_bytes() == full
+
+
+@pytest.mark.parametrize(
+    "first",
+    [b"a,b,c,d,e,f,g,h,i\n", b"a,b,c", CSV_HEADER.encode() + b",x\n"],
+    ids=["other_names", "torn_other_names", "extra_field"],
+)
+def test_resume_rejects_foreign_header(tmp_path, first):
+    # Rows appended under another file's header would be unreadable, so a
+    # resume must refuse the file before writing anything.
+    out = tmp_path / "res.csv"
+    out.write_bytes(first + b"1,2,3,4,5,6,7,8,9\n")
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"{out}: the first line")):
+        run_grid(tiny_config(trials=1), str(out), threads=1)
+    assert out.read_bytes() == before
 
 
 def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
@@ -436,6 +451,7 @@ def test_worker_count_is_capped():
     assert harness._worker_count(100000, 3, 64, ample) == 3
     assert harness._worker_count(8, 0, 2, 0) == 1  # nothing pending
     assert harness._worker_count(0, 40, 2, ample) == 1
+    assert harness._worker_count(-3, 40, 2, ample) == 1
     # work = cells x trials x k: the desk grids (k=1000, 20 trials) fork,
     # the message_paths grids (k=1000, 4 cells of 4 trials or of 1) do not
     assert harness._worker_count(2, 16, 2, 16 * 20 * 1000) == 2
@@ -538,15 +554,6 @@ def test_killed_worker_leaves_resumable_csv(tmp_path, monkeypatch):
     assert out.read_bytes() == full
 
 
-def test_existing_row_keys_roundtrip(tmp_path):
-    cfg = tiny_config(trials=1)
-    out = tmp_path / "res.csv"
-    run_grid(cfg, str(out), threads=1)
-    keys = existing_row_keys(str(out))
-    assert len(keys) == 4
-    assert ("hr_sparse", "32", "2", "2000", "0.5", "0") in keys
-
-
 @pytest.mark.parametrize("cut", ["extra", "short"])
 def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
     cfg = tiny_config(trials=1)
@@ -565,6 +572,15 @@ def test_read_results_validates_header(tmp_path):
     bad.write_text("nope,nope\n1,2\n")
     with pytest.raises(ValueError, match="header"):
         read_results(str(bad))
+
+
+@pytest.mark.parametrize("content", [None, b"", CSV_HEADER.encode() + b"\n"], ids=["missing", "empty", "header_only"])
+def test_read_results_refuses_file_without_rows(tmp_path, content):
+    path = tmp_path / "res.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises((ValueError, FileNotFoundError), match=re.escape(str(path))):
+        read_results(str(path))
 
 
 # ------------------------------------------------------------------ summaries
@@ -645,20 +661,6 @@ def test_plan_report_ldp():
         plan_report("bogus", 10, 1, 0.5, epsilon=1.0)
 
 
-def test_resolve_threads_env_override(monkeypatch):
-    monkeypatch.delenv("SPARSE_DIST_LAB_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(6) == 6
-    monkeypatch.setenv("SPARSE_DIST_LAB_THREADS", "3")
-    assert resolve_threads(6) == 3
-    monkeypatch.setenv("SPARSE_DIST_LAB_THREADS", "0")
-    assert resolve_threads(6) == 1
-    for bad in ("x", "2.5", ""):
-        monkeypatch.setenv("SPARSE_DIST_LAB_THREADS", bad)
-        with pytest.raises(ValueError, match=f"SPARSE_DIST_LAB_THREADS={bad!r}"):
-            resolve_threads(6)
-
-
 # ------------------------------------------------------------------------ CLI
 
 
@@ -689,6 +691,17 @@ def test_cli_run_summarize_plan(tmp_path, capsys):
     assert "planned n" in capsys.readouterr().out
 
     assert main(["plan", "--scheme", "ldp", "--k", "100", "--s", "2", "--alpha", "0.3", "--eps", "1.0"]) == 0
+
+
+def test_cli_seed_overrides_config_master_seed(tmp_path):
+    grid = dict(scheme="rappor", k=16, s_list=[1, 2], n=400, trials=2, epsilon_list=[1.0])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(grid, master_seed=3)))
+    out = tmp_path / "seed5.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "5"]) == 0
+    want = tmp_path / "config5.csv"
+    run_grid(ExperimentConfig(master_seed=5, **grid), str(want), threads=1)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_cli_verify_bounds(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""The package surface: every export is used, and every demo runs."""
+"""The package surface: every export is used, and every demo and README snippet runs."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import sparse_dist_lab
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sparse_dist_lab"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_SNIPPETS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.MULTILINE | re.DOTALL)
 
 
 def _names_used(tree: ast.AST, skip_def: str | None = None) -> set[str]:
@@ -44,8 +46,18 @@ def test_every_export_is_used_in_src_or_demos():
     assert unused == []
 
 
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    done = _run_python([str(demo)])
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("snippet", README_SNIPPETS, ids=[f"block{i}" for i in range(len(README_SNIPPETS))])
+def test_readme_snippet_runs(snippet):
+    done = _run_python(["-c", snippet])
     assert done.returncode == 0, done.stderr

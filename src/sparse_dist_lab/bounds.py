@@ -47,6 +47,8 @@ class Channel:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError("channel matrix must be 2-d and nonempty")
+        if not np.isfinite(mat).all():
+            raise ValueError("channel entries must be finite")
         if np.any(mat < 0):
             raise ValueError("channel entries must be nonnegative")
         sums = mat.sum(axis=1)

@@ -18,7 +18,10 @@ bits; the raw ell is kept for reporting.
 
 Protocol runs draw (M, N) from their exact ideal-hash law given the halves'
 symbol histograms, in O(k) whatever n is, and decode through the split-half
-estimator shared with rappor (projection.split_half_estimate). The batch
+estimator shared with rappor (projection.split_half_estimate). A message is
+always consistent with its user's symbol and, under an ideal hash, with any
+other symbol with probability 2^-ell, so the scheme hands that estimator
+drop = 0 and noise = 2^-ell at the effective ell. The batch
 encoder and the preimage scan realize the hashes as a 64-bit avalanche mix
 of (public seed, user index, symbol) that replays bit-exactly anywhere and,
 at the statistics measured here, is indistinguishable from the ideal random
@@ -126,21 +129,6 @@ def preimage_counts(messages: tuple[np.ndarray, np.ndarray], scheme: HashScheme,
     return counts
 
 
-def sample_preimage_counts_hist(sample_counts: np.ndarray, m: int, scheme: HashScheme, stream: RandomStream) -> np.ndarray:
-    """Draw ideal-hash consistency counts given the users' symbol histogram.
-
-    For a user holding X_i = x the message is always consistent with x; for
-    any other symbol the indicator of consistency is Bernoulli(1/buckets),
-    independently across users and symbols (the hash evaluates i.i.d.
-    uniformly at distinct points). Hence, with c the symbol histogram,
-    M(x) ~ c(x) + Binomial(m - c(x), 1/buckets), independent across x.
-    O(k) regardless of m.
-    """
-    c = np.asarray(sample_counts, dtype=np.int64)
-    extra = stream.gen.binomial(m - c, 1.0 / scheme.num_buckets)
-    return (c + extra).astype(np.int64)
-
-
 def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
     """One full protocol run; returns (T, raw estimate, Distribution).
 
@@ -154,22 +142,16 @@ def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
 def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, streams: list[RandomStream]):
     """comm_run_details on each row of a (B, k) stack of targets with its own stream.
 
-    Both halves' consistency counts are drawn from
-    sample_preimage_counts_hist and decoded by split_half_estimate on a
-    candidate support of min(2s, k) symbols, inverting b(x) at the scheme's
-    effective bit count: beta = 1/B and gamma = 1 - 1/B for B buckets.
+    Both halves' consistency counts are drawn from their exact ideal-hash
+    law, which does not depend on the public coins, and decoded by
+    split_half_estimate on a candidate support of min(2s, k) symbols with
+    drop = 0 and noise = 2^-effective_ell, one over the bucket count.
     Returns the (B, min(2s, k)) supports and the (B, k) raw and projected
     estimates.
     """
     k = np.shape(P)[1]
-    # The ideal-hash law of the counts does not depend on the public coins.
-    scheme = HashScheme(0, ell, k, s)
-    inv_buckets = 1.0 / scheme.num_buckets
-
-    def law(counts, m, stream):
-        return sample_preimage_counts_hist(counts, m, scheme, stream)
-
-    return split_half_estimate(P, n, law, min(2 * s, k), inv_buckets, 1 - inv_buckets, streams)
+    noise = 1.0 / (1 << effective_ell(ell, s))
+    return split_half_estimate(P, n, 0.0, noise, min(2 * s, k), streams)
 
 
 def pack_values(values: np.ndarray, ell: int) -> bytes:

@@ -91,15 +91,16 @@ def exp_epsilon(epsilon: float, divisor: int = 1) -> float:
     return e
 
 
-def invertible_exp_epsilon(epsilon: float) -> float:
-    """exp_epsilon(epsilon) for a map that divides by e^epsilon - 1.
+def invertible_exp_epsilon(epsilon: float, divisor: int = 1) -> float:
+    """exp_epsilon(epsilon, divisor) for a map that divides by e^(epsilon/divisor) - 1.
 
-    Also raises ValueError naming epsilon when e^epsilon rounds to 1 (epsilon
-    below about 1e-16), where that divisor is 0.
+    Also raises ValueError naming epsilon when that exponential rounds to 1
+    (epsilon/divisor below about 1e-16), where the divisor of the map is 0.
     """
-    e = exp_epsilon(epsilon)
+    e = exp_epsilon(epsilon, divisor)
     if e == 1.0:
-        raise ValueError(f"epsilon={epsilon!r} is too small: e^epsilon rounds to 1")
+        power = "epsilon" if divisor == 1 else f"(epsilon/{divisor})"
+        raise ValueError(f"epsilon={epsilon!r} is too small: e^{power} rounds to 1")
     return e
 
 

@@ -44,13 +44,25 @@ import numpy as np
 
 from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
 from .comm_hash import comm_run_stack, effective_ell
-from .core import GOLDEN64, MASK64, RandomStream, check_probs, fold_string, mix64, tv_distance, uniform_sparse_stack
+from .core import (
+    GOLDEN64,
+    MASK64,
+    RandomStream,
+    check_probs,
+    fold_string,
+    invertible_exp_epsilon,
+    mix64,
+    tv_distance,
+    uniform_sparse_stack,
+)
 from .hadamard import hadamard_dim
-from .hadamard_response import hr_flip_probs, hr_run_stack
+from .hadamard_response import hr_run_stack
 from .rappor import flip_probability, rappor_run_stack
 
 CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed"
-_CSV_FIELDS = CSV_HEADER.count(",") + 1
+# how _read_rows parses each field; eps_or_ell must parse as a float but is
+# kept as written, the text a cell's param_str matches
+_FIELD_PARSERS = dict(zip(CSV_HEADER.split(","), (str, int, int, int, float, int, float, int, int)))
 
 SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 
@@ -96,9 +108,10 @@ class ExperimentConfig:
             if self.epsilon_list is None or self.ell_list is not None:
                 raise ValueError(f"{self.scheme} takes epsilon_list (and no ell_list)")
             object.__setattr__(self, "epsilon_list", _numbers("epsilon_list", self.epsilon_list, integral=False))
-            # the scheme's own response probabilities reject an epsilon that is
-            # not positive or whose exponential overflows
-            check = flip_probability if self.scheme == "rappor" else hr_flip_probs
+            # reject an epsilon that is not positive or whose exponential (e^eps
+            # for HR's decoder, e^(eps/2) for rappor's flip probability)
+            # overflows or rounds to 1, where the decoder would divide by 0
+            check = flip_probability if self.scheme == "rappor" else invertible_exp_epsilon
             for v in self.epsilon_list:
                 check(v)
         # grids that no trial could run fail here, not at their first trial
@@ -275,19 +288,31 @@ def config_cells(config: ExperimentConfig) -> list[Cell]:
     return [Cell(config.scheme, config.k, s, config.n, param) for s in config.s_list for param in config.params()]
 
 
-def _row_fields(path: str, line_no: int, line: str) -> list[str]:
-    """A results row's fields; ValueError naming path and line unless it has the header's count."""
+def _parse_row(path: str, line_no: int, line: str) -> dict:
+    """A results row as a dict of its parsed fields.
+
+    Raises ValueError naming path and line unless the row has the header's
+    field count, and naming the field too if one does not parse.
+    """
     parts = line.split(",")
-    if len(parts) != _CSV_FIELDS:
-        raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, not the header's {_CSV_FIELDS}")
-    return parts
+    if len(parts) != len(_FIELD_PARSERS):
+        raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, not the header's {len(_FIELD_PARSERS)}")
+    row = {}
+    for (name, parse), text in zip(_FIELD_PARSERS.items(), parts):
+        try:
+            value = parse(text)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise ValueError(f"{path}: line {line_no} field {name} is {text!r}, not {kind}") from None
+        row[name] = text if name == "eps_or_ell" else value
+    return row
 
 
-def _read_rows(path: str) -> tuple[list[list[str]], int]:
-    """The fields of each row of a results CSV, and the byte length of its torn last line.
+def _read_rows(path: str) -> tuple[list[dict], int]:
+    """The parsed rows of a results CSV, and the byte length of its torn last line.
 
     Reads path once. Raises ValueError naming path unless the first line is
-    CSV_HEADER and every row has the header's field count. Rows are written
+    CSV_HEADER and every row parses (see _parse_row). Rows are written
     whole, each ending in a newline, so a last line with no newline is a
     write cut short by a crash, not a row: it is left out and its length in
     bytes returned (0 when the file ends in a newline). A torn first line
@@ -302,7 +327,7 @@ def _read_rows(path: str) -> tuple[list[list[str]], int]:
             if not line.endswith("\n"):
                 torn = len(line.encode())
             elif line_no > 1 and line != "\n":
-                rows.append(_row_fields(path, line_no, line[:-1]))
+                rows.append(_parse_row(path, line_no, line[:-1]))
     return rows, torn
 
 
@@ -428,7 +453,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
 
     Reads out_path once, if it exists, and raises ValueError naming it,
     before writing anything, if its first line is not CSV_HEADER, if a row
-    has the wrong number of fields, or if a row was written under another
+    does not parse (see _parse_row), or if a row was written under another
     master seed than config's: a row's key leaves the seed out, so it would
     otherwise count as done. A torn last line (no trailing newline) is
     truncated, with a note on stderr, and its row rerun.
@@ -438,12 +463,12 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
         rows, torn = _read_rows(out_path)
     except FileNotFoundError:
         rows, torn = [], 0
-    done = {tuple(parts[:6]): int(parts[8]) for parts in rows}
+    done = {(r["scheme"], r["k"], r["s"], r["n"], r["eps_or_ell"], r["trial"]): r["seed"] for r in rows}
     todo = []
     for cell in config_cells(config):
         pending = []
         for t in range(config.trials):
-            found = done.get((cell.scheme, str(cell.k), str(cell.s), str(cell.n), cell.param_str(), str(t)))
+            found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param_str(), t))
             if found is None:
                 pending.append(t)
                 continue
@@ -482,20 +507,7 @@ def read_results(path: str) -> list[dict]:
         raise ValueError(f"{path}: the last line has no newline (a torn write); resume the run to repair it")
     if not rows:
         raise ValueError(f"{path}: the results file holds no rows")
-    return [
-        {
-            "scheme": parts[0],
-            "k": int(parts[1]),
-            "s": int(parts[2]),
-            "n": int(parts[3]),
-            "eps_or_ell": parts[4],
-            "trial": int(parts[5]),
-            "tv_error": float(parts[6]),
-            "bits_per_user": int(parts[7]),
-            "seed": int(parts[8]),
-        }
-        for parts in rows
-    ]
+    return rows
 
 
 def summarize(rows: list[dict]) -> list[dict]:

@@ -14,13 +14,14 @@ deterministic - seeded experiment replays depend on this.
 rappor and comm_hash share one two-stage estimator (split_half_estimate):
 per-symbol counts of the first half of the users rank the symbols and pick
 a candidate support T, and the second half's counts, whose mean is affine in
-p, are inverted on T and projected onto the simplex over T. The schemes
-differ only in their count law and the affine constants.
+p, are inverted on T and projected onto the simplex over T. Each scheme is
+described by its channel's two probabilities: a user's message counts for
+the user's own symbol with probability 1 - drop and for any other symbol
+with probability noise. The count law (split_half_counts) and the affine
+decode constants both follow from that pair, here and nowhere else.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -110,14 +111,35 @@ def project_sparse_simplex(v: np.ndarray, s: int) -> Distribution:
     return Distribution(project_sparse_simplex_vec(v, s))
 
 
-def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, beta: float, gamma: float):
+def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, stream: RandomStream) -> np.ndarray:
+    """Draw m users' per-symbol counts given their symbol histogram c.
+
+    Symbol x counts each of its c(x) holders with probability 1 - drop and
+    each of the other m - c(x) users with probability noise, independently,
+    so the count is c - Binomial(c, drop) + Binomial(m - c, noise), drawn in
+    that order from stream, in O(k) whatever m is. The subtraction is how
+    NumPy draws Binomial(c, 1 - drop) for drop < 0.5 (up to the rounding of
+    1 - (1 - drop)), so the counts match a direct draw of the kept bits. At
+    drop = 0 the own-symbol draw would take nothing from the stream but
+    still cost about a quarter of the noise draw, so it is skipped.
+    """
+    c = np.asarray(c, dtype=np.int64)
+    kept = c - stream.gen.binomial(c, drop) if drop else c
+    return kept + stream.gen.binomial(m - c, noise)
+
+
+def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, drop: float, noise: float):
     """The two-stage estimate from each row of (B, k) count stacks.
 
     T is the top t entries of each row of M (ties to the smaller index). On
-    T the raw estimate inverts E[N(x)]/m2 = beta + gamma p(x), and the
-    output is raw projected onto the simplex over T; both are zero off T.
-    Returns the (B, t) supports and the (B, k) raw and projected estimates.
+    T the raw estimate inverts E[N(x)]/m2 = beta + gamma p(x), with
+    beta = noise and gamma = 1 - (drop + noise), and the output is raw
+    projected onto the simplex over T; both are zero off T. Returns the
+    (B, t) supports and the (B, k) raw and projected estimates.
     """
+    # 1 - (drop + noise), not (1 - drop) - noise: for rappor (drop = noise = q)
+    # it is 1 - 2q to the last bit
+    beta, gamma = noise, 1 - (drop + noise)
     T = top_s_indices(M, t)
     at = np.arange(M.shape[0])[:, None], T
     raw = np.zeros(M.shape)
@@ -127,20 +149,12 @@ def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, beta: float
     return T, raw, out
 
 
-def split_half_estimate(
-    P: np.ndarray,
-    n: int,
-    count_law: Callable[[np.ndarray, int, RandomStream], np.ndarray],
-    t: int,
-    beta: float,
-    gamma: float,
-    streams: list[RandomStream],
-):
+def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, streams: list[RandomStream]):
     """Split n users in half and run split_half_decode on each row of a (B, k) stack of targets.
 
     Row i draws the halves' symbol histograms from streams[i].child(0) and
-    child(1), then each half's counts as count_law(histogram, users, stream)
-    on child(2) and child(3). Returns split_half_decode's (T, raw, out).
+    child(1), then each half's counts by split_half_counts on child(2) and
+    child(3). Returns split_half_decode's (T, raw, out).
     """
     P = np.asarray(P, dtype=np.float64)
     m1 = n // 2
@@ -152,6 +166,6 @@ def split_half_estimate(
     for i, stream in enumerate(streams):
         c1 = stream.child(0).gen.multinomial(m1, P[i])
         c2 = stream.child(1).gen.multinomial(m2, P[i])
-        M[i] = count_law(c1, m1, stream.child(2))
-        N[i] = count_law(c2, m2, stream.child(3))
-    return split_half_decode(M, N, m2, t, beta, gamma)
+        M[i] = split_half_counts(c1, m1, drop, noise, stream.child(2))
+        N[i] = split_half_counts(c2, m2, drop, noise, stream.child(3))
+    return split_half_decode(M, N, m2, t, drop, noise)

@@ -15,14 +15,12 @@ the price paid for needing no public randomness.
 
 Protocol runs draw both halves' column sums from their exact law given the
 symbol histograms, in O(k), and decode through the split-half estimator
-shared with comm_hash (projection.split_half_estimate). No per-user message
-is materialized; the tests hold the per-user encoder that law is checked
-against.
-
-Note the inversion constants: with flip probability q = 1/(e^{eps/2}+1) the
-unbiased map is (N(x)/(n/2) - beta)/gamma with beta = q and gamma = 1 - 2q.
-Pairing this encoder with the (1/(e^eps+1), (e^eps-1)/(e^eps+1)) constants
-sometimes quoted for rate-1/(e^eps+1) flipping would bias every coordinate.
+shared with comm_hash (projection.split_half_estimate). A bit is set for the
+user's own symbol with probability 1 - q and for any other symbol with
+probability q, so the scheme hands that estimator drop = noise = q, from
+which it derives the count law and the inversion constants above. No
+per-user message is materialized; the tests hold the per-user encoder that
+law is checked against.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Channel
-from .core import RandomStream, exp_epsilon
+from .core import RandomStream, invertible_exp_epsilon
 from .projection import split_half_estimate
 
 
@@ -38,44 +36,26 @@ def flip_probability(epsilon: float) -> float:
     """Per-bit flip probability giving an exactly epsilon-LDP channel.
 
     Raises ValueError naming epsilon when it is not positive or e^(epsilon/2)
-    overflows a float.
+    overflows a float or rounds to 1, where q = 1/2 and the decoder's
+    1 - 2q is 0.
     """
-    return 1 / (exp_epsilon(epsilon, 2) + 1)
-
-
-def sample_column_sums_hist(sample_counts: np.ndarray, m: int, epsilon: float, stream: RandomStream) -> np.ndarray:
-    """Draw message-batch column sums given the users' symbol histogram.
-
-    Column x receives c_x true bits kept with probability 1-q plus flipped
-    zeros from the other m-c_x users, and distinct columns are independent
-    because every bit flip is, so
-    M(x) ~ Binomial(c_x, 1-q) + Binomial(m-c_x, q).
-    O(k) instead of the O(m*k) of encoding every user.
-    """
-    c = np.asarray(sample_counts, dtype=np.int64)
-    q = flip_probability(epsilon)
-    kept = stream.gen.binomial(c, 1 - q)
-    noise = stream.gen.binomial(m - c, q)
-    return (kept + noise).astype(np.int64)
+    return 1 / (invertible_exp_epsilon(epsilon, 2) + 1)
 
 
 def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, streams: list[RandomStream]):
     """One protocol run on each row of a (B, k) stack of targets with its own stream.
 
-    Both halves' column sums are drawn from sample_column_sums_hist, the
-    exact law of encoding every user, and decoded by split_half_estimate on
-    a candidate support of 2s symbols with beta = q and gamma = 1 - 2q.
-    Returns the (B, 2s) supports and the (B, k) raw and projected estimates.
+    Both halves' column sums are drawn from their exact law, that of
+    encoding every user, and decoded by split_half_estimate on a candidate
+    support of 2s symbols; a bit flips with probability q either way, so
+    drop = noise = q. Returns the (B, 2s) supports and the (B, k) raw and
+    projected estimates.
     """
     k = np.shape(P)[1]
     if 2 * s > k:
         raise ValueError(f"candidate support 2s={2 * s} would exceed k={k}")
     q = flip_probability(epsilon)
-
-    def law(counts, m, stream):
-        return sample_column_sums_hist(counts, m, epsilon, stream)
-
-    return split_half_estimate(P, n, law, 2 * s, q, 1 - 2 * q, streams)
+    return split_half_estimate(P, n, q, q, 2 * s, streams)
 
 
 def rappor_channel_matrix(epsilon: float, k: int) -> Channel:

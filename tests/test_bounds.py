@@ -60,6 +60,9 @@ def test_channel_rejects_bad_rows():
         Channel(np.array([[0.5, 0.4]]))
     with pytest.raises(ValueError):
         Channel(np.array([[1.1, -0.1]]))
+    # a NaN passes both the sign and the row-sum comparisons
+    with pytest.raises(ValueError, match="finite"):
+        Channel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
 def test_rr_channel_is_ldp_exactly():

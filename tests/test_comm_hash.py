@@ -18,17 +18,16 @@ from sparse_dist_lab.comm_hash import (
     hash_eval_batch,
     pack_values,
     preimage_counts,
-    sample_preimage_counts_hist,
     unpack_values,
 )
 from sparse_dist_lab.core import RandomStream, sample_iid, tv_distance
-from sparse_dist_lab.projection import split_half_decode
+from sparse_dist_lab.projection import split_half_counts, split_half_decode
 
 
 def decode(M, N, m2, scheme, k, s):
     """The split-half decode of one row of counts at comm_hash's constants."""
-    inv_b = 1 / scheme.num_buckets
-    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, min(2 * s, k), inv_b, 1 - inv_b)
+    noise = 1 / scheme.num_buckets
+    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, min(2 * s, k), 0.0, noise)
     return T[0], raw[0], out[0]
 
 
@@ -202,7 +201,7 @@ def test_hist_sampler_matches_expectation():
     draws = 400
     acc = np.zeros(k)
     for t in range(draws):
-        acc += sample_preimage_counts_hist(c, m, scheme, RandomStream(t, 9))
+        acc += split_half_counts(c, m, 0.0, 1 / scheme.num_buckets, RandomStream(t, 9))
     mean = acc / draws
     want = c + (m - c) / 4
     sigma = np.sqrt((m - c) * 0.25 * 0.75) / math.sqrt(draws)
@@ -224,7 +223,7 @@ def test_sampler_agrees_with_scan_in_distribution():
         sch = HashScheme(1000 + t, ell, k)  # fresh public coins per draw
         values = comm_encode_batch(xs, sch, first_user=0)
         acc_scan += preimage_counts((np.arange(m), values), sch, k)
-        acc_hist += sample_preimage_counts_hist(c, m, scheme, RandomStream(t, 13))
+        acc_hist += split_half_counts(c, m, 0.0, 1 / scheme.num_buckets, RandomStream(t, 13))
     want = c + (m - c) / 4
     sigma = np.sqrt((m - c) * 0.25 * 0.75) / math.sqrt(draws)
     assert np.all(np.abs(acc_scan / draws - want) <= 4 * sigma)

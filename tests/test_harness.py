@@ -141,6 +141,21 @@ def test_config_rejects_epsilon_whose_exponential_overflows():
     assert tiny_config(scheme="rappor", epsilon_list=[800.0]).params() == (800.0,)
 
 
+@pytest.mark.parametrize("scheme", ["hr_dense", "hr_sparse", "rappor"])
+def test_config_rejects_epsilon_whose_exponential_rounds_to_one(scheme):
+    # HR divides by e^eps - 1 and rappor by 1 - 2q = (e^(eps/2) - 1)/(e^(eps/2) + 1).
+    # e^2e-16 is the float after 1 but e^1e-16 rounds to 1, so 2e-16 is
+    # enough for HR and too small for rappor.
+    power = r"\(epsilon/2\)" if scheme == "rappor" else "epsilon"
+    with pytest.raises(ValueError, match=rf"epsilon=1e-17 is too small: e\^{power} rounds to 1"):
+        tiny_config(scheme=scheme, epsilon_list=[1.0, 1e-17])
+    if scheme == "rappor":
+        with pytest.raises(ValueError, match=r"epsilon=2e-16 is too small"):
+            tiny_config(scheme=scheme, epsilon_list=[2e-16])
+    else:
+        assert tiny_config(scheme=scheme, epsilon_list=[2e-16]).params() == (2e-16,)
+
+
 @pytest.mark.parametrize("scheme", ["hr_sparse", "hr_dense"])
 def test_config_rejects_hr_grid_with_fewer_users_than_groups(scheme):
     # k=32 needs K=64 groups; n=50 cannot fill them.
@@ -420,15 +435,23 @@ _GOLDEN_GRIDS = [
     dict(scheme="comm_hash", k=32, s_list=[2, 4], n=2000, ell_list=[2, 3, 5]),
 ]
 _GOLDEN_SHA256 = "ec5305d34ff84046a9a4c9f9f928c582866d0146c6fd61d26b2fea8fe144eee1"
+# At these epsilons rappor's 1 - 2q and (1 - q) - q differ in the last bit,
+# which moves the TV errors' last digits.
+_GOLDEN_RAPPOR_GRIDS = [dict(scheme="rappor", k=32, s_list=[2, 4], n=2000, epsilon_list=[0.3, 0.9, 6.0])]
+_GOLDEN_RAPPOR_SHA256 = "8ddf620ee2f5550b703c59cf237fc2a667e829cb17c9f45971ce287e8e2eaef2"
 
 
 def test_results_csv_bytes_are_pinned(tmp_path):
-    # The exact bytes of a tiny grid of every scheme: a refactor that moves
-    # any draw, rounding or row format changes this hash.
-    out = tmp_path / "res.csv"
-    for grid in _GOLDEN_GRIDS:
-        run_grid(ExperimentConfig(trials=2, master_seed=20240801, **grid), str(out), threads=1)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SHA256
+    # The exact bytes of tiny grids: a refactor that moves any draw, rounding
+    # or row format changes one of these hashes.
+    for name, grids, sha256 in (
+        ("every_scheme", _GOLDEN_GRIDS, _GOLDEN_SHA256),
+        ("rappor_rounding", _GOLDEN_RAPPOR_GRIDS, _GOLDEN_RAPPOR_SHA256),
+    ):
+        out = tmp_path / f"{name}.csv"
+        for grid in grids:
+            run_grid(ExperimentConfig(trials=2, master_seed=20240801, **grid), str(out), threads=1)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, name
 
 
 def test_grid_thread_count_invariance(tmp_path, monkeypatch):
@@ -565,6 +588,30 @@ def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
     width = 10 if cut == "extra" else 3
     with pytest.raises(ValueError, match=re.escape(f"{out}: line 3 has {width} fields, not the header's 9")):
         read_results(str(out))
+
+
+@pytest.mark.parametrize(
+    "field, at, text, kind",
+    [("seed", 8, "abc", "an integer"), ("k", 1, "32.0", "an integer"), ("tv_error", 6, "x", "a number")],
+)
+def test_row_with_unparsable_field_is_an_error(tmp_path, field, at, text, kind):
+    # read_results and a resuming run_grid name the path, line and field,
+    # and the resume writes nothing
+    cfg = tiny_config(trials=1)
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=1)
+    lines = out.read_text().splitlines()
+    parts = lines[2].split(",")
+    parts[at] = text
+    lines[2] = ",".join(parts)
+    out.write_text("\n".join(lines) + "\n")
+    before = out.read_bytes()
+    message = re.escape(f"{out}: line 3 field {field} is {text!r}, not {kind}")
+    with pytest.raises(ValueError, match=message):
+        read_results(str(out))
+    with pytest.raises(ValueError, match=message):
+        run_grid(dataclasses.replace(cfg, trials=2), str(out), threads=1)
+    assert out.read_bytes() == before
 
 
 def test_read_results_validates_header(tmp_path):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparse_dist_lab.core import RandomStream
 from sparse_dist_lab.projection import (
     project_simplex,
     project_simplex_vec,
     project_sparse_simplex,
     project_sparse_simplex_vec,
+    split_half_counts,
     top_s_indices,
 )
 
@@ -186,6 +188,18 @@ def test_rowwise_projections_equal_per_row(B, k, seed, tied, data):
     assert np.array_equal(project_simplex_vec(stack), rows)
     rows = np.array([project_sparse_simplex_vec(row, s) for row in stack])
     assert np.array_equal(project_sparse_simplex_vec(stack, s), rows)
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.25])
+def test_split_half_counts_draw_order(drop):
+    # The own-symbol draw (none at drop = 0), then the noise draw, from one
+    # stream: a twin stream replays the counts exactly.
+    c = np.array([300, 0, 120, 80, 0, 500])
+    m, noise = 1000, 0.125
+    got = split_half_counts(c, m, drop, noise, RandomStream(7, 3))
+    gen = RandomStream(7, 3).gen
+    kept = c - gen.binomial(c, drop) if drop else c
+    assert np.array_equal(got, kept + gen.binomial(m - c, noise))
 
 
 def test_sparse_range_checks():

@@ -8,19 +8,14 @@ import pytest
 from oracles import column_sums, rappor_encode, rappor_encode_batch
 from sparse_dist_lab.bounds import verify_ldp
 from sparse_dist_lab.core import RandomStream, tv_distance
-from sparse_dist_lab.projection import split_half_decode
-from sparse_dist_lab.rappor import (
-    flip_probability,
-    rappor_channel_matrix,
-    rappor_run_stack,
-    sample_column_sums_hist,
-)
+from sparse_dist_lab.projection import split_half_counts, split_half_decode
+from sparse_dist_lab.rappor import flip_probability, rappor_channel_matrix, rappor_run_stack
 
 
 def decode(M, N, m2, s, eps):
     """The split-half decode of one row of counts at rappor's constants."""
     q = flip_probability(eps)
-    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, 2 * s, q, 1 - 2 * q)
+    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, 2 * s, q, q)
     return T[0], raw[0], out[0]
 
 
@@ -167,7 +162,7 @@ def test_hist_sampler_matches_expectation():
     acc = np.zeros(k)
     draws = 400
     for t in range(draws):
-        acc += sample_column_sums_hist(c, m, eps, RandomStream(t, 5))
+        acc += split_half_counts(c, m, q, q, RandomStream(t, 5))
     mean = acc / draws
     want = c * (1 - q) + (m - c) * q
     sigma = np.sqrt(c * q * (1 - q) + (m - c) * q * (1 - q)) / math.sqrt(draws)
@@ -187,7 +182,7 @@ def test_sampler_agrees_with_encoder_in_distribution():
     acc_hist = np.zeros(k)
     for t in range(draws):
         acc_enc += column_sums(rappor_encode_batch(xs, eps, k, RandomStream(t, 17)))
-        acc_hist += sample_column_sums_hist(c, m, eps, RandomStream(t, 19))
+        acc_hist += split_half_counts(c, m, q, q, RandomStream(t, 19))
     want = c * (1 - q) + (m - c) * q
     sigma = math.sqrt(m * q * (1 - q)) / math.sqrt(draws)
     assert np.all(np.abs(acc_enc / draws - want) <= 4 * sigma)

@@ -33,7 +33,7 @@ def main():
 
     fracs = hr_simulate_fractions(target, n, eps, stream.child(1))
     print(f"\nsimulated n = {n} users at epsilon = {eps}")
-    print(f"group fractions: min {fracs.s_hat.min():.4f}, max {fracs.s_hat.max():.4f}")
+    print(f"group fractions: min {fracs.min():.4f}, max {fracs.max():.4f}")
 
     tilde = hr_decode_raw(fracs, eps, k)
     print("\npre-projection estimate (signed, noisy):")

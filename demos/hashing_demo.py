@@ -5,50 +5,33 @@ by shared public randomness and the user's index) and sends only the ell-bit
 bucket value. The server counts, for each candidate symbol, how many messages
 are consistent with it; true symbols collect systematically more matches. The
 first half of users identifies a candidate support, the second half gives an
-unbiased estimate on it.
+unbiased estimate on it. A run draws those counts from their exact law under
+an ideal hash, so no message is built here.
 """
 
 import numpy as np
 
-from sparse_dist_lab import (
-    HashScheme,
-    RandomStream,
-    b_of,
-    comm_encode_batch,
-    comm_run_details,
-    effective_ell,
-    make_uniform_sparse,
-    pack_values,
-    preimage_counts,
-    sample_iid,
-    tv_distance,
-)
+from sparse_dist_lab import RandomStream, comm_run_details, effective_ell, make_uniform_sparse, tv_distance
 
 
 def main():
     k, s, ell, n = 1000, 8, 3, 100000
     stream = RandomStream(7, 0)
 
-    print(f"k={k}, s={s}, raw ell={ell} -> effective ell = {effective_ell(ell, s)}")
+    ell_eff = effective_ell(ell, s)
+    buckets = 1 << ell_eff
+    print(f"k={k}, s={s}, raw ell={ell} -> effective ell = {ell_eff} ({buckets} buckets)")
     print("(buckets beyond ~2s buy nothing, so wider messages are truncated)\n")
 
-    scheme = HashScheme(public_seed=12345, ell=ell, k=k, s=s)
     target = make_uniform_sparse(k, s, stream.child(0))
     support = set(np.nonzero(target.probs)[0].tolist())
 
-    # a small batch to look at the mechanics
-    xs = sample_iid(target, 16, stream.child(1))
-    values = comm_encode_batch(xs, scheme, first_user=0)
-    print("first users' (sample -> bucket):", list(zip(xs.tolist(), values.tolist())))
-    wire = pack_values(values, scheme.ell_eff)
-    print(f"16 messages serialize to {len(wire)} bytes at {scheme.ell_eff} bits each\n")
-
-    counts = preimage_counts((np.arange(16), values), scheme, k)
-    print(f"preimage-count mass over all k symbols: {counts.sum()}")
-    print(f"expected ~ 16 * (1 + (k-1)/2^ell_eff) = {16 * (1 + (k - 1) / scheme.num_buckets):.0f}")
-    px = 1 / s
-    print(f"consistency prob for a support symbol: b(p) = {b_of(px, scheme.ell_eff):.4f}")
-    print(f"                 for a null symbol:    b(0) = {b_of(0.0, scheme.ell_eff):.4f}\n")
+    # a message is consistent with its sender's symbol, and with any other
+    # symbol when the two hash to the same bucket (probability 1/buckets)
+    b_support = (1 / s) * (1 - 1 / buckets) + 1 / buckets
+    print(f"consistency prob for a support symbol: b(p) = p(1 - 1/B) + 1/B = {b_support:.4f}")
+    print(f"                 for a null symbol:    b(0) = 1/B = {1 / buckets:.4f}")
+    print(f"expected preimage size of one message: 1 + (k-1)/B = {1 + (k - 1) / buckets:.1f} symbols\n")
 
     # the full two-stage protocol
     T, raw, estimate = comm_run_details(target, n, ell, s, stream.child(2))
@@ -57,7 +40,14 @@ def main():
           f"{len(support & set(T.tolist()))}/{s} true symbols")
     print(f"  mass of p on T: {target.probs[T].sum():.4f}")
     print(f"  in-support l1 error of the raw estimate: {np.abs(raw[T] - target.probs[T]).sum():.4f}")
-    print(f"  TV error after projection: {tv_distance(estimate, target):.4f}")
+    print(f"  TV error after projection: {tv_distance(estimate, target):.4f}\n")
+
+    # an ell past the cap is the same protocol, so on the same stream it
+    # replays the capped run exactly
+    print("TV error by raw ell (one run each, on the same stream):")
+    for bits in range(1, 7):
+        run = comm_run_details(target, n, bits, s, stream.child(3))[2]
+        print(f"  ell = {bits} (effective {effective_ell(bits, s)}): {tv_distance(run, target):.4f}")
 
 
 if __name__ == "__main__":

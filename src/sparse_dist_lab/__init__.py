@@ -28,32 +28,16 @@ from .bounds import (
     verification_suite,
     verify_ldp,
 )
-from .comm_hash import (
-    HashScheme,
-    b_of,
-    comm_encode_batch,
-    comm_run_details,
-    effective_ell,
-    hash_eval_batch,
-    pack_values,
-    preimage_counts,
-)
+from .comm_hash import comm_run_details, effective_ell
 from .core import (
     Distribution,
     PackingIndex,
     RandomStream,
     make_uniform_sparse,
-    sample_iid,
     tv_distance,
 )
 from .hadamard import fwht, hadamard_dim
-from .hadamard_response import (
-    HRFractions,
-    hr_decode,
-    hr_decode_raw,
-    hr_expected_fractions,
-    hr_simulate_fractions,
-)
+from .hadamard_response import hr_decode, hr_decode_raw, hr_expected_fractions, hr_simulate_fractions
 from .harness import ExperimentConfig, TrialResult, run_grid, summarize
 
 __all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -60,10 +60,6 @@ class Channel:
     def num_inputs(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def num_outputs(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -177,13 +173,6 @@ def lbit_contraction_ceiling(ell: int, s: int, alpha: float) -> float:
     return 8 * alpha * 2**ell / s
 
 
-def mutual_info_bound(n: int, per_user_chisq: float) -> float:
-    """n-user information bound: I(Z; all messages) <= n * per-user chi2."""
-    if n < 0 or per_user_chisq < 0:
-        raise ValueError("inputs must be nonnegative")
-    return n * per_user_chisq
-
-
 def implied_sample_lower_bound(gap: float, per_user_chisq: float) -> float:
     """Sample-size lower bound from the information chain.
 
@@ -205,12 +194,6 @@ def hamming_ball_count(k: int, s: int, t: float) -> int:
     if not 1 <= s <= k:
         raise ValueError("require 1 <= s <= k")
     return sum(math.comb(s, j) * math.comb(k - s, j) for j in range(int(t // 2) + 1))
-
-
-def hamming_ball_upper_bound(k: int, s: int) -> int:
-    """The coarse closed-form cap on the half-s ball used by the analysis."""
-    h = s // 2
-    return math.comb(s, h) * math.comb(k - h, h)
 
 
 def packing_gap(k: int, s: int, diagnostic: bool = False) -> BoundReport:

@@ -12,6 +12,11 @@ work (pending trials x k), so a small grid runs in-process whatever N is;
 N below 1 means one worker. Rows are written in grid order whatever N is.
 --seed S runs every grid of the config with master_seed S, as if the config
 said so.
+
+A rejected input (a config, results file or parameter the package refuses
+with a ValueError) prints one line, "sparse-dist-lab: error: <message>", on
+stderr and exits with status 2, as a usage error does; any other exception
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -61,11 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     configs = harness.load_configs(args.config)
+    out_paths = [args.out or config.out for config in configs]
+    if None in out_paths:
+        raise ValueError(f"no output path for grid {out_paths.index(None) + 1}: pass --out or set 'out' in the config")
     total = 0
-    for config in configs:
-        out_path = args.out or config.out
-        if out_path is None:
-            raise SystemExit("no output path: pass --out or set 'out' in the config")
+    for config, out_path in zip(configs, out_paths):
         if args.seed is not None:
             config = dataclasses.replace(config, master_seed=args.seed)
         written = harness.run_grid(config, out_path, threads=args.threads)
@@ -87,9 +92,9 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_plan(args) -> int:
     if args.scheme == "ldp" and args.eps is None:
-        raise SystemExit("--scheme ldp needs --eps")
+        raise ValueError("--scheme ldp needs --eps")
     if args.scheme == "comm" and args.ell is None:
-        raise SystemExit("--scheme comm needs --ell")
+        raise ValueError("--scheme comm needs --ell")
     print(harness.plan_report(args.scheme, args.k, args.s, args.alpha, epsilon=args.eps, ell=args.ell))
     return 0
 
@@ -119,7 +124,11 @@ def main(argv: list[str] | None = None) -> int:
         "plan": _cmd_plan,
         "verify-bounds": _cmd_verify_bounds,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as err:
+        print(f"sparse-dist-lab: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Everything downstream (the privatization schemes, the lower-bound machinery,
 the experiment harness) builds on the primitives here: a validated probability
-vector type, total-variation and chi-squared divergences, i.i.d. sampling,
-the s-sparse uniform targets used in experiments, the packing family of hard
+vector type, total-variation and chi-squared divergences, the s-sparse
+uniform targets used in experiments, the packing family of hard
 distributions used by the lower bounds, and counter-based random streams that
 make every run replayable regardless of worker count.
 
@@ -26,13 +26,12 @@ import numpy as np
 
 SUM_TOL = 1e-9  # absolute tolerance on sum(probs) == 1
 
-# 64-bit mixing constants (SplitMix64 finalizer plus two independent odd
-# multipliers used to decorrelate the separate inputs of keyed hashes).
+# 64-bit mixing constants (the SplitMix64 finalizer's two multipliers, and
+# the golden-ratio increment that spreads successive stream ids apart).
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX_M1 = 0xBF58476D1CE4E5B9
 _MIX_M2 = 0x94D049BB133111EB
-ALT64 = 0xD1B54A32D192ED03
 
 
 def mix64(z: int) -> int:
@@ -46,17 +45,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_M1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX_M2) & MASK64
     return z ^ (z >> 31)
-
-
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array (wrapping arithmetic)."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_M2)
-    z ^= z >> np.uint64(31)
-    return z
 
 
 def derive_key(master_seed: int, stream_id: int) -> int:
@@ -175,17 +163,6 @@ class Distribution:
             raise ValueError("probs must be a nonempty 1-d vector")
         check_probs(p)
 
-    @property
-    def k(self) -> int:
-        return self.probs.size
-
-    def support_size(self) -> int:
-        """Number of strictly positive entries."""
-        return int(np.count_nonzero(self.probs > 0))
-
-    def __len__(self) -> int:
-        return self.probs.size
-
 
 def as_probs(p) -> np.ndarray:
     """Accept a Distribution or a bare array-like; return the float vector."""
@@ -211,11 +188,6 @@ class PackingIndex:
     @property
     def s(self) -> int:
         return len(self.support)
-
-    def as_vector(self) -> np.ndarray:
-        z = np.zeros(self.k, dtype=np.int8)
-        z[list(self.support)] = 1
-        return z
 
 
 def tv_distance(p, q):
@@ -247,23 +219,6 @@ def chi_square(p, q) -> float:
     mask = qv > 0
     diff = pv[mask] - qv[mask]
     return float(np.sum(diff * diff / qv[mask]))
-
-
-def sample_iid(p, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw n i.i.d. symbols from p; deterministic given the stream.
-
-    Returns an int64 array of symbols in [0, k). Sampling is by inverse-CDF
-    lookup, which vectorizes well for large n.
-    """
-    pv = as_probs(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    cdf = np.cumsum(pv)
-    cdf[-1] = 1.0  # guard against float round-off at the top end
-    u = stream.gen.random(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
 def make_uniform_sparse(k: int, s: int, stream: RandomStream) -> Distribution:

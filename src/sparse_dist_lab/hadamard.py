@@ -1,9 +1,10 @@
-"""Hadamard matrix entry oracle and the fast Walsh-Hadamard transform.
+"""Hadamard column membership and the fast Walsh-Hadamard transform.
 
-The Hadamard response protocol never materializes the K x K matrix: encoding
-needs single entries (a popcount parity) and decoding needs one matrix-vector
-product, done in O(K log K) by the butterfly transform below. K can reach
-8192 at full experiment scale, so both operations are kept allocation-light.
+The Hadamard response protocol never materializes the K x K matrix: its
+channel needs column memberships (a popcount parity) and decoding needs one
+matrix-vector product, done in O(K log K) by the butterfly transform below.
+K can reach 8192 at full experiment scale, so both operations are kept
+allocation-light.
 
 Indexing is 0-based: row/column 0 is the all-ones row/column of the usual
 recursive (Sylvester) construction, and for 0 <= x, y < K the entry is
@@ -25,23 +26,6 @@ def hadamard_dim(k: int) -> int:
 def _check_dim(K: int) -> None:
     if K < 1 or (K & (K - 1)) != 0:
         raise ValueError(f"K must be a power of two, got {K}")
-
-
-def entry(K: int, x: int, y: int) -> int:
-    """Entry H_K[x, y] in {+1, -1}, equal to (-1)^popcount(x AND y)."""
-    _check_dim(K)
-    if not (0 <= x < K and 0 <= y < K):
-        raise IndexError(f"indices ({x}, {y}) out of range for K={K}")
-    return 1 - 2 * ((x & y).bit_count() & 1)
-
-
-def column_membership(K: int, y: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized B_y membership for an int array of rows; returns bools."""
-    _check_dim(K)
-    xs = np.asarray(xs)
-    if xs.size and (xs.min() < 0 or xs.max() >= K):
-        raise IndexError("row index out of range")
-    return (np.bitwise_count(np.bitwise_and(xs, y)) & 1) == 0
 
 
 def membership_parity(K: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -98,7 +82,7 @@ def _butterflies(x: np.ndarray, h: int, stop: int, run: int) -> np.ndarray:
 
 
 def dense_matrix(K: int) -> np.ndarray:
-    """The full K x K matrix as int64, built from the entry oracle.
+    """The full K x K matrix as int64, entry (x, y) = (-1)^popcount(x AND y).
 
     For verification and small-instance channel constructions only; protocol
     paths never call this.

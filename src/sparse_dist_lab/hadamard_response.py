@@ -23,30 +23,12 @@ hold the per-user encoder and aggregator that law is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bounds import Channel, indicator_response_channel
 from .core import Distribution, RandomStream, as_probs, exp_epsilon, invertible_exp_epsilon
 from .hadamard import fwht, hadamard_dim, membership_parity
 from .projection import project_simplex_vec, project_sparse_simplex_vec
-
-
-@dataclass(frozen=True)
-class HRFractions:
-    """Per-group fractions of one-bits, the protocol's sufficient statistic."""
-
-    s_hat: np.ndarray  # length K, each in [0,1]
-    group_sizes: np.ndarray  # length K, sums to n
-
-    def __post_init__(self):
-        object.__setattr__(self, "s_hat", np.asarray(self.s_hat, dtype=np.float64))
-        object.__setattr__(self, "group_sizes", np.asarray(self.group_sizes, dtype=np.int64))
-        if self.s_hat.shape != self.group_sizes.shape:
-            raise ValueError("s_hat and group_sizes must have equal length")
-        if np.any(self.s_hat < 0) or np.any(self.s_hat > 1):
-            raise ValueError("fractions must lie in [0,1]")
 
 
 def hr_flip_probs(epsilon: float) -> tuple[float, float]:
@@ -85,7 +67,7 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
     the transform, rescale by (e^eps+1)/(K(e^eps-1)), truncate to k entries.
     A (B, K) stack of fractions gives a (B, k) stack of estimates.
     """
-    s_hat = fracs.s_hat if isinstance(fracs, HRFractions) else np.asarray(fracs, dtype=np.float64)
+    s_hat = np.asarray(fracs, dtype=np.float64)
     K = s_hat.shape[-1]
     if k > K:
         raise ValueError("k exceeds block size")
@@ -98,8 +80,12 @@ def hr_decode(fracs, epsilon: float, k: int, mode: str = "sparse", s: int | None
     """Full decode: invert, truncate to [0,k), project.
 
     mode "dense" projects onto the whole simplex; mode "sparse" projects onto
-    the s-sparse simplex and requires s.
+    the s-sparse simplex and requires s. Raises ValueError unless every
+    fraction lies in [0, 1].
     """
+    fracs = np.asarray(fracs, dtype=np.float64)
+    if np.any(fracs < 0) or np.any(fracs > 1):
+        raise ValueError("fractions must lie in [0,1]")
     return Distribution(_project(hr_decode_raw(fracs, epsilon, k), mode, s))
 
 
@@ -114,8 +100,8 @@ def _project(tilde: np.ndarray, mode: str, s: int | None) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> HRFractions:
-    """Draw the per-group fractions of n users with symbols from p.
+def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> np.ndarray:
+    """Draw the K per-group fractions of ones of n users with symbols from p.
 
     Round-robin assignment fixes each group's size, and marginally over its
     symbol every user in group j sends a 1 with probability t_j (see
@@ -123,14 +109,13 @@ def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> HR
     ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and aggregating
     every user's bit.
     """
-    fracs, sizes = _draw_fractions(as_probs(p)[None], n, epsilon, [stream])
-    return HRFractions(fracs[0], sizes)
+    return _draw_fractions(as_probs(p)[None], n, epsilon, [stream])[0]
 
 
 def _draw_fractions(P: np.ndarray, n: int, epsilon: float, streams: list[RandomStream]):
     """Row i of a (B, k) stack through hr_simulate_fractions on streams[i].
 
-    Returns the (B, K) fractions and the K group sizes they share.
+    Returns the (B, K) fractions.
     """
     K = hadamard_dim(P.shape[1])
     if n < K:
@@ -139,7 +124,7 @@ def _draw_fractions(P: np.ndarray, n: int, epsilon: float, streams: list[RandomS
     sizes[: n % K] += 1
     t = np.clip(hr_expected_fractions(P, epsilon, K), 0.0, 1.0)  # round-off can pass 1 at large eps
     ones = np.stack([stream.gen.binomial(sizes, row) for stream, row in zip(streams, t)])
-    return ones / sizes, sizes
+    return ones / sizes
 
 
 def hr_run_stack(
@@ -152,7 +137,7 @@ def hr_run_stack(
     Returns the (B, k) estimates.
     """
     P = np.asarray(P, dtype=np.float64)
-    fracs, _ = _draw_fractions(P, n, epsilon, streams)
+    fracs = _draw_fractions(P, n, epsilon, streams)
     return _project(hr_decode_raw(fracs, epsilon, P.shape[1]), mode, s)
 
 

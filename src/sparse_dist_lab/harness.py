@@ -125,6 +125,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"config entry {raw!r} is of type {type(raw).__name__}, not an object")
         unknown = set(raw) - _CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Distribution, RandomStream
+from .core import RandomStream
 
 
 def _as_rows(v) -> np.ndarray:
@@ -58,11 +58,6 @@ def project_simplex_vec(v: np.ndarray) -> np.ndarray:
     # kill the float dust so the result is a valid distribution bit-for-bit
     out /= out.sum(axis=1, keepdims=True)
     return out.reshape(np.shape(v))
-
-
-def project_simplex(v: np.ndarray) -> Distribution:
-    """Euclidean projection of v onto the probability simplex."""
-    return Distribution(project_simplex_vec(v))
 
 
 def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
@@ -100,15 +95,6 @@ def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
     out = np.zeros_like(rows)
     out[at] = project_simplex_vec(rows[at])
     return out.reshape(np.shape(v))
-
-
-def project_sparse_simplex(v: np.ndarray, s: int) -> Distribution:
-    """Euclidean projection of v onto distributions with at most s atoms.
-
-    Selects the s largest entries of v (by value, smaller index on ties),
-    projects the restricted vector onto the s-simplex, and zeros the rest.
-    """
-    return Distribution(project_sparse_simplex_vec(v, s))
 
 
 def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, stream: RandomStream) -> np.ndarray:

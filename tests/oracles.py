@@ -3,20 +3,46 @@
 Protocol runs never materialize a user's message; they draw each scheme's
 sufficient statistic from its exact law. The tests check those laws against
 the per-user encoders and aggregators here, which follow the protocol
-definitions message by message. Messages are plain ints or arrays.
+definitions message by message: Hadamard response's bits and group
+fractions, RAPPOR's flipped one-hot vectors, and comm_hash's per-user hash
+(a 64-bit avalanche mix of the public seed, the user index and the symbol,
+masked to the bucket count) with the preimage scan that counts, for each
+symbol, the messages consistent with it. Messages are plain ints or arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sparse_dist_lab.comm_hash import HashScheme
-from sparse_dist_lab.core import ALT64, GOLDEN64, MASK64, RandomStream, mix64
-from sparse_dist_lab.hadamard import entry, membership_parity
-from sparse_dist_lab.hadamard_response import HRFractions, hr_flip_probs
+from sparse_dist_lab.core import _MIX_M1, _MIX_M2, GOLDEN64, MASK64, RandomStream, as_probs, mix64
+from sparse_dist_lab.hadamard import membership_parity
+from sparse_dist_lab.hadamard_response import hr_flip_probs
 from sparse_dist_lab.rappor import flip_probability
 
+# a second odd multiplier, so the user index and the symbol enter a hash
+# through independent constants
+ALT64 = 0xD1B54A32D192ED03
+
+
+def sample_iid(p, n: int, stream: RandomStream) -> np.ndarray:
+    """Draw n i.i.d. symbols from p by inverse-CDF lookup; deterministic given the stream."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    cdf = np.cumsum(as_probs(p))
+    cdf[-1] = 1.0  # guard against float round-off at the top end
+    return np.searchsorted(cdf, stream.gen.random(n), side="right").astype(np.int64)
+
+
 # ------------------------------------------------------------ Hadamard response
+
+
+def entry(K: int, x: int, y: int) -> int:
+    """Entry H_K[x, y] in {+1, -1}, equal to (-1)^popcount(x AND y)."""
+    if K < 1 or K & (K - 1):
+        raise ValueError(f"K must be a power of two, got {K}")
+    if not (0 <= x < K and 0 <= y < K):
+        raise IndexError(f"indices ({x}, {y}) out of range for K={K}")
+    return 1 - 2 * ((x & y).bit_count() & 1)
 
 
 def in_column_set(K: int, y: int, x: int) -> bool:
@@ -50,8 +76,8 @@ def hr_encode_batch(xs: np.ndarray, epsilon: float, K: int, stream: RandomStream
     return (stream.gen.random(xs.size) < prob_one).astype(np.uint8)
 
 
-def hr_aggregate(bits: np.ndarray, n: int, K: int) -> HRFractions:
-    """Per-group fractions of ones from a full batch of n messages.
+def hr_aggregate(bits: np.ndarray, n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group fractions of ones, and the group sizes, from a full batch of n messages.
 
     Position i of ``bits`` is user i's bit. Requires n >= K so every group
     is populated (with fewer users some group would be empty and decoding
@@ -64,7 +90,7 @@ def hr_aggregate(bits: np.ndarray, n: int, K: int) -> HRFractions:
     groups = np.arange(n, dtype=np.int64) % K
     sizes = np.bincount(groups, minlength=K)
     ones = np.bincount(groups, weights=bits.astype(np.float64), minlength=K)
-    return HRFractions(ones / sizes, sizes)
+    return ones / sizes, sizes
 
 
 # ---------------------------------------------------------------------- RAPPOR
@@ -99,9 +125,42 @@ def column_sums(messages: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------ comm_hash
 
 
-def hash_eval(scheme: HashScheme, user_index: int, x: int) -> int:
-    """h_{user_index}(x): deterministic, near-uniform over the buckets."""
-    if not 0 <= x < scheme.k:
-        raise ValueError(f"symbol {x} out of range for k={scheme.k}")
-    z = scheme.public_seed ^ ((user_index + 1) * GOLDEN64 & MASK64) ^ ((x + 1) * ALT64 & MASK64)
-    return mix64(z) & (scheme.num_buckets - 1)
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """core.mix64 over a uint64 array (wrapping arithmetic)."""
+    z = z.astype(np.uint64, copy=True)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX_M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_M2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def hash_eval(public_seed: int, buckets: int, user_index: int, x: int) -> int:
+    """h_{user_index}(x) in [0, buckets) for a power-of-two bucket count, one pair at a time."""
+    z = public_seed ^ ((user_index + 1) * GOLDEN64 & MASK64) ^ ((x + 1) * ALT64 & MASK64)
+    return mix64(z) & (buckets - 1)
+
+
+def hash_eval_batch(public_seed: int, buckets: int, users: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """hash_eval for users u and symbols x, broadcast against each other."""
+    u = (np.asarray(users).astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN64)
+    v = (np.asarray(xs).astype(np.uint64) + np.uint64(1)) * np.uint64(ALT64)
+    z = mix64_array(np.uint64(public_seed & MASK64) ^ u ^ v)
+    return (z & np.uint64(buckets - 1)).astype(np.int64)
+
+
+def comm_encode_batch(xs: np.ndarray, public_seed: int, buckets: int, first_user: int = 0) -> np.ndarray:
+    """Each user's message: symbol xs[i] hashed by user first_user + i."""
+    xs = np.asarray(xs, dtype=np.int64)
+    return hash_eval_batch(public_seed, buckets, first_user + np.arange(xs.size), xs)
+
+
+def preimage_counts(users: np.ndarray, values: np.ndarray, public_seed: int, buckets: int, k: int) -> np.ndarray:
+    """For each symbol x in [0, k), how many of the users' messages are consistent with x.
+
+    Re-evaluates every user's hash at every symbol in one (users x k) scan.
+    """
+    users, values = np.asarray(users, dtype=np.int64), np.asarray(values, dtype=np.int64)
+    evals = hash_eval_batch(public_seed, buckets, users[:, None], np.arange(k)[None, :])
+    return (evals == values[:, None]).sum(axis=0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import sample_iid
 from sparse_dist_lab.core import (
     Distribution,
     PackingIndex,
@@ -18,7 +19,6 @@ from sparse_dist_lab.core import (
     make_uniform_sparse,
     mix64,
     packing_reference_dist,
-    sample_iid,
     tv_distance,
 )
 

@@ -1,17 +1,10 @@
-"""Hadamard entry oracle, membership sets, and the fast transform."""
+"""The Hadamard entry oracle, membership sets, and the fast transform."""
 
 import numpy as np
 import pytest
 
-from oracles import in_column_set
-from sparse_dist_lab.hadamard import (
-    column_membership,
-    dense_matrix,
-    entry,
-    fwht,
-    hadamard_dim,
-    membership_parity,
-)
+from oracles import entry, in_column_set
+from sparse_dist_lab.hadamard import dense_matrix, fwht, hadamard_dim, membership_parity
 
 
 def sylvester(K):
@@ -105,15 +98,6 @@ def test_column_sets_have_half_size():
             assert size == K // 2
 
 
-def test_column_membership_batch_agrees_with_scalar():
-    K = 32
-    xs = np.arange(K)
-    for y in (0, 1, 5, 17, 31):
-        got = column_membership(K, y, xs)
-        want = np.array([in_column_set(K, y, x) for x in range(K)])
-        assert np.array_equal(got, want)
-
-
 def test_membership_parity_pairs():
     K = 16
     xs = np.array([3, 7, 11, 15])
@@ -121,6 +105,16 @@ def test_membership_parity_pairs():
     got = membership_parity(K, ys, xs)
     want = np.array([in_column_set(K, y, x) for y, x in zip(ys, xs)])
     assert np.array_equal(got, want)
+
+
+def test_column_membership_batch_agrees_with_scalar():
+    # every row against one broadcast column, as the channel matrix asks
+    K = 32
+    xs = np.arange(K)
+    for y in (0, 1, 5, 17, 31):
+        got = membership_parity(K, np.full(K, y), xs)
+        want = np.array([in_column_set(K, y, x) for x in range(K)])
+        assert np.array_equal(got, want)
 
 
 def test_fwht_of_basis_vector():

@@ -190,6 +190,10 @@ def test_load_configs_accepts_object_or_list(tmp_path):
     empty.write_text("[]")
     with pytest.raises(ValueError):
         load_configs(str(empty))
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text("[1]")
+    with pytest.raises(ValueError, match="config entry 1 is of type int, not an object"):
+        load_configs(str(not_object))
 
 
 # -------------------------------------------------------------------- seeding
@@ -760,18 +764,70 @@ def test_cli_verify_bounds(tmp_path, capsys):
     assert "[ok]" in capsys.readouterr().err
 
 
-def test_cli_plan_rejects_epsilon_whose_exponential_overflows():
-    with pytest.raises(ValueError, match=r"epsilon=800.0 is too large"):
-        main(["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "800"])
+def _cli_error(capsys) -> str:
+    """The one line a rejected input leaves on stderr, without its prefix."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sparse-dist-lab: error: "), lines
+    return lines[0][len("sparse-dist-lab: error: ") :]
 
 
-def test_cli_plan_rejects_epsilon_whose_exponential_rounds_to_one():
-    with pytest.raises(ValueError, match=r"epsilon=1e-17 is too small: e\^epsilon rounds to 1"):
-        main(["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "1e-17"])
+def test_cli_plan_rejects_epsilon_whose_exponential_overflows(capsys):
+    assert main(["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "800"]) == 2
+    assert re.search(r"epsilon=800.0 is too large", _cli_error(capsys))
 
 
-def test_cli_rejects_bad_config(tmp_path):
+def test_cli_plan_rejects_epsilon_whose_exponential_rounds_to_one(capsys):
+    assert main(["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "1e-17"]) == 2
+    assert re.search(r"epsilon=1e-17 is too small: e\^epsilon rounds to 1", _cli_error(capsys))
+
+
+def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(scheme="rappor", k=16)))
-    with pytest.raises(ValueError):
-        main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "missing config fields" in _cli_error(capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+_RAPPOR = dict(scheme="rappor", k=16, s_list=[1], n=400, trials=1, master_seed=3, epsilon_list=[1.0])
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("config", "epsilon=2000.0 is too large"),
+        ("json", "Expecting property name enclosed in double quotes"),
+        ("plan", "invalid parameters"),
+        ("plan_without_eps", "--scheme ldp needs --eps"),
+        ("torn_results", "the last line has no newline"),
+    ],
+)
+def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_RAPPOR, epsilon_list=[2000.0])) if case == "config" else "{")
+    res = tmp_path / "res.csv"
+    res.write_text(CSV_HEADER + "\nrappor,16,1,400,1.0,0,0.5")
+    argv = {
+        "config": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+        "json": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+        "plan": ["plan", "--scheme", "comm", "--k", "10", "--s", "20", "--alpha", "0.1", "--ell", "2"],
+        "plan_without_eps": ["plan", "--scheme", "ldp", "--k", "10", "--s", "2", "--alpha", "0.1", "--ell", "2"],
+        "torn_results": ["summarize", "--in", str(res), "--out", str(tmp_path / "summary.json")],
+    }[case]
+    assert main(argv) == 2
+    assert message in _cli_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "res.csv"]
+
+
+def test_cli_keeps_the_traceback_of_other_errors(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.csv")])
+
+
+def test_cli_checks_every_output_path_before_running(tmp_path, capsys):
+    first = tmp_path / "first.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([dict(_RAPPOR, out=str(first)), _RAPPOR]))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert _cli_error(capsys).startswith("no output path for grid 2")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -1,4 +1,4 @@
-"""The package surface: every export is used, and every demo and README snippet runs."""
+"""The package surface: every export and every public name in src/ is used, and every demo and README snippet runs."""
 
 import ast
 import os
@@ -25,7 +25,7 @@ def _names_used(tree: ast.AST, skip_def: str | None = None) -> set[str]:
         node = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip_def:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -42,6 +42,34 @@ def test_every_export_is_used_in_src_or_demos():
         name
         for name in sparse_dist_lab.__all__
         if name not in demo_uses and not any(name in _names_used(tree, skip_def=name) for tree in modules)
+    ]
+    assert unused == []
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    """The public functions, classes and constants a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_src_name_is_used():
+    # Each public top-level name in src/ is read outside its own definition
+    # by the package, a demo or the acceptance tests; a name only the other
+    # tests read belongs with them (tests/oracles.py) or nowhere. The
+    # package root's re-exports are not uses.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    outside = [*DEMOS, ROOT / "tests" / "test_acceptance.py"]
+    readers = [*modules.values(), *(ast.parse(path.read_text()) for path in outside)]
+    unused = [
+        f"{module}.{name}"
+        for module, tree in sorted(modules.items())
+        for name in sorted(_public_names(tree))
+        if not any(name in _names_used(reader, skip_def=name) for reader in readers)
     ]
     assert unused == []
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from sparse_dist_lab.core import RandomStream
 from sparse_dist_lab.projection import (
-    project_simplex,
     project_simplex_vec,
-    project_sparse_simplex,
     project_sparse_simplex_vec,
     split_half_counts,
     top_s_indices,
@@ -207,13 +205,6 @@ def test_sparse_range_checks():
         project_sparse_simplex_vec(np.ones(3), 0)
     with pytest.raises(ValueError):
         project_sparse_simplex_vec(np.ones(3), 4)
-
-
-def test_wrappers_return_distributions():
-    d = project_simplex(np.array([0.2, -1.0, 3.0]))
-    assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    d = project_sparse_simplex(np.array([0.2, -1.0, 3.0, 0.1]), 2)
-    assert np.count_nonzero(d.probs) <= 2
 
 
 @settings(max_examples=150, deadline=None)

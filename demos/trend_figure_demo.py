@@ -6,9 +6,16 @@ series per constraint level, x = s, y = mean TV error with a standard-error
 column. The full desk grid lives in configs/desk_grid.json and the large
 overnight grid in configs/full_grid.json; both run through the same code path
 via the sparse-dist-lab CLI.
+
+    python demos/trend_figure_demo.py [OUT_DIR]
+
+writes results.csv, summary.json and summary.csv to OUT_DIR (resuming a
+results.csv already there). With no OUT_DIR it works in a temporary
+directory and removes it before it exits.
 """
 
 import os
+import sys
 import tempfile
 
 from sparse_dist_lab.harness import (
@@ -20,8 +27,11 @@ from sparse_dist_lab.harness import (
 )
 
 
-def main():
-    out_dir = tempfile.mkdtemp(prefix="trend_demo_")
+def main(out_dir=None):
+    if out_dir is None:
+        with tempfile.TemporaryDirectory(prefix="trend_demo_") as tmp:
+            return main(tmp)
+    os.makedirs(out_dir, exist_ok=True)
     results = os.path.join(out_dir, "results.csv")
 
     grids = [
@@ -66,4 +76,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -5,7 +5,8 @@ fresh OS entropy. ``Philox(PhiloxKey(key))`` skips that work and yields the
 same bit stream: Philox asks its seed sequence for two 64-bit words and uses
 them as its 128-bit key, and ``Philox(key=key)`` sets that key to
 ``[key, 0]``. This lives apart from ``core`` so that importing the package
-does not import ``numpy.random``; ``RandomStream`` imports it on first use.
+does not import ``numpy.random``; ``RandomStream`` and ``keyed_generator``
+import it on first use.
 """
 
 import numpy as np

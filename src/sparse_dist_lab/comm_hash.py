@@ -49,21 +49,21 @@ def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
     Splits the n users in half, draws each half's symbol histogram and then
     its consistency counts from their exact ideal-hash law, and decodes.
     """
-    T, raw, out = comm_run_stack(as_probs(p)[None], n, ell, s, [stream])
+    T, raw, out = comm_run_stack(as_probs(p)[None], n, ell, s, [stream.key])
     return T[0], raw[0], Distribution(out[0])
 
 
-def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, streams: list[RandomStream]):
-    """comm_run_details on each row of a (B, k) stack of targets with its own stream.
+def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, keys):
+    """comm_run_details on each row of a (B, k) stack of targets with its own stream key.
 
     Both halves' consistency counts are drawn from their exact ideal-hash
     law, which does not depend on the public coins, and decoded by
     split_half_estimate on a candidate support of min(2s, k) symbols with
-    drop = 0 and noise = 2^-effective_ell, one over the bucket count.
-    Returns the (B, min(2s, k)) supports and the (B, k) raw and projected
-    estimates.
+    drop = 0 and noise = 2^-effective_ell, one over the bucket count. keys
+    holds one 64-bit key per row (see split_half_estimate). Returns the
+    (B, min(2s, k)) supports and the (B, k) raw and projected estimates.
     """
     k = np.shape(P)[1]
     noise = 1.0 / (1 << effective_ell(ell, s))
-    return split_half_estimate(P, n, 0.0, noise, min(2 * s, k), streams)
+    return split_half_estimate(P, n, 0.0, noise, min(2 * s, k), keys)
 

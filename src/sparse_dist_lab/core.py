@@ -5,7 +5,9 @@ the experiment harness) builds on the primitives here: a validated probability
 vector type, total-variation and chi-squared divergences, the s-sparse
 uniform targets used in experiments, the packing family of hard
 distributions used by the lower bounds, and counter-based random streams that
-make every run replayable regardless of worker count.
+make every run replayable regardless of worker count (keyed by 64-bit keys,
+which the run path derives in arrays and draws from through one re-keyed
+generator per thread).
 
 Conventions
 -----------
@@ -18,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -47,9 +50,71 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_array(z) -> np.ndarray:
+    """mix64 of each entry of a uint64 array (or int sequence), as a new uint64 array.
+
+    The arithmetic wraps mod 2^64 as mix64's masks do. It is done on arrays
+    only: NumPy 2 warns when a scalar uint64 product overflows. The Python
+    int operands take the array's dtype (NumPy 2 promotion).
+    """
+    z = np.array(z, dtype=np.uint64)
+    z ^= z >> 30
+    z *= _MIX_M1
+    z ^= z >> 27
+    z *= _MIX_M2
+    z ^= z >> 31
+    return z
+
+
 def derive_key(master_seed: int, stream_id: int) -> int:
     """Map (master_seed, stream_id) to a 64-bit key, injectively in practice."""
     return mix64(mix64(master_seed) ^ ((stream_id + 1) * GOLDEN64 & MASK64))
+
+
+def child_keys(keys, stream_id) -> np.ndarray:
+    """RandomStream(key, stream_id).key for each key of a uint64 array (or int sequence), as a uint64 array.
+
+    stream_id is a nonnegative int, or an array of them broadcast against
+    keys: child_keys(keys[:, None], range(4)) holds row by row the keys of
+    each key's children 0 to 3, for the price of one call.
+    """
+    steps = (np.array(stream_id, dtype=np.uint64, ndmin=1) + 1) * GOLDEN64
+    return mix64_array(mix64_array(keys) ^ steps)
+
+
+_thread = threading.local()
+
+
+def keyed_generator(key: int) -> np.random.Generator:
+    """This thread's generator, re-keyed to draw what RandomStream's gen draws for key.
+
+    The re-key sets the Philox counter to 0 and its key to [key, 0], and
+    empties its buffer and its spare 32-bit word, so the draws match
+    Generator(Philox(key=key)) bit for bit. Each thread builds one
+    generator, on its first call, and every call re-keys it: the generator
+    is borrowed until the next call on this thread, and is not for another
+    thread.
+    """
+    try:
+        gen, bit_generator, state = _thread.keyed
+    except AttributeError:
+        from ._philox_key import PhiloxKey
+
+        bit_generator = np.random.Philox(PhiloxKey(0))
+        gen = np.random.Generator(bit_generator)
+        # Python ints, not arrays: the state setter reads them fastest
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _thread.keyed = gen, bit_generator, state
+    state["state"]["key"][0] = int(key)
+    bit_generator.state = state
+    return gen
 
 
 def fold_string(text: str) -> int:
@@ -104,7 +169,11 @@ class RandomStream:
     streams that only parent children never draw.
 
     A stream is single-owner: share the (master_seed, stream_id) recipe, not
-    the object, across threads.
+    the object, across threads. ``gen`` is the stream's own generator, for
+    the tests, the bounds and the demos. The run path builds no streams: it
+    derives keys as arrays (child_keys) and draws from keyed_generator(key),
+    which draws what the stream of that key draws, but is borrowed until the
+    next keyed_generator call on the same thread.
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
@@ -223,16 +292,20 @@ def chi_square(p, q) -> float:
 
 def make_uniform_sparse(k: int, s: int, stream: RandomStream) -> Distribution:
     """Uniform distribution over a uniformly chosen size-s subset of [k]."""
-    return Distribution(uniform_sparse_stack(k, s, [stream])[0])
+    return Distribution(uniform_sparse_stack(k, s, [stream.key])[0])
 
 
-def uniform_sparse_stack(k: int, s: int, streams: list[RandomStream]) -> np.ndarray:
-    """Row i is the make_uniform_sparse target drawn from streams[i]; shape (B, k)."""
+def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
+    """Row i is the make_uniform_sparse target drawn from the stream whose key is keys[i]; shape (B, k).
+
+    keys holds one 64-bit stream key per row, as a uint64 array or any int
+    sequence.
+    """
     if not 1 <= s <= k:
         raise ValueError("require 1 <= s <= k")
-    probs = np.zeros((len(streams), k))
-    for row, stream in zip(probs, streams):
-        row[stream.gen.choice(k, size=s, replace=False)] = 1.0 / s
+    probs = np.zeros((len(keys), k))
+    for row, key in zip(probs, keys):
+        row[keyed_generator(key).choice(k, size=s, replace=False)] = 1.0 / s
     return probs
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Channel, indicator_response_channel
-from .core import Distribution, RandomStream, as_probs, exp_epsilon, invertible_exp_epsilon
+from .core import Distribution, RandomStream, as_probs, exp_epsilon, invertible_exp_epsilon, keyed_generator
 from .hadamard import fwht, hadamard_dim, membership_parity
 from .projection import project_simplex_vec, project_sparse_simplex_vec
 
@@ -109,11 +109,11 @@ def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> np
     ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and aggregating
     every user's bit.
     """
-    return _draw_fractions(as_probs(p)[None], n, epsilon, [stream])[0]
+    return _draw_fractions(as_probs(p)[None], n, epsilon, [stream.key])[0]
 
 
-def _draw_fractions(P: np.ndarray, n: int, epsilon: float, streams: list[RandomStream]):
-    """Row i of a (B, k) stack through hr_simulate_fractions on streams[i].
+def _draw_fractions(P: np.ndarray, n: int, epsilon: float, keys):
+    """Row i of a (B, k) stack through hr_simulate_fractions, drawn from the stream whose key is keys[i].
 
     Returns the (B, K) fractions.
     """
@@ -123,21 +123,22 @@ def _draw_fractions(P: np.ndarray, n: int, epsilon: float, streams: list[RandomS
     sizes = np.full(K, n // K, dtype=np.int64)
     sizes[: n % K] += 1
     t = np.clip(hr_expected_fractions(P, epsilon, K), 0.0, 1.0)  # round-off can pass 1 at large eps
-    ones = np.stack([stream.gen.binomial(sizes, row) for stream, row in zip(streams, t)])
+    ones = np.stack([keyed_generator(key).binomial(sizes, row) for key, row in zip(keys, t)])
     return ones / sizes
 
 
 def hr_run_stack(
-    P: np.ndarray, n: int, epsilon: float, streams: list[RandomStream], mode: str = "sparse", s: int | None = None
+    P: np.ndarray, n: int, epsilon: float, keys, mode: str = "sparse", s: int | None = None
 ) -> np.ndarray:
-    """One protocol run on each row of a (B, k) stack of targets with its own stream.
+    """One protocol run on each row of a (B, k) stack of targets with its own stream key.
 
-    Each row draws its fractions from its stream as hr_simulate_fractions
-    does; the transforms and projections then run once over the whole stack.
-    Returns the (B, k) estimates.
+    keys holds one 64-bit key per row (a uint64 array or any int sequence).
+    Row i draws its fractions as hr_simulate_fractions does, from the
+    stream whose key is keys[i]; the transforms and projections then run
+    once over the whole stack. Returns the (B, k) estimates.
     """
     P = np.asarray(P, dtype=np.float64)
-    fracs = _draw_fractions(P, n, epsilon, streams)
+    fracs = _draw_fractions(P, n, epsilon, keys)
     return _project(hr_decode_raw(fracs, epsilon, P.shape[1]), mode, s)
 
 

@@ -5,7 +5,10 @@ A grid is the Cartesian product of sparsity values, constraint values
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
 records the TV error. A cell's pending trials run as one stack: each trial
 draws from its own streams, and decoding, projection and scoring run once
-over the stack, row by row. Cells run in this process or, with more than one
+over the stack, row by row. The stack's stream keys are derived as arrays
+(core.child_keys) and every draw borrows the thread's one re-keyed generator
+(core.keyed_generator), valid until the thread's next re-key; no
+RandomStream is built. Cells run in this process or, with more than one
 worker, in forked worker processes (POSIX only). Results stream to a CSV
 with a fixed header, one write per cell, in grid order; runs are resumable
 (existing (cell, trial) rows are skipped, a torn last line is dropped and
@@ -46,12 +49,12 @@ from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
 from .comm_hash import comm_run_stack, effective_ell
 from .core import (
     GOLDEN64,
-    MASK64,
-    RandomStream,
     check_probs,
+    child_keys,
     fold_string,
     invertible_exp_epsilon,
     mix64,
+    mix64_array,
     tv_distance,
     uniform_sparse_stack,
 )
@@ -231,10 +234,11 @@ def cell_hash(cell: Cell) -> int:
     return fold_string(f"{family}|k={cell.k}|s={cell.s}|n={cell.n}|{tag}")
 
 
-def trial_seed(master_seed: int, cell: Cell, trial_index: int) -> int:
-    """The 64-bit seed that fully determines one trial."""
+def trial_seeds(master_seed: int, cell: Cell, trials) -> np.ndarray:
+    """The 64-bit seeds that fully determine the given trials of a cell, as a uint64 array."""
     mixed = mix64(mix64(master_seed) ^ cell_hash(cell))
-    return mix64(mixed ^ ((trial_index + 1) * GOLDEN64 & MASK64))
+    steps = (np.array(trials, dtype=np.uint64, ndmin=1) + 1) * GOLDEN64
+    return mix64_array(mixed ^ steps)
 
 
 def bits_per_user(scheme: str, k: int, param) -> int:
@@ -253,17 +257,19 @@ def run_trial(cell: Cell, trial_index: int, master_seed: int) -> TrialResult:
 def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResult]:
     """Run a cell's trials as one stacked batch; results in the order of trials.
 
-    Each trial draws its target from its seed's child(0) and its protocol
-    randomness from child(1), so a trial's result does not depend on which
-    other trials share its batch. Decoding, projection and scoring run once
-    over the stack. Errors name the cell.
+    Each trial draws its target from the child 0 of RandomStream(seed) and
+    its protocol randomness from child 1, so a trial's result does not
+    depend on which other trials share its batch. The seeds and both
+    children's keys are derived for the whole stack at once. Decoding,
+    projection and scoring run once over the stack. Errors name the cell.
     """
-    seeds = [trial_seed(master_seed, cell, t) for t in trials]
-    streams = [RandomStream(seed) for seed in seeds]
+    seeds = trial_seeds(master_seed, cell, trials)
+    # RandomStream(seed).key, then the keys of its children 0 and 1
+    target_keys, protocol_keys = child_keys(child_keys(seeds, 0)[:, None], [0, 1]).T
     try:
-        targets = uniform_sparse_stack(cell.k, cell.s, [stream.child(0) for stream in streams])
+        targets = uniform_sparse_stack(cell.k, cell.s, target_keys)
         check_probs(targets)
-        estimates = _run_stack(cell, targets, [stream.child(1) for stream in streams])
+        estimates = _run_stack(cell, targets, protocol_keys)
         check_probs(estimates)
     except ValueError as err:
         raise ValueError(f"cell {cell}: {err}") from err
@@ -271,18 +277,18 @@ def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResul
     tvs = tv_distance(estimates, targets).tolist()
     return [
         TrialResult(cell.scheme, cell.k, cell.s, cell.n, cell.param, t, tv, bits, seed)
-        for t, tv, seed in zip(trials, tvs, seeds)
+        for t, tv, seed in zip(trials, tvs, seeds.tolist())
     ]
 
 
-def _run_stack(cell: Cell, targets: np.ndarray, streams: list[RandomStream]) -> np.ndarray:
-    """The cell's scheme run on each row of targets with its own stream."""
+def _run_stack(cell: Cell, targets: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The cell's scheme run on each row of targets with its own stream key."""
     if cell.scheme in ("hr_dense", "hr_sparse"):
         mode = "dense" if cell.scheme == "hr_dense" else "sparse"
-        return hr_run_stack(targets, cell.n, cell.param, streams, mode=mode, s=cell.s)
+        return hr_run_stack(targets, cell.n, cell.param, keys, mode=mode, s=cell.s)
     if cell.scheme == "rappor":
-        return rappor_run_stack(targets, cell.n, cell.param, cell.s, streams)[2]
-    return comm_run_stack(targets, cell.n, cell.param, cell.s, streams)[2]
+        return rappor_run_stack(targets, cell.n, cell.param, cell.s, keys)[2]
+    return comm_run_stack(targets, cell.n, cell.param, cell.s, keys)[2]
 
 
 def config_cells(config: ExperimentConfig) -> list[Cell]:
@@ -469,12 +475,11 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     todo = []
     for cell in config_cells(config):
         pending = []
-        for t in range(config.trials):
+        for t, want in enumerate(trial_seeds(seed, cell, range(config.trials)).tolist()):
             found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param_str(), t))
             if found is None:
                 pending.append(t)
                 continue
-            want = trial_seed(seed, cell, t)
             if found != want:
                 raise ValueError(
                     f"{out_path}: row ({cell.scheme}, s={cell.s}, {cell.param_str()}, trial {t}) has seed "

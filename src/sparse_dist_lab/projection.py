@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RandomStream
+from .core import child_keys, keyed_generator
 
 
 def _as_rows(v) -> np.ndarray:
@@ -97,21 +97,21 @@ def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
     return out.reshape(np.shape(v))
 
 
-def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, stream: RandomStream) -> np.ndarray:
+def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, gen: np.random.Generator) -> np.ndarray:
     """Draw m users' per-symbol counts given their symbol histogram c.
 
     Symbol x counts each of its c(x) holders with probability 1 - drop and
     each of the other m - c(x) users with probability noise, independently,
     so the count is c - Binomial(c, drop) + Binomial(m - c, noise), drawn in
-    that order from stream, in O(k) whatever m is. The subtraction is how
+    that order from gen, in O(k) whatever m is. The subtraction is how
     NumPy draws Binomial(c, 1 - drop) for drop < 0.5 (up to the rounding of
     1 - (1 - drop)), so the counts match a direct draw of the kept bits. At
-    drop = 0 the own-symbol draw would take nothing from the stream but
+    drop = 0 the own-symbol draw would take nothing from gen but
     still cost about a quarter of the noise draw, so it is skipped.
     """
     c = np.asarray(c, dtype=np.int64)
-    kept = c - stream.gen.binomial(c, drop) if drop else c
-    return kept + stream.gen.binomial(m - c, noise)
+    kept = c - gen.binomial(c, drop) if drop else c
+    return kept + gen.binomial(m - c, noise)
 
 
 def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, drop: float, noise: float):
@@ -135,12 +135,16 @@ def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, drop: float
     return T, raw, out
 
 
-def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, streams: list[RandomStream]):
+def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, keys):
     """Split n users in half and run split_half_decode on each row of a (B, k) stack of targets.
 
-    Row i draws the halves' symbol histograms from streams[i].child(0) and
-    child(1), then each half's counts by split_half_counts on child(2) and
-    child(3). Returns split_half_decode's (T, raw, out).
+    keys holds one 64-bit stream key per row (a uint64 array or any int
+    sequence). Row i draws the halves' symbol histograms from the child
+    streams 0 and 1 of the stream whose key is keys[i], then each half's
+    counts by split_half_counts on children 2 and 3. The children's keys
+    are derived for the whole stack at once (child_keys), and each draw
+    borrows this thread's keyed_generator and finishes before the next
+    re-key. Returns split_half_decode's (T, raw, out).
     """
     P = np.asarray(P, dtype=np.float64)
     m1 = n // 2
@@ -149,9 +153,10 @@ def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int
         raise ValueError("need at least two users")
     M = np.empty(P.shape, dtype=np.int64)
     N = np.empty(P.shape, dtype=np.int64)
-    for i, stream in enumerate(streams):
-        c1 = stream.child(0).gen.multinomial(m1, P[i])
-        c2 = stream.child(1).gen.multinomial(m2, P[i])
-        M[i] = split_half_counts(c1, m1, drop, noise, stream.child(2))
-        N[i] = split_half_counts(c2, m2, drop, noise, stream.child(3))
+    children = child_keys(np.asarray(keys, dtype=np.uint64)[:, None], range(4)).tolist()
+    for i, (key1, key2, key_m, key_n) in enumerate(children):
+        c1 = keyed_generator(key1).multinomial(m1, P[i])
+        c2 = keyed_generator(key2).multinomial(m2, P[i])
+        M[i] = split_half_counts(c1, m1, drop, noise, keyed_generator(key_m))
+        N[i] = split_half_counts(c2, m2, drop, noise, keyed_generator(key_n))
     return split_half_decode(M, N, m2, t, drop, noise)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Channel
-from .core import RandomStream, invertible_exp_epsilon
+from .core import invertible_exp_epsilon
 from .projection import split_half_estimate
 
 
@@ -42,20 +42,21 @@ def flip_probability(epsilon: float) -> float:
     return 1 / (invertible_exp_epsilon(epsilon, 2) + 1)
 
 
-def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, streams: list[RandomStream]):
-    """One protocol run on each row of a (B, k) stack of targets with its own stream.
+def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
+    """One protocol run on each row of a (B, k) stack of targets with its own stream key.
 
     Both halves' column sums are drawn from their exact law, that of
     encoding every user, and decoded by split_half_estimate on a candidate
     support of 2s symbols; a bit flips with probability q either way, so
-    drop = noise = q. Returns the (B, 2s) supports and the (B, k) raw and
-    projected estimates.
+    drop = noise = q. keys holds one 64-bit key per row (see
+    split_half_estimate). Returns the (B, 2s) supports and the (B, k) raw
+    and projected estimates.
     """
     k = np.shape(P)[1]
     if 2 * s > k:
         raise ValueError(f"candidate support 2s={2 * s} would exceed k={k}")
     q = flip_probability(epsilon)
-    return split_half_estimate(P, n, q, q, 2 * s, streams)
+    return split_half_estimate(P, n, q, q, 2 * s, keys)
 
 
 def rappor_channel_matrix(epsilon: float, k: int) -> Channel:

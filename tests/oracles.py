@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sparse_dist_lab.core import _MIX_M1, _MIX_M2, GOLDEN64, MASK64, RandomStream, as_probs, mix64
+from sparse_dist_lab.core import GOLDEN64, MASK64, RandomStream, as_probs, mix64, mix64_array
 from sparse_dist_lab.hadamard import membership_parity
 from sparse_dist_lab.hadamard_response import hr_flip_probs
 from sparse_dist_lab.rappor import flip_probability
@@ -123,17 +123,6 @@ def column_sums(messages: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ comm_hash
-
-
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """core.mix64 over a uint64 array (wrapping arithmetic)."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_M2)
-    z ^= z >> np.uint64(31)
-    return z
 
 
 def hash_eval(public_seed: int, buckets: int, user_index: int, x: int) -> int:

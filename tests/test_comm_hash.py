@@ -132,7 +132,7 @@ def test_decode_full_preimage_means_one():
 
 def test_decode_clamps_support_to_k():
     k, s_sp = 3, 2  # 2s > k
-    T, _, _ = comm_run_stack(np.full((1, k), 1 / k), 200, 2, s_sp, [RandomStream(3, 0)])
+    T, _, _ = comm_run_stack(np.full((1, k), 1 / k), 200, 2, s_sp, [RandomStream(3, 0).key])
     assert sorted(T[0].tolist()) == [0, 1, 2]
 
 
@@ -159,7 +159,7 @@ def test_hist_sampler_matches_expectation():
     draws = 400
     acc = np.zeros(k)
     for t in range(draws):
-        acc += split_half_counts(c, m, 0.0, 1 / 2**ell, RandomStream(t, 9))
+        acc += split_half_counts(c, m, 0.0, 1 / 2**ell, RandomStream(t, 9).gen)
     mean = acc / draws
     want = c + (m - c) / 4
     sigma = np.sqrt((m - c) * 0.25 * 0.75) / math.sqrt(draws)
@@ -179,7 +179,7 @@ def test_sampler_agrees_with_scan_in_distribution():
     for t in range(draws):
         seed = 1000 + t  # fresh public coins per draw
         acc_scan += preimage_counts(np.arange(m), comm_encode_batch(xs, seed, 2**ell), seed, 2**ell, k)
-        acc_hist += split_half_counts(c, m, 0.0, 1 / 2**ell, RandomStream(t, 13))
+        acc_hist += split_half_counts(c, m, 0.0, 1 / 2**ell, RandomStream(t, 13).gen)
     want = c + (m - c) / 4
     sigma = np.sqrt((m - c) * 0.25 * 0.75) / math.sqrt(draws)
     assert np.all(np.abs(acc_scan / draws - want) <= 4 * sigma)

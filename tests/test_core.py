@@ -7,17 +7,21 @@ import pytest
 
 from oracles import sample_iid
 from sparse_dist_lab.core import (
+    GOLDEN64,
     Distribution,
     PackingIndex,
     RandomStream,
     chi_square,
+    child_keys,
     derive_key,
     enumerate_packing_indices,
     fold_string,
     induced_output_dist,
+    keyed_generator,
     make_packing_dist,
     make_uniform_sparse,
     mix64,
+    mix64_array,
     packing_reference_dist,
     tv_distance,
 )
@@ -284,6 +288,63 @@ def test_stream_is_philox_keyed_by_its_key(master_seed):
     assert np.array_equal(stream.gen.binomial(sizes, probs), ref.binomial(sizes, probs))
     assert np.array_equal(stream.gen.multinomial(10**5, [0.2, 0.3, 0.5]), ref.multinomial(10**5, [0.2, 0.3, 0.5]))
     assert np.array_equal(stream.gen.choice(1000, size=40, replace=False), ref.choice(1000, size=40, replace=False))
+
+
+# the edges of the 64-bit range, the golden-ratio step, and random keys
+_KEYS = [0, 1, 2**64 - 1, GOLDEN64, *RandomStream(31).gen.integers(0, 2**64, size=12, dtype=np.uint64).tolist()]
+
+
+def test_mix64_array_matches_mix64():
+    assert mix64_array(np.array(_KEYS, dtype=np.uint64)).tolist() == [mix64(key) for key in _KEYS]
+    assert mix64_array(_KEYS).tolist() == [mix64(key) for key in _KEYS]
+
+
+@pytest.mark.parametrize("stream_id", [0, 1, 3, 2**40])
+def test_child_keys_match_random_stream_keys(stream_id):
+    # The uint64 products wrap inside arrays, where NumPy does not warn;
+    # the test run turns a RuntimeWarning into a failure.
+    want = [RandomStream(key, stream_id).key for key in _KEYS]
+    got = child_keys(np.array(_KEYS, dtype=np.uint64), stream_id)
+    assert got.dtype == np.uint64
+    assert got.tolist() == want
+    assert child_keys(_KEYS, stream_id).tolist() == want
+    assert child_keys(_KEYS[:1], stream_id).tolist() == want[:1]
+
+
+def test_child_keys_broadcast_stream_ids():
+    ids = [0, 1, 3, 2**40]
+    got = child_keys(np.array(_KEYS, dtype=np.uint64)[:, None], ids)
+    assert got.tolist() == [[RandomStream(key, j).key for j in ids] for key in _KEYS]
+
+
+def _draw_all(gen):
+    return [
+        gen.integers(0, 1000, size=3, dtype=np.uint32),  # an odd count of 32-bit draws leaves a spare word
+        gen.random(5),  # five 64-bit words: Philox's four-word buffer is left partly used
+        gen.binomial([10, 1000, 10**6], [0.5, 0.01, 0.3]),
+        gen.multinomial(10**4, [0.2, 0.3, 0.5]),
+        gen.choice(1000, size=40, replace=False),
+        gen.integers(0, 2**32, size=1, dtype=np.uint32),
+    ]
+
+
+def test_keyed_generator_draws_as_fresh_streams():
+    streams = [RandomStream(1, 0), RandomStream(1, 1), RandomStream(2**64 - 1, 3), RandomStream(GOLDEN64, 0)]
+    # round-robin twice over the keys, so every re-key follows draws under another key
+    for stream in streams + streams[::-1]:
+        gen = keyed_generator(stream.key)
+        got = _draw_all(gen)
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4  # both left dirty
+        want = _draw_all(RandomStream(stream.master_seed, stream.stream_id).gen)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1])
+def test_keyed_generator_takes_the_whole_key_range(key):
+    keyed_generator(7).integers(0, 10, size=3, dtype=np.uint32)  # leave the generator mid-stream
+    ref = np.random.Generator(np.random.Philox(key=key))
+    assert np.array_equal(keyed_generator(np.uint64(key)).random(9), ref.random(9))
 
 
 def test_fold_string_stable():

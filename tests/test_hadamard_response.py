@@ -162,7 +162,7 @@ def test_decode_mode_validation():
 def test_run_recovers_sparse_target():
     p = np.zeros(50)
     p[[3, 30]] = 0.5
-    out = hr_run_stack(p[None], 200000, 1.0, [RandomStream(5, 0)], mode="sparse", s=2)[0]
+    out = hr_run_stack(p[None], 200000, 1.0, [RandomStream(5, 0).key], mode="sparse", s=2)[0]
     tv = 0.5 * np.abs(out - p).sum()
     assert tv <= 0.05
 

@@ -6,12 +6,15 @@ import json
 import os
 import re
 import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main
+from sparse_dist_lab.core import GOLDEN64, MASK64, mix64
 from sparse_dist_lab.harness import (
     CSV_HEADER,
     Cell,
@@ -22,11 +25,12 @@ from sparse_dist_lab.harness import (
     load_configs,
     plan_report,
     read_results,
+    run_cell,
     run_grid,
     run_trial,
     scheme_family,
     summarize,
-    trial_seed,
+    trial_seeds,
     write_summary,
 )
 
@@ -197,6 +201,22 @@ def test_load_configs_accepts_object_or_list(tmp_path):
 
 
 # -------------------------------------------------------------------- seeding
+
+
+def trial_seed(master_seed, cell, trial_index):
+    """The seed of one trial, as an int."""
+    return int(trial_seeds(master_seed, cell, [trial_index])[0])
+
+
+def test_trial_seeds_wrap_as_the_scalar_mix():
+    # The seeds are derived as a uint64 array; each must equal the scalar
+    # chain of mix64 over Python ints, masked to 64 bits, for every index.
+    cell = Cell("comm_hash", 16, 2, 1000, 3)
+    trials = [0, 1, 7, 2**20, 2**40]
+    for master_seed in (0, 5, 2**64 - 1):
+        mixed = mix64(mix64(master_seed) ^ cell_hash(cell))
+        want = [mix64(mixed ^ ((t + 1) * GOLDEN64 & MASK64)) for t in trials]
+        assert trial_seeds(master_seed, cell, trials).tolist() == want
 
 
 def test_cell_cardinality():
@@ -458,6 +478,59 @@ def test_results_csv_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, name
 
 
+def test_run_cell_in_threads_matches_serial():
+    # Every thread re-keys its own generator: a cell of each scheme, all run
+    # at once with thread switches forced often, gives the rows of a serial run.
+    cells = [config_cells(ExperimentConfig(trials=1, master_seed=5, **grid))[-1] for grid in _GOLDEN_GRIDS]
+    serial = [run_cell(cell, [0, 1, 2], 5) for cell in cells]
+    rounds = 20
+    got = [[] for _ in cells]
+    start = threading.Barrier(len(cells))
+
+    def work(i):
+        start.wait()
+        for _ in range(rounds):
+            got[i].append(run_cell(cells[i], [0, 1, 2], 5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cells))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[rows] * rounds for rows in serial]
+
+
+def test_grid_builds_one_philox_per_thread(tmp_path, monkeypatch):
+    # The run path re-keys one generator per thread; a Philox (and so a
+    # Generator) built per trial or per stream would show here.
+    built = []
+    real_philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(threading.get_ident())
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    out = tmp_path / "res.csv"
+
+    def run():
+        for grid in _GOLDEN_GRIDS:
+            run_grid(ExperimentConfig(trials=2, master_seed=20240801, **grid), str(out), threads=1)
+
+    thread = threading.Thread(target=run)  # a fresh thread holds no generator yet
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SHA256
+    assert built == [thread.ident]
+
+
 def test_grid_thread_count_invariance(tmp_path, monkeypatch):
     # 8 cells over 4 workers: each forked worker runs two cells, striped.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
@@ -526,11 +599,11 @@ def _fail_in_worker(monkeypatch, target, fail):
     parent = os.getpid()
     real_run_stack = harness._run_stack
 
-    def run_stack(cell, targets, streams):
+    def run_stack(cell, targets, keys):
         if cell == target:
             assert os.getpid() != parent, "the cell ran in the calling process"
             fail()
-        return real_run_stack(cell, targets, streams)
+        return real_run_stack(cell, targets, keys)
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness, "_WORKER_MIN_WORK", 1)

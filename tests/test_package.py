@@ -74,15 +74,23 @@ def test_every_public_src_name_is_used():
     assert unused == []
 
 
-def _run_python(args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _run_python(args: list[str], **env) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
-def test_demo_runs(demo):
-    done = _run_python([str(demo)])
+def test_demo_runs(demo, tmp_path):
+    # a demo's temporary files go under tmp_path, and none may be left there
+    done = _run_python([str(demo)], TMPDIR=str(tmp_path))
     assert done.returncode == 0, done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trend_demo_writes_to_the_directory_it_is_given(tmp_path):
+    done = _run_python([str(ROOT / "demos" / "trend_figure_demo.py"), str(tmp_path / "out")])
+    assert done.returncode == 0, done.stderr
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["results.csv", "summary.csv", "summary.json"]
 
 
 @pytest.mark.parametrize("snippet", README_SNIPPETS, ids=[f"block{i}" for i in range(len(README_SNIPPETS))])

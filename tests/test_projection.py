@@ -194,7 +194,7 @@ def test_split_half_counts_draw_order(drop):
     # stream: a twin stream replays the counts exactly.
     c = np.array([300, 0, 120, 80, 0, 500])
     m, noise = 1000, 0.125
-    got = split_half_counts(c, m, drop, noise, RandomStream(7, 3))
+    got = split_half_counts(c, m, drop, noise, RandomStream(7, 3).gen)
     gen = RandomStream(7, 3).gen
     kept = c - gen.binomial(c, drop) if drop else c
     assert np.array_equal(got, kept + gen.binomial(m - c, noise))

@@ -19,9 +19,9 @@ def decode(M, N, m2, s, eps):
     return T[0], raw[0], out[0]
 
 
-def run(P, n, eps, s, streams):
+def run(P, n, eps, s, keys):
     """rappor_run_stack's projected estimates of a (B, k) stack."""
-    return rappor_run_stack(P, n, eps, s, streams)[2]
+    return rappor_run_stack(P, n, eps, s, keys)[2]
 
 
 def test_flip_probability_values():
@@ -82,7 +82,7 @@ def test_point_mass_recovery_rate():
     k, s, eps, n = 100, 1, 1.0, 10**5
     p = np.zeros(k)
     p[42] = 1.0
-    out = run(np.tile(p, (100, 1)), n, eps, s, [RandomStream(t, 1) for t in range(100)])
+    out = run(np.tile(p, (100, 1)), n, eps, s, [RandomStream(t, 1).key for t in range(100)])
     hits = sum(tv_distance(row, p) <= 0.05 for row in out)
     assert hits >= 95
 
@@ -101,13 +101,13 @@ def test_user_permutation_within_half_is_irrelevant():
 
 def test_estimate_rejects_oversized_support():
     with pytest.raises(ValueError, match="2s=6 would exceed k=5"):
-        run(np.full((1, 5), 0.2), 10, 1.0, 3, [RandomStream(0, 0)])
+        run(np.full((1, 5), 0.2), 10, 1.0, 3, [RandomStream(0, 0).key])
 
 
 def test_estimate_rejects_empty_half():
     # one user leaves the first half empty
     with pytest.raises(ValueError, match="at least two users"):
-        run(np.full((1, 4), 0.25), 1, 1.0, 1, [RandomStream(0, 0)])
+        run(np.full((1, 4), 0.25), 1, 1.0, 1, [RandomStream(0, 0).key])
 
 
 def test_channel_is_ldp_exactly():
@@ -129,7 +129,7 @@ def test_unbiasedness_on_support():
     q = flip_probability(eps)
     p = np.zeros(k)
     p[[4, 11]] = [0.35, 0.65]
-    T, raw, _ = rappor_run_stack(np.tile(p, (trials, 1)), n, eps, s, [RandomStream(t, 2) for t in range(trials)])
+    T, raw, _ = rappor_run_stack(np.tile(p, (trials, 1)), n, eps, s, [RandomStream(t, 2).key for t in range(trials)])
     assert all({4, 11} <= set(row) for row in T)  # easy support at this n
     mean = raw.mean(axis=0)
     gamma = 1 - 2 * q
@@ -148,7 +148,7 @@ def test_error_shrinks_with_sparsity():
         P = np.zeros((trials, k))
         for t in range(trials):
             P[t, RandomStream(200 + t, s).gen.choice(k, size=s, replace=False)] = 1 / s
-        out = run(P, n, eps, s, [RandomStream(100 + t, s) for t in range(trials)])
+        out = run(P, n, eps, s, [RandomStream(100 + t, s).key for t in range(trials)])
         return tv_distance(out, P).mean()
 
     assert mean_tv(1) < mean_tv(16)
@@ -162,7 +162,7 @@ def test_hist_sampler_matches_expectation():
     acc = np.zeros(k)
     draws = 400
     for t in range(draws):
-        acc += split_half_counts(c, m, q, q, RandomStream(t, 5))
+        acc += split_half_counts(c, m, q, q, RandomStream(t, 5).gen)
     mean = acc / draws
     want = c * (1 - q) + (m - c) * q
     sigma = np.sqrt(c * q * (1 - q) + (m - c) * q * (1 - q)) / math.sqrt(draws)
@@ -182,7 +182,7 @@ def test_sampler_agrees_with_encoder_in_distribution():
     acc_hist = np.zeros(k)
     for t in range(draws):
         acc_enc += column_sums(rappor_encode_batch(xs, eps, k, RandomStream(t, 17)))
-        acc_hist += split_half_counts(c, m, q, q, RandomStream(t, 19))
+        acc_hist += split_half_counts(c, m, q, q, RandomStream(t, 19).gen)
     want = c * (1 - q) + (m - c) * q
     sigma = math.sqrt(m * q * (1 - q)) / math.sqrt(draws)
     assert np.all(np.abs(acc_enc / draws - want) <= 4 * sigma)
@@ -192,6 +192,6 @@ def test_sampler_agrees_with_encoder_in_distribution():
 def test_run_deterministic():
     p = np.zeros((1, 16))
     p[0, [0, 9]] = 0.5
-    a = run(p, 2000, 1.0, 2, [RandomStream(11, 0)])
-    b = run(p, 2000, 1.0, 2, [RandomStream(11, 0)])
+    a = run(p, 2000, 1.0, 2, [RandomStream(11, 0).key])
+    b = run(p, 2000, 1.0, 2, [RandomStream(11, 0).key])
     assert np.array_equal(a, b)

@@ -12,7 +12,7 @@ when the target really is sparse.
 import numpy as np
 
 from sparse_dist_lab import (
-    RandomStream,
+    derive_key,
     hadamard_dim,
     hr_decode,
     hr_decode_raw,
@@ -24,14 +24,14 @@ from sparse_dist_lab import (
 
 def main():
     k, s, eps, n = 1000, 8, 1.0, 200000
-    stream = RandomStream(2024, 0)
+    key = derive_key(2024, 0)
 
-    target = make_uniform_sparse(k, s, stream.child(0))
+    target = make_uniform_sparse(k, s, derive_key(key, 0))
     support = np.nonzero(target.probs)[0]
     print(f"target: uniform over {s} of {k} symbols, support {support.tolist()}")
     print(f"block size K = {hadamard_dim(k)} (group count; one bit per user)")
 
-    fracs = hr_simulate_fractions(target, n, eps, stream.child(1))
+    fracs = hr_simulate_fractions(target, n, eps, derive_key(key, 1))
     print(f"\nsimulated n = {n} users at epsilon = {eps}")
     print(f"group fractions: min {fracs.min():.4f}, max {fracs.max():.4f}")
 

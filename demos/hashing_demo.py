@@ -11,19 +11,19 @@ an ideal hash, so no message is built here.
 
 import numpy as np
 
-from sparse_dist_lab import RandomStream, comm_run_details, effective_ell, make_uniform_sparse, tv_distance
+from sparse_dist_lab import comm_run_details, derive_key, effective_ell, make_uniform_sparse, tv_distance
 
 
 def main():
     k, s, ell, n = 1000, 8, 3, 100000
-    stream = RandomStream(7, 0)
+    key = derive_key(7, 0)
 
     ell_eff = effective_ell(ell, s)
     buckets = 1 << ell_eff
     print(f"k={k}, s={s}, raw ell={ell} -> effective ell = {ell_eff} ({buckets} buckets)")
     print("(buckets beyond ~2s buy nothing, so wider messages are truncated)\n")
 
-    target = make_uniform_sparse(k, s, stream.child(0))
+    target = make_uniform_sparse(k, s, derive_key(key, 0))
     support = set(np.nonzero(target.probs)[0].tolist())
 
     # a message is consistent with its sender's symbol, and with any other
@@ -34,7 +34,7 @@ def main():
     print(f"expected preimage size of one message: 1 + (k-1)/B = {1 + (k - 1) / buckets:.1f} symbols\n")
 
     # the full two-stage protocol
-    T, raw, estimate = comm_run_details(target, n, ell, s, stream.child(2))
+    T, raw, estimate = comm_run_details(target, n, ell, s, derive_key(key, 2))
     print(f"full run at n = {n}:")
     print(f"  candidate support T (top {len(T)} by stage-1 counts) captures "
           f"{len(support & set(T.tolist()))}/{s} true symbols")
@@ -46,7 +46,7 @@ def main():
     # replays the capped run exactly
     print("TV error by raw ell (one run each, on the same stream):")
     for bits in range(1, 7):
-        run = comm_run_details(target, n, bits, s, stream.child(3))[2]
+        run = comm_run_details(target, n, bits, s, derive_key(key, 3))[2]
         print(f"  ell = {bits} (effective {effective_ell(bits, s)}): {tv_distance(run, target):.4f}")
 
 

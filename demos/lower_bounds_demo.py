@@ -11,7 +11,7 @@ planned sample sizes.
 """
 
 from sparse_dist_lab import (
-    RandomStream,
+    derive_key,
     expected_chisq_over_packing,
     implied_sample_lower_bound,
     lbit_contraction_ceiling,
@@ -35,10 +35,10 @@ def main():
         bound = ldp_contraction_ceiling(eps, s, alpha)
         print(f"  randomized response, eps={eps}: E[chi2] = {val:.6f}  "
               f"(privacy bound {bound:.4f}, LDP verified: {verify_ldp(W, eps)})")
-    stream = RandomStream(0, 1)
+    key = derive_key(0, 1)
     for ell in (1, 2, 3):
         worst = max(
-            expected_chisq_over_packing(random_lbit_channel(k + 1, ell, stream.child(t)), k, s, alpha)
+            expected_chisq_over_packing(random_lbit_channel(k + 1, ell, derive_key(key, t)), k, s, alpha)
             for t in range(20)
         )
         print(f"  worst of 20 random {ell}-bit channels: E[chi2] = {worst:.6f}  "

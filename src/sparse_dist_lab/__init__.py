@@ -32,7 +32,7 @@ from .comm_hash import comm_run_details, effective_ell
 from .core import (
     Distribution,
     PackingIndex,
-    RandomStream,
+    derive_key,
     make_uniform_sparse,
     tv_distance,
 )

@@ -23,7 +23,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import RandomStream, exp_epsilon, invertible_exp_epsilon
+from .core import derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
 
 ROW_TOL = 1e-9
 REPORT_TOL = 1e-9
@@ -226,7 +226,8 @@ def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: floa
     C2*s^2 / (alpha^2*min(2^ell,s)) users respectively; both halves get the
     larger of the two. For the private scheme ("ldp") the risk bound
     40*s*sqrt(log(2k/s))/sqrt(n) * (e^eps+1)/(e^eps-1) is inverted at
-    accuracy alpha.
+    accuracy alpha. Raises ValueError naming alpha when a size is not a
+    finite number.
     """
     if k < 1 or not 1 <= s <= k or not 0 < alpha < 1:
         raise ValueError("invalid parameters")
@@ -240,17 +241,29 @@ def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: floa
             raise ValueError("ldp scheme needs epsilon > 0")
         e = invertible_exp_epsilon(epsilon)
         root = 40 * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
-        n = math.ceil(root * root)
+        n = _ceil_size(root * root, alpha)
         return n + (n % 2)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def comm_stage_sizes(k: int, s: int, alpha: float, ell: int) -> tuple[int, int]:
-    """Per-half sample sizes of the hashing scheme's two stages."""
-    denom = alpha * alpha * min(2**ell, s)
-    stage1 = math.ceil(C1_SUPPORT * s * s * max(math.log(k / s), 1.0) / denom)
-    stage2 = math.ceil(C2_ESTIMATE * s * s / denom)
+    """Per-half sample sizes of the hashing scheme's two stages.
+
+    Raises ValueError naming alpha when a size is not a finite number.
+    """
+    # 2^ell >= s once ell reaches s's bit length, so a large ell builds no 2^ell
+    buckets = s if ell >= s.bit_length() else min(2**ell, s)
+    denom = alpha * alpha * buckets or math.nan  # alpha^2 can underflow to 0
+    stage1 = _ceil_size(C1_SUPPORT * s * s * max(math.log(k / s), 1.0) / denom, alpha)
+    stage2 = _ceil_size(C2_ESTIMATE * s * s / denom, alpha)
     return stage1, stage2
+
+
+def _ceil_size(size: float, alpha: float) -> int:
+    """math.ceil(size), or a ValueError naming alpha when size is not a finite number."""
+    if not math.isfinite(size):
+        raise ValueError(f"alpha={alpha!r} is too small: the planned sample size is not a finite number")
+    return math.ceil(size)
 
 
 def ldp_risk_bound(k: int, s: int, epsilon: float, n: int) -> float:
@@ -283,11 +296,11 @@ def indicator_response_channel(num_symbols: int, epsilon: float, member: np.ndar
     return Channel(np.column_stack([1 - ones, ones]))
 
 
-def random_lbit_channel(num_symbols: int, ell: int, stream: RandomStream) -> Channel:
-    """A random channel with 2^ell outputs (rows drawn flat on the simplex)."""
+def random_lbit_channel(num_symbols: int, ell: int, key: int) -> Channel:
+    """A random channel with 2^ell outputs (rows drawn flat on the simplex by the stream of key)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    rows = stream.gen.dirichlet(np.ones(2**ell), size=num_symbols)
+    rows = keyed_generator(key).dirichlet(np.ones(2**ell), size=num_symbols)
     return Channel(rows)
 
 
@@ -324,11 +337,11 @@ def verification_suite(master_seed: int = 0) -> list[BoundReport]:
                 )
             )
 
-    stream = RandomStream(master_seed, stream_id=20)
+    key = derive_key(master_seed, 20)
     for ell in (1, 2, 3):
         worst = 0.0
         for trial in range(20):
-            channel = random_lbit_channel(k + 1, ell, stream.child(ell * 100 + trial))
+            channel = random_lbit_channel(k + 1, ell, derive_key(key, ell * 100 + trial))
             worst = max(worst, expected_chisq_over_packing(channel, k, s, alpha))
         reports.append(
             BoundReport(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Distribution, RandomStream, as_probs
+from .core import Distribution, as_probs
 from .projection import split_half_estimate
 
 
@@ -43,13 +43,14 @@ def effective_ell(ell: int, s: int | None) -> int:
     return min(ell, (s - 1).bit_length() + 1)
 
 
-def comm_run_details(p, n: int, ell: int, s: int, stream: RandomStream):
+def comm_run_details(p, n: int, ell: int, s: int, key: int):
     """One full protocol run; returns (T, raw estimate, Distribution).
 
     Splits the n users in half, draws each half's symbol histogram and then
-    its consistency counts from their exact ideal-hash law, and decodes.
+    its consistency counts from their exact ideal-hash law, and decodes;
+    the stream of key draws it all.
     """
-    T, raw, out = comm_run_stack(as_probs(p)[None], n, ell, s, [stream.key])
+    T, raw, out = comm_run_stack(as_probs(p)[None], n, ell, s, [key])
     return T[0], raw[0], Distribution(out[0])
 
 

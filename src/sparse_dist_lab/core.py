@@ -4,10 +4,14 @@ Everything downstream (the privatization schemes, the lower-bound machinery,
 the experiment harness) builds on the primitives here: a validated probability
 vector type, total-variation and chi-squared divergences, the s-sparse
 uniform targets used in experiments, the packing family of hard
-distributions used by the lower bounds, and counter-based random streams that
-make every run replayable regardless of worker count (keyed by 64-bit keys,
-which the run path derives in arrays and draws from through one re-keyed
-generator per thread).
+distributions used by the lower bounds, and the keyed random streams that
+make every run replayable regardless of worker count.
+
+A stream is named by a 64-bit int key and draws what
+Generator(Philox(key=key)) draws. Keys come from a master seed and a
+stream id (derive_key; child_keys for arrays of keys), so a child's key is
+derive_key(parent_key, child_id), and keyed_generator(key) draws a key's
+stream through one re-keyed generator per thread.
 
 Conventions
 -----------
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -67,40 +70,45 @@ def mix64_array(z) -> np.ndarray:
 
 
 def derive_key(master_seed: int, stream_id: int) -> int:
-    """Map (master_seed, stream_id) to a 64-bit key, injectively in practice."""
+    """The 64-bit key of stream stream_id under master_seed (or under a parent stream's key).
+
+    Injective in practice: distinct stream ids give keys whose streams are
+    independent for all practical purposes, and children of children never
+    collide with their parent's siblings, as the mix applies at every level.
+    """
     return mix64(mix64(master_seed) ^ ((stream_id + 1) * GOLDEN64 & MASK64))
 
 
 def child_keys(keys, stream_id) -> np.ndarray:
-    """RandomStream(key, stream_id).key for each key of a uint64 array (or int sequence), as a uint64 array.
+    """derive_key(key, stream_id) for each of keys, as a uint64 array.
 
-    stream_id is a nonnegative int, or an array of them broadcast against
-    keys: child_keys(keys[:, None], range(4)) holds row by row the keys of
-    each key's children 0 to 3, for the price of one call.
+    keys is a uint64 array, an int sequence or one Python int (mixed by the
+    scalar mix64). stream_id is a nonnegative int, or an array of them
+    broadcast against keys: child_keys(keys[:, None], range(4)) holds row by
+    row the keys of each key's children 0 to 3, for the price of one call.
     """
     steps = (np.array(stream_id, dtype=np.uint64, ndmin=1) + 1) * GOLDEN64
-    return mix64_array(mix64_array(keys) ^ steps)
+    mixed = mix64(keys) if isinstance(keys, int) else mix64_array(keys)
+    return mix64_array(mixed ^ steps)
 
 
 _thread = threading.local()
 
 
 def keyed_generator(key: int) -> np.random.Generator:
-    """This thread's generator, re-keyed to draw what RandomStream's gen draws for key.
+    """This thread's generator, re-keyed to draw the stream of key.
 
     The re-key sets the Philox counter to 0 and its key to [key, 0], and
     empties its buffer and its spare 32-bit word, so the draws match
     Generator(Philox(key=key)) bit for bit. Each thread builds one
-    generator, on its first call, and every call re-keys it: the generator
-    is borrowed until the next call on this thread, and is not for another
-    thread.
+    generator, on its first call (numpy.random is not imported before), and
+    every call re-keys it: the generator is borrowed until the next call on
+    this thread, and is not for another thread.
     """
     try:
         gen, bit_generator, state = _thread.keyed
     except AttributeError:
-        from ._philox_key import PhiloxKey
-
-        bit_generator = np.random.Philox(PhiloxKey(0))
+        bit_generator = np.random.Philox(key=0)
         gen = np.random.Generator(bit_generator)
         # Python ints, not arrays: the state setter reads them fastest
         state = {
@@ -155,49 +163,6 @@ def invertible_exp_epsilon(epsilon: float, divisor: int = 1) -> float:
         power = "epsilon" if divisor == 1 else f"(epsilon/{divisor})"
         raise ValueError(f"epsilon={epsilon!r} is too small: e^{power} rounds to 1")
     return e
-
-
-class RandomStream:
-    """A named, replayable source of randomness.
-
-    Wraps a counter-based bit generator (Philox) keyed by an avalanche mix of
-    ``(master_seed, stream_id)``. Identical constructor arguments yield
-    identical sequences on every platform. Distinct stream_ids give streams
-    that are independent for all practical purposes, so per-trial and
-    per-purpose substreams can run concurrently without any ordering
-    sensitivity. The generator is built on the first read of ``gen``, since
-    streams that only parent children never draw.
-
-    A stream is single-owner: share the (master_seed, stream_id) recipe, not
-    the object, across threads. ``gen`` is the stream's own generator, for
-    the tests, the bounds and the demos. The run path builds no streams: it
-    derives keys as arrays (child_keys) and draws from keyed_generator(key),
-    which draws what the stream of that key draws, but is borrowed until the
-    next keyed_generator call on the same thread.
-    """
-
-    def __init__(self, master_seed: int, stream_id: int = 0):
-        self.master_seed = int(master_seed) & MASK64
-        self.stream_id = int(stream_id)
-        self.key = derive_key(self.master_seed, self.stream_id)
-
-    @cached_property
-    def gen(self) -> np.random.Generator:
-        """The stream's generator, bit for bit ``Generator(Philox(key=self.key))``."""
-        from ._philox_key import PhiloxKey
-
-        return np.random.Generator(np.random.Philox(PhiloxKey(self.key)))
-
-    def child(self, substream_id: int) -> "RandomStream":
-        """A fresh stream deterministically derived from this one's identity.
-
-        Children of distinct ids never overlap with each other or with the
-        parent (the key chain applies the avalanche mix at every level).
-        """
-        return RandomStream(self.key, substream_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
 def check_probs(p: np.ndarray) -> None:
@@ -290,13 +255,13 @@ def chi_square(p, q) -> float:
     return float(np.sum(diff * diff / qv[mask]))
 
 
-def make_uniform_sparse(k: int, s: int, stream: RandomStream) -> Distribution:
-    """Uniform distribution over a uniformly chosen size-s subset of [k]."""
-    return Distribution(uniform_sparse_stack(k, s, [stream.key])[0])
+def make_uniform_sparse(k: int, s: int, key: int) -> Distribution:
+    """Uniform distribution over a size-s subset of [k], chosen uniformly by the stream of key."""
+    return Distribution(uniform_sparse_stack(k, s, [key])[0])
 
 
 def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
-    """Row i is the make_uniform_sparse target drawn from the stream whose key is keys[i]; shape (B, k).
+    """Row i is make_uniform_sparse(k, s, keys[i]); shape (B, k).
 
     keys holds one 64-bit stream key per row, as a uint64 array or any int
     sequence.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Channel, indicator_response_channel
-from .core import Distribution, RandomStream, as_probs, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .core import Distribution, as_probs, exp_epsilon, invertible_exp_epsilon, keyed_generator
 from .hadamard import fwht, hadamard_dim, membership_parity
 from .projection import project_simplex_vec, project_sparse_simplex_vec
 
@@ -100,8 +100,8 @@ def _project(tilde: np.ndarray, mode: str, s: int | None) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> np.ndarray:
-    """Draw the K per-group fractions of ones of n users with symbols from p.
+def hr_simulate_fractions(p, n: int, epsilon: float, key: int) -> np.ndarray:
+    """Draw, from the stream of key, the K per-group fractions of ones of n users with symbols from p.
 
     Round-robin assignment fixes each group's size, and marginally over its
     symbol every user in group j sends a 1 with probability t_j (see
@@ -109,11 +109,11 @@ def hr_simulate_fractions(p, n: int, epsilon: float, stream: RandomStream) -> np
     ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and aggregating
     every user's bit.
     """
-    return _draw_fractions(as_probs(p)[None], n, epsilon, [stream.key])[0]
+    return _draw_fractions(as_probs(p)[None], n, epsilon, [key])[0]
 
 
 def _draw_fractions(P: np.ndarray, n: int, epsilon: float, keys):
-    """Row i of a (B, k) stack through hr_simulate_fractions, drawn from the stream whose key is keys[i].
+    """Row i of a (B, k) stack through hr_simulate_fractions with key keys[i].
 
     Returns the (B, K) fractions.
     """

@@ -7,8 +7,8 @@ records the TV error. A cell's pending trials run as one stack: each trial
 draws from its own streams, and decoding, projection and scoring run once
 over the stack, row by row. The stack's stream keys are derived as arrays
 (core.child_keys) and every draw borrows the thread's one re-keyed generator
-(core.keyed_generator), valid until the thread's next re-key; no
-RandomStream is built. Cells run in this process or, with more than one
+(core.keyed_generator), valid until the thread's next re-key; a 64-bit
+key is all a stream needs. Cells run in this process or, with more than one
 worker, in forked worker processes (POSIX only). Results stream to a CSV
 with a fixed header, one write per cell, in grid order; runs are resumable
 (existing (cell, trial) rows are skipped, a torn last line is dropped and
@@ -48,13 +48,11 @@ import numpy as np
 from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
 from .comm_hash import comm_run_stack, effective_ell
 from .core import (
-    GOLDEN64,
     check_probs,
     child_keys,
     fold_string,
     invertible_exp_epsilon,
     mix64,
-    mix64_array,
     tv_distance,
     uniform_sparse_stack,
 )
@@ -153,10 +151,18 @@ def _number(name: str, value, integral: bool = True):
 
 
 def _numbers(name: str, values, integral: bool = True) -> tuple:
-    """Each entry of the list values checked as by _number."""
+    """Each entry of the list values checked as by _number, and none repeated.
+
+    Entries compare after conversion (1 and 1.0 are one epsilon). A repeat
+    would name one grid cell twice and write each of its trials twice.
+    """
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be a list, not {values!r}")
-    return tuple(_number(f"{name} entry", v, integral) for v in values)
+    entries = tuple(_number(f"{name} entry", v, integral) for v in values)
+    for i, v in enumerate(entries):
+        if v in entries[:i]:
+            raise ValueError(f"{name} repeats the value {v!r}")
+    return entries
 
 
 def load_configs(path: str) -> list[ExperimentConfig]:
@@ -235,10 +241,11 @@ def cell_hash(cell: Cell) -> int:
 
 
 def trial_seeds(master_seed: int, cell: Cell, trials) -> np.ndarray:
-    """The 64-bit seeds that fully determine the given trials of a cell, as a uint64 array."""
-    mixed = mix64(mix64(master_seed) ^ cell_hash(cell))
-    steps = (np.array(trials, dtype=np.uint64, ndmin=1) + 1) * GOLDEN64
-    return mix64_array(mixed ^ steps)
+    """The 64-bit seeds that fully determine the given trials of a cell, as a uint64 array.
+
+    Trial t's seed is derive_key(mix64(master_seed) ^ cell_hash(cell), t).
+    """
+    return child_keys(mix64(master_seed) ^ cell_hash(cell), trials)
 
 
 def bits_per_user(scheme: str, k: int, param) -> int:
@@ -257,14 +264,15 @@ def run_trial(cell: Cell, trial_index: int, master_seed: int) -> TrialResult:
 def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResult]:
     """Run a cell's trials as one stacked batch; results in the order of trials.
 
-    Each trial draws its target from the child 0 of RandomStream(seed) and
-    its protocol randomness from child 1, so a trial's result does not
-    depend on which other trials share its batch. The seeds and both
-    children's keys are derived for the whole stack at once. Decoding,
-    projection and scoring run once over the stack. Errors name the cell.
+    A trial's stream key is derive_key(seed, 0). It draws its target from
+    that stream's child 0 and its protocol randomness from child 1, so a
+    trial's result does not depend on which other trials share its batch.
+    The seeds and both children's keys are derived for the whole stack at
+    once. Decoding, projection and scoring run once over the stack. Errors
+    name the cell.
     """
     seeds = trial_seeds(master_seed, cell, trials)
-    # RandomStream(seed).key, then the keys of its children 0 and 1
+    # each trial's key derive_key(seed, 0), then the keys of its children 0 and 1
     target_keys, protocol_keys = child_keys(child_keys(seeds, 0)[:, None], [0, 1]).T
     try:
         targets = uniform_sparse_stack(cell.k, cell.s, target_keys)

@@ -8,13 +8,18 @@ fractions, RAPPOR's flipped one-hot vectors, and comm_hash's per-user hash
 (a 64-bit avalanche mix of the public seed, the user index and the symbol,
 masked to the bucket count) with the preimage scan that counts, for each
 symbol, the messages consistent with it. Messages are plain ints or arrays.
+
+The samplers and encoders draw from the generator they are given, going on
+from its last draw. A test that calls one repeatedly on one stream owns its
+generator, np.random.Generator(np.random.Philox(key=key)); a test that draws
+once may borrow keyed_generator(key).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sparse_dist_lab.core import GOLDEN64, MASK64, RandomStream, as_probs, mix64, mix64_array
+from sparse_dist_lab.core import GOLDEN64, MASK64, as_probs, mix64, mix64_array
 from sparse_dist_lab.hadamard import membership_parity
 from sparse_dist_lab.hadamard_response import hr_flip_probs
 from sparse_dist_lab.rappor import flip_probability
@@ -24,13 +29,13 @@ from sparse_dist_lab.rappor import flip_probability
 ALT64 = 0xD1B54A32D192ED03
 
 
-def sample_iid(p, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw n i.i.d. symbols from p by inverse-CDF lookup; deterministic given the stream."""
+def sample_iid(p, n: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw n i.i.d. symbols from p by inverse-CDF lookup, with gen's next n uniforms."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     cdf = np.cumsum(as_probs(p))
     cdf[-1] = 1.0  # guard against float round-off at the top end
-    return np.searchsorted(cdf, stream.gen.random(n), side="right").astype(np.int64)
+    return np.searchsorted(cdf, gen.random(n), side="right").astype(np.int64)
 
 
 # ------------------------------------------------------------ Hadamard response
@@ -50,7 +55,7 @@ def in_column_set(K: int, y: int, x: int) -> bool:
     return entry(K, x, y) == 1
 
 
-def hr_encode(x: int, user_index: int, epsilon: float, K: int, stream: RandomStream) -> int:
+def hr_encode(x: int, user_index: int, epsilon: float, K: int, gen: np.random.Generator) -> int:
     """Privatize one symbol into a single bit.
 
     The user's group is user_index mod K; the bit is a randomized response
@@ -59,21 +64,21 @@ def hr_encode(x: int, user_index: int, epsilon: float, K: int, stream: RandomStr
     q_in, q_out = hr_flip_probs(epsilon)
     j = user_index % K
     prob_one = q_in if in_column_set(K, j, x) else q_out
-    return int(stream.gen.random() < prob_one)
+    return int(gen.random() < prob_one)
 
 
-def hr_encode_batch(xs: np.ndarray, epsilon: float, K: int, stream: RandomStream, first_user: int = 0) -> np.ndarray:
+def hr_encode_batch(xs: np.ndarray, epsilon: float, K: int, gen: np.random.Generator, first_user: int = 0) -> np.ndarray:
     """Encode symbols for users first_user, first_user+1, ... in one pass.
 
     Returns a uint8 bit vector aligned with xs. Equivalent in law to calling
-    hr_encode per user on independent substreams.
+    hr_encode per user.
     """
     xs = np.asarray(xs, dtype=np.int64)
     q_in, q_out = hr_flip_probs(epsilon)
     groups = (first_user + np.arange(xs.size, dtype=np.int64)) % K
     member = membership_parity(K, groups, xs)
     prob_one = np.where(member, q_in, q_out)
-    return (stream.gen.random(xs.size) < prob_one).astype(np.uint8)
+    return (gen.random(xs.size) < prob_one).astype(np.uint8)
 
 
 def hr_aggregate(bits: np.ndarray, n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,24 +101,24 @@ def hr_aggregate(bits: np.ndarray, n: int, K: int) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------- RAPPOR
 
 
-def rappor_encode(x: int, epsilon: float, k: int, stream: RandomStream) -> np.ndarray:
+def rappor_encode(x: int, epsilon: float, k: int, gen: np.random.Generator) -> np.ndarray:
     """One-hot encode x and flip each bit independently."""
     if not 0 <= x < k:
         raise ValueError(f"symbol {x} out of range for k={k}")
     q = flip_probability(epsilon)
     bits = np.zeros(k, dtype=np.uint8)
     bits[x] = 1
-    flips = stream.gen.random(k) < q
+    flips = gen.random(k) < q
     return bits ^ flips.astype(np.uint8)
 
 
-def rappor_encode_batch(xs: np.ndarray, epsilon: float, k: int, stream: RandomStream) -> np.ndarray:
+def rappor_encode_batch(xs: np.ndarray, epsilon: float, k: int, gen: np.random.Generator) -> np.ndarray:
     """Encode many users at once; row i is user i's message."""
     xs = np.asarray(xs, dtype=np.int64)
     q = flip_probability(epsilon)
     bits = np.zeros((xs.size, k), dtype=np.uint8)
     bits[np.arange(xs.size), xs] = 1
-    flips = stream.gen.random((xs.size, k)) < q
+    flips = gen.random((xs.size, k)) < q
     return bits ^ flips.astype(np.uint8)
 
 

@@ -27,8 +27,8 @@ from sparse_dist_lab.bounds import (
 )
 from sparse_dist_lab.comm_hash import comm_run_details
 from sparse_dist_lab.core import (
-    RandomStream,
     chi_square,
+    derive_key,
     enumerate_packing_indices,
     induced_output_dist,
     make_packing_dist,
@@ -149,9 +149,9 @@ def test_criterion_05_sparse_beats_dense_on_shared_messages():
     diffs = []
     sparse_tv, dense_tv = [], []
     for t in range(trials):
-        stream = RandomStream(MASTER_SEED + t, 5)
-        target = make_uniform_sparse(k, s, stream.child(0))
-        fracs = hr_simulate_fractions(target, n, eps, stream.child(1))
+        key = derive_key(MASTER_SEED + t, 5)
+        target = make_uniform_sparse(k, s, derive_key(key, 0))
+        fracs = hr_simulate_fractions(target, n, eps, derive_key(key, 1))
         est_sparse = hr_decode(fracs, eps, k, mode="sparse", s=s)
         est_dense = hr_decode(fracs, eps, k, mode="dense")
         a = tv_distance(est_sparse, target)
@@ -178,9 +178,9 @@ def test_criterion_06_hashing_support_capture():
     capture_hits = 0
     l1_hits = 0
     for t in range(50):
-        stream = RandomStream(MASTER_SEED + t, 6)
-        target = make_uniform_sparse(k, s, stream.child(0))
-        T, raw, _ = comm_run_details(target, n, ell, s, stream.child(1))
+        key = derive_key(MASTER_SEED + t, 6)
+        target = make_uniform_sparse(k, s, derive_key(key, 0))
+        T, raw, _ = comm_run_details(target, n, ell, s, derive_key(key, 1))
         if target.probs[T].sum() >= 1 - alpha / 2:
             capture_hits += 1
         if np.abs(raw[T] - target.probs[T]).sum() <= alpha / 2:
@@ -252,16 +252,16 @@ def test_criterion_08_chisq_contraction_bounds():
         ):
             assert verify_ldp(W, eps)
             assert expected_chisq_over_packing(W, k, s, alpha) <= bound + 1e-9
-    stream = RandomStream(MASTER_SEED, 8)
+    key = derive_key(MASTER_SEED, 8)
     for ell in (1, 2, 3):
         bound = 8 * alpha * 2**ell / s
         for trial in range(20):
-            W = random_lbit_channel(k + 1, ell, stream.child(ell * 100 + trial))
+            W = random_lbit_channel(k + 1, ell, derive_key(key, ell * 100 + trial))
             assert expected_chisq_over_packing(W, k, s, alpha) <= bound + 1e-9
     # dual-route agreement on a privacy channel and one channel per ell
     worst = 0.0
     probes = [randomized_response_channel(k + 1, 1.0)] + [
-        random_lbit_channel(k + 1, ell, stream.child(900 + ell)) for ell in (1, 2, 3)
+        random_lbit_channel(k + 1, ell, derive_key(key, 900 + ell)) for ell in (1, 2, 3)
     ]
     for W in probes:
         fast = expected_chisq_over_packing(W, k, s, alpha)

@@ -23,8 +23,8 @@ from sparse_dist_lab.bounds import (
     verify_ldp,
 )
 from sparse_dist_lab.core import (
-    RandomStream,
     chi_square,
+    derive_key,
     enumerate_packing_indices,
     induced_output_dist,
     make_packing_dist,
@@ -92,7 +92,7 @@ def test_indicator_channel_is_ldp():
 
 
 def test_random_lbit_channel_shape():
-    W = random_lbit_channel(7, 3, RandomStream(0, 0))
+    W = random_lbit_channel(7, 3, derive_key(0, 0))
     assert W.matrix.shape == (7, 8)
     assert np.allclose(W.matrix.sum(axis=1), 1.0, atol=1e-9)
 
@@ -116,11 +116,11 @@ def test_ldp_channel_meets_explicit_constant():
 
 def test_lbit_channels_meet_bucket_bound():
     k, s, alpha = 6, 2, 0.05
-    stream = RandomStream(0, 20)
+    key = derive_key(0, 20)
     for ell in (1, 2, 3):
         bound = 8 * alpha * 2**ell / s
         for trial in range(20):
-            W = random_lbit_channel(k + 1, ell, stream.child(ell * 100 + trial))
+            W = random_lbit_channel(k + 1, ell, derive_key(key, ell * 100 + trial))
             assert expected_chisq_over_packing(W, k, s, alpha) <= bound + 1e-9
 
 
@@ -128,8 +128,8 @@ def test_two_oracles_agree():
     k, s, alpha = 6, 2, 0.05
     channels = [
         randomized_response_channel(k + 1, 1.0),
-        random_lbit_channel(k + 1, 2, RandomStream(4, 0)),
-        random_lbit_channel(k + 1, 1, RandomStream(4, 1)),
+        random_lbit_channel(k + 1, 2, derive_key(4, 0)),
+        random_lbit_channel(k + 1, 1, derive_key(4, 1)),
     ]
     for W in channels:
         fast = expected_chisq_over_packing(W, k, s, alpha)
@@ -218,6 +218,11 @@ def test_comm_planning_log_floor():
 
 def test_comm_planning_fixture():
     assert planned_sample_size("comm", 1000, 8, 0.2, ell=3) == 1351927848
+
+
+def test_comm_planning_past_the_bucket_cap_builds_no_power():
+    # min(2^ell, s) = s from ell = 4 at s = 8; a huge ell must not build 2^ell
+    assert comm_stage_sizes(1000, 8, 0.1, 10**8) == comm_stage_sizes(1000, 8, 0.1, 4)
 
 
 def test_ldp_planning_scales_inverse_square_in_eps():

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import comm_encode_batch, hash_eval, hash_eval_batch, preimage_counts, sample_iid
 from sparse_dist_lab.comm_hash import comm_run_details, comm_run_stack, effective_ell
-from sparse_dist_lab.core import RandomStream, tv_distance
+from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
 from sparse_dist_lab.projection import split_half_counts, split_half_decode
 
 
@@ -132,7 +132,7 @@ def test_decode_full_preimage_means_one():
 
 def test_decode_clamps_support_to_k():
     k, s_sp = 3, 2  # 2s > k
-    T, _, _ = comm_run_stack(np.full((1, k), 1 / k), 200, 2, s_sp, [RandomStream(3, 0).key])
+    T, _, _ = comm_run_stack(np.full((1, k), 1 / k), 200, 2, s_sp, [derive_key(3, 0)])
     assert sorted(T[0].tolist()) == [0, 1, 2]
 
 
@@ -141,9 +141,9 @@ def test_decode_from_messages_roundtrip():
     buckets = 2 ** effective_ell(ell, s_sp)
     p = np.zeros(k)
     p[[5, 20]] = 0.5
-    stream = RandomStream(3, 0)
-    xs1 = sample_iid(p, n // 2, stream.child(0))
-    xs2 = sample_iid(p, n // 2, stream.child(1))
+    key = derive_key(3, 0)
+    xs1 = sample_iid(p, n // 2, keyed_generator(derive_key(key, 0)))
+    xs2 = sample_iid(p, n // 2, keyed_generator(derive_key(key, 1)))
     users1 = np.arange(n // 2)
     users2 = n // 2 + users1
     M = preimage_counts(users1, comm_encode_batch(xs1, 17, buckets), 17, buckets, k)
@@ -159,7 +159,7 @@ def test_hist_sampler_matches_expectation():
     draws = 400
     acc = np.zeros(k)
     for t in range(draws):
-        acc += split_half_counts(c, m, 0.0, 1 / 2**ell, RandomStream(t, 9).gen)
+        acc += split_half_counts(c, m, 0.0, 1 / 2**ell, keyed_generator(derive_key(t, 9)))
     mean = acc / draws
     want = c + (m - c) / 4
     sigma = np.sqrt((m - c) * 0.25 * 0.75) / math.sqrt(draws)
@@ -179,7 +179,7 @@ def test_sampler_agrees_with_scan_in_distribution():
     for t in range(draws):
         seed = 1000 + t  # fresh public coins per draw
         acc_scan += preimage_counts(np.arange(m), comm_encode_batch(xs, seed, 2**ell), seed, 2**ell, k)
-        acc_hist += split_half_counts(c, m, 0.0, 1 / 2**ell, RandomStream(t, 13).gen)
+        acc_hist += split_half_counts(c, m, 0.0, 1 / 2**ell, keyed_generator(derive_key(t, 13)))
     want = c + (m - c) / 4
     sigma = np.sqrt((m - c) * 0.25 * 0.75) / math.sqrt(draws)
     assert np.all(np.abs(acc_scan / draws - want) <= 4 * sigma)
@@ -194,7 +194,7 @@ def test_unbiasedness_on_support():
     acc = np.zeros(k)
     captured = 0
     for t in range(trials):
-        T, raw, _ = comm_run_details(p, n, ell, s_sp, RandomStream(t, 21))
+        T, raw, _ = comm_run_details(p, n, ell, s_sp, derive_key(t, 21))
         if {3, 12} <= set(T):
             captured += 1
         acc += raw
@@ -219,10 +219,10 @@ def test_more_bits_do_not_hurt():
     def mean_tv(ell):
         total = 0.0
         for t in range(trials):
-            supp = RandomStream(50 + t, 0).gen.choice(k, size=s_sp, replace=False)
+            supp = keyed_generator(derive_key(50 + t, 0)).choice(k, size=s_sp, replace=False)
             p = np.zeros(k)
             p[supp] = 1 / s_sp
-            total += tv_distance(comm_run_details(p, n, ell, s_sp, RandomStream(t, ell))[2], p)
+            total += tv_distance(comm_run_details(p, n, ell, s_sp, derive_key(t, ell))[2], p)
         return total / trials
 
     assert mean_tv(3) < mean_tv(1)
@@ -230,16 +230,16 @@ def test_more_bits_do_not_hurt():
 
 def test_run_deterministic_and_public_seed_matters():
     # The ideal-hash counts law has no public coins left to vary; the
-    # trial's stream is the only seed, and changing it changes the run.
+    # trial's key is the only seed, and changing it changes the run.
     p = np.zeros(20)
     p[[1, 15]] = 0.5
-    a = comm_run_details(p, 2000, 3, 2, RandomStream(5, 0))[2]
-    b = comm_run_details(p, 2000, 3, 2, RandomStream(5, 0))[2]
-    c = comm_run_details(p, 2000, 3, 2, RandomStream(6, 0))[2]
+    a = comm_run_details(p, 2000, 3, 2, derive_key(5, 0))[2]
+    b = comm_run_details(p, 2000, 3, 2, derive_key(5, 0))[2]
+    c = comm_run_details(p, 2000, 3, 2, derive_key(6, 0))[2]
     assert np.array_equal(a.probs, b.probs)
     assert not np.array_equal(a.probs, c.probs)
 
 
 def test_run_rejects_tiny_n():
     with pytest.raises(ValueError):
-        comm_run_details([1.0], 1, 1, 1, RandomStream(0, 0))
+        comm_run_details([1.0], 1, 1, 1, derive_key(0, 0))

@@ -10,7 +10,6 @@ from sparse_dist_lab.core import (
     GOLDEN64,
     Distribution,
     PackingIndex,
-    RandomStream,
     chi_square,
     child_keys,
     derive_key,
@@ -93,18 +92,18 @@ def test_chisq_support_violation_reports_index():
 
 def test_sample_point_mass():
     p = Distribution([0.0, 0.0, 1.0, 0.0])
-    xs = sample_iid(p, 1000, RandomStream(1, 0))
+    xs = sample_iid(p, 1000, keyed_generator(derive_key(1, 0)))
     assert np.all(xs == 2)
 
 
 def test_sample_same_stream_same_sequence():
-    a = sample_iid([0.25] * 4, 500, RandomStream(42, 7))
-    b = sample_iid([0.25] * 4, 500, RandomStream(42, 7))
+    a = sample_iid([0.25] * 4, 500, keyed_generator(derive_key(42, 7)))
+    b = sample_iid([0.25] * 4, 500, keyed_generator(derive_key(42, 7)))
     assert np.array_equal(a, b)
 
 
 def test_sample_uniform_frequencies():
-    xs = sample_iid([0.25] * 4, 10**6, RandomStream(3, 0))
+    xs = sample_iid([0.25] * 4, 10**6, keyed_generator(derive_key(3, 0)))
     freq = np.bincount(xs, minlength=4) / 10**6
     # 6 sigma for Binomial(1e6, 0.25) is ~0.0026; 0.005 leaves headroom.
     assert np.all(np.abs(freq - 0.25) < 0.005)
@@ -113,32 +112,32 @@ def test_sample_uniform_frequencies():
 def test_sample_empirical_tv_converges():
     # Dvoretzky-style check with a generous constant: TV(emp, p) <= 3 sqrt(k/n).
     k, n = 100, 10**6
-    p = make_uniform_sparse(k, 37, RandomStream(9, 0))
-    xs = sample_iid(p, n, RandomStream(9, 1))
+    p = make_uniform_sparse(k, 37, derive_key(9, 0))
+    xs = sample_iid(p, n, keyed_generator(derive_key(9, 1)))
     emp = np.bincount(xs, minlength=k) / n
     assert tv_distance(emp, p) <= 3 * math.sqrt(k / n)
 
 
 def test_sample_zero_length():
-    assert sample_iid([1.0], 0, RandomStream(0, 0)).size == 0
+    assert sample_iid([1.0], 0, keyed_generator(derive_key(0, 0))).size == 0
 
 
 # -------------------------------------------------------- distribution makers
 
 
 def test_uniform_sparse_full_support_is_uniform():
-    p = make_uniform_sparse(6, 6, RandomStream(0, 0))
+    p = make_uniform_sparse(6, 6, derive_key(0, 0))
     assert np.allclose(p.probs, 1 / 6)
 
 
 def test_uniform_sparse_point_mass():
-    p = make_uniform_sparse(10, 1, RandomStream(0, 0))
+    p = make_uniform_sparse(10, 1, derive_key(0, 0))
     assert np.count_nonzero(p.probs) == 1
     assert p.probs.max() == 1.0
 
 
 def test_uniform_sparse_large_scale_support():
-    p = make_uniform_sparse(5000, 64, RandomStream(0, 0))
+    p = make_uniform_sparse(5000, 64, derive_key(0, 0))
     support = np.nonzero(p.probs)[0]
     assert support.size == 64
     assert np.allclose(p.probs[support], 1 / 64)
@@ -146,9 +145,9 @@ def test_uniform_sparse_large_scale_support():
 
 def test_uniform_sparse_rejects_bad_s():
     with pytest.raises(ValueError):
-        make_uniform_sparse(5, 0, RandomStream(0, 0))
+        make_uniform_sparse(5, 0, derive_key(0, 0))
     with pytest.raises(ValueError):
-        make_uniform_sparse(5, 6, RandomStream(0, 0))
+        make_uniform_sparse(5, 6, derive_key(0, 0))
 
 
 def test_packing_dist_single_index():
@@ -257,41 +256,40 @@ def test_mix64_is_a_64bit_permutation_sample():
 
 
 def test_stream_determinism_and_independence():
-    a = RandomStream(123, 4).gen.random(8)
-    b = RandomStream(123, 4).gen.random(8)
-    c = RandomStream(123, 5).gen.random(8)
+    a = keyed_generator(derive_key(123, 4)).random(8)
+    b = keyed_generator(derive_key(123, 4)).random(8)
+    c = keyed_generator(derive_key(123, 5)).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_stream_child_chains():
-    s = RandomStream(99, 0)
-    assert s.child(3).key == s.child(3).key
-    assert s.child(3).key != s.child(4).key
+    key = derive_key(99, 0)
+    assert derive_key(key, 3) == derive_key(key, 3)
+    assert derive_key(key, 3) != derive_key(key, 4)
     # children of children stay distinct from siblings
-    assert s.child(0).child(1).key != s.child(1).key
-
-
-def test_derive_key_matches_stream():
-    assert RandomStream(7, 2).key == derive_key(7, 2)
+    assert derive_key(derive_key(key, 0), 1) != derive_key(key, 1)
 
 
 @pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1, 0x9E3779B97F4A7C15])
 def test_stream_is_philox_keyed_by_its_key(master_seed):
-    # Every output byte rests on the stream being Generator(Philox(key=key));
-    # a NumPy change to how Philox takes its seed must fail here, loudly.
-    stream = RandomStream(master_seed, 3)
-    ref = np.random.Generator(np.random.Philox(key=stream.key))
-    assert stream.gen.bit_generator.state["state"]["key"].tolist() == [stream.key, 0]
-    assert np.array_equal(stream.gen.random(17), ref.random(17))
+    # Every output byte rests on the stream of a key being
+    # Generator(Philox(key=key)); a NumPy change to how Philox takes its key,
+    # or to how keyed_generator re-keys it, must fail here, loudly.
+    key = derive_key(master_seed, 3)
+    gen = keyed_generator(key)
+    ref = np.random.Generator(np.random.Philox(key=key))
+    assert gen.bit_generator.state["state"]["key"].tolist() == [key, 0]
+    assert ref.bit_generator.state["state"]["key"].tolist() == [key, 0]
+    assert np.array_equal(gen.random(17), ref.random(17))
     sizes, probs = [10, 1000, 10**6], [0.5, 0.01, 0.3]
-    assert np.array_equal(stream.gen.binomial(sizes, probs), ref.binomial(sizes, probs))
-    assert np.array_equal(stream.gen.multinomial(10**5, [0.2, 0.3, 0.5]), ref.multinomial(10**5, [0.2, 0.3, 0.5]))
-    assert np.array_equal(stream.gen.choice(1000, size=40, replace=False), ref.choice(1000, size=40, replace=False))
+    assert np.array_equal(gen.binomial(sizes, probs), ref.binomial(sizes, probs))
+    assert np.array_equal(gen.multinomial(10**5, [0.2, 0.3, 0.5]), ref.multinomial(10**5, [0.2, 0.3, 0.5]))
+    assert np.array_equal(gen.choice(1000, size=40, replace=False), ref.choice(1000, size=40, replace=False))
 
 
 # the edges of the 64-bit range, the golden-ratio step, and random keys
-_KEYS = [0, 1, 2**64 - 1, GOLDEN64, *RandomStream(31).gen.integers(0, 2**64, size=12, dtype=np.uint64).tolist()]
+_KEYS = [0, 1, 2**64 - 1, GOLDEN64, *keyed_generator(derive_key(31, 0)).integers(0, 2**64, size=12, dtype=np.uint64).tolist()]
 
 
 def test_mix64_array_matches_mix64():
@@ -300,21 +298,24 @@ def test_mix64_array_matches_mix64():
 
 
 @pytest.mark.parametrize("stream_id", [0, 1, 3, 2**40])
-def test_child_keys_match_random_stream_keys(stream_id):
+def test_child_keys_match_derive_key(stream_id):
     # The uint64 products wrap inside arrays, where NumPy does not warn;
     # the test run turns a RuntimeWarning into a failure.
-    want = [RandomStream(key, stream_id).key for key in _KEYS]
+    want = [derive_key(key, stream_id) for key in _KEYS]
     got = child_keys(np.array(_KEYS, dtype=np.uint64), stream_id)
     assert got.dtype == np.uint64
     assert got.tolist() == want
     assert child_keys(_KEYS, stream_id).tolist() == want
     assert child_keys(_KEYS[:1], stream_id).tolist() == want[:1]
+    # a Python int key goes through the scalar mix
+    assert [child_keys(key, stream_id).tolist() for key in _KEYS] == [[one] for one in want]
 
 
 def test_child_keys_broadcast_stream_ids():
     ids = [0, 1, 3, 2**40]
     got = child_keys(np.array(_KEYS, dtype=np.uint64)[:, None], ids)
-    assert got.tolist() == [[RandomStream(key, j).key for j in ids] for key in _KEYS]
+    assert got.tolist() == [[derive_key(key, j) for j in ids] for key in _KEYS]
+    assert child_keys(_KEYS[-1], ids).tolist() == [derive_key(_KEYS[-1], j) for j in ids]
 
 
 def _draw_all(gen):
@@ -329,14 +330,14 @@ def _draw_all(gen):
 
 
 def test_keyed_generator_draws_as_fresh_streams():
-    streams = [RandomStream(1, 0), RandomStream(1, 1), RandomStream(2**64 - 1, 3), RandomStream(GOLDEN64, 0)]
+    keys = [derive_key(1, 0), derive_key(1, 1), derive_key(2**64 - 1, 3), derive_key(GOLDEN64, 0)]
     # round-robin twice over the keys, so every re-key follows draws under another key
-    for stream in streams + streams[::-1]:
-        gen = keyed_generator(stream.key)
+    for key in keys + keys[::-1]:
+        gen = keyed_generator(key)
         got = _draw_all(gen)
         state = gen.bit_generator.state
         assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4  # both left dirty
-        want = _draw_all(RandomStream(stream.master_seed, stream.stream_id).gen)
+        want = _draw_all(np.random.Generator(np.random.Philox(key=key)))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 

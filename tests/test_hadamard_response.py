@@ -7,7 +7,7 @@ import pytest
 
 from oracles import hr_aggregate, hr_encode, hr_encode_batch, in_column_set
 from sparse_dist_lab.bounds import verify_ldp
-from sparse_dist_lab.core import Distribution, RandomStream
+from sparse_dist_lab.core import Distribution, derive_key, keyed_generator
 from sparse_dist_lab.hadamard import hadamard_dim
 from sparse_dist_lab.hadamard_response import (
     hr_channel_matrix,
@@ -23,12 +23,12 @@ from sparse_dist_lab.hadamard_response import (
 
 
 def test_encode_emits_one_bit():
-    assert hr_encode(3, 11, 1.0, 8, RandomStream(0, 0)) in (0, 1)
+    assert hr_encode(3, 11, 1.0, 8, keyed_generator(derive_key(0, 0))) in (0, 1)
 
 
 def test_encode_deterministic():
-    a = hr_encode(5, 2, 0.7, 8, RandomStream(4, 1))
-    b = hr_encode(5, 2, 0.7, 8, RandomStream(4, 1))
+    a = hr_encode(5, 2, 0.7, 8, keyed_generator(derive_key(4, 1)))
+    b = hr_encode(5, 2, 0.7, 8, keyed_generator(derive_key(4, 1)))
     assert a == b
 
 
@@ -38,7 +38,7 @@ def test_encode_batch_monte_carlo_rates():
     K, n, x = 8, 10**5, 5
     eps = math.log(3)
     xs = np.full(n, x)
-    bits = hr_encode_batch(xs, eps, K, RandomStream(1, 0))
+    bits = hr_encode_batch(xs, eps, K, keyed_generator(derive_key(1, 0)))
     fracs, sizes = hr_aggregate(bits, n, K)
     for j in range(K):
         want = 0.75 if in_column_set(K, j, x) else 0.25
@@ -49,8 +49,8 @@ def test_encode_batch_monte_carlo_rates():
 def test_encode_scalar_rate_smoke():
     # 2000 draws of the in-set cell at eps = ln 3; mean within 4 sigma.
     eps = math.log(3)
-    stream = RandomStream(8, 0)
-    bits = [hr_encode(0, 0, eps, 2, stream) for _ in range(2000)]
+    gen = np.random.Generator(np.random.Philox(key=derive_key(8, 0)))
+    bits = [hr_encode(0, 0, eps, 2, gen) for _ in range(2000)]
     rate = np.mean(bits)
     assert abs(rate - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / 2000)
 
@@ -123,7 +123,7 @@ def test_decode_trial_average_tracks_p():
     p[[2, 6]] = gen.dirichlet(np.ones(s))
     acc = np.zeros(k)
     for t in range(trials):
-        fr = hr_simulate_fractions(p, n, eps, RandomStream(1000 + t, 0))
+        fr = hr_simulate_fractions(p, n, eps, derive_key(1000 + t, 0))
         acc += hr_decode_raw(fr, eps, k)
     mean = acc / trials
     e = math.exp(eps)
@@ -138,7 +138,7 @@ def test_end_to_end_unbiasedness():
     p[[0, 5]] = [0.3, 0.7]
     acc = np.zeros(k)
     for t in range(trials):
-        fr = hr_simulate_fractions(p, n, eps, RandomStream(t, 3))
+        fr = hr_simulate_fractions(p, n, eps, derive_key(t, 3))
         acc += hr_decode_raw(fr, eps, k)
     mean = acc / trials
     e = math.exp(eps)
@@ -162,7 +162,7 @@ def test_decode_mode_validation():
 def test_run_recovers_sparse_target():
     p = np.zeros(50)
     p[[3, 30]] = 0.5
-    out = hr_run_stack(p[None], 200000, 1.0, [RandomStream(5, 0).key], mode="sparse", s=2)[0]
+    out = hr_run_stack(p[None], 200000, 1.0, [derive_key(5, 0)], mode="sparse", s=2)[0]
     tv = 0.5 * np.abs(out - p).sum()
     assert tv <= 0.05
 
@@ -182,8 +182,8 @@ def test_sampler_agrees_with_encoder_in_distribution():
     acc_enc = np.zeros(K)
     acc_sim = np.zeros(K)
     for t in range(draws):
-        acc_enc += hr_aggregate(hr_encode_batch(xs, eps, K, RandomStream(t, 17)), n, K)[0]
-        acc_sim += hr_simulate_fractions(p, n, eps, RandomStream(t, 19))
+        acc_enc += hr_aggregate(hr_encode_batch(xs, eps, K, keyed_generator(derive_key(t, 17))), n, K)[0]
+        acc_sim += hr_simulate_fractions(p, n, eps, derive_key(t, 19))
     sigma = np.sqrt(t_want * (1 - t_want) / (n // K)) / math.sqrt(draws)
     assert np.all(np.abs(acc_enc / draws - t_want) <= 4 * sigma)
     assert np.all(np.abs(acc_sim / draws - t_want) <= 4 * sigma)
@@ -194,19 +194,19 @@ def test_simulate_fractions_tolerates_round_off_past_one():
     # noiseless fraction for group 0 then lands one ulp above 1.
     p = np.random.default_rng(3).dirichlet(np.ones(21))
     assert hr_expected_fractions(p, 40.0, 32).max() > 1
-    fracs = hr_simulate_fractions(p, 3200, 40.0, RandomStream(0, 0))
+    fracs = hr_simulate_fractions(p, 3200, 40.0, derive_key(0, 0))
     assert np.all(fracs <= 1)
 
 
 def test_simulate_fractions_requires_full_groups():
     with pytest.raises(ValueError, match="K=8"):
-        hr_simulate_fractions([0.25] * 4, 7, 1.0, RandomStream(0, 0))
+        hr_simulate_fractions([0.25] * 4, 7, 1.0, derive_key(0, 0))
 
 
 def test_simulate_fractions_deterministic():
     p = Distribution([0.25] * 4)
-    a = hr_simulate_fractions(p, 1000, 1.0, RandomStream(7, 7))
-    b = hr_simulate_fractions(p, 1000, 1.0, RandomStream(7, 7))
+    a = hr_simulate_fractions(p, 1000, 1.0, derive_key(7, 7))
+    b = hr_simulate_fractions(p, 1000, 1.0, derive_key(7, 7))
     assert np.array_equal(a, b)
     assert a.shape == (hadamard_dim(4),)
 

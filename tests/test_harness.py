@@ -128,6 +128,21 @@ def test_config_rejects_field_of_wrong_type(over, message):
         tiny_config(**over)
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        (dict(_COMM, s_list=[2, 2], ell_list=[1]), "s_list repeats the value 2"),
+        (dict(_COMM, ell_list=[1, 3, 1]), "ell_list repeats the value 1"),
+        (dict(epsilon_list=[1, 0.5, 1.0]), "epsilon_list repeats the value 1.0"),
+    ],
+)
+def test_config_rejects_a_repeated_list_value(over, message):
+    # a repeat names one cell twice, and run_grid once wrote each of its
+    # trials twice, so summarize counted twice the trials
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tiny_config(**over)
+
+
 def test_config_keeps_integral_and_real_values():
     cfg = tiny_config(k=np.int64(32), s_list=(np.int64(2),), epsilon_list=[1, np.float64(0.5)])
     assert (cfg.k, cfg.s_list, cfg.epsilon_list) == (32, (2,), (1.0, 0.5))
@@ -837,6 +852,21 @@ def test_cli_verify_bounds(tmp_path, capsys):
     assert "[ok]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "seed, sha256",
+    [
+        (0, "fb1f499fc2ab93d6cca6b7f4df06541421109302a44925842ce6a3cd84e7425d"),
+        (5, "264efe2fa3be11d29e0d47e73154f760b14f0d3800418a661acceb1b0badb4e7"),
+    ],
+)
+def test_verify_bounds_report_bytes_are_pinned(tmp_path, seed, sha256):
+    # The random l-bit channels are drawn from keyed streams; a change in how
+    # they are keyed or drawn moves these bytes.
+    out = tmp_path / "bounds.json"
+    assert main(["verify-bounds", "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def _cli_error(capsys) -> str:
     """The one line a rejected input leaves on stderr, without its prefix."""
     lines = capsys.readouterr().err.splitlines()
@@ -872,6 +902,8 @@ _RAPPOR = dict(scheme="rappor", k=16, s_list=[1], n=400, trials=1, master_seed=3
         ("json", "Expecting property name enclosed in double quotes"),
         ("plan", "invalid parameters"),
         ("plan_without_eps", "--scheme ldp needs --eps"),
+        ("plan_tiny_alpha_ldp", "alpha=1e-300 is too small"),
+        ("plan_tiny_alpha_comm", "alpha=1e-170 is too small"),
         ("torn_results", "the last line has no newline"),
     ],
 )
@@ -885,6 +917,8 @@ def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message)
         "json": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
         "plan": ["plan", "--scheme", "comm", "--k", "10", "--s", "20", "--alpha", "0.1", "--ell", "2"],
         "plan_without_eps": ["plan", "--scheme", "ldp", "--k", "10", "--s", "2", "--alpha", "0.1", "--ell", "2"],
+        "plan_tiny_alpha_ldp": ["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--eps", "1", "--alpha", "1e-300"],
+        "plan_tiny_alpha_comm": ["plan", "--scheme", "comm", "--k", "1000", "--s", "8", "--ell", "3", "--alpha", "1e-170"],
         "torn_results": ["summarize", "--in", str(res), "--out", str(tmp_path / "summary.json")],
     }[case]
     assert main(argv) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_dist_lab.core import RandomStream
+from sparse_dist_lab.core import derive_key, keyed_generator
 from sparse_dist_lab.projection import (
     project_simplex_vec,
     project_sparse_simplex_vec,
@@ -191,11 +191,11 @@ def test_rowwise_projections_equal_per_row(B, k, seed, tied, data):
 @pytest.mark.parametrize("drop", [0.0, 0.25])
 def test_split_half_counts_draw_order(drop):
     # The own-symbol draw (none at drop = 0), then the noise draw, from one
-    # stream: a twin stream replays the counts exactly.
+    # stream: a twin of the stream replays the counts exactly.
     c = np.array([300, 0, 120, 80, 0, 500])
     m, noise = 1000, 0.125
-    got = split_half_counts(c, m, drop, noise, RandomStream(7, 3).gen)
-    gen = RandomStream(7, 3).gen
+    got = split_half_counts(c, m, drop, noise, keyed_generator(derive_key(7, 3)))
+    gen = np.random.Generator(np.random.Philox(key=derive_key(7, 3)))
     kept = c - gen.binomial(c, drop) if drop else c
     assert np.array_equal(got, kept + gen.binomial(m - c, noise))
 

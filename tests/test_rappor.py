@@ -7,7 +7,7 @@ import pytest
 
 from oracles import column_sums, rappor_encode, rappor_encode_batch
 from sparse_dist_lab.bounds import verify_ldp
-from sparse_dist_lab.core import RandomStream, tv_distance
+from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
 from sparse_dist_lab.projection import split_half_counts, split_half_decode
 from sparse_dist_lab.rappor import flip_probability, rappor_channel_matrix, rappor_run_stack
 
@@ -33,9 +33,9 @@ def test_flip_probability_values():
 def test_encode_high_epsilon_is_one_hot():
     # At eps=40 the flip probability is ~2e-9; a thousand encodings of k=8
     # bits make ~1.7e-5 expected flips, so demanding zero is safe.
-    stream = RandomStream(2, 0)
+    gen = np.random.Generator(np.random.Philox(key=derive_key(2, 0)))
     for t in range(1000):
-        msg = rappor_encode(3, 40.0, 8, stream)
+        msg = rappor_encode(3, 40.0, 8, gen)
         want = np.zeros(8, dtype=np.uint8)
         want[3] = 1
         assert np.array_equal(msg, want)
@@ -45,7 +45,7 @@ def test_encode_empirical_flip_rates():
     # 1e5 encodings of the same symbol; every bit's 1-rate within 3 sigma.
     k, x = 6, 2
     eps = 2 * math.log(3)
-    bits = rappor_encode_batch(np.full(10**5, x), eps, k, RandomStream(3, 0))
+    bits = rappor_encode_batch(np.full(10**5, x), eps, k, keyed_generator(derive_key(3, 0)))
     rates = bits.mean(axis=0)
     for b in range(k):
         want = 0.75 if b == x else 0.25
@@ -54,7 +54,7 @@ def test_encode_empirical_flip_rates():
 
 
 def test_encode_batch_matches_scalar_law():
-    msg = rappor_encode(1, 1.0, 5, RandomStream(9, 0))
+    msg = rappor_encode(1, 1.0, 5, keyed_generator(derive_key(9, 0)))
     assert msg.shape == (5,)
     assert set(np.unique(msg)) <= {0, 1}
 
@@ -82,7 +82,7 @@ def test_point_mass_recovery_rate():
     k, s, eps, n = 100, 1, 1.0, 10**5
     p = np.zeros(k)
     p[42] = 1.0
-    out = run(np.tile(p, (100, 1)), n, eps, s, [RandomStream(t, 1).key for t in range(100)])
+    out = run(np.tile(p, (100, 1)), n, eps, s, [derive_key(t, 1) for t in range(100)])
     hits = sum(tv_distance(row, p) <= 0.05 for row in out)
     assert hits >= 95
 
@@ -90,8 +90,8 @@ def test_point_mass_recovery_rate():
 def test_user_permutation_within_half_is_irrelevant():
     gen = np.random.default_rng(4)
     k, s, eps = 12, 2, 1.0
-    first = rappor_encode_batch(gen.integers(0, k, 60), eps, k, RandomStream(5, 0))
-    second = rappor_encode_batch(gen.integers(0, k, 60), eps, k, RandomStream(5, 1))
+    first = rappor_encode_batch(gen.integers(0, k, 60), eps, k, keyed_generator(derive_key(5, 0)))
+    second = rappor_encode_batch(gen.integers(0, k, 60), eps, k, keyed_generator(derive_key(5, 1)))
     base = decode(column_sums(first), column_sums(second), 60, s, eps)[2]
     perm1 = first[gen.permutation(60)]
     perm2 = second[gen.permutation(60)]
@@ -101,13 +101,13 @@ def test_user_permutation_within_half_is_irrelevant():
 
 def test_estimate_rejects_oversized_support():
     with pytest.raises(ValueError, match="2s=6 would exceed k=5"):
-        run(np.full((1, 5), 0.2), 10, 1.0, 3, [RandomStream(0, 0).key])
+        run(np.full((1, 5), 0.2), 10, 1.0, 3, [derive_key(0, 0)])
 
 
 def test_estimate_rejects_empty_half():
     # one user leaves the first half empty
     with pytest.raises(ValueError, match="at least two users"):
-        run(np.full((1, 4), 0.25), 1, 1.0, 1, [RandomStream(0, 0).key])
+        run(np.full((1, 4), 0.25), 1, 1.0, 1, [derive_key(0, 0)])
 
 
 def test_channel_is_ldp_exactly():
@@ -129,7 +129,7 @@ def test_unbiasedness_on_support():
     q = flip_probability(eps)
     p = np.zeros(k)
     p[[4, 11]] = [0.35, 0.65]
-    T, raw, _ = rappor_run_stack(np.tile(p, (trials, 1)), n, eps, s, [RandomStream(t, 2).key for t in range(trials)])
+    T, raw, _ = rappor_run_stack(np.tile(p, (trials, 1)), n, eps, s, [derive_key(t, 2) for t in range(trials)])
     assert all({4, 11} <= set(row) for row in T)  # easy support at this n
     mean = raw.mean(axis=0)
     gamma = 1 - 2 * q
@@ -147,8 +147,8 @@ def test_error_shrinks_with_sparsity():
     def mean_tv(s):
         P = np.zeros((trials, k))
         for t in range(trials):
-            P[t, RandomStream(200 + t, s).gen.choice(k, size=s, replace=False)] = 1 / s
-        out = run(P, n, eps, s, [RandomStream(100 + t, s).key for t in range(trials)])
+            P[t, keyed_generator(derive_key(200 + t, s)).choice(k, size=s, replace=False)] = 1 / s
+        out = run(P, n, eps, s, [derive_key(100 + t, s) for t in range(trials)])
         return tv_distance(out, P).mean()
 
     assert mean_tv(1) < mean_tv(16)
@@ -162,7 +162,7 @@ def test_hist_sampler_matches_expectation():
     acc = np.zeros(k)
     draws = 400
     for t in range(draws):
-        acc += split_half_counts(c, m, q, q, RandomStream(t, 5).gen)
+        acc += split_half_counts(c, m, q, q, keyed_generator(derive_key(t, 5)))
     mean = acc / draws
     want = c * (1 - q) + (m - c) * q
     sigma = np.sqrt(c * q * (1 - q) + (m - c) * q * (1 - q)) / math.sqrt(draws)
@@ -181,8 +181,8 @@ def test_sampler_agrees_with_encoder_in_distribution():
     acc_enc = np.zeros(k)
     acc_hist = np.zeros(k)
     for t in range(draws):
-        acc_enc += column_sums(rappor_encode_batch(xs, eps, k, RandomStream(t, 17)))
-        acc_hist += split_half_counts(c, m, q, q, RandomStream(t, 19).gen)
+        acc_enc += column_sums(rappor_encode_batch(xs, eps, k, keyed_generator(derive_key(t, 17))))
+        acc_hist += split_half_counts(c, m, q, q, keyed_generator(derive_key(t, 19)))
     want = c * (1 - q) + (m - c) * q
     sigma = math.sqrt(m * q * (1 - q)) / math.sqrt(draws)
     assert np.all(np.abs(acc_enc / draws - want) <= 4 * sigma)
@@ -192,6 +192,6 @@ def test_sampler_agrees_with_encoder_in_distribution():
 def test_run_deterministic():
     p = np.zeros((1, 16))
     p[0, [0, 9]] = 0.5
-    a = run(p, 2000, 1.0, 2, [RandomStream(11, 0).key])
-    b = run(p, 2000, 1.0, 2, [RandomStream(11, 0).key])
+    a = run(p, 2000, 1.0, 2, [derive_key(11, 0)])
+    b = run(p, 2000, 1.0, 2, [derive_key(11, 0)])
     assert np.array_equal(a, b)

@@ -41,8 +41,8 @@ def main():
     print(f"  largest off-support   {np.delete(tilde, support).max():+.4f}")
     print(f"  most negative entry   {tilde.min():+.4f}")
 
-    est_sparse = hr_decode(fracs, eps, k, mode="sparse", s=s)
-    est_dense = hr_decode(fracs, eps, k, mode="dense")
+    est_sparse = hr_decode(fracs, eps, k, s=s)
+    est_dense = hr_decode(fracs, eps, k)
     print("\nprojection comparison (same group fractions):")
     print(f"  sparse projection  TV error {tv_distance(est_sparse, target):.4f}")
     print(f"  dense projection   TV error {tv_distance(est_dense, target):.4f}")

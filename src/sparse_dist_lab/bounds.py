@@ -285,10 +285,15 @@ def randomized_response_channel(num_symbols: int, epsilon: float) -> Channel:
     return Channel(mat)
 
 
+def indicator_response_probs(epsilon: float) -> tuple[float, float]:
+    """(P[bit=1 | member], P[bit=1 | non-member]) of epsilon-LDP response to set membership."""
+    e = exp_epsilon(epsilon)
+    return e / (e + 1), 1 / (e + 1)
+
+
 def indicator_response_channel(num_symbols: int, epsilon: float, member: np.ndarray) -> Channel:
     """Two-output randomized response to membership of x in a fixed set."""
-    e = exp_epsilon(epsilon)
-    q_in, q_out = e / (e + 1), 1 / (e + 1)
+    q_in, q_out = indicator_response_probs(epsilon)
     member = np.asarray(member, dtype=bool)
     if member.size != num_symbols:
         raise ValueError("membership vector length mismatch")

@@ -24,6 +24,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterator
@@ -103,8 +104,15 @@ def keyed_generator(key: int) -> np.random.Generator:
     Generator(Philox(key=key)) bit for bit. Each thread builds one
     generator, on its first call (numpy.random is not imported before), and
     every call re-keys it: the generator is borrowed until the next call on
-    this thread, and is not for another thread.
+    this thread, and is not for another thread. Raises ValueError naming key
+    unless it is an integer (a Python int or a NumPy integer) in [0, 2^64).
     """
+    try:
+        word = operator.index(key)
+    except TypeError:
+        word = -1  # not an integer: rejected below
+    if not 0 <= word <= MASK64:
+        raise ValueError(f"a stream key must be an integer in [0, 2^64), got {key!r}")
     try:
         gen, bit_generator, state = _thread.keyed
     except AttributeError:
@@ -120,7 +128,7 @@ def keyed_generator(key: int) -> np.random.Generator:
             "uinteger": 0,
         }
         _thread.keyed = gen, bit_generator, state
-    state["state"]["key"][0] = int(key)
+    state["state"]["key"][0] = word
     bit_generator.state = state
     return gen
 

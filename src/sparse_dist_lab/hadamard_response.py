@@ -12,9 +12,9 @@ applies the transform once more: because H_K @ H_K = K*I, the group
 frequencies are (up to the known affine noise map) one Hadamard transform
 away from the padded input distribution, so a single fast transform inverts
 the whole pipeline. The signed intermediate estimate is then projected onto
-the simplex ("dense" mode) or the s-sparse simplex ("sparse" mode); both
-modes can decode the same fractions, which is how the projection
-comparison experiments are run.
+the simplex over its top s entries, the s-sparse simplex; s = k gives the
+whole simplex. Any s can decode the same fractions, which is how the
+projection comparison experiments are run.
 
 Protocol runs draw the per-group counts of ones from their exact binomial
 law, in O(K) whatever n is. No per-user message is materialized; the tests
@@ -25,20 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import Channel, indicator_response_channel
-from .core import Distribution, as_probs, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .bounds import Channel, indicator_response_channel, indicator_response_probs
+from .core import Distribution, as_probs, invertible_exp_epsilon, keyed_generator
 from .hadamard import fwht, hadamard_dim, membership_parity
-from .projection import project_simplex_vec, project_sparse_simplex_vec
-
-
-def hr_flip_probs(epsilon: float) -> tuple[float, float]:
-    """(P[bit=1 | member], P[bit=1 | non-member]) for the response channel.
-
-    Raises ValueError naming epsilon when it is not positive or e^epsilon
-    overflows a float.
-    """
-    e = exp_epsilon(epsilon)
-    return e / (e + 1), 1 / (e + 1)
+from .projection import project_on_support, project_sparse_simplex_vec, top_s_indices
 
 
 def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
@@ -53,7 +43,7 @@ def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
     k = pv.shape[-1]
     if k > K:
         raise ValueError("distribution does not fit the block size")
-    q_in, q_out = hr_flip_probs(epsilon)
+    q_in, q_out = indicator_response_probs(epsilon)
     p_K = np.zeros(pv.shape[:-1] + (K,))
     p_K[..., :k] = pv
     member_prob = 0.5 * (1 + fwht(p_K))  # P(X in B_j) for each column j
@@ -76,28 +66,16 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
     return scale * fwht(2.0 * s_hat - 1.0)[..., :k]
 
 
-def hr_decode(fracs, epsilon: float, k: int, mode: str = "sparse", s: int | None = None) -> Distribution:
-    """Full decode: invert, truncate to [0,k), project.
+def hr_decode(fracs, epsilon: float, k: int, s: int | None = None) -> Distribution:
+    """Full decode: invert, truncate to [0,k), project onto the s-sparse simplex.
 
-    mode "dense" projects onto the whole simplex; mode "sparse" projects onto
-    the s-sparse simplex and requires s. Raises ValueError unless every
+    s defaults to k, the whole simplex. Raises ValueError unless every
     fraction lies in [0, 1].
     """
     fracs = np.asarray(fracs, dtype=np.float64)
     if np.any(fracs < 0) or np.any(fracs > 1):
         raise ValueError("fractions must lie in [0,1]")
-    return Distribution(_project(hr_decode_raw(fracs, epsilon, k), mode, s))
-
-
-def _project(tilde: np.ndarray, mode: str, s: int | None) -> np.ndarray:
-    """Project a raw estimate, or each row of a stack, as hr_decode's mode says."""
-    if mode == "dense":
-        return project_simplex_vec(tilde)
-    if mode == "sparse":
-        if s is None:
-            raise ValueError("sparse mode needs s")
-        return project_sparse_simplex_vec(tilde, s)
-    raise ValueError(f"unknown mode {mode!r}")
+    return Distribution(project_sparse_simplex_vec(hr_decode_raw(fracs, epsilon, k), k if s is None else s))
 
 
 def hr_simulate_fractions(p, n: int, epsilon: float, key: int) -> np.ndarray:
@@ -127,19 +105,20 @@ def _draw_fractions(P: np.ndarray, n: int, epsilon: float, keys):
     return ones / sizes
 
 
-def hr_run_stack(
-    P: np.ndarray, n: int, epsilon: float, keys, mode: str = "sparse", s: int | None = None
-) -> np.ndarray:
+def hr_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     """One protocol run on each row of a (B, k) stack of targets with its own stream key.
 
     keys holds one 64-bit key per row (a uint64 array or any int sequence).
     Row i draws its fractions as hr_simulate_fractions does, from the
     stream whose key is keys[i]; the transforms and projections then run
-    once over the whole stack. Returns the (B, k) estimates.
+    once over the whole stack. The support T is the top s entries of each
+    row's raw estimate (s = k gives the whole simplex). Returns the (B, s)
+    supports and the (B, k) raw and projected estimates.
     """
     P = np.asarray(P, dtype=np.float64)
-    fracs = _draw_fractions(P, n, epsilon, keys)
-    return _project(hr_decode_raw(fracs, epsilon, P.shape[1]), mode, s)
+    raw = hr_decode_raw(_draw_fractions(P, n, epsilon, keys), epsilon, P.shape[1])
+    T = top_s_indices(raw, s)
+    return T, raw, project_on_support(raw, T)
 
 
 def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> Channel:

@@ -12,9 +12,9 @@ key is all a stream needs. Cells run in this process or, with more than one
 worker, in forked worker processes (POSIX only). Results stream to a CSV
 with a fixed header, one write per cell, in grid order; runs are resumable
 (existing (cell, trial) rows are skipped, a torn last line is dropped and
-rerun, and a foreign header, a row of the wrong width or a row written under
-another master seed is an error) and byte-identical across repetitions and
-worker counts. One reader, _read_rows, parses the file for both resuming and
+rerun, and a foreign header, a row of the wrong width, a repeated (cell,
+trial) row or a row written under another master seed is an error) and
+byte-identical across repetitions and worker counts. One reader, _read_rows, parses the file for both resuming and
 summarizing.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
@@ -23,9 +23,9 @@ string naming the cell. Nothing downstream of that seed depends on
 scheduling. Two deliberate wrinkles, both load-bearing for the experiment
 semantics:
 
-* hr_dense and hr_sparse hash to the same cell string (family "hr"), so the
-  two projection modes decode identical group fractions - the projection
-  comparison is paired, not independent.
+* hr_dense and hr_sparse hash to the same cell string (family "hr"), so
+  HR at s = k (the whole simplex) and at the cell's s decode identical group
+  fractions - the projection comparison is paired, not independent.
 * comm_hash cells hash their *effective* bit count; raising ell past the
   ceil(log2 s)+1 cap changes nothing about the protocol, so such cells are
   the same experiment and deliberately replay the same trials.
@@ -221,7 +221,7 @@ class TrialResult:
 
 
 def scheme_family(scheme: str) -> str:
-    """Seeding family: both HR projection modes share message batches."""
+    """Seeding family: hr_dense and hr_sparse share message batches."""
     return "hr" if scheme in ("hr_dense", "hr_sparse") else scheme
 
 
@@ -290,13 +290,13 @@ def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResul
 
 
 def _run_stack(cell: Cell, targets: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The cell's scheme run on each row of targets with its own stream key."""
-    if cell.scheme in ("hr_dense", "hr_sparse"):
-        mode = "dense" if cell.scheme == "hr_dense" else "sparse"
-        return hr_run_stack(targets, cell.n, cell.param, keys, mode=mode, s=cell.s)
-    if cell.scheme == "rappor":
-        return rappor_run_stack(targets, cell.n, cell.param, cell.s, keys)[2]
-    return comm_run_stack(targets, cell.n, cell.param, cell.s, keys)[2]
+    """The cell's scheme run on each row of targets with its own stream key; the (B, k) estimates.
+
+    Every runner is (targets, n, param, s, keys) -> (T, raw, est); hr_dense is HR at s = k.
+    """
+    run = {"rappor": rappor_run_stack, "comm_hash": comm_run_stack}.get(cell.scheme, hr_run_stack)
+    s = cell.k if cell.scheme == "hr_dense" else cell.s
+    return run(targets, cell.n, cell.param, s, keys)[2]
 
 
 def config_cells(config: ExperimentConfig) -> list[Cell]:
@@ -328,13 +328,16 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     """The parsed rows of a results CSV, and the byte length of its torn last line.
 
     Reads path once. Raises ValueError naming path unless the first line is
-    CSV_HEADER and every row parses (see _parse_row). Rows are written
-    whole, each ending in a newline, so a last line with no newline is a
-    write cut short by a crash, not a row: it is left out and its length in
-    bytes returned (0 when the file ends in a newline). A torn first line
-    must be a prefix of the header. Blank lines are skipped.
+    CSV_HEADER and every row parses (see _parse_row), and naming a row's
+    line and the earlier line it repeats if two rows record one (cell,
+    trial): a repeat would count as another trial and mark its cell done.
+    Rows are written whole, each ending in a newline, so a last line with no
+    newline is a write cut short by a crash, not a row: it is left out and
+    its length in bytes returned (0 when the file ends in a newline). A torn
+    first line must be a prefix of the header. Blank lines are skipped.
     """
     rows = []
+    first_line = {}  # (scheme, k, s, n, eps_or_ell, trial) -> the line that holds it
     torn = 0
     with open(path, encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -343,8 +346,17 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
             if not line.endswith("\n"):
                 torn = len(line.encode())
             elif line_no > 1 and line != "\n":
-                rows.append(_parse_row(path, line_no, line[:-1]))
+                row = _parse_row(path, line_no, line[:-1])
+                earlier = first_line.setdefault(_row_key(row), line_no)
+                if earlier != line_no:
+                    raise ValueError(f"{path}: line {line_no} repeats the (cell, trial) of line {earlier}")
+                rows.append(row)
     return rows, torn
+
+
+def _row_key(row: dict) -> tuple:
+    """A parsed row's (scheme, k, s, n, eps_or_ell, trial), the trial it records."""
+    return row["scheme"], row["k"], row["s"], row["n"], row["eps_or_ell"], row["trial"]
 
 
 def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
@@ -469,7 +481,8 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
 
     Reads out_path once, if it exists, and raises ValueError naming it,
     before writing anything, if its first line is not CSV_HEADER, if a row
-    does not parse (see _parse_row), or if a row was written under another
+    does not parse (see _parse_row) or repeats an earlier row's (cell,
+    trial) (see _read_rows), or if a row was written under another
     master seed than config's: a row's key leaves the seed out, so it would
     otherwise count as done. A torn last line (no trailing newline) is
     truncated, with a note on stderr, and its row rerun.
@@ -479,7 +492,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
         rows, torn = _read_rows(out_path)
     except FileNotFoundError:
         rows, torn = [], 0
-    done = {(r["scheme"], r["k"], r["s"], r["n"], r["eps_or_ell"], r["trial"]): r["seed"] for r in rows}
+    done = {_row_key(r): r["seed"] for r in rows}
     todo = []
     for cell in config_cells(config):
         pending = []

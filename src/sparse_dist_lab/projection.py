@@ -73,6 +73,8 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
     k = rows.shape[1]
     if not 1 <= s <= k:
         raise ValueError(f"require 1 <= s <= {k}, got s={s}")
+    if s == k:
+        return np.broadcast_to(np.arange(k), v.shape).copy()
     # each row's s-th largest value is its cut: keep everything above it,
     # then the entries equal to it in index order until s are taken
     cut = np.partition(rows, k - s, axis=1)[:, k - s, None]
@@ -83,6 +85,16 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
     return keep.nonzero()[1].reshape(v.shape[:-1] + (s,))
 
 
+def project_on_support(rows: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Each row of a (B, k) stack projected onto the simplex over its row of T (distinct indices), and zero off it."""
+    if T.shape[1] == rows.shape[1]:
+        return project_simplex_vec(rows)
+    at = np.arange(rows.shape[0])[:, None], T
+    out = np.zeros(rows.shape)
+    out[at] = project_simplex_vec(rows[at])
+    return out
+
+
 def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
     """Projection onto the s-sparse simplex, as an array (row-wise on a stack)."""
     rows = _as_rows(v)
@@ -91,10 +103,7 @@ def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
         raise ValueError(f"require 1 <= s <= {k}, got s={s}")
     if s == k:
         return project_simplex_vec(v)
-    at = np.arange(rows.shape[0])[:, None], top_s_indices(rows, s)
-    out = np.zeros_like(rows)
-    out[at] = project_simplex_vec(rows[at])
-    return out.reshape(np.shape(v))
+    return project_on_support(rows, top_s_indices(rows, s)).reshape(np.shape(v))
 
 
 def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, gen: np.random.Generator) -> np.ndarray:
@@ -130,9 +139,7 @@ def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, drop: float
     at = np.arange(M.shape[0])[:, None], T
     raw = np.zeros(M.shape)
     raw[at] = (N[at].astype(np.float64) / m2 - beta) / gamma
-    out = np.zeros(M.shape)
-    out[at] = project_simplex_vec(raw[at])
-    return T, raw, out
+    return T, raw, project_on_support(raw, T)
 
 
 def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, keys):

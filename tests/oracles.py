@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from sparse_dist_lab.bounds import indicator_response_probs
 from sparse_dist_lab.core import GOLDEN64, MASK64, as_probs, mix64, mix64_array
 from sparse_dist_lab.hadamard import membership_parity
-from sparse_dist_lab.hadamard_response import hr_flip_probs
 from sparse_dist_lab.rappor import flip_probability
 
 # a second odd multiplier, so the user index and the symbol enter a hash
@@ -61,7 +61,7 @@ def hr_encode(x: int, user_index: int, epsilon: float, K: int, gen: np.random.Ge
     The user's group is user_index mod K; the bit is a randomized response
     to membership of x in that group's column set.
     """
-    q_in, q_out = hr_flip_probs(epsilon)
+    q_in, q_out = indicator_response_probs(epsilon)
     j = user_index % K
     prob_one = q_in if in_column_set(K, j, x) else q_out
     return int(gen.random() < prob_one)
@@ -74,7 +74,7 @@ def hr_encode_batch(xs: np.ndarray, epsilon: float, K: int, gen: np.random.Gener
     hr_encode per user.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    q_in, q_out = hr_flip_probs(epsilon)
+    q_in, q_out = indicator_response_probs(epsilon)
     groups = (first_user + np.arange(xs.size, dtype=np.int64)) % K
     member = membership_parity(K, groups, xs)
     prob_one = np.where(member, q_in, q_out)

@@ -152,8 +152,8 @@ def test_criterion_05_sparse_beats_dense_on_shared_messages():
         key = derive_key(MASTER_SEED + t, 5)
         target = make_uniform_sparse(k, s, derive_key(key, 0))
         fracs = hr_simulate_fractions(target, n, eps, derive_key(key, 1))
-        est_sparse = hr_decode(fracs, eps, k, mode="sparse", s=s)
-        est_dense = hr_decode(fracs, eps, k, mode="dense")
+        est_sparse = hr_decode(fracs, eps, k, s=s)
+        est_dense = hr_decode(fracs, eps, k)
         a = tv_distance(est_sparse, target)
         b = tv_distance(est_dense, target)
         sparse_tv.append(a)

@@ -1,6 +1,7 @@
 """Distribution machinery, divergences, sampling, and the seeding layer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,6 +347,14 @@ def test_keyed_generator_takes_the_whole_key_range(key):
     keyed_generator(7).integers(0, 10, size=3, dtype=np.uint32)  # leave the generator mid-stream
     ref = np.random.Generator(np.random.Philox(key=key))
     assert np.array_equal(keyed_generator(np.uint64(key)).random(9), ref.random(9))
+
+
+@pytest.mark.parametrize("key", [1.5, -1, 2**64], ids=["float", "negative", "too_large"])
+def test_keyed_generator_rejects_a_key_outside_the_64_bit_integers(key):
+    with pytest.raises(ValueError, match=re.escape(f"got {key!r}")):
+        keyed_generator(key)
+    with pytest.raises(ValueError, match="stream key"):
+        make_uniform_sparse(10, 2, key)
 
 
 def test_fold_string_stable():

@@ -84,7 +84,7 @@ def test_aggregate_requires_full_groups():
 def test_fractions_validation():
     for bad in ([0.5, 1.5], [-0.1, 0.5]):
         with pytest.raises(ValueError, match=r"fractions must lie in \[0,1\]"):
-            hr_decode(np.array(bad), 1.0, 1, mode="dense")
+            hr_decode(np.array(bad), 1.0, 1)
 
 
 # ------------------------------------------------------------------- decoding
@@ -108,8 +108,8 @@ def test_decode_point_mass_both_modes():
     p = np.zeros(k)
     p[4] = 1.0
     t = hr_expected_fractions(p, 1.0, K)
-    for mode, s in (("dense", None), ("sparse", 1)):
-        out = hr_decode(t, 1.0, k, mode=mode, s=s)
+    for s in (None, 1):
+        out = hr_decode(t, 1.0, k, s=s)
         assert np.allclose(out.probs, p, atol=1e-9)
 
 
@@ -151,18 +151,10 @@ def test_decode_raw_rejects_oversized_k():
         hr_decode_raw(np.full(8, 0.5), 1.0, 9)
 
 
-def test_decode_mode_validation():
-    fracs = np.full(8, 0.5)
-    with pytest.raises(ValueError):
-        hr_decode(fracs, 1.0, 7, mode="sparse")  # s missing
-    with pytest.raises(ValueError):
-        hr_decode(fracs, 1.0, 7, mode="other")
-
-
 def test_run_recovers_sparse_target():
     p = np.zeros(50)
     p[[3, 30]] = 0.5
-    out = hr_run_stack(p[None], 200000, 1.0, [derive_key(5, 0)], mode="sparse", s=2)[0]
+    out = hr_run_stack(p[None], 200000, 1.0, 2, [derive_key(5, 0)])[2][0]
     tv = 0.5 * np.abs(out - p).sum()
     assert tv <= 0.05
 

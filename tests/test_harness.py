@@ -14,7 +14,9 @@ import pytest
 
 from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main
-from sparse_dist_lab.core import GOLDEN64, MASK64, mix64
+from sparse_dist_lab.comm_hash import comm_run_stack
+from sparse_dist_lab.core import GOLDEN64, MASK64, child_keys, mix64, uniform_sparse_stack
+from sparse_dist_lab.hadamard_response import hr_run_stack
 from sparse_dist_lab.harness import (
     CSV_HEADER,
     Cell,
@@ -33,6 +35,8 @@ from sparse_dist_lab.harness import (
     trial_seeds,
     write_summary,
 )
+from sparse_dist_lab.projection import project_on_support, project_simplex_vec, top_s_indices
+from sparse_dist_lab.rappor import rappor_run_stack
 
 
 def tiny_config(**over):
@@ -464,6 +468,38 @@ def test_grid_rows_equal_trials_run_one_by_one(tmp_path, monkeypatch, grid):
     assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
+@pytest.mark.parametrize(
+    "scheme, s",
+    [("hr_dense", 3), ("hr_sparse", 3), ("rappor", 3), ("comm_hash", 3), ("comm_hash", 30)],
+    ids=["hr_dense", "hr_sparse", "rappor", "comm_hash", "comm_hash_support_capped_at_k"],
+)
+def test_every_stack_runner_returns_its_support_raw_estimate_and_projection(scheme, s):
+    # Every scheme's runner is (targets, n, param, s, keys) -> (T, raw, est)
+    # with est the projection of raw onto the simplex over T; hr_dense is HR
+    # at s = k, whose T is every symbol.
+    k, B = 40, 4
+    cell = Cell(scheme, k, s, 4000, 3 if scheme == "comm_hash" else 1.0)
+    targets = uniform_sparse_stack(k, s, child_keys(5, range(B)))
+    keys = child_keys(6, range(B))
+    run, runs_at = {
+        "hr_dense": (hr_run_stack, k),
+        "hr_sparse": (hr_run_stack, s),
+        "rappor": (rappor_run_stack, s),
+        "comm_hash": (comm_run_stack, s),
+    }[scheme]
+    T, raw, est = run(targets, cell.n, cell.param, runs_at, keys)
+    width = {"hr_dense": k, "hr_sparse": s, "rappor": 2 * s, "comm_hash": min(2 * s, k)}[scheme]
+    assert T.shape == (B, width)
+    assert raw.shape == est.shape == (B, k)
+    assert np.array_equal(est, project_on_support(raw, T))
+    assert np.array_equal(harness._run_stack(cell, targets, keys), est)
+    if scheme.startswith("hr"):
+        assert np.array_equal(T, top_s_indices(raw, width))
+    if scheme == "hr_dense":
+        assert np.array_equal(T, np.broadcast_to(np.arange(k), (B, k)))
+        assert np.array_equal(est, project_simplex_vec(raw))
+
+
 # hr_dense and hr_sparse decode shared fractions; ell=5 lies above the
 # effective_ell cap at both sparsities (2 at s=2, 3 at s=4), so its cells
 # replay the trials of the capped ell.
@@ -703,6 +739,25 @@ def test_row_with_unparsable_field_is_an_error(tmp_path, field, at, text, kind):
         read_results(str(out))
     with pytest.raises(ValueError, match=message):
         run_grid(dataclasses.replace(cfg, trials=2), str(out), threads=1)
+    assert out.read_bytes() == before
+
+
+def test_repeated_row_is_an_error(tmp_path):
+    # A repeated (cell, trial) row would count as another trial in a summary
+    # and mark its cell done on resume; read_results and a resuming run_grid
+    # name the path and both lines, and the resume writes nothing.
+    cfg = ExperimentConfig(scheme="comm_hash", k=32, s_list=[2], n=2000, trials=3, master_seed=7, ell_list=[1])
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=1)
+    rows = out.read_text().splitlines()[1:]
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+    before = out.read_bytes()
+    message = re.escape(f"{out}: line 5 repeats the (cell, trial) of line 2")
+    with pytest.raises(ValueError, match=message):
+        read_results(str(out))
+    with pytest.raises(ValueError, match=message):
+        run_grid(dataclasses.replace(cfg, trials=4), str(out), threads=1)
     assert out.read_bytes() == before
 
 

@@ -1,6 +1,7 @@
 """The package surface: every export and every public name in src/ is used, and every demo and README snippet runs."""
 
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -85,6 +86,20 @@ def test_demo_runs(demo, tmp_path):
     done = _run_python([str(demo)], TMPDIR=str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+_DEMO_STDOUT_SHA256 = {
+    "hashing_demo": "f34bb6fa1d7f95eab02d2b078136df8878cb9174e6c58f2003e5dcf907cbe346",
+    "hadamard_response_demo": "c1a4f3a478a5fa122edc840ee694862bad219da23a4443799f875b1506bd36ae",
+    "lower_bounds_demo": "2e2984f2405cd7f180ef59af12793dbdfa2b6e05036f69b70e0f016c93b1ff80",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEMO_STDOUT_SHA256))
+def test_demo_stdout_bytes_are_pinned(name):
+    done = _run_python([str(ROOT / "demos" / f"{name}.py")])
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == _DEMO_STDOUT_SHA256[name]
 
 
 def test_trend_demo_writes_to_the_directory_it_is_given(tmp_path):

@@ -11,7 +11,8 @@ an ideal hash, so no message is built here.
 
 import numpy as np
 
-from sparse_dist_lab import comm_run_details, derive_key, effective_ell, make_uniform_sparse, tv_distance
+from sparse_dist_lab.comm_hash import comm_run_stack, effective_ell
+from sparse_dist_lab.core import derive_key, tv_distance, uniform_sparse_stack
 
 
 def main():
@@ -23,8 +24,10 @@ def main():
     print(f"k={k}, s={s}, raw ell={ell} -> effective ell = {ell_eff} ({buckets} buckets)")
     print("(buckets beyond ~2s buy nothing, so wider messages are truncated)\n")
 
-    target = make_uniform_sparse(k, s, derive_key(key, 0))
-    support = set(np.nonzero(target.probs)[0].tolist())
+    # the package's runs take a (B, k) stack of targets, one stream key per row
+    P = uniform_sparse_stack(k, s, [derive_key(key, 0)])
+    target = P[0]
+    support = set(np.nonzero(target)[0].tolist())
 
     # a message is consistent with its sender's symbol, and with any other
     # symbol when the two hash to the same bucket (probability 1/buckets)
@@ -34,19 +37,19 @@ def main():
     print(f"expected preimage size of one message: 1 + (k-1)/B = {1 + (k - 1) / buckets:.1f} symbols\n")
 
     # the full two-stage protocol
-    T, raw, estimate = comm_run_details(target, n, ell, s, derive_key(key, 2))
+    T, raw, estimate = (rows[0] for rows in comm_run_stack(P, n, ell, s, [derive_key(key, 2)]))
     print(f"full run at n = {n}:")
     print(f"  candidate support T (top {len(T)} by stage-1 counts) captures "
           f"{len(support & set(T.tolist()))}/{s} true symbols")
-    print(f"  mass of p on T: {target.probs[T].sum():.4f}")
-    print(f"  in-support l1 error of the raw estimate: {np.abs(raw[T] - target.probs[T]).sum():.4f}")
+    print(f"  mass of p on T: {target[T].sum():.4f}")
+    print(f"  in-support l1 error of the raw estimate: {np.abs(raw[T] - target[T]).sum():.4f}")
     print(f"  TV error after projection: {tv_distance(estimate, target):.4f}\n")
 
     # an ell past the cap is the same protocol, so on the same stream it
     # replays the capped run exactly
     print("TV error by raw ell (one run each, on the same stream):")
     for bits in range(1, 7):
-        run = comm_run_details(target, n, bits, s, derive_key(key, 3))[2]
+        run = comm_run_stack(P, n, bits, s, [derive_key(key, 3)])[2][0]
         print(f"  ell = {bits} (effective {effective_ell(bits, s)}): {tv_distance(run, target):.4f}")
 
 

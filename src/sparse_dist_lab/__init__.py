@@ -28,16 +28,10 @@ from .bounds import (
     verification_suite,
     verify_ldp,
 )
-from .comm_hash import comm_run_details, effective_ell
-from .core import (
-    Distribution,
-    PackingIndex,
-    derive_key,
-    make_uniform_sparse,
-    tv_distance,
-)
+from .comm_hash import effective_ell
+from .core import PackingIndex, derive_key, tv_distance
 from .hadamard import fwht, hadamard_dim
-from .hadamard_response import hr_decode, hr_decode_raw, hr_expected_fractions, hr_simulate_fractions
+from .hadamard_response import hr_decode_raw, hr_expected_fractions
 from .harness import ExperimentConfig, TrialResult, run_grid, summarize
 
 __all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Distribution, as_probs
 from .projection import split_half_estimate
 
 
@@ -43,22 +42,12 @@ def effective_ell(ell: int, s: int | None) -> int:
     return min(ell, (s - 1).bit_length() + 1)
 
 
-def comm_run_details(p, n: int, ell: int, s: int, key: int):
-    """One full protocol run; returns (T, raw estimate, Distribution).
-
-    Splits the n users in half, draws each half's symbol histogram and then
-    its consistency counts from their exact ideal-hash law, and decodes;
-    the stream of key draws it all.
-    """
-    T, raw, out = comm_run_stack(as_probs(p)[None], n, ell, s, [key])
-    return T[0], raw[0], Distribution(out[0])
-
-
 def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, keys):
-    """comm_run_details on each row of a (B, k) stack of targets with its own stream key.
+    """One full protocol run on each row of a (B, k) stack of targets with its own stream key.
 
-    Both halves' consistency counts are drawn from their exact ideal-hash
-    law, which does not depend on the public coins, and decoded by
+    Splits the n users in half and draws each half's symbol histogram and
+    then its consistency counts from their exact ideal-hash law, which does
+    not depend on the public coins; they are decoded by
     split_half_estimate on a candidate support of min(2s, k) symbols with
     drop = 0 and noise = 2^-effective_ell, one over the bucket count. keys
     holds one 64-bit key per row (see split_half_estimate). Returns the

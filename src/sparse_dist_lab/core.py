@@ -1,9 +1,10 @@
 """Distributions, divergences, sampling, and deterministic randomness plumbing.
 
 Everything downstream (the privatization schemes, the lower-bound machinery,
-the experiment harness) builds on the primitives here: a validated probability
-vector type, total-variation and chi-squared divergences, the s-sparse
-uniform targets used in experiments, the packing family of hard
+the experiment harness) builds on the primitives here: the check that an
+array, or each row of a (B, k) stack, is a probability vector,
+total-variation and chi-squared divergences of plain float arrays, the
+s-sparse uniform targets used in experiments, the packing family of hard
 distributions used by the lower bounds, and the keyed random streams that
 make every run replayable regardless of worker count.
 
@@ -177,7 +178,7 @@ def check_probs(p: np.ndarray) -> None:
     """Raise ValueError unless p, or each row of a (B, k) stack, is a distribution.
 
     Entries must be finite and in [0, 1], and each row must sum to 1 within
-    ``SUM_TOL``. Distribution and the harness's stacked trials share this rule.
+    ``SUM_TOL``, for the harness's stacks and induced_output_dist's outputs.
     """
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
@@ -187,30 +188,6 @@ def check_probs(p: np.ndarray) -> None:
     off = np.abs(totals - 1.0) > SUM_TOL
     if off.any():
         raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability vector over a finite 0-indexed alphabet.
-
-    Entries must be in [0,1] and sum to 1 within ``SUM_TOL``.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-d vector")
-        check_probs(p)
-
-
-def as_probs(p) -> np.ndarray:
-    """Accept a Distribution or a bare array-like; return the float vector."""
-    if isinstance(p, Distribution):
-        return p.probs
-    return np.asarray(p, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -238,7 +215,7 @@ def tv_distance(p, q):
     Raises on length mismatch. Always in [0, 1]. For two (B, k) stacks,
     returns the B row-wise distances as an array.
     """
-    pv, qv = as_probs(p), as_probs(q)
+    pv, qv = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if pv.shape != qv.shape:
         raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
     tv = 0.5 * np.abs(pv - qv).sum(axis=-1)
@@ -251,7 +228,7 @@ def chi_square(p, q) -> float:
     Requires q(x) > 0 wherever p(x) > 0; a violation is reported with the
     first offending index.
     """
-    pv, qv = as_probs(p), as_probs(q)
+    pv, qv = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if pv.shape != qv.shape:
         raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
     bad = (qv == 0) & (pv > 0)
@@ -263,13 +240,8 @@ def chi_square(p, q) -> float:
     return float(np.sum(diff * diff / qv[mask]))
 
 
-def make_uniform_sparse(k: int, s: int, key: int) -> Distribution:
-    """Uniform distribution over a size-s subset of [k], chosen uniformly by the stream of key."""
-    return Distribution(uniform_sparse_stack(k, s, [key])[0])
-
-
 def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
-    """Row i is make_uniform_sparse(k, s, keys[i]); shape (B, k).
+    """Row i is uniform over a size-s subset of [k], chosen uniformly by the stream of keys[i]; shape (B, k).
 
     keys holds one 64-bit stream key per row, as a uint64 array or any int
     sequence.
@@ -282,7 +254,7 @@ def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
     return probs
 
 
-def make_packing_dist(z: PackingIndex, alpha: float) -> Distribution:
+def make_packing_dist(z: PackingIndex, alpha: float) -> np.ndarray:
     """The hard distribution indexed by z, over [k] plus a heavy symbol.
 
     The output lives on k+1 symbols with index 0 the heavy one:
@@ -293,16 +265,16 @@ def make_packing_dist(z: PackingIndex, alpha: float) -> Distribution:
     probs = np.zeros(z.k + 1)
     probs[0] = 1 - 8 * alpha
     probs[1 + np.asarray(z.support, dtype=np.int64)] = 8 * alpha / z.s
-    return Distribution(probs)
+    return probs
 
 
-def packing_reference_dist(k: int, alpha: float) -> Distribution:
+def packing_reference_dist(k: int, alpha: float) -> np.ndarray:
     """The average of make_packing_dist over all indices: 8*alpha/k on [k]."""
     if not 0 < 8 * alpha < 1:
         raise ValueError("require 0 < 8*alpha < 1")
     probs = np.full(k + 1, 8 * alpha / k)
     probs[0] = 1 - 8 * alpha
-    return Distribution(probs)
+    return probs
 
 
 def enumerate_packing_indices(k: int, s: int) -> Iterator[PackingIndex]:
@@ -313,14 +285,17 @@ def enumerate_packing_indices(k: int, s: int) -> Iterator[PackingIndex]:
         yield PackingIndex(k, support)
 
 
-def induced_output_dist(W, p) -> Distribution:
+def induced_output_dist(W, p) -> np.ndarray:
     """Push p through a row-stochastic channel: q(y) = sum_x W(y|x) p(x).
 
     ``W`` may be a Channel object (anything with a ``matrix`` attribute) or a
-    bare 2-d array with one row per input symbol.
+    bare 2-d array with one row per input symbol. Raises ValueError unless q
+    is a distribution (see check_probs).
     """
     mat = np.asarray(getattr(W, "matrix", W), dtype=np.float64)
-    pv = as_probs(p)
+    pv = np.asarray(p, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != pv.size:
         raise ValueError(f"channel has {mat.shape} rows for {pv.size} input symbols")
-    return Distribution(pv @ mat)
+    q = pv @ mat
+    check_probs(q)
+    return q

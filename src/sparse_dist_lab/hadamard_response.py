@@ -26,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Channel, indicator_response_channel, indicator_response_probs
-from .core import Distribution, as_probs, invertible_exp_epsilon, keyed_generator
+from .core import invertible_exp_epsilon, keyed_generator
 from .hadamard import fwht, hadamard_dim, membership_parity
-from .projection import project_on_support, project_sparse_simplex_vec, top_s_indices
+from .projection import project_on_support, top_s_indices
 
 
 def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
@@ -39,7 +39,7 @@ def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
     which is the identity the decoder tests pin down. For a (B, k) stack of
     distributions, returns the (B, K) stack of their fractions.
     """
-    pv = as_probs(p)
+    pv = np.asarray(p, dtype=np.float64)
     k = pv.shape[-1]
     if k > K:
         raise ValueError("distribution does not fit the block size")
@@ -55,47 +55,31 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
 
     Inverts the response map: recenter the fractions to 2*s_hat - 1, apply
     the transform, rescale by (e^eps+1)/(K(e^eps-1)), truncate to k entries.
-    A (B, K) stack of fractions gives a (B, k) stack of estimates.
+    A (B, K) stack of fractions gives a (B, k) stack of estimates. Raises
+    ValueError unless every fraction lies in [0, 1].
     """
     s_hat = np.asarray(fracs, dtype=np.float64)
     K = s_hat.shape[-1]
     if k > K:
         raise ValueError("k exceeds block size")
+    if not (s_hat.min() >= 0 and s_hat.max() <= 1):  # NaN fails both
+        raise ValueError("fractions must lie in [0,1]")
     e = invertible_exp_epsilon(epsilon)
     scale = (e + 1) / (K * (e - 1))
     return scale * fwht(2.0 * s_hat - 1.0)[..., :k]
 
 
-def hr_decode(fracs, epsilon: float, k: int, s: int | None = None) -> Distribution:
-    """Full decode: invert, truncate to [0,k), project onto the s-sparse simplex.
+def hr_draw_fractions(P: np.ndarray, n: int, epsilon: float, keys) -> np.ndarray:
+    """Draw, for each row of a (B, k) stack of targets, the K per-group fractions of ones of n users.
 
-    s defaults to k, the whole simplex. Raises ValueError unless every
-    fraction lies in [0, 1].
+    Row i draws from the stream whose key is keys[i] (a uint64 array or any
+    int sequence). Round-robin assignment fixes each group's size, and
+    marginally over its symbol every user in group j sends a 1 with
+    probability t_j (see hr_expected_fractions), independently of all other
+    users, so ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and
+    aggregating every user's bit. Returns the (B, K) fractions.
     """
-    fracs = np.asarray(fracs, dtype=np.float64)
-    if np.any(fracs < 0) or np.any(fracs > 1):
-        raise ValueError("fractions must lie in [0,1]")
-    return Distribution(project_sparse_simplex_vec(hr_decode_raw(fracs, epsilon, k), k if s is None else s))
-
-
-def hr_simulate_fractions(p, n: int, epsilon: float, key: int) -> np.ndarray:
-    """Draw, from the stream of key, the K per-group fractions of ones of n users with symbols from p.
-
-    Round-robin assignment fixes each group's size, and marginally over its
-    symbol every user in group j sends a 1 with probability t_j (see
-    hr_expected_fractions), independently of all other users, so
-    ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and aggregating
-    every user's bit.
-    """
-    return _draw_fractions(as_probs(p)[None], n, epsilon, [key])[0]
-
-
-def _draw_fractions(P: np.ndarray, n: int, epsilon: float, keys):
-    """Row i of a (B, k) stack through hr_simulate_fractions with key keys[i].
-
-    Returns the (B, K) fractions.
-    """
-    K = hadamard_dim(P.shape[1])
+    K = hadamard_dim(np.shape(P)[1])
     if n < K:
         raise ValueError(f"need at least K={K} users, got n={n}")
     sizes = np.full(K, n // K, dtype=np.int64)
@@ -109,14 +93,13 @@ def hr_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     """One protocol run on each row of a (B, k) stack of targets with its own stream key.
 
     keys holds one 64-bit key per row (a uint64 array or any int sequence).
-    Row i draws its fractions as hr_simulate_fractions does, from the
-    stream whose key is keys[i]; the transforms and projections then run
-    once over the whole stack. The support T is the top s entries of each
+    Row i draws its fractions by hr_draw_fractions, from the stream whose
+    key is keys[i]; the transforms and projections then run once over the
+    whole stack. The support T is the top s entries of each
     row's raw estimate (s = k gives the whole simplex). Returns the (B, s)
     supports and the (B, k) raw and projected estimates.
     """
-    P = np.asarray(P, dtype=np.float64)
-    raw = hr_decode_raw(_draw_fractions(P, n, epsilon, keys), epsilon, P.shape[1])
+    raw = hr_decode_raw(hr_draw_fractions(P, n, epsilon, keys), epsilon, np.shape(P)[1])
     T = top_s_indices(raw, s)
     return T, raw, project_on_support(raw, T)
 

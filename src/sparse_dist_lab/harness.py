@@ -61,9 +61,27 @@ from .hadamard_response import hr_run_stack
 from .rappor import flip_probability, rappor_run_stack
 
 CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed"
-# how _read_rows parses each field; eps_or_ell must parse as a float but is
-# kept as written, the text a cell's param_str matches
-_FIELD_PARSERS = dict(zip(CSV_HEADER.split(","), (str, int, int, int, float, int, float, int, int)))
+
+
+def _finite(text: str) -> float:
+    """text as a finite float; ValueError otherwise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _unit(text: str) -> float:
+    """text as a float in [0, 1]; ValueError otherwise."""
+    value = float(text)
+    if not 0 <= value <= 1:  # NaN fails too
+        raise ValueError(text)
+    return value
+
+
+# how _read_rows parses each field, and what a field that fails is not
+_FIELD_PARSERS = dict(zip(CSV_HEADER.split(","), (str, int, int, int, _finite, int, _unit, int, int)))
+_FIELD_KINDS = {int: "an integer", _finite: "a finite number", _unit: "a number in [0, 1]"}
 
 SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 
@@ -256,11 +274,6 @@ def bits_per_user(scheme: str, k: int, param) -> int:
     return int(param)
 
 
-def run_trial(cell: Cell, trial_index: int, master_seed: int) -> TrialResult:
-    """Run one seeded trial of a cell; pure function of its arguments."""
-    return run_cell(cell, [trial_index], master_seed)[0]
-
-
 def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResult]:
     """Run a cell's trials as one stacked batch; results in the order of trials.
 
@@ -308,7 +321,8 @@ def _parse_row(path: str, line_no: int, line: str) -> dict:
     """A results row as a dict of its parsed fields.
 
     Raises ValueError naming path and line unless the row has the header's
-    field count, and naming the field too if one does not parse.
+    field count, and naming the field too if one does not parse: eps_or_ell
+    must be a finite number and tv_error a number in [0, 1].
     """
     parts = line.split(",")
     if len(parts) != len(_FIELD_PARSERS):
@@ -318,9 +332,8 @@ def _parse_row(path: str, line_no: int, line: str) -> dict:
         try:
             value = parse(text)
         except ValueError:
-            kind = "an integer" if parse is int else "a number"
-            raise ValueError(f"{path}: line {line_no} field {name} is {text!r}, not {kind}") from None
-        row[name] = text if name == "eps_or_ell" else value
+            raise ValueError(f"{path}: line {line_no} field {name} is {text!r}, not {_FIELD_KINDS[parse]}") from None
+        row[name] = value
     return row
 
 
@@ -330,7 +343,8 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     Reads path once. Raises ValueError naming path unless the first line is
     CSV_HEADER and every row parses (see _parse_row), and naming a row's
     line and the earlier line it repeats if two rows record one (cell,
-    trial): a repeat would count as another trial and mark its cell done.
+    trial), their params compared as numbers (0.50 is 0.5): a repeat would
+    count as another trial and mark its cell done.
     Rows are written whole, each ending in a newline, so a last line with no
     newline is a write cut short by a crash, not a row: it is left out and
     its length in bytes returned (0 when the file ends in a newline). A torn
@@ -497,7 +511,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     for cell in config_cells(config):
         pending = []
         for t, want in enumerate(trial_seeds(seed, cell, range(config.trials)).tolist()):
-            found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param_str(), t))
+            found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param, t))
             if found is None:
                 pending.append(t)
                 continue
@@ -525,7 +539,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
 
 
 def read_results(path: str) -> list[dict]:
-    """Parse a results CSV into row dicts (numbers parsed, param kept verbatim).
+    """Parse a results CSV into row dicts, every field but scheme parsed as a number.
 
     Raises ValueError naming path if the file is malformed (see _read_rows),
     ends in a torn line, or holds no rows.
@@ -541,16 +555,18 @@ def read_results(path: str) -> list[dict]:
 def summarize(rows: list[dict]) -> list[dict]:
     """Per-cell mean TV error, standard error, and trial count.
 
-    A single-trial cell has stderr 0 and is flagged degenerate. Cells are
-    ordered by (scheme, k, n, constraint value, s), one series per
-    constraint value with s as the x axis.
+    A row's param is grouped by its value (0.50 is 0.5) and written as the
+    harness writes it (an int for comm_hash). A single-trial cell has stderr
+    0 and is flagged degenerate. Cells are ordered by (scheme, k, n,
+    constraint value, s), one series per constraint value with s as the x
+    axis.
     """
     groups: dict[tuple, list[float]] = {}
     for row in rows:
-        key = (row["scheme"], row["k"], row["n"], row["eps_or_ell"], row["s"])
+        key = (row["scheme"], row["k"], row["n"], float(row["eps_or_ell"]), row["s"])
         groups.setdefault(key, []).append(row["tv_error"])
     out = []
-    for key in sorted(groups, key=lambda g: (g[0], g[1], g[2], float(g[3]), g[4])):
+    for key in sorted(groups):
         errs = np.asarray(groups[key])
         scheme, k, n, param, s = key
         stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
@@ -559,7 +575,7 @@ def summarize(rows: list[dict]) -> list[dict]:
                 "scheme": scheme,
                 "k": k,
                 "n": n,
-                "eps_or_ell": param,
+                "eps_or_ell": _param_text(int(param) if scheme == "comm_hash" and param.is_integer() else param),
                 "s": s,
                 "mean_tv_error": float(errs.mean()),
                 "stderr": stderr,

@@ -4,9 +4,9 @@ and the split-half estimator built on them.
 Decoders produce signed intermediate estimates; these projections turn them
 into valid distributions. The plain simplex projection is the usual
 sort-and-threshold method (find the largest j for which shifting the top-j
-entries to sum to 1 keeps them positive). The sparse variant restricts to the
-s largest entries first and projects the restriction, which is the standard
-greedy selection for this constraint set.
+entries to sum to 1 keeps them positive). Projecting onto the simplex over
+a support T (project_on_support) with T the s largest entries
+(top_s_indices) is the standard greedy projection onto the s-sparse simplex.
 
 Tie-breaking on equal values prefers the smaller index, so outputs are fully
 deterministic - seeded experiment replays depend on this.
@@ -93,17 +93,6 @@ def project_on_support(rows: np.ndarray, T: np.ndarray) -> np.ndarray:
     out = np.zeros(rows.shape)
     out[at] = project_simplex_vec(rows[at])
     return out
-
-
-def project_sparse_simplex_vec(v: np.ndarray, s: int) -> np.ndarray:
-    """Projection onto the s-sparse simplex, as an array (row-wise on a stack)."""
-    rows = _as_rows(v)
-    k = rows.shape[1]
-    if not 1 <= s <= k:
-        raise ValueError(f"require 1 <= s <= {k}, got s={s}")
-    if s == k:
-        return project_simplex_vec(v)
-    return project_on_support(rows, top_s_indices(rows, s)).reshape(np.shape(v))
 
 
 def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, gen: np.random.Generator) -> np.ndarray:

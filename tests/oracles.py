@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from sparse_dist_lab.bounds import indicator_response_probs
-from sparse_dist_lab.core import GOLDEN64, MASK64, as_probs, mix64, mix64_array
+from sparse_dist_lab.core import GOLDEN64, MASK64, mix64, mix64_array
 from sparse_dist_lab.hadamard import membership_parity
 from sparse_dist_lab.rappor import flip_probability
 
@@ -33,7 +33,7 @@ def sample_iid(p, n: int, gen: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. symbols from p by inverse-CDF lookup, with gen's next n uniforms."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cdf = np.cumsum(as_probs(p))
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf[-1] = 1.0  # guard against float round-off at the top end
     return np.searchsorted(cdf, gen.random(n), side="right").astype(np.int64)
 

@@ -25,33 +25,33 @@ from sparse_dist_lab.bounds import (
     randomized_response_channel,
     verify_ldp,
 )
-from sparse_dist_lab.comm_hash import comm_run_details
+from sparse_dist_lab.comm_hash import comm_run_stack
 from sparse_dist_lab.core import (
     chi_square,
     derive_key,
     enumerate_packing_indices,
     induced_output_dist,
     make_packing_dist,
-    make_uniform_sparse,
     packing_reference_dist,
     tv_distance,
+    uniform_sparse_stack,
 )
 from sparse_dist_lab.hadamard import dense_matrix, fwht
 from sparse_dist_lab.hadamard_response import (
     hr_channel_matrix,
-    hr_decode,
     hr_decode_raw,
+    hr_draw_fractions,
     hr_expected_fractions,
-    hr_simulate_fractions,
 )
 from sparse_dist_lab.harness import (
     Cell,
     load_configs,
+    run_cell,
     run_grid,
-    run_trial,
     read_results,
     summarize,
 )
+from sparse_dist_lab.projection import project_on_support, top_s_indices
 from sparse_dist_lab.rappor import rappor_channel_matrix
 
 MASTER_SEED = 20240801
@@ -132,7 +132,7 @@ def test_criterion_04_ldp_risk_bound_desk_scale():
     bound = ldp_risk_bound(k, s, eps, n)
     start = time.perf_counter()
     cell = Cell("hr_sparse", k, s, n, eps)
-    errs = [run_trial(cell, t, MASTER_SEED).tv_error for t in range(trials)]
+    errs = [run_cell(cell, [t], MASTER_SEED)[0].tv_error for t in range(trials)]
     elapsed = time.perf_counter() - start
     hits = sum(e <= bound for e in errs)
     assert hits >= 45, f"only {hits}/50 within the bound {bound:.3f}"
@@ -150,12 +150,12 @@ def test_criterion_05_sparse_beats_dense_on_shared_messages():
     sparse_tv, dense_tv = [], []
     for t in range(trials):
         key = derive_key(MASTER_SEED + t, 5)
-        target = make_uniform_sparse(k, s, derive_key(key, 0))
-        fracs = hr_simulate_fractions(target, n, eps, derive_key(key, 1))
-        est_sparse = hr_decode(fracs, eps, k, s=s)
-        est_dense = hr_decode(fracs, eps, k)
-        a = tv_distance(est_sparse, target)
-        b = tv_distance(est_dense, target)
+        target = uniform_sparse_stack(k, s, [derive_key(key, 0)])
+        raw = hr_decode_raw(hr_draw_fractions(target, n, eps, [derive_key(key, 1)]), eps, k)
+        est_sparse = project_on_support(raw, top_s_indices(raw, s))
+        est_dense = project_on_support(raw, top_s_indices(raw, k))
+        a = tv_distance(est_sparse, target)[0]
+        b = tv_distance(est_dense, target)[0]
         sparse_tv.append(a)
         dense_tv.append(b)
         diffs.append(b - a)
@@ -179,11 +179,11 @@ def test_criterion_06_hashing_support_capture():
     l1_hits = 0
     for t in range(50):
         key = derive_key(MASTER_SEED + t, 6)
-        target = make_uniform_sparse(k, s, derive_key(key, 0))
-        T, raw, _ = comm_run_details(target, n, ell, s, derive_key(key, 1))
-        if target.probs[T].sum() >= 1 - alpha / 2:
+        target = uniform_sparse_stack(k, s, [derive_key(key, 0)])[0]
+        T, raw, _ = (rows[0] for rows in comm_run_stack(target[None], n, ell, s, [derive_key(key, 1)]))
+        if target[T].sum() >= 1 - alpha / 2:
             capture_hits += 1
-        if np.abs(raw[T] - target.probs[T]).sum() <= alpha / 2:
+        if np.abs(raw[T] - target[T]).sum() <= alpha / 2:
             l1_hits += 1
     assert capture_hits >= 45, f"support capture {capture_hits}/50"
     assert l1_hits >= 45, f"in-support l1 {l1_hits}/50"
@@ -239,7 +239,7 @@ def test_criterion_08_chisq_contraction_bounds():
     def slow_oracle(W):
         q0 = induced_output_dist(W, packing_reference_dist(k, alpha))
         vals = [
-            chi_square(induced_output_dist(W, make_packing_dist(z, alpha)).probs, q0.probs)
+            chi_square(induced_output_dist(W, make_packing_dist(z, alpha)), q0)
             for z in enumerate_packing_indices(k, s)
         ]
         return float(np.mean(vals))

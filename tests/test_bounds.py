@@ -36,8 +36,8 @@ from sparse_dist_lab.hadamard_response import hr_decode_raw
 def slow_expected_chisq(W, k, s, alpha):
     """Reference oracle: average chi-square term by term over all z.
 
-    Walks the packing family through the library's own distribution types
-    (make_packing_dist -> induced_output_dist -> chi_square) instead of the
+    Walks the packing family through the library's own one-distribution
+    helpers (make_packing_dist -> induced_output_dist -> chi_square) instead of the
     production routine's vectorized row arithmetic.
     """
     q0 = induced_output_dist(W, packing_reference_dist(k, alpha))
@@ -45,7 +45,7 @@ def slow_expected_chisq(W, k, s, alpha):
     count = 0
     for z in enumerate_packing_indices(k, s):
         qz = induced_output_dist(W, make_packing_dist(z, alpha))
-        total += chi_square(qz.probs, q0.probs)
+        total += chi_square(qz, q0)
         count += 1
     return total / count
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import comm_encode_batch, hash_eval, hash_eval_batch, preimage_counts, sample_iid
-from sparse_dist_lab.comm_hash import comm_run_details, comm_run_stack, effective_ell
+from sparse_dist_lab.comm_hash import comm_run_stack, effective_ell
 from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
 from sparse_dist_lab.projection import split_half_counts, split_half_decode
 
@@ -194,7 +194,7 @@ def test_unbiasedness_on_support():
     acc = np.zeros(k)
     captured = 0
     for t in range(trials):
-        T, raw, _ = comm_run_details(p, n, ell, s_sp, derive_key(t, 21))
+        T, raw, _ = (rows[0] for rows in comm_run_stack(p[None], n, ell, s_sp, [derive_key(t, 21)]))
         if {3, 12} <= set(T):
             captured += 1
         acc += raw
@@ -222,7 +222,7 @@ def test_more_bits_do_not_hurt():
             supp = keyed_generator(derive_key(50 + t, 0)).choice(k, size=s_sp, replace=False)
             p = np.zeros(k)
             p[supp] = 1 / s_sp
-            total += tv_distance(comm_run_details(p, n, ell, s_sp, derive_key(t, ell))[2], p)
+            total += tv_distance(comm_run_stack(p[None], n, ell, s_sp, [derive_key(t, ell)])[2][0], p)
         return total / trials
 
     assert mean_tv(3) < mean_tv(1)
@@ -233,13 +233,13 @@ def test_run_deterministic_and_public_seed_matters():
     # trial's key is the only seed, and changing it changes the run.
     p = np.zeros(20)
     p[[1, 15]] = 0.5
-    a = comm_run_details(p, 2000, 3, 2, derive_key(5, 0))[2]
-    b = comm_run_details(p, 2000, 3, 2, derive_key(5, 0))[2]
-    c = comm_run_details(p, 2000, 3, 2, derive_key(6, 0))[2]
-    assert np.array_equal(a.probs, b.probs)
-    assert not np.array_equal(a.probs, c.probs)
+    a = comm_run_stack(p[None], 2000, 3, 2, [derive_key(5, 0)])[2]
+    b = comm_run_stack(p[None], 2000, 3, 2, [derive_key(5, 0)])[2]
+    c = comm_run_stack(p[None], 2000, 3, 2, [derive_key(6, 0)])[2]
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_run_rejects_tiny_n():
     with pytest.raises(ValueError):
-        comm_run_details([1.0], 1, 1, 1, derive_key(0, 0))
+        comm_run_stack(np.ones((1, 1)), 1, 1, 1, [derive_key(0, 0)])

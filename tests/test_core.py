@@ -1,4 +1,4 @@
-"""Distribution machinery, divergences, sampling, and the seeding layer."""
+"""Probability vectors, divergences, sampling, and the seeding layer."""
 
 import math
 import re
@@ -9,8 +9,8 @@ import pytest
 from oracles import sample_iid
 from sparse_dist_lab.core import (
     GOLDEN64,
-    Distribution,
     PackingIndex,
+    check_probs,
     chi_square,
     child_keys,
     derive_key,
@@ -19,19 +19,24 @@ from sparse_dist_lab.core import (
     induced_output_dist,
     keyed_generator,
     make_packing_dist,
-    make_uniform_sparse,
     mix64,
     mix64_array,
     packing_reference_dist,
     tv_distance,
+    uniform_sparse_stack,
 )
+
+
+def uniform_sparse(k, s, key):
+    """One s-sparse uniform target, the one row of uniform_sparse_stack."""
+    return uniform_sparse_stack(k, s, [key])[0]
 
 
 # ---------------------------------------------------------------- tv_distance
 
 
 def test_tv_identical_is_zero():
-    p = Distribution([0.2, 0.3, 0.5])
+    p = np.array([0.2, 0.3, 0.5])
     assert tv_distance(p, p) == 0.0
 
 
@@ -92,7 +97,7 @@ def test_chisq_support_violation_reports_index():
 
 
 def test_sample_point_mass():
-    p = Distribution([0.0, 0.0, 1.0, 0.0])
+    p = np.array([0.0, 0.0, 1.0, 0.0])
     xs = sample_iid(p, 1000, keyed_generator(derive_key(1, 0)))
     assert np.all(xs == 2)
 
@@ -113,7 +118,7 @@ def test_sample_uniform_frequencies():
 def test_sample_empirical_tv_converges():
     # Dvoretzky-style check with a generous constant: TV(emp, p) <= 3 sqrt(k/n).
     k, n = 100, 10**6
-    p = make_uniform_sparse(k, 37, derive_key(9, 0))
+    p = uniform_sparse(k, 37, derive_key(9, 0))
     xs = sample_iid(p, n, keyed_generator(derive_key(9, 1)))
     emp = np.bincount(xs, minlength=k) / n
     assert tv_distance(emp, p) <= 3 * math.sqrt(k / n)
@@ -127,41 +132,41 @@ def test_sample_zero_length():
 
 
 def test_uniform_sparse_full_support_is_uniform():
-    p = make_uniform_sparse(6, 6, derive_key(0, 0))
-    assert np.allclose(p.probs, 1 / 6)
+    p = uniform_sparse(6, 6, derive_key(0, 0))
+    assert np.allclose(p, 1 / 6)
 
 
 def test_uniform_sparse_point_mass():
-    p = make_uniform_sparse(10, 1, derive_key(0, 0))
-    assert np.count_nonzero(p.probs) == 1
-    assert p.probs.max() == 1.0
+    p = uniform_sparse(10, 1, derive_key(0, 0))
+    assert np.count_nonzero(p) == 1
+    assert p.max() == 1.0
 
 
 def test_uniform_sparse_large_scale_support():
-    p = make_uniform_sparse(5000, 64, derive_key(0, 0))
-    support = np.nonzero(p.probs)[0]
+    p = uniform_sparse(5000, 64, derive_key(0, 0))
+    support = np.nonzero(p)[0]
     assert support.size == 64
-    assert np.allclose(p.probs[support], 1 / 64)
+    assert np.allclose(p[support], 1 / 64)
 
 
 def test_uniform_sparse_rejects_bad_s():
     with pytest.raises(ValueError):
-        make_uniform_sparse(5, 0, derive_key(0, 0))
+        uniform_sparse(5, 0, derive_key(0, 0))
     with pytest.raises(ValueError):
-        make_uniform_sparse(5, 6, derive_key(0, 0))
+        uniform_sparse(5, 6, derive_key(0, 0))
 
 
 def test_packing_dist_single_index():
     z = PackingIndex(5, (0,))
     p = make_packing_dist(z, 0.05)
-    assert np.allclose(p.probs, [0.6, 0.4, 0, 0, 0, 0])
+    assert np.allclose(p, [0.6, 0.4, 0, 0, 0, 0])
 
 
 def test_packing_dist_mass_split():
     z = PackingIndex(9, (1, 4, 7))
     p = make_packing_dist(z, 0.1)
-    assert p.probs[0] == pytest.approx(1 - 0.8)
-    assert p.probs[1:].sum() == pytest.approx(0.8)
+    assert p[0] == pytest.approx(1 - 0.8)
+    assert p[1:].sum() == pytest.approx(0.8)
 
 
 def test_packing_dist_average_is_reference():
@@ -171,15 +176,16 @@ def test_packing_dist_average_is_reference():
     assert len(zs) == math.comb(k, s)
     acc = np.zeros(k + 1)
     for z in zs:
-        acc += make_packing_dist(z, alpha).probs
+        acc += make_packing_dist(z, alpha)
     avg = acc / len(zs)
-    assert np.allclose(avg, packing_reference_dist(k, alpha).probs, atol=1e-12)
+    assert np.allclose(avg, packing_reference_dist(k, alpha), atol=1e-12)
 
 
 def test_packing_dist_valid_for_every_index():
     for z in enumerate_packing_indices(12, 4):
-        p = make_packing_dist(z, 0.1)  # Distribution validates on build
-        assert p.probs.size == 13
+        p = make_packing_dist(z, 0.1)
+        check_probs(p)
+        assert p.size == 13
 
 
 def test_packing_dist_alpha_range():
@@ -193,22 +199,22 @@ def test_packing_dist_alpha_range():
 
 
 def test_induced_identity_channel():
-    p = Distribution([0.1, 0.6, 0.3])
+    p = np.array([0.1, 0.6, 0.3])
     q = induced_output_dist(np.eye(3), p)
-    assert np.allclose(q.probs, p.probs)
+    assert np.allclose(q, p)
 
 
 def test_induced_constant_channel():
     W = np.tile([0.0, 1.0, 0.0], (4, 1))
     q = induced_output_dist(W, [0.25] * 4)
-    assert np.allclose(q.probs, [0, 1, 0])
+    assert np.allclose(q, [0, 1, 0])
 
 
 def test_induced_binary_rr_symmetric():
     e = math.exp(1.0)
     W = np.array([[e / (e + 1), 1 / (e + 1)], [1 / (e + 1), e / (e + 1)]])
     q = induced_output_dist(W, [0.5, 0.5])
-    assert np.allclose(q.probs, [0.5, 0.5])
+    assert np.allclose(q, [0.5, 0.5])
 
 
 def test_induced_dimension_mismatch():
@@ -216,24 +222,33 @@ def test_induced_dimension_mismatch():
         induced_output_dist(np.eye(3), [0.5, 0.5])
 
 
-# ------------------------------------------------------------------ the types
+def test_induced_output_is_checked():
+    # an input that is not a distribution gives an output that is not one
+    with pytest.raises(ValueError, match="sum to"):
+        induced_output_dist(np.eye(2), [0.5, 0.4])
+
+
+# ------------------------------------------------- check_probs and the types
 
 
 def test_distribution_rejects_negative():
-    with pytest.raises(ValueError):
-        Distribution([1.1, -0.1])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        check_probs(np.array([1.1, -0.1]))
 
 
 def test_distribution_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        Distribution([0.5, 0.4])
+    with pytest.raises(ValueError, match="sum to 0.9"):
+        check_probs(np.array([0.5, 0.4]))
+    # each row of a stack is checked on its own
+    with pytest.raises(ValueError, match="sum to 0.9"):
+        check_probs(np.array([[0.5, 0.5], [0.5, 0.4]]))
 
 
 def test_distribution_rejects_non_finite():
     # NaN fails every comparison, so range and sum checks alone let it in.
     for bad in ([math.nan, 0.5, 0.5], [math.inf, 0.5], [0.5, 0.5, -math.inf]):
         with pytest.raises(ValueError, match="finite"):
-            Distribution(bad)
+            check_probs(np.array(bad))
 
 
 def test_packing_index_popcount_enforced():
@@ -354,7 +369,7 @@ def test_keyed_generator_rejects_a_key_outside_the_64_bit_integers(key):
     with pytest.raises(ValueError, match=re.escape(f"got {key!r}")):
         keyed_generator(key)
     with pytest.raises(ValueError, match="stream key"):
-        make_uniform_sparse(10, 2, key)
+        uniform_sparse_stack(10, 2, [key])
 
 
 def test_fold_string_stable():

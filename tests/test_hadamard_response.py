@@ -7,16 +7,21 @@ import pytest
 
 from oracles import hr_aggregate, hr_encode, hr_encode_batch, in_column_set
 from sparse_dist_lab.bounds import verify_ldp
-from sparse_dist_lab.core import Distribution, derive_key, keyed_generator
+from sparse_dist_lab.core import derive_key, keyed_generator
 from sparse_dist_lab.hadamard import hadamard_dim
 from sparse_dist_lab.hadamard_response import (
     hr_channel_matrix,
-    hr_decode,
     hr_decode_raw,
+    hr_draw_fractions,
     hr_expected_fractions,
     hr_run_stack,
-    hr_simulate_fractions,
 )
+from sparse_dist_lab.projection import project_on_support, top_s_indices
+
+
+def draw_fractions(p, n, eps, key):
+    """The K group fractions of one target, the one row of hr_draw_fractions."""
+    return hr_draw_fractions(np.asarray(p, dtype=np.float64)[None], n, eps, [key])[0]
 
 
 # ------------------------------------------------------------------- encoding
@@ -82,9 +87,9 @@ def test_aggregate_requires_full_groups():
 
 
 def test_fractions_validation():
-    for bad in ([0.5, 1.5], [-0.1, 0.5]):
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan], [[0.5, 0.5], [0.5, 1.5]]):
         with pytest.raises(ValueError, match=r"fractions must lie in \[0,1\]"):
-            hr_decode(np.array(bad), 1.0, 1)
+            hr_decode_raw(np.array(bad), 1.0, 1)
 
 
 # ------------------------------------------------------------------- decoding
@@ -107,10 +112,10 @@ def test_decode_point_mass_both_modes():
     K = hadamard_dim(k)
     p = np.zeros(k)
     p[4] = 1.0
-    t = hr_expected_fractions(p, 1.0, K)
-    for s in (None, 1):
-        out = hr_decode(t, 1.0, k, s=s)
-        assert np.allclose(out.probs, p, atol=1e-9)
+    raw = hr_decode_raw(hr_expected_fractions(p[None], 1.0, K), 1.0, k)
+    for s in (k, 1):
+        out = project_on_support(raw, top_s_indices(raw, s))[0]
+        assert np.allclose(out, p, atol=1e-9)
 
 
 def test_decode_trial_average_tracks_p():
@@ -123,7 +128,7 @@ def test_decode_trial_average_tracks_p():
     p[[2, 6]] = gen.dirichlet(np.ones(s))
     acc = np.zeros(k)
     for t in range(trials):
-        fr = hr_simulate_fractions(p, n, eps, derive_key(1000 + t, 0))
+        fr = draw_fractions(p, n, eps, derive_key(1000 + t, 0))
         acc += hr_decode_raw(fr, eps, k)
     mean = acc / trials
     e = math.exp(eps)
@@ -138,7 +143,7 @@ def test_end_to_end_unbiasedness():
     p[[0, 5]] = [0.3, 0.7]
     acc = np.zeros(k)
     for t in range(trials):
-        fr = hr_simulate_fractions(p, n, eps, derive_key(t, 3))
+        fr = draw_fractions(p, n, eps, derive_key(t, 3))
         acc += hr_decode_raw(fr, eps, k)
     mean = acc / trials
     e = math.exp(eps)
@@ -175,7 +180,7 @@ def test_sampler_agrees_with_encoder_in_distribution():
     acc_sim = np.zeros(K)
     for t in range(draws):
         acc_enc += hr_aggregate(hr_encode_batch(xs, eps, K, keyed_generator(derive_key(t, 17))), n, K)[0]
-        acc_sim += hr_simulate_fractions(p, n, eps, derive_key(t, 19))
+        acc_sim += draw_fractions(p, n, eps, derive_key(t, 19))
     sigma = np.sqrt(t_want * (1 - t_want) / (n // K)) / math.sqrt(draws)
     assert np.all(np.abs(acc_enc / draws - t_want) <= 4 * sigma)
     assert np.all(np.abs(acc_sim / draws - t_want) <= 4 * sigma)
@@ -186,21 +191,24 @@ def test_simulate_fractions_tolerates_round_off_past_one():
     # noiseless fraction for group 0 then lands one ulp above 1.
     p = np.random.default_rng(3).dirichlet(np.ones(21))
     assert hr_expected_fractions(p, 40.0, 32).max() > 1
-    fracs = hr_simulate_fractions(p, 3200, 40.0, derive_key(0, 0))
+    fracs = draw_fractions(p, 3200, 40.0, derive_key(0, 0))
     assert np.all(fracs <= 1)
 
 
 def test_simulate_fractions_requires_full_groups():
     with pytest.raises(ValueError, match="K=8"):
-        hr_simulate_fractions([0.25] * 4, 7, 1.0, derive_key(0, 0))
+        draw_fractions([0.25] * 4, 7, 1.0, derive_key(0, 0))
 
 
 def test_simulate_fractions_deterministic():
-    p = Distribution([0.25] * 4)
-    a = hr_simulate_fractions(p, 1000, 1.0, derive_key(7, 7))
-    b = hr_simulate_fractions(p, 1000, 1.0, derive_key(7, 7))
+    P = np.array([[0.25] * 4, [0.7, 0.1, 0.1, 0.1]])
+    keys = [derive_key(7, 7), derive_key(7, 8)]
+    a = hr_draw_fractions(P, 1000, 1.0, keys)
+    b = hr_draw_fractions(P, 1000, 1.0, keys)
     assert np.array_equal(a, b)
-    assert a.shape == (hadamard_dim(4),)
+    assert a.shape == (2, hadamard_dim(4))
+    # a row's fractions depend only on its own target and key
+    assert np.array_equal(a[1], draw_fractions(P[1], 1000, 1.0, keys[1]))
 
 
 # -------------------------------------------------------------------- privacy

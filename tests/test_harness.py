@@ -29,7 +29,6 @@ from sparse_dist_lab.harness import (
     read_results,
     run_cell,
     run_grid,
-    run_trial,
     scheme_family,
     summarize,
     trial_seeds,
@@ -280,8 +279,8 @@ def test_bits_per_user_mapping():
 
 def test_run_trial_repeatable():
     cell = Cell("hr_sparse", 32, 2, 2000, 1.0)
-    a = run_trial(cell, 1, 7)
-    b = run_trial(cell, 1, 7)
+    a = run_cell(cell, [1], 7)[0]
+    b = run_cell(cell, [1], 7)[0]
     assert a.tv_error == b.tv_error
     assert a.seed_used == b.seed_used
     assert a.csv_row() == b.csv_row()
@@ -289,7 +288,7 @@ def test_run_trial_repeatable():
 
 def test_run_trial_csv_row_shape():
     cell = Cell("comm_hash", 16, 1, 500, 2)
-    row = run_trial(cell, 0, 3).csv_row()
+    row = run_cell(cell, [0], 3)[0].csv_row()
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
     assert "wall" not in row
 
@@ -298,7 +297,7 @@ def test_run_trial_errors_carry_cell_identity():
     # k=32 needs K=64 groups; n=50 cannot fill them.
     cell = Cell("hr_sparse", 32, 2, 50, 1.0)
     with pytest.raises(ValueError, match="cell Cell"):
-        run_trial(cell, 0, 0)
+        run_cell(cell, [0], 0)
 
 
 @pytest.mark.parametrize(
@@ -308,7 +307,7 @@ def test_run_trial_errors_carry_cell_identity():
 def test_run_trial_reports_epsilon_too_large(cell):
     # e^eps (HR) or e^(eps/2) (rappor) overflows a float here.
     with pytest.raises(ValueError, match=r"cell Cell.*epsilon=.*too large"):
-        run_trial(cell, 0, 1)
+        run_cell(cell, [0], 1)
 
 
 def test_cell_param_is_canonical():
@@ -328,7 +327,7 @@ def test_all_schemes_consistent_at_large_n():
         ("comm_hash", 3),
     ):
         cell = Cell(scheme, 64, 1, 10**6, param)
-        res = run_trial(cell, 0, 11)
+        res = run_cell(cell, [0], 11)[0]
         assert res.tv_error <= 0.05, (scheme, res.tv_error)
 
 
@@ -464,7 +463,7 @@ def test_grid_rows_equal_trials_run_one_by_one(tmp_path, monkeypatch, grid):
     cfg = ExperimentConfig(trials=4, master_seed=13, **grid)
     out = tmp_path / "res.csv"
     run_grid(cfg, str(out), threads=2)
-    rows = [run_trial(cell, t, 13).csv_row() for cell in config_cells(cfg) for t in range(4)]
+    rows = [run_cell(cell, [t], 13)[0].csv_row() for cell in config_cells(cfg) for t in range(4)]
     assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
@@ -720,11 +719,21 @@ def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
 
 @pytest.mark.parametrize(
     "field, at, text, kind",
-    [("seed", 8, "abc", "an integer"), ("k", 1, "32.0", "an integer"), ("tv_error", 6, "x", "a number")],
+    [
+        ("seed", 8, "abc", "an integer"),
+        ("k", 1, "32.0", "an integer"),
+        ("tv_error", 6, "x", "a number"),
+        ("tv_error", 6, "nan", "a number in [0, 1]"),
+        ("tv_error", 6, "inf", "a number in [0, 1]"),
+        ("tv_error", 6, "1.5", "a number in [0, 1]"),
+        ("eps_or_ell", 4, "nan", "a finite number"),
+        ("eps_or_ell", 4, "-inf", "a finite number"),
+    ],
 )
 def test_row_with_unparsable_field_is_an_error(tmp_path, field, at, text, kind):
     # read_results and a resuming run_grid name the path, line and field,
-    # and the resume writes nothing
+    # and the resume writes nothing; a NaN TV would otherwise count its
+    # trial done and make its cell's mean NaN
     cfg = tiny_config(trials=1)
     out = tmp_path / "res.csv"
     run_grid(cfg, str(out), threads=1)
@@ -759,6 +768,29 @@ def test_repeated_row_is_an_error(tmp_path):
     with pytest.raises(ValueError, match=message):
         run_grid(dataclasses.replace(cfg, trials=4), str(out), threads=1)
     assert out.read_bytes() == before
+
+
+def test_rows_are_keyed_by_param_value_not_text(tmp_path):
+    # A row whose epsilon reads 0.50, not the 0.5 the harness writes, records
+    # the same cell: a resume counts it done, a repeat of it in another
+    # spelling is an error, and the summary is the one of the written file.
+    cfg = ExperimentConfig(scheme="rappor", k=16, s_list=[1], n=400, trials=2, master_seed=1, epsilon_list=[0.5])
+    out = tmp_path / "res.csv"
+    run_grid(cfg, str(out), threads=1)
+    written = out.read_text()
+    respelled = tmp_path / "respelled.csv"
+    respelled.write_text(written.replace(",0.5,", ",0.50,"))
+    assert respelled.read_text().count(",0.50,") == 2
+    before = respelled.read_bytes()
+    assert run_grid(cfg, str(respelled), threads=1) == 0
+    assert respelled.read_bytes() == before
+    cells = summarize(read_results(str(respelled)))
+    assert cells == summarize(read_results(str(out)))
+    assert [(c["eps_or_ell"], c["trials"]) for c in cells] == [("0.5", 2)]
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(written + written.splitlines()[1].replace(",0.5,", ",0.50,") + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{mixed}: line 4 repeats the (cell, trial) of line 2")):
+        read_results(str(mixed))
 
 
 def test_read_results_validates_header(tmp_path):

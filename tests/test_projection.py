@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from sparse_dist_lab.core import derive_key, keyed_generator
 from sparse_dist_lab.projection import (
+    project_on_support,
     project_simplex_vec,
-    project_sparse_simplex_vec,
     split_half_counts,
     top_s_indices,
 )
+
+
+def project_sparse(v, s):
+    """Projection of a vector, or each row of a stack, onto the s-sparse simplex."""
+    rows = np.atleast_2d(v)
+    return project_on_support(rows, top_s_indices(rows, s)).reshape(np.shape(v))
 
 
 def test_simplex_member_is_fixed():
@@ -55,7 +61,7 @@ def test_simplex_optimality_against_random_candidates():
 
 def test_sparse_hand_case_vs_support_brute_force():
     v = np.array([0.9, 0.05, 0.05])
-    out = project_sparse_simplex_vec(v, 1)
+    out = project_sparse(v, 1)
     assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
     # every single-coordinate support: projection is just the point mass there
     best_d = min(((v - np.eye(3)[i]) ** 2).sum() for i in range(3))
@@ -64,7 +70,7 @@ def test_sparse_hand_case_vs_support_brute_force():
 
 def test_sparse_member_is_fixed():
     v = np.array([0.0, 0.7, 0.0, 0.3, 0.0])
-    assert np.allclose(project_sparse_simplex_vec(v, 2), v, atol=1e-15)
+    assert np.allclose(project_sparse(v, 2), v, atol=1e-15)
 
 
 def test_sparse_with_s_equal_k_matches_plain():
@@ -72,7 +78,7 @@ def test_sparse_with_s_equal_k_matches_plain():
     for _ in range(20):
         v = gen.standard_normal(6)
         assert np.allclose(
-            project_sparse_simplex_vec(v, 6), project_simplex_vec(v), atol=1e-15
+            project_sparse(v, 6), project_simplex_vec(v), atol=1e-15
         )
 
 
@@ -83,7 +89,7 @@ def test_sparse_beats_random_support_candidates():
         k = int(gen.integers(6, 13))
         s = int(gen.integers(1, 5))
         v = gen.standard_normal(k)
-        out = project_sparse_simplex_vec(v, s)
+        out = project_sparse(v, s)
         d_out = ((v - out) ** 2).sum()
         for _ in range(10**4):
             supp = gen.choice(k, size=s, replace=False)
@@ -98,7 +104,7 @@ def test_sparse_exhaustive_supports_small():
     for _ in range(25):
         v = gen.standard_normal(6)
         for s in (1, 2, 3):
-            out = project_sparse_simplex_vec(v, s)
+            out = project_sparse(v, s)
             d_out = ((v - out) ** 2).sum()
             best = min(
                 (
@@ -122,8 +128,8 @@ def test_idempotence():
         v = gen.standard_normal(8) * 3
         p1 = project_simplex_vec(v)
         assert np.allclose(project_simplex_vec(p1), p1, atol=1e-12)
-        p2 = project_sparse_simplex_vec(v, 3)
-        assert np.allclose(project_sparse_simplex_vec(p2, 3), p2, atol=1e-12)
+        p2 = project_sparse(v, 3)
+        assert np.allclose(project_sparse(p2, 3), p2, atol=1e-12)
 
 
 def test_sparse_never_exceeds_sparsity():
@@ -131,7 +137,7 @@ def test_sparse_never_exceeds_sparsity():
     for _ in range(100):
         v = gen.standard_normal(12)
         s = int(gen.integers(1, 13))
-        assert np.count_nonzero(project_sparse_simplex_vec(v, s)) <= s
+        assert np.count_nonzero(project_sparse(v, s)) <= s
 
 
 def test_top_s_ties_prefer_smaller_index():
@@ -184,8 +190,8 @@ def test_rowwise_projections_equal_per_row(B, k, seed, tied, data):
     s = data.draw(st.integers(min_value=1, max_value=k))
     rows = np.array([project_simplex_vec(row) for row in stack])
     assert np.array_equal(project_simplex_vec(stack), rows)
-    rows = np.array([project_sparse_simplex_vec(row, s) for row in stack])
-    assert np.array_equal(project_sparse_simplex_vec(stack, s), rows)
+    rows = np.array([project_sparse(row, s) for row in stack])
+    assert np.array_equal(project_sparse(stack, s), rows)
 
 
 @pytest.mark.parametrize("drop", [0.0, 0.25])
@@ -201,10 +207,10 @@ def test_split_half_counts_draw_order(drop):
 
 
 def test_sparse_range_checks():
-    with pytest.raises(ValueError):
-        project_sparse_simplex_vec(np.ones(3), 0)
-    with pytest.raises(ValueError):
-        project_sparse_simplex_vec(np.ones(3), 4)
+    with pytest.raises(ValueError, match="require 1 <= s <= 3, got s=0"):
+        top_s_indices(np.ones(3), 0)
+    with pytest.raises(ValueError, match="require 1 <= s <= 3, got s=4"):
+        top_s_indices(np.ones((2, 3)), 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,7 +240,7 @@ def test_sparse_projection_always_lands_on_sparse_simplex(vals, s):
     v = np.array(vals)
     if s > v.size:
         s = v.size
-    out = project_sparse_simplex_vec(v, s)
+    out = project_sparse(v, s)
     assert np.all(out >= 0)
     assert out.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.count_nonzero(out) <= s

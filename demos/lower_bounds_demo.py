@@ -6,8 +6,8 @@ the outputs of the packing distributions p_z and their average p_0 -- small
 divergence means each user's message carries little information about z.
 Second, the packing gap log|Z| - log N, the effective number of well-separated
 hypotheses. Together they imply a floor on n. This demo evaluates both
-exactly on small instances and compares the floor against the protocols'
-planned sample sizes.
+exactly (the first in closed form) and compares the floor against the
+protocols' planned sample sizes.
 """
 
 from sparse_dist_lab import (
@@ -28,7 +28,7 @@ from sparse_dist_lab import (
 def main():
     k, s, alpha = 6, 2, 0.05
 
-    print("== chi-squared contraction (exact enumeration over all z) ==")
+    print("== chi-squared contraction (exact average over all z) ==")
     for eps in (0.5, 1.0, 2.0):
         W = randomized_response_channel(k + 1, eps)
         val = expected_chisq_over_packing(W, k, s, alpha)

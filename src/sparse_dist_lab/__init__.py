@@ -29,7 +29,7 @@ from .bounds import (
     verify_ldp,
 )
 from .comm_hash import effective_ell
-from .core import PackingIndex, derive_key, tv_distance
+from .core import derive_key, tv_distance
 from .hadamard import fwht, hadamard_dim
 from .hadamard_response import hr_decode_raw, hr_expected_fractions
 from .harness import ExperimentConfig, TrialResult, run_grid, summarize

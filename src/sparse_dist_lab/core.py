@@ -2,11 +2,10 @@
 
 Everything downstream (the privatization schemes, the lower-bound machinery,
 the experiment harness) builds on the primitives here: the check that an
-array, or each row of a (B, k) stack, is a probability vector,
-total-variation and chi-squared divergences of plain float arrays, the
-s-sparse uniform targets used in experiments, the packing family of hard
-distributions used by the lower bounds, and the keyed random streams that
-make every run replayable regardless of worker count.
+array, or each row of a (B, k) stack, is a probability vector, the
+total-variation distance of plain float arrays, the s-sparse uniform targets
+used in experiments, and the keyed random streams that make every run
+replayable regardless of worker count.
 
 A stream is named by a 64-bit int key and draws what
 Generator(Philox(key=key)) draws. Keys come from a master seed and a
@@ -27,8 +26,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -178,7 +175,7 @@ def check_probs(p: np.ndarray) -> None:
     """Raise ValueError unless p, or each row of a (B, k) stack, is a distribution.
 
     Entries must be finite and in [0, 1], and each row must sum to 1 within
-    ``SUM_TOL``, for the harness's stacks and induced_output_dist's outputs.
+    ``SUM_TOL``.
     """
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
@@ -188,25 +185,6 @@ def check_probs(p: np.ndarray) -> None:
     off = np.abs(totals - 1.0) > SUM_TOL
     if off.any():
         raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
-
-
-@dataclass(frozen=True)
-class PackingIndex:
-    """A binary vector of length k with exactly s ones, as a support tuple."""
-
-    k: int
-    support: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("support indices must be distinct")
-        if any(not 0 <= i < self.k for i in self.support):
-            raise ValueError("support index out of range")
-        object.__setattr__(self, "support", tuple(sorted(self.support)))
-
-    @property
-    def s(self) -> int:
-        return len(self.support)
 
 
 def tv_distance(p, q):
@@ -222,24 +200,6 @@ def tv_distance(p, q):
     return float(tv) if tv.ndim == 0 else tv
 
 
-def chi_square(p, q) -> float:
-    """Chi-squared divergence sum((p-q)^2 / q) over the support of q.
-
-    Requires q(x) > 0 wherever p(x) > 0; a violation is reported with the
-    first offending index.
-    """
-    pv, qv = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    if pv.shape != qv.shape:
-        raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
-    bad = (qv == 0) & (pv > 0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ValueError(f"chi_square undefined: q is zero but p is positive at index {idx}")
-    mask = qv > 0
-    diff = pv[mask] - qv[mask]
-    return float(np.sum(diff * diff / qv[mask]))
-
-
 def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
     """Row i is uniform over a size-s subset of [k], chosen uniformly by the stream of keys[i]; shape (B, k).
 
@@ -252,50 +212,3 @@ def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
     for row, key in zip(probs, keys):
         row[keyed_generator(key).choice(k, size=s, replace=False)] = 1.0 / s
     return probs
-
-
-def make_packing_dist(z: PackingIndex, alpha: float) -> np.ndarray:
-    """The hard distribution indexed by z, over [k] plus a heavy symbol.
-
-    The output lives on k+1 symbols with index 0 the heavy one:
-    p(0) = 1 - 8*alpha and p(x) = 8*alpha*z_x/s for x in 1..k.
-    """
-    if not 0 < 8 * alpha < 1:
-        raise ValueError("require 0 < 8*alpha < 1")
-    probs = np.zeros(z.k + 1)
-    probs[0] = 1 - 8 * alpha
-    probs[1 + np.asarray(z.support, dtype=np.int64)] = 8 * alpha / z.s
-    return probs
-
-
-def packing_reference_dist(k: int, alpha: float) -> np.ndarray:
-    """The average of make_packing_dist over all indices: 8*alpha/k on [k]."""
-    if not 0 < 8 * alpha < 1:
-        raise ValueError("require 0 < 8*alpha < 1")
-    probs = np.full(k + 1, 8 * alpha / k)
-    probs[0] = 1 - 8 * alpha
-    return probs
-
-
-def enumerate_packing_indices(k: int, s: int) -> Iterator[PackingIndex]:
-    """All C(k,s) packing indices, in lexicographic support order."""
-    from itertools import combinations
-
-    for support in combinations(range(k), s):
-        yield PackingIndex(k, support)
-
-
-def induced_output_dist(W, p) -> np.ndarray:
-    """Push p through a row-stochastic channel: q(y) = sum_x W(y|x) p(x).
-
-    ``W`` may be a Channel object (anything with a ``matrix`` attribute) or a
-    bare 2-d array with one row per input symbol. Raises ValueError unless q
-    is a distribution (see check_probs).
-    """
-    mat = np.asarray(getattr(W, "matrix", W), dtype=np.float64)
-    pv = np.asarray(p, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != pv.size:
-        raise ValueError(f"channel has {mat.shape} rows for {pv.size} input symbols")
-    q = pv @ mat
-    check_probs(q)
-    return q

@@ -109,6 +109,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.k < 1 or self.n < 1 or self.trials < 1:
             raise ValueError("k, n, trials must be positive")
+        if self.n >= 2**63:  # NumPy's binomial and multinomial take n as an int64
+            raise ValueError(f"n={self.n} is too large: n must be below 2^63")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, not {self.out!r}")
         object.__setattr__(self, "s_list", _numbers("s_list", self.s_list))

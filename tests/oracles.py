@@ -1,4 +1,4 @@
-"""Per-user encoders and message-level aggregators: the reference oracles.
+"""Per-user encoders, message-level aggregators and the packing family: the reference oracles.
 
 Protocol runs never materialize a user's message; they draw each scheme's
 sufficient statistic from its exact law. The tests check those laws against
@@ -9,6 +9,13 @@ fractions, RAPPOR's flipped one-hot vectors, and comm_hash's per-user hash
 masked to the bucket count) with the preimage scan that counts, for each
 symbol, the messages consistent with it. Messages are plain ints or arrays.
 
+The lower bounds compute the expected chi-squared divergence over the
+packing family in closed form. The tests check it against the family itself:
+each hard distribution p_z (PackingIndex, make_packing_dist), listed one by
+one (enumerate_packing_indices), pushed through the channel
+(induced_output_dist) and compared with the pushforward of the family's mean
+(packing_reference_dist) by chi_square.
+
 The samplers and encoders draw from the generator they are given, going on
 from its last draw. A test that calls one repeatedly on one stream owns its
 generator, np.random.Generator(np.random.Philox(key=key)); a test that draws
@@ -17,10 +24,14 @@ once may borrow keyed_generator(key).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator
+
 import numpy as np
 
 from sparse_dist_lab.bounds import indicator_response_probs
-from sparse_dist_lab.core import GOLDEN64, MASK64, mix64, mix64_array
+from sparse_dist_lab.core import GOLDEN64, MASK64, check_probs, mix64, mix64_array
 from sparse_dist_lab.hadamard import membership_parity
 from sparse_dist_lab.rappor import flip_probability
 
@@ -158,3 +169,88 @@ def preimage_counts(users: np.ndarray, values: np.ndarray, public_seed: int, buc
     users, values = np.asarray(users, dtype=np.int64), np.asarray(values, dtype=np.int64)
     evals = hash_eval_batch(public_seed, buckets, users[:, None], np.arange(k)[None, :])
     return (evals == values[:, None]).sum(axis=0)
+
+
+# -------------------------------------------------------------- packing family
+
+
+@dataclass(frozen=True)
+class PackingIndex:
+    """A binary vector of length k with exactly s ones, as a support tuple."""
+
+    k: int
+    support: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(set(self.support)) != len(self.support):
+            raise ValueError("support indices must be distinct")
+        if any(not 0 <= i < self.k for i in self.support):
+            raise ValueError("support index out of range")
+        object.__setattr__(self, "support", tuple(sorted(self.support)))
+
+    @property
+    def s(self) -> int:
+        return len(self.support)
+
+
+def chi_square(p, q) -> float:
+    """Chi-squared divergence sum((p-q)^2 / q) over the support of q.
+
+    Requires q(x) > 0 wherever p(x) > 0; a violation is reported with the
+    first offending index.
+    """
+    pv, qv = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if pv.shape != qv.shape:
+        raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
+    bad = (qv == 0) & (pv > 0)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise ValueError(f"chi_square undefined: q is zero but p is positive at index {idx}")
+    mask = qv > 0
+    diff = pv[mask] - qv[mask]
+    return float(np.sum(diff * diff / qv[mask]))
+
+
+def make_packing_dist(z: PackingIndex, alpha: float) -> np.ndarray:
+    """The hard distribution indexed by z, over [k] plus a heavy symbol.
+
+    The output lives on k+1 symbols with index 0 the heavy one:
+    p(0) = 1 - 8*alpha and p(x) = 8*alpha*z_x/s for x in 1..k.
+    """
+    if not 0 < 8 * alpha < 1:
+        raise ValueError("require 0 < 8*alpha < 1")
+    probs = np.zeros(z.k + 1)
+    probs[0] = 1 - 8 * alpha
+    probs[1 + np.asarray(z.support, dtype=np.int64)] = 8 * alpha / z.s
+    return probs
+
+
+def packing_reference_dist(k: int, alpha: float) -> np.ndarray:
+    """The average of make_packing_dist over all indices: 8*alpha/k on [k]."""
+    if not 0 < 8 * alpha < 1:
+        raise ValueError("require 0 < 8*alpha < 1")
+    probs = np.full(k + 1, 8 * alpha / k)
+    probs[0] = 1 - 8 * alpha
+    return probs
+
+
+def enumerate_packing_indices(k: int, s: int) -> Iterator[PackingIndex]:
+    """All C(k,s) packing indices, in lexicographic support order."""
+    for support in combinations(range(k), s):
+        yield PackingIndex(k, support)
+
+
+def induced_output_dist(W, p) -> np.ndarray:
+    """Push p through a row-stochastic channel: q(y) = sum_x W(y|x) p(x).
+
+    ``W`` may be a Channel object (anything with a ``matrix`` attribute) or a
+    bare 2-d array with one row per input symbol. Raises ValueError unless q
+    is a distribution (see check_probs).
+    """
+    mat = np.asarray(getattr(W, "matrix", W), dtype=np.float64)
+    pv = np.asarray(p, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != pv.size:
+        raise ValueError(f"channel has {mat.shape} rows for {pv.size} input symbols")
+    q = pv @ mat
+    check_probs(q)
+    return q

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import chi_square, enumerate_packing_indices, induced_output_dist, make_packing_dist, packing_reference_dist
 from sparse_dist_lab.bounds import (
     expected_chisq_over_packing,
     hamming_ball_count,
@@ -26,16 +27,7 @@ from sparse_dist_lab.bounds import (
     verify_ldp,
 )
 from sparse_dist_lab.comm_hash import comm_run_stack
-from sparse_dist_lab.core import (
-    chi_square,
-    derive_key,
-    enumerate_packing_indices,
-    induced_output_dist,
-    make_packing_dist,
-    packing_reference_dist,
-    tv_distance,
-    uniform_sparse_stack,
-)
+from sparse_dist_lab.core import derive_key, tv_distance, uniform_sparse_stack
 from sparse_dist_lab.hadamard import dense_matrix, fwht
 from sparse_dist_lab.hadamard_response import (
     hr_channel_matrix,

@@ -5,7 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    PackingIndex,
+    chi_square,
+    enumerate_packing_indices,
+    induced_output_dist,
+    make_packing_dist,
+    packing_reference_dist,
+)
 from sparse_dist_lab.bounds import (
     BoundReport,
     Channel,
@@ -14,6 +24,7 @@ from sparse_dist_lab.bounds import (
     hamming_ball_count,
     implied_sample_lower_bound,
     indicator_response_channel,
+    ldp_contraction_ceiling,
     ldp_risk_bound,
     packing_gap,
     planned_sample_size,
@@ -22,23 +33,16 @@ from sparse_dist_lab.bounds import (
     verification_suite,
     verify_ldp,
 )
-from sparse_dist_lab.core import (
-    chi_square,
-    derive_key,
-    enumerate_packing_indices,
-    induced_output_dist,
-    make_packing_dist,
-    packing_reference_dist,
-)
-from sparse_dist_lab.hadamard_response import hr_decode_raw
+from sparse_dist_lab.core import derive_key, keyed_generator
+from sparse_dist_lab.hadamard_response import hr_channel_matrix, hr_decode_raw
 
 
 def slow_expected_chisq(W, k, s, alpha):
     """Reference oracle: average chi-square term by term over all z.
 
-    Walks the packing family through the library's own one-distribution
-    helpers (make_packing_dist -> induced_output_dist -> chi_square) instead of the
-    production routine's vectorized row arithmetic.
+    Walks the packing family through the oracles' one-distribution helpers
+    (make_packing_dist -> induced_output_dist -> chi_square) instead of the
+    production routine's closed form.
     """
     q0 = induced_output_dist(W, packing_reference_dist(k, alpha))
     total = 0.0
@@ -137,10 +141,47 @@ def test_two_oracles_agree():
         assert fast == pytest.approx(slow, abs=1e-9)
 
 
-def test_enumeration_budget_guard():
-    W = randomized_response_channel(41, 1.0)
-    with pytest.raises(ValueError):
-        expected_chisq_over_packing(W, 40, 20, 0.01)  # C(40,20) >> 1e6
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=8), st.data())
+def test_closed_form_equals_enumeration(k, outputs, data):
+    # integer weights give rows with exact zeros and zero output columns,
+    # so the reference-support mask is exercised too
+    s = data.draw(st.integers(min_value=1, max_value=k))
+    alpha = data.draw(st.floats(min_value=1e-6, max_value=0.125, exclude_max=True))
+    row = st.lists(st.integers(min_value=0, max_value=4), min_size=outputs, max_size=outputs)
+    weights = np.array(data.draw(st.lists(row, min_size=k + 1, max_size=k + 1)), dtype=np.float64)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    W = Channel(weights / weights.sum(axis=1, keepdims=True))
+    want = slow_expected_chisq(W, k, s, alpha)
+    assert expected_chisq_over_packing(W, k, s, alpha) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_closed_form_at_experiment_scale_on_hr_channels():
+    # C(1000, 8) ~ 2.4e17 indices: no enumeration reaches this instance, so
+    # the closed form is checked against a seeded Monte-Carlo mean of the
+    # per-index chi-squared over random supports.
+    k, s, alpha, eps, draws = 1000, 8, 0.05, 0.9, 3000
+    ceiling = ldp_contraction_ceiling(eps, s, alpha)
+    for j in (1, 6, 513, 1023):
+        W = hr_channel_matrix(eps, 1024, j, k + 1)
+        value = expected_chisq_over_packing(W, k, s, alpha)
+        assert 0 < value <= ceiling
+        q0 = induced_output_dist(W, packing_reference_dist(k, alpha))
+        gen = keyed_generator(derive_key(17, j))
+        supports = [gen.choice(k, size=s, replace=False) for _ in range(draws)]
+        chisq = [chi_square(induced_output_dist(W, make_packing_dist(PackingIndex(k, z), alpha)), q0) for z in supports]
+        stderr = np.std(chisq, ddof=1) / math.sqrt(draws)
+        assert abs(value - np.mean(chisq)) <= 5 * stderr
+
+
+def test_expected_chisq_rejects_s_outside_one_to_k():
+    W = randomized_response_channel(7, 1.0)
+    for s in (0, 7, -1):
+        with pytest.raises(ValueError, match=rf"1 <= s <= k \(got s={s}, k=6\)"):
+            expected_chisq_over_packing(W, 6, s, 0.05)
+    # s = k is the one-index family, k = s = 1 among them
+    assert expected_chisq_over_packing(W, 6, 6, 0.05) == 0.0
+    assert expected_chisq_over_packing(randomized_response_channel(2, 1.0), 1, 1, 0.05) == 0.0
 
 
 # ------------------------------------------------------ information arithmetic
@@ -269,12 +310,15 @@ def test_bounds_reject_epsilon_whose_exponential_overflows():
     calls = (
         lambda: planned_sample_size("ldp", 1000, 8, 0.2, epsilon=800.0),
         lambda: ldp_risk_bound(1000, 8, 800.0, 10**6),
+        lambda: ldp_contraction_ceiling(800.0, 2, 0.05),
         lambda: randomized_response_channel(5, 800.0),
         lambda: indicator_response_channel(2, 800.0, np.array([1, 0])),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"epsilon=800.0 is too large"):
             call()
+    # e^400 is a float but (e^400 - 1)^2 is not: the ceiling is inf, not an OverflowError
+    assert ldp_contraction_ceiling(400.0, 2, 0.05) == math.inf
 
 
 def test_inversions_reject_epsilon_whose_exponential_rounds_to_one():

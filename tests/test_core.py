@@ -6,22 +6,24 @@ import re
 import numpy as np
 import pytest
 
-from oracles import sample_iid
+from oracles import (
+    PackingIndex,
+    chi_square,
+    enumerate_packing_indices,
+    induced_output_dist,
+    make_packing_dist,
+    packing_reference_dist,
+    sample_iid,
+)
 from sparse_dist_lab.core import (
     GOLDEN64,
-    PackingIndex,
     check_probs,
-    chi_square,
     child_keys,
     derive_key,
-    enumerate_packing_indices,
     fold_string,
-    induced_output_dist,
     keyed_generator,
-    make_packing_dist,
     mix64,
     mix64_array,
-    packing_reference_dist,
     tv_distance,
     uniform_sparse_stack,
 )

@@ -101,6 +101,10 @@ def test_config_validates_ranges():
         tiny_config(scheme="nope")
     with pytest.raises(ValueError):
         tiny_config(epsilon_list=[0.0])
+    # the samplers take n as an int64
+    with pytest.raises(ValueError, match=r"n=9223372036854775808 is too large"):
+        tiny_config(n=2**63)
+    assert tiny_config(n=2**63 - 1).n == 2**63 - 1
 
 
 _COMM = dict(scheme="comm_hash", epsilon_list=None)
@@ -942,8 +946,8 @@ def test_cli_verify_bounds(tmp_path, capsys):
 @pytest.mark.parametrize(
     "seed, sha256",
     [
-        (0, "fb1f499fc2ab93d6cca6b7f4df06541421109302a44925842ce6a3cd84e7425d"),
-        (5, "264efe2fa3be11d29e0d47e73154f760b14f0d3800418a661acceb1b0badb4e7"),
+        (0, "79e40a86837f7e5ac794dab777cc9dd1faf794e2c4563705fa2694724bdb64ef"),
+        (5, "b1cb6e8587daf08c6397f334e7e15f6518e6f5c669dddce01c1d1ea831c980ed"),
     ],
 )
 def test_verify_bounds_report_bytes_are_pinned(tmp_path, seed, sha256):
@@ -986,6 +990,7 @@ _RAPPOR = dict(scheme="rappor", k=16, s_list=[1], n=400, trials=1, master_seed=3
     "case, message",
     [
         ("config", "epsilon=2000.0 is too large"),
+        ("huge_n", "n=18446744073709551616 is too large"),
         ("json", "Expecting property name enclosed in double quotes"),
         ("plan", "invalid parameters"),
         ("plan_without_eps", "--scheme ldp needs --eps"),
@@ -996,11 +1001,16 @@ _RAPPOR = dict(scheme="rappor", k=16, s_list=[1], n=400, trials=1, master_seed=3
 )
 def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(_RAPPOR, epsilon_list=[2000.0])) if case == "config" else "{")
+    configs = {
+        "config": dict(_RAPPOR, epsilon_list=[2000.0]),
+        "huge_n": dict(scheme="comm_hash", k=16, s_list=[1], n=2**64, trials=1, master_seed=3, ell_list=[1]),
+    }
+    cfg.write_text(json.dumps(configs[case]) if case in configs else "{")
     res = tmp_path / "res.csv"
     res.write_text(CSV_HEADER + "\nrappor,16,1,400,1.0,0,0.5")
     argv = {
         "config": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+        "huge_n": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
         "json": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
         "plan": ["plan", "--scheme", "comm", "--k", "10", "--s", "20", "--alpha", "0.1", "--ell", "2"],
         "plan_without_eps": ["plan", "--scheme", "ldp", "--k", "10", "--s", "2", "--alpha", "0.1", "--ell", "2"],

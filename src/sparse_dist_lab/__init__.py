@@ -13,7 +13,6 @@ from types import ModuleType as _ModuleType
 
 from .bounds import (
     BoundReport,
-    Channel,
     comm_stage_sizes,
     expected_chisq_over_packing,
     hamming_ball_count,
@@ -32,6 +31,6 @@ from .comm_hash import effective_ell
 from .core import derive_key, tv_distance
 from .hadamard import fwht, hadamard_dim
 from .hadamard_response import hr_decode_raw, hr_expected_fractions
-from .harness import ExperimentConfig, TrialResult, run_grid, summarize
+from .harness import ExperimentConfig, run_grid, summarize
 
 __all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .core import check_probs, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
 
-ROW_TOL = 1e-9
 REPORT_TOL = 1e-9
 
 # Stage constants of the hashing scheme's two phases (support identification,
@@ -32,29 +31,19 @@ C1_SUPPORT = 700000
 C2_ESTIMATE = 6400
 
 
-@dataclass(frozen=True)
-class Channel:
-    """An explicit stochastic matrix W with W[x, y] = P(output y | input x)."""
+def _channel(W) -> np.ndarray:
+    """W as a float64 channel matrix, row x = P(. | x).
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.size == 0:
-            raise ValueError("channel matrix must be 2-d and nonempty")
-        if not np.isfinite(mat).all():
-            raise ValueError("channel entries must be finite")
-        if np.any(mat < 0):
-            raise ValueError("channel entries must be nonnegative")
-        sums = mat.sum(axis=1)
-        if np.any(np.abs(sums - 1) > ROW_TOL):
-            bad = int(np.argmax(np.abs(sums - 1)))
-            raise ValueError(f"row {bad} sums to {sums[bad]!r}, not 1")
-
-    @property
-    def num_inputs(self) -> int:
-        return self.matrix.shape[0]
+    Raises ValueError unless W is 2-d and nonempty, passes check_probs and
+    has no entry below 0 (check_probs allows down to -SUM_TOL).
+    """
+    mat = np.asarray(W, dtype=np.float64)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"a channel matrix must be 2-d and nonempty, got shape {mat.shape}")
+    check_probs(mat)
+    if mat.min() < 0:
+        raise ValueError("channel entries must be nonnegative")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -90,16 +79,19 @@ class BoundReport:
         }
 
 
-def verify_ldp(W: Channel, epsilon: float) -> bool:
+def verify_ldp(W: np.ndarray, epsilon: float) -> bool:
     """Check the privacy constraint: sup_y,x,x' W(y|x)/W(y|x') <= e^epsilon.
 
     A column mixing zero and positive entries has an unbounded ratio and
     fails for every finite epsilon; an all-zero column constrains nothing.
     The comparison carries 1e-9 relative slack so channels sitting exactly
     at their privacy level pass. An e^epsilon that overflows a float sets no
-    limit.
+    limit. Raises ValueError unless W is a channel matrix (see _channel) and
+    naming epsilon if it is NaN, which no ratio could be compared with.
     """
-    mat = W.matrix
+    mat = _channel(W)
+    if math.isnan(epsilon):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     try:
         limit = math.exp(epsilon)
     except OverflowError:
@@ -117,7 +109,7 @@ def verify_ldp(W: Channel, epsilon: float) -> bool:
     return True
 
 
-def expected_chisq_over_packing(W: Channel, k: int, s: int, alpha: float) -> float:
+def expected_chisq_over_packing(W: np.ndarray, k: int, s: int, alpha: float) -> float:
     """Exact E_Z[chi2(p_Z W, p_0 W)] over the full packing family, in closed form.
 
     W acts on k+1 symbols, the heavy one at index 0. With a = z/s - 1/k,
@@ -127,15 +119,16 @@ def expected_chisq_over_packing(W: Channel, k: int, s: int, alpha: float) -> flo
     64 alpha^2 (k-s)/(s k (k-1)) ||D||_F^2, D[x, y] = (W[x+1, y] - mean_x
     W[x+1, y]) / sqrt(q0(y)) over the outputs where q0 = p_0 W > 0 (for
     0 < 8 alpha < 1, q0(y) = 0 makes every row 0 at y). Costs O(k |Y|).
+    Raises ValueError unless W is a channel matrix (see _channel).
     """
+    mat = _channel(W)
     if not 0 < 8 * alpha < 1:
         raise ValueError("require 0 < 8*alpha < 1")
-    if W.num_inputs != k + 1:
-        raise ValueError(f"channel has {W.num_inputs} inputs, expected k+1={k + 1}")
+    if mat.shape[0] != k + 1:
+        raise ValueError(f"channel has {mat.shape[0]} inputs, expected k+1={k + 1}")
     if not 1 <= s <= k:
         raise ValueError(f"require 1 <= s <= k (got s={s}, k={k})")
 
-    mat = W.matrix
     symbol_rows = mat[1:]
     q0 = (1 - 8 * alpha) * mat[0] + (8 * alpha / k) * symbol_rows.sum(axis=0)
     mask = q0 > 0
@@ -150,16 +143,27 @@ def ldp_contraction_ceiling(epsilon: float, s: int, alpha: float) -> float:
     """Ceiling 64 alpha^2 (e^epsilon - 1)^2 / s on expected_chisq_over_packing for any epsilon-LDP channel.
 
     64 is the explicit constant the privacy-contraction proof carries.
-    Raises ValueError naming epsilon unless e^epsilon is a finite float.
+    Raises ValueError naming epsilon unless e^epsilon is a finite float, and
+    naming s unless s >= 1.
     """
+    if not s >= 1:
+        raise ValueError(f"s must be >= 1, got {s!r}")
     e = exp_epsilon(epsilon)
     # a product, not a power: past epsilon ~ 355, (e - 1) ** 2 raises OverflowError where this is inf
     return 64 * alpha**2 * (e - 1) * (e - 1) / s
 
 
 def lbit_contraction_ceiling(ell: int, s: int, alpha: float) -> float:
-    """Ceiling 8 alpha 2^ell / s on expected_chisq_over_packing for any channel with 2^ell outputs."""
-    return 8 * alpha * 2**ell / s
+    """Ceiling 8 alpha 2^ell / s on expected_chisq_over_packing for any channel with 2^ell outputs.
+
+    Raises ValueError naming s and ell unless both are >= 1, and naming ell
+    when 2^ell overflows a float.
+    """
+    if not (s >= 1 and ell >= 1):
+        raise ValueError(f"require s >= 1 and ell >= 1 (got s={s!r}, ell={ell!r})")
+    if ell >= 1024:  # 2^1024 is past the largest float
+        raise ValueError(f"ell={ell!r} is too large: 2^ell overflows a float")
+    return 8 * alpha * 2.0**ell / s
 
 
 def implied_sample_lower_bound(gap: float, per_user_chisq: float) -> float:
@@ -168,8 +172,8 @@ def implied_sample_lower_bound(gap: float, per_user_chisq: float) -> float:
     Recovering the packing index with error probability <= 0.1 forces
     n * chi2 >= 0.9 * gap - log 2, so n must be at least the returned value.
     """
-    if per_user_chisq <= 0:
-        raise ValueError("per-user chi-squared must be positive")
+    if not per_user_chisq > 0:  # NaN fails too
+        raise ValueError(f"per-user chi-squared must be positive, got {per_user_chisq!r}")
     return (0.9 * gap - math.log(2)) / per_user_chisq
 
 
@@ -256,12 +260,14 @@ def _ceil_size(size: float, alpha: float) -> int:
 
 
 def ldp_risk_bound(k: int, s: int, epsilon: float, n: int) -> float:
-    """The proven accuracy of the one-bit scheme at sample size n."""
+    """The proven accuracy of the one-bit scheme at sample size n; ValueError unless 1 <= s <= k and n >= 1."""
+    if not (1 <= s <= k and n >= 1):
+        raise ValueError(f"require 1 <= s <= k and n >= 1 (got s={s}, k={k}, n={n})")
     e = invertible_exp_epsilon(epsilon)
     return 40 * s * math.sqrt(math.log(2 * k / s) / n) * (e + 1) / (e - 1)
 
 
-def randomized_response_channel(num_symbols: int, epsilon: float) -> Channel:
+def randomized_response_channel(num_symbols: int, epsilon: float) -> np.ndarray:
     """Symbol-preserving randomized response over a num_symbols alphabet.
 
     Keeps the input with probability e^eps/(e^eps+D-1), otherwise moves to a
@@ -271,7 +277,7 @@ def randomized_response_channel(num_symbols: int, epsilon: float) -> Channel:
     off = 1 / (e + num_symbols - 1)
     mat = np.full((num_symbols, num_symbols), off)
     np.fill_diagonal(mat, e * off)
-    return Channel(mat)
+    return _channel(mat)
 
 
 def indicator_response_probs(epsilon: float) -> tuple[float, float]:
@@ -280,22 +286,22 @@ def indicator_response_probs(epsilon: float) -> tuple[float, float]:
     return e / (e + 1), 1 / (e + 1)
 
 
-def indicator_response_channel(num_symbols: int, epsilon: float, member: np.ndarray) -> Channel:
+def indicator_response_channel(num_symbols: int, epsilon: float, member: np.ndarray) -> np.ndarray:
     """Two-output randomized response to membership of x in a fixed set."""
     q_in, q_out = indicator_response_probs(epsilon)
     member = np.asarray(member, dtype=bool)
     if member.size != num_symbols:
         raise ValueError("membership vector length mismatch")
     ones = np.where(member, q_in, q_out)
-    return Channel(np.column_stack([1 - ones, ones]))
+    return _channel(np.column_stack([1 - ones, ones]))
 
 
-def random_lbit_channel(num_symbols: int, ell: int, key: int) -> Channel:
+def random_lbit_channel(num_symbols: int, ell: int, key: int) -> np.ndarray:
     """A random channel with 2^ell outputs (rows drawn flat on the simplex by the stream of key)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     rows = keyed_generator(key).dirichlet(np.ones(2**ell), size=num_symbols)
-    return Channel(rows)
+    return _channel(rows)
 
 
 def verification_suite(master_seed: int = 0) -> list[BoundReport]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import bounds, harness
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     summ = sub.add_parser("summarize", help="aggregate a results CSV into per-cell statistics")
     summ.add_argument("--in", dest="infile", required=True, help="results CSV from 'run'")
-    summ.add_argument("--out", required=True, help="summary JSON path (a plot-ready CSV lands beside it)")
+    summ.add_argument("--out", required=True, help="summary JSON path (a plot-ready CSV lands beside it); neither may be the --in file")
 
     plan = sub.add_parser("plan", help="print the planned sample size for one problem instance")
     plan.add_argument("--scheme", required=True, choices=("ldp", "comm"))
@@ -82,9 +83,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     rows = harness.read_results(args.infile)
-    summary = harness.summarize(rows)
     json_path = args.out if args.out.endswith(".json") else args.out + ".json"
     csv_path = json_path[: -len(".json")] + ".csv"
+    for path in (json_path, csv_path):
+        if os.path.exists(path) and os.path.samefile(path, args.infile):
+            raise ValueError(f"--out {args.out} would write {path} over the input --in {args.infile}")
+    summary = harness.summarize(rows)
     harness.write_summary(summary, json_path, csv_path)
     print(f"{len(summary)} cells -> {json_path}, {csv_path}")
     return 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import Channel, indicator_response_channel, indicator_response_probs
+from .bounds import indicator_response_channel, indicator_response_probs
 from .core import invertible_exp_epsilon, keyed_generator
 from .hadamard import fwht, hadamard_dim, membership_parity
 from .projection import project_on_support, top_s_indices
@@ -104,7 +104,7 @@ def hr_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     return T, raw, project_on_support(raw, T)
 
 
-def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> Channel:
+def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> np.ndarray:
     """The explicit per-user channel of group j, as a k x 2 stochastic matrix.
 
     Row x is (P(bit=0 | x), P(bit=1 | x)). Used by the bounds machinery to

@@ -5,17 +5,18 @@ A grid is the Cartesian product of sparsity values, constraint values
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
 records the TV error. A cell's pending trials run as one stack: each trial
 draws from its own streams, and decoding, projection and scoring run once
-over the stack, row by row. The stack's stream keys are derived as arrays
-(core.child_keys) and every draw borrows the thread's one re-keyed generator
-(core.keyed_generator), valid until the thread's next re-key; a 64-bit
-key is all a stream needs. Cells run in this process or, with more than one
-worker, in forked worker processes (POSIX only). Results stream to a CSV
-with a fixed header, one write per cell, in grid order; runs are resumable
-(existing (cell, trial) rows are skipped, a torn last line is dropped and
-rerun, and a foreign header, a row of the wrong width, a repeated (cell,
-trial) row or a row written under another master seed is an error) and
-byte-identical across repetitions and worker counts. One reader, _read_rows, parses the file for both resuming and
-summarizing.
+over the stack, row by row, into run_cell's array of TV errors, which
+_cell_rows formats as CSV rows. The stack's stream keys are derived as
+arrays (core.child_keys) and every draw borrows the thread's one re-keyed
+generator (core.keyed_generator), valid until the thread's next re-key; a
+64-bit key is all a stream needs. Cells run in this process or, with more
+than one worker, in forked worker processes (POSIX only). Results stream to
+a CSV with a fixed header, one write per cell, in grid order; runs are
+resumable (existing (cell, trial) rows are skipped, a torn last line is
+dropped and rerun, and a foreign header, a row of the wrong width, a
+repeated (cell, trial) row or a row written under another master seed is an
+error) and byte-identical across repetitions and worker counts. One reader,
+_read_rows, parses the file for both resuming and summarizing.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -111,6 +112,8 @@ class ExperimentConfig:
             raise ValueError("k, n, trials must be positive")
         if self.n >= 2**63:  # NumPy's binomial and multinomial take n as an int64
             raise ValueError(f"n={self.n} is too large: n must be below 2^63")
+        if not 0 <= self.master_seed < 2**64:  # seeds equal mod 2^64 would name one stream
+            raise ValueError(f"master_seed={self.master_seed} is outside [0, 2^64)")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, not {self.out!r}")
         object.__setattr__(self, "s_list", _numbers("s_list", self.s_list))
@@ -221,25 +224,6 @@ class Cell:
         return _param_text(self.param)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    scheme: str
-    k: int
-    s: int
-    n: int
-    eps_or_ell: float | int
-    trial_index: int
-    tv_error: float
-    bits_per_user: int
-    seed_used: int
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.scheme},{self.k},{self.s},{self.n},{_param_text(self.eps_or_ell)},"
-            f"{self.trial_index},{self.tv_error!r},{self.bits_per_user},{self.seed_used}"
-        )
-
-
 def scheme_family(scheme: str) -> str:
     """Seeding family: hr_dense and hr_sparse share message batches."""
     return "hr" if scheme in ("hr_dense", "hr_sparse") else scheme
@@ -276,8 +260,8 @@ def bits_per_user(scheme: str, k: int, param) -> int:
     return int(param)
 
 
-def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResult]:
-    """Run a cell's trials as one stacked batch; results in the order of trials.
+def run_cell(cell: Cell, trials: list[int], master_seed: int) -> np.ndarray:
+    """Run a cell's trials as one stacked batch; the (B,) TV errors, in the order of trials.
 
     A trial's stream key is derive_key(seed, 0). It draws its target from
     that stream's child 0 and its protocol randomness from child 1, so a
@@ -296,12 +280,7 @@ def run_cell(cell: Cell, trials: list[int], master_seed: int) -> list[TrialResul
         check_probs(estimates)
     except ValueError as err:
         raise ValueError(f"cell {cell}: {err}") from err
-    bits = bits_per_user(cell.scheme, cell.k, cell.param)
-    tvs = tv_distance(estimates, targets).tolist()
-    return [
-        TrialResult(cell.scheme, cell.k, cell.s, cell.n, cell.param, t, tv, bits, seed)
-        for t, tv, seed in zip(trials, tvs, seeds.tolist())
-    ]
+    return tv_distance(estimates, targets)
 
 
 def _run_stack(cell: Cell, targets: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -376,8 +355,12 @@ def _row_key(row: dict) -> tuple:
 
 
 def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
-    """The CSV rows of one cell's pending trials, in order."""
-    return "".join(result.csv_row() + "\n" for result in run_cell(cell, trials, master_seed))
+    """The CSV rows of one cell's pending trials, in order: the cell, each trial's TV error (repr) and seed."""
+    tvs = run_cell(cell, trials, master_seed).tolist()
+    head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{cell.param_str()}"
+    bits = bits_per_user(cell.scheme, cell.k, cell.param)
+    seeds = trial_seeds(master_seed, cell, trials).tolist()
+    return "".join(f"{head},{t},{tv!r},{bits},{seed}\n" for t, tv, seed in zip(trials, tvs, seeds))
 
 
 def _usable_cpus() -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import Channel
+from .bounds import _channel
 from .core import invertible_exp_epsilon
 from .projection import split_half_estimate
 
@@ -59,7 +59,7 @@ def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     return split_half_estimate(P, n, q, q, 2 * s, keys)
 
 
-def rappor_channel_matrix(epsilon: float, k: int) -> Channel:
+def rappor_channel_matrix(epsilon: float, k: int) -> np.ndarray:
     """The full 2^k-output channel, for exact privacy checks at tiny k.
 
     Output y is read as a bit mask (bit i of y = coordinate i of the
@@ -74,4 +74,4 @@ def rappor_channel_matrix(epsilon: float, k: int) -> Channel:
     for x in range(k):
         d = np.bitwise_count(ys ^ (1 << x))
         mat[x] = q**d * (1 - q) ** (k - d)
-    return Channel(mat)
+    return _channel(mat)

@@ -243,11 +243,10 @@ def enumerate_packing_indices(k: int, s: int) -> Iterator[PackingIndex]:
 def induced_output_dist(W, p) -> np.ndarray:
     """Push p through a row-stochastic channel: q(y) = sum_x W(y|x) p(x).
 
-    ``W`` may be a Channel object (anything with a ``matrix`` attribute) or a
-    bare 2-d array with one row per input symbol. Raises ValueError unless q
-    is a distribution (see check_probs).
+    ``W`` is a 2-d array with one row per input symbol. Raises ValueError
+    unless q is a distribution (see check_probs).
     """
-    mat = np.asarray(getattr(W, "matrix", W), dtype=np.float64)
+    mat = np.asarray(W, dtype=np.float64)
     pv = np.asarray(p, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != pv.size:
         raise ValueError(f"channel has {mat.shape} rows for {pv.size} input symbols")

@@ -124,7 +124,7 @@ def test_criterion_04_ldp_risk_bound_desk_scale():
     bound = ldp_risk_bound(k, s, eps, n)
     start = time.perf_counter()
     cell = Cell("hr_sparse", k, s, n, eps)
-    errs = [run_cell(cell, [t], MASTER_SEED)[0].tv_error for t in range(trials)]
+    errs = [run_cell(cell, [t], MASTER_SEED)[0] for t in range(trials)]
     elapsed = time.perf_counter() - start
     hits = sum(e <= bound for e in errs)
     assert hits >= 45, f"only {hits}/50 within the bound {bound:.3f}"

@@ -1,4 +1,4 @@
-"""Channel checks, exact chi-squared contraction, packing gap, planning."""
+"""Channel matrix checks, exact chi-squared contraction, packing gap, planning."""
 
 import itertools
 import math
@@ -18,12 +18,12 @@ from oracles import (
 )
 from sparse_dist_lab.bounds import (
     BoundReport,
-    Channel,
     comm_stage_sizes,
     expected_chisq_over_packing,
     hamming_ball_count,
     implied_sample_lower_bound,
     indicator_response_channel,
+    lbit_contraction_ceiling,
     ldp_contraction_ceiling,
     ldp_risk_bound,
     packing_gap,
@@ -35,6 +35,7 @@ from sparse_dist_lab.bounds import (
 )
 from sparse_dist_lab.core import derive_key, keyed_generator
 from sparse_dist_lab.hadamard_response import hr_channel_matrix, hr_decode_raw
+from sparse_dist_lab.rappor import rappor_channel_matrix
 
 
 def slow_expected_chisq(W, k, s, alpha):
@@ -58,13 +59,49 @@ def slow_expected_chisq(W, k, s, alpha):
 
 
 def test_channel_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        Channel(np.array([[0.5, 0.4]]))
-    with pytest.raises(ValueError):
-        Channel(np.array([[1.1, -0.1]]))
-    # a NaN passes both the sign and the row-sum comparisons
-    with pytest.raises(ValueError, match="finite"):
-        Channel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+    # each matrix has k + 1 = 2 rows (the 1-d one 2 entries), so only the
+    # channel check can refuse it
+    bad = [
+        ([[0.5, 0.4], [0.5, 0.5]], "sum to 0.9"),
+        ([[1.1, -0.1], [0.5, 0.5]], r"lie in \[0, 1\]"),
+        # a NaN passes both the sign and the row-sum comparisons
+        ([[np.nan, 1.0], [0.5, 0.5]], "finite"),
+        ([0.5, 0.5], "2-d and nonempty"),
+        (np.zeros((0, 2)), "2-d and nonempty"),
+        # check_probs allows an entry down to -SUM_TOL; a channel allows none
+        ([[-1e-12, 1 + 1e-12], [0.5, 0.5]], "nonnegative"),
+    ]
+    for W, message in bad:
+        with pytest.raises(ValueError, match=message):
+            verify_ldp(W, 1.0)
+        with pytest.raises(ValueError, match=message):
+            expected_chisq_over_packing(W, 1, 1, 0.05)
+
+
+def test_channel_constructors_reject_size_zero():
+    calls = (
+        lambda: randomized_response_channel(0, 1.0),
+        lambda: indicator_response_channel(0, 1.0, np.zeros(0, dtype=bool)),
+        lambda: random_lbit_channel(0, 2, derive_key(0, 0)),
+        lambda: rappor_channel_matrix(1.0, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="2-d and nonempty"):
+            call()
+    with pytest.raises(ValueError, match="k out of range"):
+        hr_channel_matrix(1.0, 8, 1, k=0)
+
+
+def test_channel_constructors_return_checked_float_arrays():
+    for W in (
+        randomized_response_channel(5, 1.0),
+        indicator_response_channel(3, 1.0, np.array([1, 0, 1])),
+        random_lbit_channel(4, 2, derive_key(0, 1)),
+        hr_channel_matrix(1.0, 8, 3),
+        rappor_channel_matrix(1.0, 3),
+    ):
+        assert isinstance(W, np.ndarray) and W.dtype == np.float64 and W.ndim == 2
+        assert W.min() >= 0 and np.allclose(W.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_rr_channel_is_ldp_exactly():
@@ -75,7 +112,7 @@ def test_rr_channel_is_ldp_exactly():
 
 
 def test_identity_channel_never_ldp():
-    W = Channel(np.eye(3))
+    W = np.eye(3)
     for eps in (0.1, 1.0, 10.0, 100.0, 800.0):
         assert not verify_ldp(W, eps)
 
@@ -83,8 +120,14 @@ def test_identity_channel_never_ldp():
 def test_verify_ldp_sets_no_limit_when_exponential_overflows():
     # e^800 overflows a float, so any ratio between positive entries passes.
     assert verify_ldp(randomized_response_channel(3, 1.0), 800.0)
-    assert verify_ldp(Channel(np.array([[1 - 1e-300, 1e-300], [1e-300, 1 - 1e-300]])), 800.0)
-    assert not verify_ldp(Channel(np.array([[1.0, 0.0], [0.5, 0.5]])), 800.0)
+    assert verify_ldp(np.array([[1 - 1e-300, 1e-300], [1e-300, 1 - 1e-300]]), 800.0)
+    assert not verify_ldp(np.array([[1.0, 0.0], [0.5, 0.5]]), 800.0)
+
+
+def test_verify_ldp_rejects_nan_epsilon():
+    # every comparison with a NaN limit is False, which would pass any channel
+    with pytest.raises(ValueError, match="epsilon must be a number, got nan"):
+        verify_ldp(np.eye(2), math.nan)
 
 
 def test_indicator_channel_is_ldp():
@@ -97,15 +140,15 @@ def test_indicator_channel_is_ldp():
 
 def test_random_lbit_channel_shape():
     W = random_lbit_channel(7, 3, derive_key(0, 0))
-    assert W.matrix.shape == (7, 8)
-    assert np.allclose(W.matrix.sum(axis=1), 1.0, atol=1e-9)
+    assert W.shape == (7, 8)
+    assert np.allclose(W.sum(axis=1), 1.0, atol=1e-9)
 
 
 # ------------------------------------------------- chi-squared over the packing
 
 
 def test_constant_channel_contracts_to_zero():
-    W = Channel(np.tile([0.3, 0.7], (7, 1)))
+    W = np.tile([0.3, 0.7], (7, 1))
     assert expected_chisq_over_packing(W, 6, 2, 0.05) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -151,7 +194,7 @@ def test_closed_form_equals_enumeration(k, outputs, data):
     row = st.lists(st.integers(min_value=0, max_value=4), min_size=outputs, max_size=outputs)
     weights = np.array(data.draw(st.lists(row, min_size=k + 1, max_size=k + 1)), dtype=np.float64)
     weights[weights.sum(axis=1) == 0, 0] = 1.0
-    W = Channel(weights / weights.sum(axis=1, keepdims=True))
+    W = weights / weights.sum(axis=1, keepdims=True)
     want = slow_expected_chisq(W, k, s, alpha)
     assert expected_chisq_over_packing(W, k, s, alpha) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -196,6 +239,29 @@ def test_implied_sample_lower_bound():
     # bound the info budget is exactly the packing requirement
     n = implied_sample_lower_bound(gap, chisq)
     assert n * chisq == pytest.approx(0.9 * gap - math.log(2), rel=1e-12)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="per-user chi-squared must be positive"):
+            implied_sample_lower_bound(gap, bad)
+
+
+def test_bound_formulas_reject_arguments_they_cannot_take():
+    # each raised ZeroDivisionError or OverflowError, or returned a number
+    calls = (
+        (lambda: ldp_contraction_ceiling(1.0, 0, 0.05), "s must be >= 1, got 0"),
+        (lambda: lbit_contraction_ceiling(1, 0, 0.05), r"s >= 1 and ell >= 1 \(got s=0, ell=1\)"),
+        (lambda: lbit_contraction_ceiling(0, 2, 0.05), r"s >= 1 and ell >= 1 \(got s=2, ell=0\)"),
+        (lambda: lbit_contraction_ceiling(1024, 2, 0.05), r"ell=1024 is too large: 2\^ell overflows a float"),
+        (lambda: lbit_contraction_ceiling(2000, 2, 0.05), r"ell=2000 is too large: 2\^ell overflows a float"),
+        (lambda: ldp_risk_bound(1000, 0, 1.0, 10**6), r"\(got s=0, k=1000, n=1000000\)"),
+        (lambda: ldp_risk_bound(1000, 1500, 1.0, 10**6), r"\(got s=1500, k=1000, n=1000000\)"),
+        (lambda: ldp_risk_bound(1000, 8, 1.0, 0), r"\(got s=8, k=1000, n=0\)"),
+    )
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the largest ell whose 2^ell is a float gives a finite ceiling
+    assert lbit_contraction_ceiling(1023, 2, 0.05) == 8 * 0.05 * 2.0**1023 / 2
+    assert lbit_contraction_ceiling(3, 2, 0.05) == 8 * 0.05 * 2**3 / 2
 
 
 # ---------------------------------------------------------------- packing gap

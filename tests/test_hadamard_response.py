@@ -216,7 +216,7 @@ def test_simulate_fractions_deterministic():
 
 def test_channel_matrix_group_zero_is_constant():
     W = hr_channel_matrix(1.0, 8, 0)
-    assert np.allclose(W.matrix, W.matrix[0])
+    assert np.allclose(W, W[0])
 
 
 def test_channel_matrix_rows_are_response_probs():
@@ -224,8 +224,8 @@ def test_channel_matrix_rows_are_response_probs():
     W = hr_channel_matrix(eps, 8, 3, k=7)
     for x in range(7):
         want1 = 0.75 if in_column_set(8, 3, x) else 0.25
-        assert W.matrix[x, 1] == pytest.approx(want1, abs=1e-12)
-        assert W.matrix[x].sum() == pytest.approx(1.0, abs=1e-12)
+        assert W[x, 1] == pytest.approx(want1, abs=1e-12)
+        assert W[x].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_channels_are_ldp_at_their_epsilon():
@@ -240,5 +240,5 @@ def test_single_symbol_channel_is_trivially_private():
     # K=2 leaves a one-row channel (k = K-1 = 1); with a single input there
     # is nothing to distinguish, so the check passes at every epsilon.
     W = hr_channel_matrix(1.0, 2, 1)
-    assert W.matrix.shape == (1, 2)
+    assert W.shape == (1, 2)
     assert verify_ldp(W, 0.001)

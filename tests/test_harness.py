@@ -105,6 +105,11 @@ def test_config_validates_ranges():
     with pytest.raises(ValueError, match=r"n=9223372036854775808 is too large"):
         tiny_config(n=2**63)
     assert tiny_config(n=2**63 - 1).n == 2**63 - 1
+    # a seed is a stream key: seeds equal mod 2^64 would alias
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"master_seed={seed} is outside \[0, 2\^64\)"):
+            tiny_config(master_seed=seed)
+    assert tiny_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 _COMM = dict(scheme="comm_hash", epsilon_list=None)
@@ -285,14 +290,14 @@ def test_run_trial_repeatable():
     cell = Cell("hr_sparse", 32, 2, 2000, 1.0)
     a = run_cell(cell, [1], 7)[0]
     b = run_cell(cell, [1], 7)[0]
-    assert a.tv_error == b.tv_error
-    assert a.seed_used == b.seed_used
-    assert a.csv_row() == b.csv_row()
+    assert a == b
+    assert harness._cell_rows(cell, [1], 7) == harness._cell_rows(cell, [1], 7)
 
 
 def test_run_trial_csv_row_shape():
     cell = Cell("comm_hash", 16, 1, 500, 2)
-    row = run_cell(cell, [0], 3)[0].csv_row()
+    row = harness._cell_rows(cell, [0], 3)
+    assert row.count("\n") == 1 and row.endswith("\n")
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
     assert "wall" not in row
 
@@ -331,8 +336,8 @@ def test_all_schemes_consistent_at_large_n():
         ("comm_hash", 3),
     ):
         cell = Cell(scheme, 64, 1, 10**6, param)
-        res = run_cell(cell, [0], 11)[0]
-        assert res.tv_error <= 0.05, (scheme, res.tv_error)
+        tv = run_cell(cell, [0], 11)[0]
+        assert tv <= 0.05, (scheme, tv)
 
 
 # ----------------------------------------------------------------------- grid
@@ -467,8 +472,8 @@ def test_grid_rows_equal_trials_run_one_by_one(tmp_path, monkeypatch, grid):
     cfg = ExperimentConfig(trials=4, master_seed=13, **grid)
     out = tmp_path / "res.csv"
     run_grid(cfg, str(out), threads=2)
-    rows = [run_cell(cell, [t], 13)[0].csv_row() for cell in config_cells(cfg) for t in range(4)]
-    assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
+    rows = [harness._cell_rows(cell, [t], 13) for cell in config_cells(cfg) for t in range(4)]
+    assert out.read_text() == CSV_HEADER + "\n" + "".join(rows)
 
 
 @pytest.mark.parametrize(
@@ -536,7 +541,7 @@ def test_run_cell_in_threads_matches_serial():
     # Every thread re-keys its own generator: a cell of each scheme, all run
     # at once with thread switches forced often, gives the rows of a serial run.
     cells = [config_cells(ExperimentConfig(trials=1, master_seed=5, **grid))[-1] for grid in _GOLDEN_GRIDS]
-    serial = [run_cell(cell, [0, 1, 2], 5) for cell in cells]
+    serial = [run_cell(cell, [0, 1, 2], 5).tolist() for cell in cells]
     rounds = 20
     got = [[] for _ in cells]
     start = threading.Barrier(len(cells))
@@ -544,7 +549,7 @@ def test_run_cell_in_threads_matches_serial():
     def work(i):
         start.wait()
         for _ in range(rounds):
-            got[i].append(run_cell(cells[i], [0, 1, 2], 5))
+            got[i].append(run_cell(cells[i], [0, 1, 2], 5).tolist())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -997,6 +1002,8 @@ _RAPPOR = dict(scheme="rappor", k=16, s_list=[1], n=400, trials=1, master_seed=3
         ("plan_tiny_alpha_ldp", "alpha=1e-300 is too small"),
         ("plan_tiny_alpha_comm", "alpha=1e-170 is too small"),
         ("torn_results", "the last line has no newline"),
+        ("seed_negative", "master_seed=-1 is outside [0, 2^64)"),
+        ("seed_too_large", "master_seed=18446744073709551616 is outside [0, 2^64)"),
     ],
 )
 def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message):
@@ -1004,6 +1011,8 @@ def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message)
     configs = {
         "config": dict(_RAPPOR, epsilon_list=[2000.0]),
         "huge_n": dict(scheme="comm_hash", k=16, s_list=[1], n=2**64, trials=1, master_seed=3, ell_list=[1]),
+        "seed_negative": _RAPPOR,
+        "seed_too_large": _RAPPOR,
     }
     cfg.write_text(json.dumps(configs[case]) if case in configs else "{")
     res = tmp_path / "res.csv"
@@ -1017,10 +1026,30 @@ def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message)
         "plan_tiny_alpha_ldp": ["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--eps", "1", "--alpha", "1e-300"],
         "plan_tiny_alpha_comm": ["plan", "--scheme", "comm", "--k", "1000", "--s", "8", "--ell", "3", "--alpha", "1e-170"],
         "torn_results": ["summarize", "--in", str(res), "--out", str(tmp_path / "summary.json")],
+        "seed_negative": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", "-1"],
+        "seed_too_large": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", str(2**64)],
     }[case]
     assert main(argv) == 2
     assert message in _cli_error(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "res.csv"]
+
+
+@pytest.mark.parametrize(
+    "infile, out, link",
+    [("res.csv", "res", None), ("res.json", "res.json", None), ("res.csv", "summary", "summary.csv")],
+    ids=["csv_path", "json_path", "link_to_input"],
+)
+def test_cli_summarize_refuses_to_write_over_its_input(tmp_path, capsys, infile, out, link):
+    # the summary's CSV or JSON path is the results file, by name or by a link
+    results = tmp_path / infile
+    run_grid(tiny_config(), str(results), threads=1)
+    before = results.read_bytes()
+    if link:
+        os.symlink(results, tmp_path / link)
+    assert main(["summarize", "--in", str(results), "--out", str(tmp_path / out)]) == 2
+    assert "over the input" in _cli_error(capsys)
+    assert results.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(filter(None, [infile, link]))
 
 
 def test_cli_keeps_the_traceback_of_other_errors(tmp_path):

@@ -115,7 +115,7 @@ def test_channel_is_ldp_exactly():
     for eps in (0.5, 1.0, 2.0):
         for k in (2, 3, 4):
             W = rappor_channel_matrix(eps, k)
-            assert W.matrix.shape == (k, 2**k)
+            assert W.shape == (k, 2**k)
             assert verify_ldp(W, eps)
             assert not verify_ldp(W, 0.99 * eps)
 

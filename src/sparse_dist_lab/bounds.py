@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_probs, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .core import check_master_seed, check_probs, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
 
 REPORT_TOL = 1e-9
 
@@ -143,11 +143,13 @@ def ldp_contraction_ceiling(epsilon: float, s: int, alpha: float) -> float:
     """Ceiling 64 alpha^2 (e^epsilon - 1)^2 / s on expected_chisq_over_packing for any epsilon-LDP channel.
 
     64 is the explicit constant the privacy-contraction proof carries.
-    Raises ValueError naming epsilon unless e^epsilon is a finite float, and
-    naming s unless s >= 1.
+    Raises ValueError naming epsilon unless e^epsilon is a finite float,
+    naming s unless s >= 1, and naming alpha unless it is finite and
+    positive.
     """
     if not s >= 1:
         raise ValueError(f"s must be >= 1, got {s!r}")
+    _check_alpha(alpha)
     e = exp_epsilon(epsilon)
     # a product, not a power: past epsilon ~ 355, (e - 1) ** 2 raises OverflowError where this is inf
     return 64 * alpha**2 * (e - 1) * (e - 1) / s
@@ -156,14 +158,26 @@ def ldp_contraction_ceiling(epsilon: float, s: int, alpha: float) -> float:
 def lbit_contraction_ceiling(ell: int, s: int, alpha: float) -> float:
     """Ceiling 8 alpha 2^ell / s on expected_chisq_over_packing for any channel with 2^ell outputs.
 
-    Raises ValueError naming s and ell unless both are >= 1, and naming ell
-    when 2^ell overflows a float.
+    Raises ValueError naming s and ell unless both are >= 1, naming ell
+    when 2^ell overflows a float, and naming alpha unless it is finite and
+    positive.
     """
     if not (s >= 1 and ell >= 1):
         raise ValueError(f"require s >= 1 and ell >= 1 (got s={s!r}, ell={ell!r})")
+    _check_alpha(alpha)
     if ell >= 1024:  # 2^1024 is past the largest float
         raise ValueError(f"ell={ell!r} is too large: 2^ell overflows a float")
     return 8 * alpha * 2.0**ell / s
+
+
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError naming alpha unless it is a finite positive number.
+
+    The ceilings do not require 8 alpha < 1, as expected_chisq_over_packing
+    does: they are formulas in alpha and hold as such.
+    """
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite positive number, got {alpha!r}")
 
 
 def implied_sample_lower_bound(gap: float, per_user_chisq: float) -> float:
@@ -310,8 +324,10 @@ def verification_suite(master_seed: int = 0) -> list[BoundReport]:
     Covers the privacy-contraction bound for explicit LDP channels and the
     communication contraction bound for random few-bit channels (at k=6,
     s=2), and the packing gap at representative (k, s) pairs. Deterministic
-    given the seed.
+    given the seed; raises ValueError naming master_seed unless it lies in
+    [0, 2^64).
     """
+    check_master_seed(master_seed)
     k, s, alpha = 6, 2, 0.05
     reports: list[BoundReport] = []
 

@@ -6,10 +6,14 @@ sample sizes, and run the lower-bound verification suite.
     sparse-dist-lab plan --scheme comm --k 1000 --s 8 --alpha 0.2 --ell 3
     sparse-dist-lab verify-bounds --out reports.json
 
---threads N runs a grid's cells on up to N worker processes (N - 1 forked
-children; POSIX only), capped at the pending cells, the CPUs and the grid's
-work (pending trials x k), so a small grid runs in-process whatever N is;
-N below 1 means one worker. Rows are written in grid order whatever N is.
+--threads N runs a grid's distinct experiments (cells that share a cell
+hash, such as comm_hash cells past the effective_ell cap, are one
+experiment, run once) on up to N worker processes (N - 1 forked children;
+POSIX only), capped at the pending experiments, the CPUs and the grid's
+work (drawn trials x k), so a small grid runs in-process whatever N is; N
+below 1 means one worker. Rows are written in grid order whatever N is.
+A results file written by an older sampler (see harness.SAMPLER_VERSION)
+is refused by run and summarize alike; start a new file.
 --seed S runs every grid of the config with master_seed S, as if the config
 said so.
 
@@ -41,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help=f"worker processes, forked; a grid of under {2 * harness._WORKER_MIN_WORK:,} trials x k runs in-process, "
-        "and a value below 1 means one worker",
+        help=f"worker processes, forked, over distinct experiments; a grid that draws under "
+        f"{2 * harness._WORKER_MIN_WORK:,} trials x k runs in-process, and a value below 1 means one worker",
     )
     run.add_argument("--seed", type=int, default=None, help="override every grid's master_seed")
 

@@ -78,6 +78,16 @@ def derive_key(master_seed: int, stream_id: int) -> int:
     return mix64(mix64(master_seed) ^ ((stream_id + 1) * GOLDEN64 & MASK64))
 
 
+def check_master_seed(master_seed: int) -> None:
+    """Raise ValueError naming master_seed unless it lies in [0, 2^64).
+
+    mix64 reads a seed mod 2^64, so a seed outside that range would name
+    the same streams as one inside it.
+    """
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed={master_seed} is outside [0, 2^64)")
+
+
 def child_keys(keys, stream_id) -> np.ndarray:
     """derive_key(key, stream_id) for each of keys, as a uint64 array.
 

@@ -3,20 +3,24 @@
 A grid is the Cartesian product of sparsity values, constraint values
 (epsilon or ell), and trial indices, at fixed (scheme, k, n). Each trial
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
-records the TV error. A cell's pending trials run as one stack: each trial
-draws from its own streams, and decoding, projection and scoring run once
-over the stack, row by row, into run_cell's array of TV errors, which
-_cell_rows formats as CSV rows. The stack's stream keys are derived as
-arrays (core.child_keys) and every draw borrows the thread's one re-keyed
-generator (core.keyed_generator), valid until the thread's next re-key; a
-64-bit key is all a stream needs. Cells run in this process or, with more
-than one worker, in forked worker processes (POSIX only). Results stream to
-a CSV with a fixed header, one write per cell, in grid order; runs are
+records the TV error. The cells of a grid that share a cell hash are one
+experiment, and each experiment runs once: the union of its cells' pending
+trials runs as one stack, each trial drawing from its own streams, and
+decoding, projection and scoring run once over the stack, row by row, into
+an array of TV errors (_cell_errors), which _group_rows formats as each
+cell's CSV rows. The stack's stream keys are derived as arrays
+(core.child_keys) and every draw borrows the thread's one re-keyed generator
+(core.keyed_generator), valid until the thread's next re-key; a 64-bit key
+is all a stream needs. Experiments run in this process or, with more than
+one worker, in forked worker processes (POSIX only). Results stream to a
+CSV with a fixed header, one write per cell, in grid order; every row ends
+in SAMPLER_VERSION, the version of the count sampler that drew it. Runs are
 resumable (existing (cell, trial) rows are skipped, a torn last line is
-dropped and rerun, and a foreign header, a row of the wrong width, a
-repeated (cell, trial) row or a row written under another master seed is an
-error) and byte-identical across repetitions and worker counts. One reader,
-_read_rows, parses the file for both resuming and summarizing.
+dropped and rerun, and a foreign header, a file of another sampler, a row
+of the wrong width, a repeated (cell, trial) row or a row written under
+another master seed is an error) and byte-identical across repetitions and
+worker counts. One reader, _read_rows, parses the file for both resuming
+and summarizing.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -29,7 +33,8 @@ semantics:
   fractions - the projection comparison is paired, not independent.
 * comm_hash cells hash their *effective* bit count; raising ell past the
   ceil(log2 s)+1 cap changes nothing about the protocol, so such cells are
-  the same experiment and deliberately replay the same trials.
+  the same experiment: a grid draws their trials once, and each cell's
+  rows repeat the capped cell's TV errors.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import numpy as np
 from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
 from .comm_hash import comm_run_stack, effective_ell
 from .core import (
+    check_master_seed,
     check_probs,
     child_keys,
     fold_string,
@@ -61,7 +67,13 @@ from .hadamard import hadamard_dim
 from .hadamard_response import hr_run_stack
 from .rappor import flip_probability, rappor_run_stack
 
-CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed"
+CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed,sampler"
+# The version of the count sampler every row records in its last field. A
+# new sampler draws other trials under the same seeds, so its rows must not
+# join an older sampler's file. Sampler 2 drew the second half's
+# rappor/comm_hash counts over all k symbols and wrote no sampler field.
+SAMPLER_VERSION = 3
+_SAMPLER_2_HEADER = CSV_HEADER.removesuffix(",sampler")
 
 
 def _finite(text: str) -> float:
@@ -80,9 +92,21 @@ def _unit(text: str) -> float:
     return value
 
 
+def _sampler(text: str) -> int:
+    """text as SAMPLER_VERSION; ValueError for any other value."""
+    if text != str(SAMPLER_VERSION):
+        raise ValueError(text)
+    return SAMPLER_VERSION
+
+
 # how _read_rows parses each field, and what a field that fails is not
-_FIELD_PARSERS = dict(zip(CSV_HEADER.split(","), (str, int, int, int, _finite, int, _unit, int, int)))
-_FIELD_KINDS = {int: "an integer", _finite: "a finite number", _unit: "a number in [0, 1]"}
+_FIELD_PARSERS = dict(zip(CSV_HEADER.split(","), (str, int, int, int, _finite, int, _unit, int, int, _sampler)))
+_FIELD_KINDS = {
+    int: "an integer",
+    _finite: "a finite number",
+    _unit: "a number in [0, 1]",
+    _sampler: f"{SAMPLER_VERSION}, the sampler this version draws with",
+}
 
 SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 
@@ -112,8 +136,7 @@ class ExperimentConfig:
             raise ValueError("k, n, trials must be positive")
         if self.n >= 2**63:  # NumPy's binomial and multinomial take n as an int64
             raise ValueError(f"n={self.n} is too large: n must be below 2^63")
-        if not 0 <= self.master_seed < 2**64:  # seeds equal mod 2^64 would name one stream
-            raise ValueError(f"master_seed={self.master_seed} is outside [0, 2^64)")
+        check_master_seed(self.master_seed)
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, not {self.out!r}")
         object.__setattr__(self, "s_list", _numbers("s_list", self.s_list))
@@ -263,14 +286,20 @@ def bits_per_user(scheme: str, k: int, param) -> int:
 def run_cell(cell: Cell, trials: list[int], master_seed: int) -> np.ndarray:
     """Run a cell's trials as one stacked batch; the (B,) TV errors, in the order of trials.
 
+    The errors of _cell_errors at the trials' seeds (trial_seeds).
+    """
+    return _cell_errors(cell, trial_seeds(master_seed, cell, trials))
+
+
+def _cell_errors(cell: Cell, seeds: np.ndarray) -> np.ndarray:
+    """The (B,) TV errors of a cell's trials whose uint64 seeds are given, run as one stacked batch.
+
     A trial's stream key is derive_key(seed, 0). It draws its target from
     that stream's child 0 and its protocol randomness from child 1, so a
     trial's result does not depend on which other trials share its batch.
-    The seeds and both children's keys are derived for the whole stack at
-    once. Decoding, projection and scoring run once over the stack. Errors
-    name the cell.
+    Both children's keys are derived for the whole stack at once. Decoding,
+    projection and scoring run once over the stack. Errors name the cell.
     """
-    seeds = trial_seeds(master_seed, cell, trials)
     # each trial's key derive_key(seed, 0), then the keys of its children 0 and 1
     target_keys, protocol_keys = child_keys(child_keys(seeds, 0)[:, None], [0, 1]).T
     try:
@@ -322,7 +351,9 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     """The parsed rows of a results CSV, and the byte length of its torn last line.
 
     Reads path once. Raises ValueError naming path unless the first line is
-    CSV_HEADER and every row parses (see _parse_row), and naming a row's
+    CSV_HEADER (naming both sampler versions and asking for a new file when
+    it is sampler 2's header) and every row parses (see _parse_row: a row
+    of another sampler than SAMPLER_VERSION does not), and naming a row's
     line and the earlier line it repeats if two rows record one (cell,
     trial), their params compared as numbers (0.50 is 0.5): a repeat would
     count as another trial and mark its cell done.
@@ -337,6 +368,11 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     with open(path, encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line_no == 1 and not (CSV_HEADER + "\n").startswith(line):
+                if line == _SAMPLER_2_HEADER + "\n":
+                    raise ValueError(
+                        f"{path}: the file holds sampler 2 rows, and this version draws with sampler "
+                        f"{SAMPLER_VERSION}, whose trials differ; start a new results file"
+                    )
                 raise ValueError(f"{path}: the first line {line!r} is not the results header {CSV_HEADER!r}")
             if not line.endswith("\n"):
                 torn = len(line.encode())
@@ -354,13 +390,29 @@ def _row_key(row: dict) -> tuple:
     return row["scheme"], row["k"], row["s"], row["n"], row["eps_or_ell"], row["trial"]
 
 
+def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: np.ndarray) -> list[str]:
+    """The CSV rows of each member of one experiment, from one run of the union of their pending trials.
+
+    members are (cell, pending trials) pairs of cells that share a
+    cell_hash, trials the sorted union of their pending trials and seeds
+    those trials' uint64 seeds. A trial's result does not depend on its
+    batch, so each member's rows are those of its own run: the cell (its
+    own param text and bits), each trial's TV error (repr), seed and
+    SAMPLER_VERSION. Errors name the first member.
+    """
+    tv_of = dict(zip(trials, _cell_errors(members[0][0], seeds).tolist()))
+    seed_of = dict(zip(trials, seeds.tolist()))
+    out = []
+    for cell, pending in members:
+        head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{cell.param_str()}"
+        bits = bits_per_user(cell.scheme, cell.k, cell.param)
+        out.append("".join(f"{head},{t},{tv_of[t]!r},{bits},{seed_of[t]},{SAMPLER_VERSION}\n" for t in pending))
+    return out
+
+
 def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
-    """The CSV rows of one cell's pending trials, in order: the cell, each trial's TV error (repr) and seed."""
-    tvs = run_cell(cell, trials, master_seed).tolist()
-    head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{cell.param_str()}"
-    bits = bits_per_user(cell.scheme, cell.k, cell.param)
-    seeds = trial_seeds(master_seed, cell, trials).tolist()
-    return "".join(f"{head},{t},{tv!r},{bits},{seed}\n" for t, tv, seed in zip(trials, tvs, seeds))
+    """The CSV rows of one cell's trials, in order, as a grid writes them."""
+    return _group_rows([(cell, trials)], trials, trial_seeds(master_seed, cell, trials))[0]
 
 
 def _usable_cpus() -> int:
@@ -376,19 +428,22 @@ def _usable_cpus() -> int:
 _WORKER_MIN_WORK = 20_000
 
 
-def _worker_count(threads: int, cells: int, cpus: int, work: int) -> int:
-    """Workers for a grid: the requested count, capped at the pending cells, the CPUs and the work.
+def _worker_count(threads: int, groups: int, cpus: int, work: int) -> int:
+    """Workers for a grid: the requested count, capped at the pending experiments, the CPUs and the work.
 
-    work is the grid's pending symbol-trials (pending trials x k), which
-    tracks a trial's cost whatever n is; each worker gets at least
-    _WORKER_MIN_WORK of it, so a grid too small to pay for a fork runs
-    in-process. Reads no clock: the count never depends on timing.
+    groups is the number of distinct experiments with pending trials, and
+    work the symbol-trials they draw (drawn trials x k), which tracks a
+    trial's cost whatever n is; each worker gets at least _WORKER_MIN_WORK
+    of it, so a grid too small to pay for a fork runs in-process. Reads no
+    clock: the count never depends on timing.
     """
-    return max(1, min(threads, cells, cpus, work // _WORKER_MIN_WORK))
+    return max(1, min(threads, groups, cpus, work // _WORKER_MIN_WORK))
 
 
-def _run_stripe(fd: int, stripe: list[tuple[Cell, list[int]]], master_seed: int) -> None:
-    """Body of a forked worker: pickle each cell's rows, or the error that stopped it, to fd.
+def _run_stripe(fd: int, stripe: list[tuple]) -> None:
+    """Body of a forked worker: pickle each group's rows, or the error that stopped it, to fd.
+
+    A group is the (members, trials, seeds) that _group_rows takes.
 
     Leaves with os._exit, so the child never returns into its caller and
     never flushes a buffer it inherited (the results CSV, stdout).
@@ -396,15 +451,15 @@ def _run_stripe(fd: int, stripe: list[tuple[Cell, list[int]]], master_seed: int)
     status = 1
     try:
         with os.fdopen(fd, "wb") as out:
-            for cell, pending in stripe:
+            for group in stripe:
                 try:
-                    rows = _cell_rows(cell, pending, master_seed)
+                    rows = _group_rows(*group)
                 except Exception as err:
                     try:
                         payload = pickle.dumps(err)
                         pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
                     except Exception:
-                        payload = pickle.dumps(RuntimeError(f"cell {cell}: {type(err).__name__}: {err}"))
+                        payload = pickle.dumps(RuntimeError(f"cell {group[0][0][0]}: {type(err).__name__}: {err}"))
                     out.write(payload)
                     break
                 pickle.dump(rows, out)
@@ -414,13 +469,18 @@ def _run_stripe(fd: int, stripe: list[tuple[Cell, list[int]]], master_seed: int)
         os._exit(status)
 
 
-def _write_cells(fh, todo: list[tuple[Cell, list[int]]], master_seed: int, workers: int) -> None:
-    """Run todo on workers processes and write each cell's rows to fh in grid order.
+def _write_cells(fh, groups: list[tuple], order: list[int], workers: int) -> None:
+    """Run groups on workers processes and write each pending cell's rows to fh in grid order.
 
-    The calling process forks workers - 1 children (none for one worker) and
-    works as worker 0; cell i runs in worker i % workers. Each child pickles
-    its rows to its own pipe. Children are reaped before returning, and
-    killed first if anything raised.
+    A group is the (members, trials, seeds) that _group_rows takes, and
+    order holds the group index of each pending cell, in grid order.
+    groups are ordered by their first member, so a group is run (or its
+    rows received) when the writer reaches its first member, and its rows
+    are kept until its last member is written. The calling process forks
+    workers - 1 children (none for one worker) and works as worker 0; group
+    i runs in worker i % workers. Each child pickles its groups' rows to
+    its own pipe. Children are reaped before returning, and killed first
+    if anything raised.
     """
     pids = []  # worker w's pid is pids[w - 1]
     readers = {}  # pid -> its pipe's read end, until the worker is reaped
@@ -431,26 +491,32 @@ def _write_cells(fh, todo: list[tuple[Cell, list[int]]], master_seed: int, worke
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _run_stripe(write_fd, todo[w::workers], master_seed)
+                _run_stripe(write_fd, groups[w::workers])
             os.close(write_fd)
             pids.append(pid)
             readers[pid] = os.fdopen(read_fd, "rb")
-        for i, (cell, pending) in enumerate(todo):
-            if i % workers == 0:
-                rows = _cell_rows(cell, pending, master_seed)
-            else:
-                pid = pids[i % workers - 1]
-                try:
-                    rows = pickle.load(readers[pid])
-                except (EOFError, pickle.UnpicklingError):
-                    readers.pop(pid).close()
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
-                    raise RuntimeError(f"cell {cell}: worker process {pid} {how} before sending the cell's rows") from None
-                if isinstance(rows, BaseException):
-                    raise rows
-            fh.write(rows)
+        unwritten = {}  # group index -> the rows of its members not yet written, in grid order
+        for i in order:
+            if i not in unwritten:  # the group's first member
+                if i % workers == 0:
+                    unwritten[i] = _group_rows(*groups[i])
+                else:
+                    pid = pids[i % workers - 1]
+                    try:
+                        unwritten[i] = pickle.load(readers[pid])
+                    except (EOFError, pickle.UnpicklingError):
+                        readers.pop(pid).close()
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+                        cell = groups[i][0][0][0]
+                        raise RuntimeError(f"cell {cell}: worker process {pid} {how} before sending the cell's rows") from None
+                    if isinstance(unwritten[i], BaseException):
+                        raise unwritten[i]
+            rows = unwritten[i]
+            fh.write(rows.pop(0))
             fh.flush()
+            if not rows:
+                del unwritten[i]
         finished = True
     finally:
         for pid, reader in readers.items():
@@ -463,28 +529,33 @@ def _write_cells(fh, todo: list[tuple[Cell, list[int]]], master_seed: int, worke
 def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     """Run (or resume) one config's grid, appending rows to out_path.
 
-    Each cell's pending trials run as one stacked batch (see run_cell).
-    ``threads`` is the number of worker processes, w, capped at the pending
-    cells, at the CPUs this process may use and at one worker per
-    _WORKER_MIN_WORK pending symbol-trials (trials x k), so a small grid runs
-    in this process whatever ``threads`` is (on 2 vCPUs, two workers beat
-    one from about 32,000-50,000 symbol-trials). One worker runs every cell
-    in this process. More fork (POSIX only): this process runs pending cells
-    0, w, 2w, ... itself and w - 1 forked children run the rest, so do not
-    call it while other threads of the caller hold locks. Each cell's rows
-    are written with one write and one flush, in grid order, so output bytes
-    never depend on w. The first failing cell in grid order stops the grid,
-    with the whole rows of the cells before it written, and its error (or,
-    for a worker that died, a RuntimeError) names the cell. Returns the
-    number of rows written.
+    Cells that share a cell_hash (comm_hash cells with ell past the
+    effective_ell cap) are one experiment, and each experiment runs once:
+    its members' pending trials run as one stacked batch (see _group_rows),
+    whose seeds are derived once and serve the resume check, the draw and
+    the rows. ``threads`` is the number of worker processes, w, capped at
+    the pending experiments, at the CPUs this process may use and at one
+    worker per _WORKER_MIN_WORK drawn symbol-trials (trials x k), so a
+    small grid runs in this process whatever ``threads`` is (on 2 vCPUs,
+    two workers beat one from about 32,000-50,000 symbol-trials). One
+    worker runs every experiment in this process. More fork (POSIX only):
+    this process runs pending experiments 0, w, 2w, ... itself and w - 1
+    forked children run the rest, so do not call it while other threads of
+    the caller hold locks. Each cell's rows are written with one write and
+    one flush, in grid order, so output bytes never depend on w. The first
+    failing experiment stops the grid, with the whole rows of the cells
+    before its first member written, and its error (or, for a worker that
+    died, a RuntimeError) names that first member. Returns the number of
+    rows written.
 
     Reads out_path once, if it exists, and raises ValueError naming it,
-    before writing anything, if its first line is not CSV_HEADER, if a row
-    does not parse (see _parse_row) or repeats an earlier row's (cell,
-    trial) (see _read_rows), or if a row was written under another
-    master seed than config's: a row's key leaves the seed out, so it would
-    otherwise count as done. A torn last line (no trailing newline) is
-    truncated, with a note on stderr, and its row rerun.
+    before writing anything, if its first line is not CSV_HEADER (a
+    sampler 2 file is refused, never extended), if a row does not parse
+    (see _parse_row) or repeats an earlier row's (cell, trial) (see
+    _read_rows), or if a row was written under another master seed than
+    config's: a row's key leaves the seed out, so it would otherwise count
+    as done. A torn last line (no trailing newline) is truncated, with a
+    note on stderr, and its row rerun.
     """
     seed = config.master_seed
     try:
@@ -492,35 +563,48 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     except FileNotFoundError:
         rows, torn = [], 0
     done = {_row_key(r): r["seed"] for r in rows}
-    todo = []
+    experiments = {}  # cell_hash -> (pending members, the seeds of trials 0 .. config.trials - 1)
+    order = []  # the cell_hash of each pending cell, in grid order
     for cell in config_cells(config):
+        key = cell_hash(cell)
+        if key not in experiments:
+            experiments[key] = ([], trial_seeds(seed, cell, range(config.trials)))
+        members, seeds = experiments[key]
         pending = []
-        for t, want in enumerate(trial_seeds(seed, cell, range(config.trials)).tolist()):
+        for t in range(config.trials):
             found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param, t))
             if found is None:
                 pending.append(t)
-                continue
-            if found != want:
+            elif found != int(seeds[t]):
                 raise ValueError(
                     f"{out_path}: row ({cell.scheme}, s={cell.s}, {cell.param_str()}, trial {t}) has seed "
-                    f"{found}, but master seed {seed} gives {want}; "
+                    f"{found}, but master seed {seed} gives {seeds[t]}; "
                     "resume with the master seed the file was written with, or use a new file"
                 )
         if pending:
-            todo.append((cell, pending))
+            members.append((cell, pending))
+            order.append(key)
+    index = {}  # cell_hash -> its group's index, groups in the order of their first member
+    groups = []
+    for key in order:
+        if key not in index:
+            members, seeds = experiments[key]
+            trials = sorted(set().union(*(pending for _, pending in members)))
+            index[key] = len(groups)
+            groups.append((members, trials, seeds[trials]))
 
     if torn:
         os.truncate(out_path, os.path.getsize(out_path) - torn)
         print(f"{out_path}: dropped a torn last line ({torn} bytes with no newline); resuming", file=sys.stderr)
     fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
-    trials = sum(len(pending) for _, pending in todo)
-    workers = _worker_count(threads, len(todo), _usable_cpus(), config.k * trials)
+    drawn = sum(len(trials) for _, trials, _ in groups)
+    workers = _worker_count(threads, len(groups), _usable_cpus(), config.k * drawn)
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(CSV_HEADER + "\n")
             fh.flush()
-        _write_cells(fh, todo, seed, workers)
-    return trials
+        _write_cells(fh, groups, [index[key] for key in order], workers)
+    return sum(len(pending) for members, _, _ in groups for _, pending in members)
 
 
 def read_results(path: str) -> list[dict]:

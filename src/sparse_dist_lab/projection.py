@@ -14,11 +14,12 @@ deterministic - seeded experiment replays depend on this.
 rappor and comm_hash share one two-stage estimator (split_half_estimate):
 per-symbol counts of the first half of the users rank the symbols and pick
 a candidate support T, and the second half's counts, whose mean is affine in
-p, are inverted on T and projected onto the simplex over T. Each scheme is
-described by its channel's two probabilities: a user's message counts for
-the user's own symbol with probability 1 - drop and for any other symbol
-with probability noise. The count law (split_half_counts) and the affine
-decode constants both follow from that pair, here and nowhere else.
+p, are drawn on T only (sampler 3), inverted on T (split_half_decode) and
+projected onto the simplex over T. Each scheme is described by its
+channel's two probabilities: a user's message counts for the user's own
+symbol with probability 1 - drop and for any other symbol with probability
+noise. The count law (split_half_counts) and the affine decode constants
+both follow from that pair, here and nowhere else.
 """
 
 from __future__ import annotations
@@ -75,13 +76,17 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
         raise ValueError(f"require 1 <= s <= {k}, got s={s}")
     if s == k:
         return np.broadcast_to(np.arange(k), v.shape).copy()
-    # each row's s-th largest value is its cut: keep everything above it,
-    # then the entries equal to it in index order until s are taken
+    # each row's s-th largest value is its cut: keep everything at or above
+    # it, then, in the rows that keep more than s, drop the surplus entries
+    # equal to the cut, the last ones in index order
     cut = np.partition(rows, k - s, axis=1)[:, k - s, None]
-    above = rows > cut
-    ties = rows == cut
-    wanted = s - above.sum(axis=1, keepdims=True)
-    keep = above | (ties & (ties.cumsum(axis=1) <= wanted))
+    keep = rows >= cut
+    surplus = keep.sum(axis=1) - s
+    over = surplus.nonzero()[0]
+    if over.size:
+        ties = rows[over] == cut[over]
+        from_end = ties[:, ::-1].cumsum(axis=1)[:, ::-1]  # ties at or after each index
+        keep[over] &= ~(ties & (from_end <= surplus[over, None]))
     return keep.nonzero()[1].reshape(v.shape[:-1] + (s,))
 
 
@@ -112,47 +117,59 @@ def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, gen: np.
     return kept + gen.binomial(m - c, noise)
 
 
-def split_half_decode(M: np.ndarray, N: np.ndarray, m2: int, t: int, drop: float, noise: float):
-    """The two-stage estimate from each row of (B, k) count stacks.
+def split_half_decode(T: np.ndarray, N: np.ndarray, k: int, m2: int, drop: float, noise: float):
+    """The two-stage estimate from the second half's counts on each row's candidate support.
 
-    T is the top t entries of each row of M (ties to the smaller index). On
-    T the raw estimate inverts E[N(x)]/m2 = beta + gamma p(x), with
-    beta = noise and gamma = 1 - (drop + noise), and the output is raw
-    projected onto the simplex over T; both are zero off T. Returns the
-    (B, t) supports and the (B, k) raw and projected estimates.
+    T is a (B, t) stack of supports and N the (B, t) counts of m2 users on
+    them, N[i, j] the count of symbol T[i, j]. On T the raw estimate inverts
+    E[N(x)]/m2 = beta + gamma p(x), with beta = noise and
+    gamma = 1 - (drop + noise), and the output is raw projected onto the
+    simplex over T; both are zero off T. Returns the (B, k) raw and
+    projected estimates.
     """
     # 1 - (drop + noise), not (1 - drop) - noise: for rappor (drop = noise = q)
     # it is 1 - 2q to the last bit
     beta, gamma = noise, 1 - (drop + noise)
-    T = top_s_indices(M, t)
-    at = np.arange(M.shape[0])[:, None], T
-    raw = np.zeros(M.shape)
-    raw[at] = (N[at].astype(np.float64) / m2 - beta) / gamma
-    return T, raw, project_on_support(raw, T)
+    raw = np.zeros((T.shape[0], k))
+    raw[np.arange(T.shape[0])[:, None], T] = (np.asarray(N, dtype=np.float64) / m2 - beta) / gamma
+    return raw, project_on_support(raw, T)
 
 
 def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, keys):
-    """Split n users in half and run split_half_decode on each row of a (B, k) stack of targets.
+    """Split n users in half and estimate each row of a (B, k) stack of targets from the halves' counts.
 
     keys holds one 64-bit stream key per row (a uint64 array or any int
-    sequence). Row i draws the halves' symbol histograms from the child
-    streams 0 and 1 of the stream whose key is keys[i], then each half's
-    counts by split_half_counts on children 2 and 3. The children's keys
-    are derived for the whole stack at once (child_keys), and each draw
-    borrows this thread's keyed_generator and finishes before the next
-    re-key. Returns split_half_decode's (T, raw, out).
+    sequence). Row i draws the halves' symbol histograms c1 and c2 from the
+    child streams 0 and 1 of the stream whose key is keys[i], as
+    multinomials over the row's support (a zero-probability symbol takes
+    nothing from a stream, so these are the counts of a draw over all k).
+    It draws the first half's counts M over all k symbols by
+    split_half_counts on child 2, takes T, the top t entries of each row
+    of M (ties to the smaller index), and draws the second half's counts N
+    on T only, split_half_counts(c2[T], ...) on child 3 (sampler 3). Given
+    c2 the symbols' counts are independent, so N on T has the law of N
+    over all k symbols restricted to T. The children's keys are derived
+    for the whole stack at once (child_keys), and each draw borrows this
+    thread's keyed_generator and finishes before the next re-key. Returns
+    T and split_half_decode's raw and projected estimates.
     """
     P = np.asarray(P, dtype=np.float64)
     m1 = n // 2
     m2 = n - m1
     if m1 == 0:
         raise ValueError("need at least two users")
+    c1 = np.zeros(P.shape, dtype=np.int64)
+    c2 = np.zeros(P.shape, dtype=np.int64)
     M = np.empty(P.shape, dtype=np.int64)
-    N = np.empty(P.shape, dtype=np.int64)
     children = child_keys(np.asarray(keys, dtype=np.uint64)[:, None], range(4)).tolist()
-    for i, (key1, key2, key_m, key_n) in enumerate(children):
-        c1 = keyed_generator(key1).multinomial(m1, P[i])
-        c2 = keyed_generator(key2).multinomial(m2, P[i])
-        M[i] = split_half_counts(c1, m1, drop, noise, keyed_generator(key_m))
-        N[i] = split_half_counts(c2, m2, drop, noise, keyed_generator(key_n))
-    return split_half_decode(M, N, m2, t, drop, noise)
+    for i, (key1, key2, key_m, _) in enumerate(children):
+        support = P[i].nonzero()[0]
+        c1[i, support] = keyed_generator(key1).multinomial(m1, P[i, support])
+        c2[i, support] = keyed_generator(key2).multinomial(m2, P[i, support])
+        M[i] = split_half_counts(c1[i], m1, drop, noise, keyed_generator(key_m))
+    T = top_s_indices(M, t)
+    c2_on_T = c2[np.arange(P.shape[0])[:, None], T]
+    N = np.empty(T.shape, dtype=np.int64)
+    for i, (_, _, _, key_n) in enumerate(children):
+        N[i] = split_half_counts(c2_on_T[i], m2, drop, noise, keyed_generator(key_n))
+    return (T, *split_half_decode(T, N, P.shape[1], m2, drop, noise))

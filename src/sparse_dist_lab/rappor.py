@@ -13,12 +13,15 @@ affine map gives per-coordinate unbiased estimates on T, which are then
 projected onto the simplex supported on T. Messages cost k bits per user -
 the price paid for needing no public randomness.
 
-Protocol runs draw both halves' column sums from their exact law given the
-symbol histograms, in O(k), and decode through the split-half estimator
-shared with comm_hash (projection.split_half_estimate). A bit is set for the
+Protocol runs draw the first half's column sums over all k symbols and the
+second half's on T only, each from its exact law given its half's symbol
+histogram, in O(k), and decode through the split-half estimator shared with
+comm_hash (projection.split_half_estimate, sampler 3). A bit is set for the
 user's own symbol with probability 1 - q and for any other symbol with
-probability q, so the scheme hands that estimator drop = noise = q, from
-which it derives the count law and the inversion constants above. No
+probability q, and bits flip independently, so the column sums on T have
+the law of all k column sums restricted to T; the scheme hands that
+estimator drop = noise = q, from which it derives the count law and the
+inversion constants above. No
 per-user message is materialized; the tests hold the per-user encoder that
 law is checked against.
 """
@@ -45,9 +48,9 @@ def flip_probability(epsilon: float) -> float:
 def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     """One protocol run on each row of a (B, k) stack of targets with its own stream key.
 
-    Both halves' column sums are drawn from their exact law, that of
-    encoding every user, and decoded by split_half_estimate on a candidate
-    support of 2s symbols; a bit flips with probability q either way, so
+    Both halves' column sums (the second half's on the candidate support
+    only) are drawn from their exact law, that of encoding every user, and
+    decoded by split_half_estimate on a candidate support of 2s symbols; a bit flips with probability q either way, so
     drop = noise = q. keys holds one 64-bit key per row (see
     split_half_estimate). Returns the (B, 2s) supports and the (B, k) raw
     and projected estimates.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ def test_bound_formulas_reject_arguments_they_cannot_take():
     # the largest ell whose 2^ell is a float gives a finite ceiling
     assert lbit_contraction_ceiling(1023, 2, 0.05) == 8 * 0.05 * 2.0**1023 / 2
     assert lbit_contraction_ceiling(3, 2, 0.05) == 8 * 0.05 * 2**3 / 2
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, math.nan, math.inf])
+def test_contraction_ceilings_reject_an_alpha_that_is_not_finite_and_positive(alpha):
+    # at -0.5 they returned 23.62 and -8.0, and at NaN nan; 8 alpha < 1 is
+    # left unchecked, as lower_bounds_demo.py calls them at alpha = 0.2
+    message = re.escape(f"alpha must be a finite positive number, got {alpha!r}")
+    with pytest.raises(ValueError, match=message):
+        ldp_contraction_ceiling(1.0, 2, alpha)
+    with pytest.raises(ValueError, match=message):
+        lbit_contraction_ceiling(2, 2, alpha)
 
 
 # ---------------------------------------------------------------- packing gap

@@ -8,13 +8,14 @@ import pytest
 from oracles import comm_encode_batch, hash_eval, hash_eval_batch, preimage_counts, sample_iid
 from sparse_dist_lab.comm_hash import comm_run_stack, effective_ell
 from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
-from sparse_dist_lab.projection import split_half_counts, split_half_decode
+from sparse_dist_lab.projection import split_half_counts, split_half_decode, top_s_indices
 
 
 def decode(M, N, m2, buckets, k, s):
     """The split-half decode of one row of counts at comm_hash's constants."""
-    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, min(2 * s, k), 0.0, 1 / buckets)
-    return T[0], raw[0], out[0]
+    T = top_s_indices(np.asarray(M), min(2 * s, k))
+    raw, out = split_half_decode(T[None], np.asarray(N)[T][None], k, m2, 0.0, 1 / buckets)
+    return T, raw[0], out[0]
 
 
 def test_effective_ell_cap():

@@ -389,7 +389,7 @@ def test_resume_rejects_torn_row(tmp_path):
     # corruption, not a torn tail to repair.
     torn = out.read_text().rstrip("\n").rsplit(",", 3)[0]
     out.write_text(torn + "\n")
-    with pytest.raises(ValueError, match="line 5 has 6 fields"):
+    with pytest.raises(ValueError, match="line 5 has 7 fields"):
         run_grid(cfg, str(out), threads=1)
 
 
@@ -442,18 +442,19 @@ def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
     out.write_text("\n".join(lines[:5]) + "\n")
 
     calls = {}
-    real_run_cell = harness.run_cell
+    real_cell_errors = harness._cell_errors
 
-    def recording_run_cell(cell, trials, master_seed):
+    def recording_cell_errors(cell, seeds):
         assert (cell.s, cell.param) not in calls  # one batch per cell
-        calls[(cell.s, cell.param)] = list(trials)
-        return real_run_cell(cell, trials, master_seed)
+        calls[(cell.s, cell.param)] = seeds.tolist()
+        return real_cell_errors(cell, seeds)
 
-    monkeypatch.setattr(harness, "run_cell", recording_run_cell)
+    monkeypatch.setattr(harness, "_cell_errors", recording_cell_errors)
     # one worker: a recorder in a forked worker could not report back
     assert run_grid(cfg, str(out), threads=1) == 8
     assert out.read_bytes() == full
-    assert calls == {(2, 1.0): [1, 2], (4, 0.5): [0, 1, 2], (4, 1.0): [0, 1, 2]}
+    ran = {(2, 1.0): [1, 2], (4, 0.5): [0, 1, 2], (4, 1.0): [0, 1, 2]}
+    assert calls == {(s, eps): [trial_seed(7, Cell("hr_sparse", 32, s, 2000, eps), t) for t in ts] for (s, eps), ts in ran.items()}
 
 
 @pytest.mark.parametrize(
@@ -517,11 +518,11 @@ _GOLDEN_GRIDS = [
     dict(scheme="rappor", k=32, s_list=[2, 4], n=2000, epsilon_list=[1.0, 3.0]),
     dict(scheme="comm_hash", k=32, s_list=[2, 4], n=2000, ell_list=[2, 3, 5]),
 ]
-_GOLDEN_SHA256 = "ec5305d34ff84046a9a4c9f9f928c582866d0146c6fd61d26b2fea8fe144eee1"
+_GOLDEN_SHA256 = "884c763da117482d9633ef0836d4b17595d9a27cb5f0202acbe02d5a82da0793"
 # At these epsilons rappor's 1 - 2q and (1 - q) - q differ in the last bit,
 # which moves the TV errors' last digits.
 _GOLDEN_RAPPOR_GRIDS = [dict(scheme="rappor", k=32, s_list=[2, 4], n=2000, epsilon_list=[0.3, 0.9, 6.0])]
-_GOLDEN_RAPPOR_SHA256 = "8ddf620ee2f5550b703c59cf237fc2a667e829cb17c9f45971ce287e8e2eaef2"
+_GOLDEN_RAPPOR_SHA256 = "b07123e5993b64534e8d146bc3606ba0b2e397524e852854de4901ad878525ee"
 
 
 def test_results_csv_bytes_are_pinned(tmp_path):
@@ -535,6 +536,76 @@ def test_results_csv_bytes_are_pinned(tmp_path):
         for grid in grids:
             run_grid(ExperimentConfig(trials=2, master_seed=20240801, **grid), str(out), threads=1)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, name
+
+
+def test_grid_draws_each_experiment_once(tmp_path, monkeypatch):
+    # At s = 2 the effective_ell cap is 2 and at s = 4 it is 3, so the 8
+    # cells are 5 experiments: ell = 2, 3, 4 at s = 2 and ell = 3, 4 at
+    # s = 4 each share one. Every (cell hash, trial) is drawn exactly once,
+    # fresh and on resume, and the cells of one experiment repeat its errors.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_WORKER_MIN_WORK", 1)
+    cfg = ExperimentConfig(scheme="comm_hash", k=32, s_list=[2, 4], n=2000, trials=4, master_seed=9, ell_list=[1, 2, 3, 4])
+    two = tmp_path / "two.csv"
+    assert run_grid(cfg, str(two), threads=2) == 32
+    drawn = []
+    real_run_stack = harness._run_stack
+
+    def recording_run_stack(cell, targets, keys):
+        drawn.extend((cell_hash(cell), key) for key in keys.tolist())
+        return real_run_stack(cell, targets, keys)
+
+    monkeypatch.setattr(harness, "_run_stack", recording_run_stack)
+    # one worker: a recorder in a forked worker could not report back
+    out = tmp_path / "res.csv"
+    assert run_grid(cfg, str(out), threads=1) == 32
+    assert out.read_bytes() == two.read_bytes()
+    experiments = {cell_hash(cell) for cell in config_cells(cfg)}
+    assert len(experiments) == 5
+    assert len(drawn) == len(set(drawn)) == 5 * 4
+    assert {h for h, _ in drawn} == experiments
+    errors = {}
+    for row in read_results(str(out)):
+        cell = Cell("comm_hash", 32, row["s"], 2000, row["eps_or_ell"])
+        assert errors.setdefault((cell_hash(cell), row["trial"]), row["tv_error"]) == row["tv_error"]
+
+    # the members of the s = 2, ell >= 2 experiment lack different trials
+    missing = {("2", "2", "0"), ("2", "3", "1"), ("2", "3", "2"), ("2", "4", "2"), ("4", "1", "3")}
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(line for line in lines if tuple(line.split(",")[i] for i in (2, 4, 5)) not in missing))
+    drawn.clear()
+    assert run_grid(cfg, str(out), threads=1) == 5
+    assert sorted(out.read_text().splitlines()) == sorted(two.read_text().splitlines())
+    capped = cell_hash(Cell("comm_hash", 32, 2, 2000, 2))
+    assert len(drawn) == len(set(drawn)) == 4
+    assert sorted(h for h, _ in drawn) == sorted([capped] * 3 + [cell_hash(Cell("comm_hash", 32, 4, 2000, 1))])
+
+
+# The first rows of the every_scheme golden file as sampler 2 wrote it
+# (_GOLDEN_GRIDS, trials=2, master_seed=20240801).
+_SAMPLER_2_LINES = """scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed
+hr_dense,32,2,2000,1.0,0,0.11602578525082294,1,5949921950387428460
+hr_dense,32,2,2000,1.0,1,0.13477845962455987,1,6650888082261510903
+comm_hash,32,2,2000,2,0,0.028444444444444484,2,4287507675337903149
+"""
+
+
+def test_sampler_2_file_is_refused(tmp_path, capsys):
+    # Its rows hold other draws under the same seeds: run refuses to extend
+    # the file and summarize to read it, each with one line and status 2.
+    out = tmp_path / "old.csv"
+    out.write_text(_SAMPLER_2_LINES)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_GOLDEN_GRIDS[0], trials=2, master_seed=20240801)))
+    message = f"{out}: the file holds sampler 2 rows, and this version draws with sampler 3, whose trials differ; start a new results file"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _cli_error(capsys) == message
+    assert main(["summarize", "--in", str(out), "--out", str(tmp_path / "summary.json")]) == 2
+    assert _cli_error(capsys) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_results(str(out))
+    assert out.read_text() == _SAMPLER_2_LINES
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "old.csv"]
 
 
 def test_run_cell_in_threads_matches_serial():
@@ -721,8 +792,8 @@ def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
     lines = out.read_text().splitlines()
     lines[2] = lines[2] + ",0" if cut == "extra" else ",".join(lines[2].split(",")[:3])
     out.write_text("\n".join(lines) + "\n")
-    width = 10 if cut == "extra" else 3
-    with pytest.raises(ValueError, match=re.escape(f"{out}: line 3 has {width} fields, not the header's 9")):
+    width = 11 if cut == "extra" else 3
+    with pytest.raises(ValueError, match=re.escape(f"{out}: line 3 has {width} fields, not the header's 10")):
         read_results(str(out))
 
 
@@ -737,6 +808,7 @@ def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
         ("tv_error", 6, "1.5", "a number in [0, 1]"),
         ("eps_or_ell", 4, "nan", "a finite number"),
         ("eps_or_ell", 4, "-inf", "a finite number"),
+        ("sampler", 9, "2", "3, the sampler this version draws with"),
     ],
 )
 def test_row_with_unparsable_field_is_an_error(tmp_path, field, at, text, kind):
@@ -1004,6 +1076,8 @@ _RAPPOR = dict(scheme="rappor", k=16, s_list=[1], n=400, trials=1, master_seed=3
         ("torn_results", "the last line has no newline"),
         ("seed_negative", "master_seed=-1 is outside [0, 2^64)"),
         ("seed_too_large", "master_seed=18446744073709551616 is outside [0, 2^64)"),
+        ("verify_bounds_seed_negative", "master_seed=-1 is outside [0, 2^64)"),
+        ("verify_bounds_seed_too_large", "master_seed=18446744073709551616 is outside [0, 2^64)"),
     ],
 )
 def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message):
@@ -1028,6 +1102,8 @@ def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message)
         "torn_results": ["summarize", "--in", str(res), "--out", str(tmp_path / "summary.json")],
         "seed_negative": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", "-1"],
         "seed_too_large": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", str(2**64)],
+        "verify_bounds_seed_negative": ["verify-bounds", "--seed", "-1", "--out", str(tmp_path / "r.json")],
+        "verify_bounds_seed_too_large": ["verify-bounds", "--seed", str(2**64), "--out", str(tmp_path / "r.json")],
     }[case]
     assert main(argv) == 2
     assert message in _cli_error(capsys)

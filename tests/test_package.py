@@ -89,7 +89,7 @@ def test_demo_runs(demo, tmp_path):
 
 
 _DEMO_STDOUT_SHA256 = {
-    "hashing_demo": "f34bb6fa1d7f95eab02d2b078136df8878cb9174e6c58f2003e5dcf907cbe346",
+    "hashing_demo": "151e0413218f834f91dfeb3b809649651380dd30c34e95271d59027dbcbdaa20",
     "hadamard_response_demo": "c1a4f3a478a5fa122edc840ee694862bad219da23a4443799f875b1506bd36ae",
     "lower_bounds_demo": "c338b4d179d81ed1fc64e8cfa764345b18a3291a365efb35a22713ee16ca4c8f",
 }

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_dist_lab.core import derive_key, keyed_generator
+from sparse_dist_lab.core import child_keys, derive_key, keyed_generator
 from sparse_dist_lab.projection import (
     project_on_support,
     project_simplex_vec,
     split_half_counts,
+    split_half_estimate,
     top_s_indices,
 )
 
@@ -204,6 +205,49 @@ def test_split_half_counts_draw_order(drop):
     gen = np.random.Generator(np.random.Philox(key=derive_key(7, 3)))
     kept = c - gen.binomial(c, drop) if drop else c
     assert np.array_equal(got, kept + gen.binomial(m - c, noise))
+
+
+@pytest.mark.parametrize("drop, noise", [(0.0, 0.25), (0.3, 0.3)], ids=["comm_hash", "rappor"])
+def test_split_half_estimate_draws_sampler_3(drop, noise):
+    # c1 and c2 from children 0 and 1 (a multinomial over all k symbols
+    # draws the same counts as one over the support), M over all k symbols
+    # from child 2, T its top t, and N on T only, from child 3.
+    k, n, t, B = 40, 3001, 6, 5
+    P = np.zeros((B, k))
+    P[:, [3, 17, 18]] = [0.5, 0.3, 0.2]
+    P[1] = np.roll(P[1], 11)
+    keys = child_keys(21, range(B))
+    T, raw, _ = split_half_estimate(P, n, drop, noise, t, keys)
+    m1, m2 = n // 2, n - n // 2
+    for i, key in enumerate(keys.tolist()):
+        gen1, gen2, gen_m, gen_n = (np.random.Generator(np.random.Philox(key=derive_key(key, j))) for j in range(4))
+        c1, c2 = gen1.multinomial(m1, P[i]), gen2.multinomial(m2, P[i])
+        M = (c1 - gen_m.binomial(c1, drop) if drop else c1) + gen_m.binomial(m1 - c1, noise)
+        want_T = np.sort(np.argsort(-M, kind="stable")[:t])
+        c2 = c2[want_T]
+        N = (c2 - gen_n.binomial(c2, drop) if drop else c2) + gen_n.binomial(m2 - c2, noise)
+        assert T[i].tolist() == want_T.tolist()
+        assert np.array_equal(raw[i, want_T], (N / m2 - noise) / (1 - (drop + noise)))
+
+
+@pytest.mark.parametrize("drop, noise", [(0.0, 0.25), (0.3, 0.3)], ids=["comm_hash", "rappor"])
+def test_split_half_raw_estimate_is_unbiased_on_T(drop, noise):
+    # The first half picks T and the second half's counts, drawn on T only,
+    # never see it: over 2000 seeded trials of a fixed target, the mean raw
+    # estimate of each symbol over the trials whose T holds it is within 5
+    # standard errors of p, off the support (p = 0) too.
+    p = np.array([0.4, 0.3, 0.2, 0.1] + [0.0] * 12)
+    trials = 2000
+    T, raw, _ = split_half_estimate(np.tile(p, (trials, 1)), 400, drop, noise, 8, child_keys(11, range(trials)))
+    on_T = np.zeros(raw.shape, dtype=bool)
+    on_T[np.arange(trials)[:, None], T] = True
+    checked = 0
+    for x in range(p.size):
+        values = raw[on_T[:, x], x]
+        if values.size >= 100:
+            checked += 1
+            assert abs(values.mean() - p[x]) <= 5 * values.std(ddof=1) / np.sqrt(values.size), x
+    assert checked >= 8
 
 
 def test_sparse_range_checks():

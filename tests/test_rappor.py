@@ -8,15 +8,16 @@ import pytest
 from oracles import column_sums, rappor_encode, rappor_encode_batch
 from sparse_dist_lab.bounds import verify_ldp
 from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
-from sparse_dist_lab.projection import split_half_counts, split_half_decode
+from sparse_dist_lab.projection import split_half_counts, split_half_decode, top_s_indices
 from sparse_dist_lab.rappor import flip_probability, rappor_channel_matrix, rappor_run_stack
 
 
 def decode(M, N, m2, s, eps):
     """The split-half decode of one row of counts at rappor's constants."""
     q = flip_probability(eps)
-    T, raw, out = split_half_decode(np.asarray(M)[None], np.asarray(N)[None], m2, 2 * s, q, q)
-    return T[0], raw[0], out[0]
+    T = top_s_indices(np.asarray(M), 2 * s)
+    raw, out = split_half_decode(T[None], np.asarray(N)[T][None], len(M), m2, q, q)
+    return T, raw[0], out[0]
 
 
 def run(P, n, eps, s, keys):

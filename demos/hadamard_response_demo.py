@@ -14,7 +14,7 @@ import numpy as np
 from sparse_dist_lab.core import derive_key, tv_distance, uniform_sparse_stack
 from sparse_dist_lab.hadamard import hadamard_dim
 from sparse_dist_lab.hadamard_response import hr_decode_raw, hr_draw_fractions
-from sparse_dist_lab.projection import project_on_support, top_s_indices
+from sparse_dist_lab.projection import project_simplex_vec, top_s_indices
 
 
 def main():
@@ -39,13 +39,15 @@ def main():
     print(f"  largest off-support   {np.delete(tilde, support).max():+.4f}")
     print(f"  most negative entry   {tilde.min():+.4f}")
 
-    # project onto the simplex over the top s entries, and (s = k) over all
-    est_sparse = project_on_support(raw, top_s_indices(raw, s))[0]
-    est_dense = project_on_support(raw, top_s_indices(raw, k))[0]
+    # project onto the simplex over the top s entries T, and over all k; an
+    # estimate is its values on its support, and 0 off it
+    T = top_s_indices(tilde, s)
+    est_sparse = project_simplex_vec(tilde[T])
+    est_dense = project_simplex_vec(tilde)
     print("\nprojection comparison (same group fractions):")
-    print(f"  sparse projection  TV error {tv_distance(est_sparse, target):.4f}")
-    print(f"  dense projection   TV error {tv_distance(est_dense, target):.4f}")
-    found = np.nonzero(est_sparse)[0]
+    print(f"  sparse projection  TV error {tv_distance(target, T, est_sparse):.4f}")
+    print(f"  dense projection   TV error {tv_distance(target, np.arange(k), est_dense):.4f}")
+    found = T[est_sparse > 0]
     print(f"  sparse decoder support {found.tolist()}")
     print(f"  support recovered: {set(found) == set(support)}")
 

@@ -42,15 +42,15 @@ def main():
     print(f"  candidate support T (top {len(T)} by stage-1 counts) captures "
           f"{len(support & set(T.tolist()))}/{s} true symbols")
     print(f"  mass of p on T: {target[T].sum():.4f}")
-    print(f"  in-support l1 error of the raw estimate: {np.abs(raw[T] - target[T]).sum():.4f}")
-    print(f"  TV error after projection: {tv_distance(estimate, target):.4f}\n")
+    print(f"  in-support l1 error of the raw estimate: {np.abs(raw - target[T]).sum():.4f}")
+    print(f"  TV error after projection: {tv_distance(target, T, estimate):.4f}\n")
 
     # an ell past the cap is the same protocol, so on the same stream it
     # replays the capped run exactly
     print("TV error by raw ell (one run each, on the same stream):")
     for bits in range(1, 7):
-        run = comm_run_stack(P, n, bits, s, [derive_key(key, 3)])[2][0]
-        print(f"  ell = {bits} (effective {effective_ell(bits, s)}): {tv_distance(run, target):.4f}")
+        T, _, estimate = (rows[0] for rows in comm_run_stack(P, n, bits, s, [derive_key(key, 3)]))
+        print(f"  ell = {bits} (effective {effective_ell(bits, s)}): {tv_distance(target, T, estimate):.4f}")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,8 @@ def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, keys):
     support of min(2s, k) symbols with drop = 0 and
     noise = 2^-effective_ell, one over the bucket count. keys
     holds one 64-bit key per row (see split_half_estimate). Returns the
-    (B, min(2s, k)) supports and the (B, k) raw and projected estimates.
+    (B, min(2s, k)) supports and the raw and projected estimates on them,
+    of the same shape.
     """
     k = np.shape(P)[1]
     noise = 1.0 / (1 << effective_ell(ell, s))

@@ -3,9 +3,9 @@
 Everything downstream (the privatization schemes, the lower-bound machinery,
 the experiment harness) builds on the primitives here: the check that an
 array, or each row of a (B, k) stack, is a probability vector, the
-total-variation distance of plain float arrays, the s-sparse uniform targets
-used in experiments, and the keyed random streams that make every run
-replayable regardless of worker count.
+total-variation distance from a target to an estimate held on its support,
+the s-sparse uniform targets used in experiments, and the keyed random
+streams that make every run replayable regardless of worker count.
 
 A stream is named by a 64-bit int key and draws what
 Generator(Philox(key=key)) draws. Keys come from a master seed and a
@@ -197,16 +197,21 @@ def check_probs(p: np.ndarray) -> None:
         raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
 
 
-def tv_distance(p, q):
-    """Total variation distance, half the l1 distance between the vectors.
+def tv_distance(p, T, values):
+    """Total variation distance between p and the estimate that holds values on T and 0 off T.
 
-    Raises on length mismatch. Always in [0, 1]. For two (B, k) stacks,
-    returns the B row-wise distances as an array.
+    T holds distinct indices into p's last axis; a dense q is
+    T = arange(k), values = q, and the sum is that of 0.5 * |p - q| bit for
+    bit. For a (B, k) stack p, T and values are (B, t) and the B row-wise
+    distances come back as an array. Raises ValueError unless T and values
+    share a shape whose leading axes are p's.
     """
-    pv, qv = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    if pv.shape != qv.shape:
-        raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
-    tv = 0.5 * np.abs(pv - qv).sum(axis=-1)
+    diff = np.array(p, dtype=np.float64)
+    T, values = np.asarray(T), np.asarray(values, dtype=np.float64)
+    if T.shape != values.shape or T.shape[:-1] != diff.shape[:-1]:
+        raise ValueError(f"shape mismatch: p {diff.shape}, T {T.shape}, values {values.shape}")
+    np.put_along_axis(diff, T, np.take_along_axis(diff, T, axis=-1) - values, axis=-1)
+    tv = 0.5 * np.abs(diff).sum(axis=-1)
     return float(tv) if tv.ndim == 0 else tv
 
 

@@ -11,10 +11,10 @@ The server computes per-group frequencies of ones, recenters them, and
 applies the transform once more: because H_K @ H_K = K*I, the group
 frequencies are (up to the known affine noise map) one Hadamard transform
 away from the padded input distribution, so a single fast transform inverts
-the whole pipeline. The signed intermediate estimate is then projected onto
-the simplex over its top s entries, the s-sparse simplex; s = k gives the
-whole simplex. Any s can decode the same fractions, which is how the
-projection comparison experiments are run.
+the whole pipeline. The signed intermediate estimate is then gathered on its
+top s entries T and projected onto the simplex over T, the s-sparse
+simplex; s = k gives the whole simplex. Any s can decode the same
+fractions, which is how the projection comparison experiments are run.
 
 Protocol runs draw the per-group counts of ones from their exact binomial
 law, in O(K) whatever n is. No per-user message is materialized; the tests
@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import indicator_response_channel, indicator_response_probs
 from .core import invertible_exp_epsilon, keyed_generator
 from .hadamard import fwht, hadamard_dim, membership_parity
-from .projection import project_on_support, top_s_indices
+from .projection import project_simplex_vec, top_s_indices
 
 
 def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
@@ -95,13 +95,14 @@ def hr_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     keys holds one 64-bit key per row (a uint64 array or any int sequence).
     Row i draws its fractions by hr_draw_fractions, from the stream whose
     key is keys[i]; the transforms and projections then run once over the
-    whole stack. The support T is the top s entries of each
-    row's raw estimate (s = k gives the whole simplex). Returns the (B, s)
-    supports and the (B, k) raw and projected estimates.
+    whole stack. The support T is the top s entries of each row's raw
+    estimate (s = k gives the whole simplex). Returns the (B, s) supports
+    and the (B, s) raw and projected estimates on them.
     """
     raw = hr_decode_raw(hr_draw_fractions(P, n, epsilon, keys), epsilon, np.shape(P)[1])
     T = top_s_indices(raw, s)
-    return T, raw, project_on_support(raw, T)
+    raw_T = np.take_along_axis(raw, T, axis=1)
+    return T, raw_T, project_simplex_vec(raw_T)
 
 
 def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> np.ndarray:

@@ -305,21 +305,21 @@ def _cell_errors(cell: Cell, seeds: np.ndarray) -> np.ndarray:
     try:
         targets = uniform_sparse_stack(cell.k, cell.s, target_keys)
         check_probs(targets)
-        estimates = _run_stack(cell, targets, protocol_keys)
-        check_probs(estimates)
+        T, est = _run_stack(cell, targets, protocol_keys)
+        check_probs(est)
     except ValueError as err:
         raise ValueError(f"cell {cell}: {err}") from err
-    return tv_distance(estimates, targets)
+    return tv_distance(targets, T, est)
 
 
-def _run_stack(cell: Cell, targets: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The cell's scheme run on each row of targets with its own stream key; the (B, k) estimates.
+def _run_stack(cell: Cell, targets: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cell's scheme run on each row of targets with its own stream key; the (B, t) supports and estimates on them.
 
     Every runner is (targets, n, param, s, keys) -> (T, raw, est); hr_dense is HR at s = k.
     """
     run = {"rappor": rappor_run_stack, "comm_hash": comm_run_stack}.get(cell.scheme, hr_run_stack)
     s = cell.k if cell.scheme == "hr_dense" else cell.s
-    return run(targets, cell.n, cell.param, s, keys)[2]
+    return run(targets, cell.n, cell.param, s, keys)[::2]
 
 
 def config_cells(config: ExperimentConfig) -> list[Cell]:

@@ -4,9 +4,11 @@ and the split-half estimator built on them.
 Decoders produce signed intermediate estimates; these projections turn them
 into valid distributions. The plain simplex projection is the usual
 sort-and-threshold method (find the largest j for which shifting the top-j
-entries to sum to 1 keeps them positive). Projecting onto the simplex over
-a support T (project_on_support) with T the s largest entries
-(top_s_indices) is the standard greedy projection onto the s-sparse simplex.
+entries to sum to 1 keeps them positive). An estimate lives on its support
+T: the values on T, gathered and projected onto the simplex over T, and 0
+off T. With T the s largest entries (top_s_indices) that is the standard
+greedy projection onto the s-sparse simplex; T = every symbol gives the
+whole simplex.
 
 Tie-breaking on equal values prefers the smaller index, so outputs are fully
 deterministic - seeded experiment replays depend on this.
@@ -65,7 +67,8 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
     """Indices of the s largest entries of v, ties broken by smaller index.
 
     Returned in increasing index order; for a (B, k) stack, one such row of
-    s indices per row of v.
+    s indices per row of v. Raises ValueError naming the NaN if v holds
+    one.
     """
     v = np.asarray(v)
     if v.ndim not in (1, 2):
@@ -74,8 +77,8 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
     k = rows.shape[1]
     if not 1 <= s <= k:
         raise ValueError(f"require 1 <= s <= {k}, got s={s}")
-    if s == k:
-        return np.broadcast_to(np.arange(k), v.shape).copy()
+    if np.isnan(rows).any():
+        raise ValueError("input holds a NaN, which has no rank")
     # each row's s-th largest value is its cut: keep everything at or above
     # it, then, in the rows that keep more than s, drop the surplus entries
     # equal to the cut, the last ones in index order
@@ -88,16 +91,6 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
         from_end = ties[:, ::-1].cumsum(axis=1)[:, ::-1]  # ties at or after each index
         keep[over] &= ~(ties & (from_end <= surplus[over, None]))
     return keep.nonzero()[1].reshape(v.shape[:-1] + (s,))
-
-
-def project_on_support(rows: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Each row of a (B, k) stack projected onto the simplex over its row of T (distinct indices), and zero off it."""
-    if T.shape[1] == rows.shape[1]:
-        return project_simplex_vec(rows)
-    at = np.arange(rows.shape[0])[:, None], T
-    out = np.zeros(rows.shape)
-    out[at] = project_simplex_vec(rows[at])
-    return out
 
 
 def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, gen: np.random.Generator) -> np.ndarray:
@@ -117,22 +110,20 @@ def split_half_counts(c: np.ndarray, m: int, drop: float, noise: float, gen: np.
     return kept + gen.binomial(m - c, noise)
 
 
-def split_half_decode(T: np.ndarray, N: np.ndarray, k: int, m2: int, drop: float, noise: float):
+def split_half_decode(N: np.ndarray, m2: int, drop: float, noise: float):
     """The two-stage estimate from the second half's counts on each row's candidate support.
 
-    T is a (B, t) stack of supports and N the (B, t) counts of m2 users on
-    them, N[i, j] the count of symbol T[i, j]. On T the raw estimate inverts
+    N holds the (B, t) counts of m2 users on a (B, t) stack of supports T,
+    N[i, j] the count of symbol T[i, j]. The raw estimate inverts
     E[N(x)]/m2 = beta + gamma p(x), with beta = noise and
-    gamma = 1 - (drop + noise), and the output is raw projected onto the
-    simplex over T; both are zero off T. Returns the (B, k) raw and
-    projected estimates.
+    gamma = 1 - (drop + noise), and the estimate is raw projected onto the
+    simplex over T. Returns both, (B, t) like N; both are 0 off T.
     """
     # 1 - (drop + noise), not (1 - drop) - noise: for rappor (drop = noise = q)
     # it is 1 - 2q to the last bit
     beta, gamma = noise, 1 - (drop + noise)
-    raw = np.zeros((T.shape[0], k))
-    raw[np.arange(T.shape[0])[:, None], T] = (np.asarray(N, dtype=np.float64) / m2 - beta) / gamma
-    return raw, project_on_support(raw, T)
+    raw = (np.asarray(N, dtype=np.float64) / m2 - beta) / gamma
+    return raw, project_simplex_vec(raw)
 
 
 def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, keys):
@@ -151,7 +142,7 @@ def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int
     over all k symbols restricted to T. The children's keys are derived
     for the whole stack at once (child_keys), and each draw borrows this
     thread's keyed_generator and finishes before the next re-key. Returns
-    T and split_half_decode's raw and projected estimates.
+    T and split_half_decode's (B, t) raw and projected estimates on T.
     """
     P = np.asarray(P, dtype=np.float64)
     m1 = n // 2
@@ -172,4 +163,4 @@ def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int
     N = np.empty(T.shape, dtype=np.int64)
     for i, (_, _, _, key_n) in enumerate(children):
         N[i] = split_half_counts(c2_on_T[i], m2, drop, noise, keyed_generator(key_n))
-    return (T, *split_half_decode(T, N, P.shape[1], m2, drop, noise))
+    return (T, *split_half_decode(N, m2, drop, noise))

@@ -52,8 +52,8 @@ def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     only) are drawn from their exact law, that of encoding every user, and
     decoded by split_half_estimate on a candidate support of 2s symbols; a bit flips with probability q either way, so
     drop = noise = q. keys holds one 64-bit key per row (see
-    split_half_estimate). Returns the (B, 2s) supports and the (B, k) raw
-    and projected estimates.
+    split_half_estimate). Returns the (B, 2s) supports and the (B, 2s) raw
+    and projected estimates on them.
     """
     k = np.shape(P)[1]
     if 2 * s > k:

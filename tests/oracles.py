@@ -1,13 +1,15 @@
 """Per-user encoders, message-level aggregators and the packing family: the reference oracles.
 
 Protocol runs never materialize a user's message; they draw each scheme's
-sufficient statistic from its exact law. The tests check those laws against
-the per-user encoders and aggregators here, which follow the protocol
-definitions message by message: Hadamard response's bits and group
-fractions, RAPPOR's flipped one-hot vectors, and comm_hash's per-user hash
-(a 64-bit avalanche mix of the public seed, the user index and the symbol,
-masked to the bucket count) with the preimage scan that counts, for each
-symbol, the messages consistent with it. Messages are plain ints or arrays.
+sufficient statistic from its exact law, and their estimates live on a
+support T (scatter writes one out over all k symbols for the tests that need
+a dense estimate). The tests check those laws against the per-user encoders
+and aggregators here, which follow the protocol definitions message by
+message: Hadamard response's bits and group fractions, RAPPOR's flipped
+one-hot vectors, and comm_hash's per-user hash (a 64-bit avalanche mix of
+the public seed, the user index and the symbol, masked to the bucket count)
+with the preimage scan that counts, for each symbol, the messages consistent
+with it. Messages are plain ints or arrays.
 
 The lower bounds compute the expected chi-squared divergence over the
 packing family in closed form. The tests check it against the family itself:
@@ -47,6 +49,14 @@ def sample_iid(p, n: int, gen: np.random.Generator) -> np.ndarray:
     cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf[-1] = 1.0  # guard against float round-off at the top end
     return np.searchsorted(cdf, gen.random(n), side="right").astype(np.int64)
+
+
+def scatter(T, values, k: int) -> np.ndarray:
+    """The dense estimate over [k] that holds values on T and 0 off T; (B, t) stacks give a (B, k) stack."""
+    T = np.asarray(T)
+    out = np.zeros(T.shape[:-1] + (k,))
+    np.put_along_axis(out, T, values, axis=-1)
+    return out
 
 
 # ------------------------------------------------------------ Hadamard response

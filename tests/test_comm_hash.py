@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import comm_encode_batch, hash_eval, hash_eval_batch, preimage_counts, sample_iid
+from oracles import comm_encode_batch, hash_eval, hash_eval_batch, preimage_counts, sample_iid, scatter
 from sparse_dist_lab.comm_hash import comm_run_stack, effective_ell
 from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
 from sparse_dist_lab.projection import split_half_counts, split_half_decode, top_s_indices
 
 
 def decode(M, N, m2, buckets, k, s):
-    """The split-half decode of one row of counts at comm_hash's constants."""
+    """The split-half decode of one row of counts at comm_hash's constants; T and the dense raw and projected estimates."""
     T = top_s_indices(np.asarray(M), min(2 * s, k))
-    raw, out = split_half_decode(T[None], np.asarray(N)[T][None], k, m2, 0.0, 1 / buckets)
-    return T, raw[0], out[0]
+    raw, out = split_half_decode(np.asarray(N)[T][None], m2, 0.0, 1 / buckets)
+    return T, scatter(T, raw[0], k), scatter(T, out[0], k)
 
 
 def test_effective_ell_cap():
@@ -150,7 +150,7 @@ def test_decode_from_messages_roundtrip():
     M = preimage_counts(users1, comm_encode_batch(xs1, 17, buckets), 17, buckets, k)
     N = preimage_counts(users2, comm_encode_batch(xs2, 17, buckets, first_user=n // 2), 17, buckets, k)
     _, _, out = decode(M, N, n // 2, buckets, k, s_sp)
-    assert tv_distance(out, p) <= 0.1
+    assert tv_distance(p, np.arange(k), out) <= 0.1
 
 
 def test_hist_sampler_matches_expectation():
@@ -198,7 +198,7 @@ def test_unbiasedness_on_support():
         T, raw, _ = (rows[0] for rows in comm_run_stack(p[None], n, ell, s_sp, [derive_key(t, 21)]))
         if {3, 12} <= set(T):
             captured += 1
-        acc += raw
+        acc += scatter(T, raw, k)
     assert captured == trials
     mean = acc / trials
     m2 = n // 2
@@ -223,7 +223,8 @@ def test_more_bits_do_not_hurt():
             supp = keyed_generator(derive_key(50 + t, 0)).choice(k, size=s_sp, replace=False)
             p = np.zeros(k)
             p[supp] = 1 / s_sp
-            total += tv_distance(comm_run_stack(p[None], n, ell, s_sp, [derive_key(t, ell)])[2][0], p)
+            T, _, est = comm_run_stack(p[None], n, ell, s_sp, [derive_key(t, ell)])
+            total += tv_distance(p[None], T, est)[0]
         return total / trials
 
     assert mean_tv(3) < mean_tv(1)
@@ -234,9 +235,9 @@ def test_run_deterministic_and_public_seed_matters():
     # trial's key is the only seed, and changing it changes the run.
     p = np.zeros(20)
     p[[1, 15]] = 0.5
-    a = comm_run_stack(p[None], 2000, 3, 2, [derive_key(5, 0)])[2]
-    b = comm_run_stack(p[None], 2000, 3, 2, [derive_key(5, 0)])[2]
-    c = comm_run_stack(p[None], 2000, 3, 2, [derive_key(6, 0)])[2]
+    a = scatter(*comm_run_stack(p[None], 2000, 3, 2, [derive_key(5, 0)])[::2], 20)
+    b = scatter(*comm_run_stack(p[None], 2000, 3, 2, [derive_key(5, 0)])[::2], 20)
+    c = scatter(*comm_run_stack(p[None], 2000, 3, 2, [derive_key(6, 0)])[::2], 20)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -37,22 +37,51 @@ def uniform_sparse(k, s, key):
 # ---------------------------------------------------------------- tv_distance
 
 
+def dense_tv(p, q):
+    """tv_distance of two dense vectors or stacks: q held on every symbol."""
+    q = np.asarray(q, dtype=np.float64)
+    return tv_distance(p, np.broadcast_to(np.arange(q.shape[-1]), q.shape), q)
+
+
 def test_tv_identical_is_zero():
     p = np.array([0.2, 0.3, 0.5])
-    assert tv_distance(p, p) == 0.0
+    assert dense_tv(p, p) == 0.0
 
 
 def test_tv_disjoint_supports_is_one():
-    assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
+    assert dense_tv([1.0, 0.0], [0.0, 1.0]) == 1.0
+    assert tv_distance([1.0, 0.0], [1], [1.0]) == 1.0
 
 
 def test_tv_hand_value():
-    assert tv_distance([0.5, 0.5], [0.75, 0.25]) == pytest.approx(0.25, abs=1e-15)
+    assert dense_tv([0.5, 0.5], [0.75, 0.25]) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_tv_length_mismatch():
-    with pytest.raises(ValueError):
-        tv_distance([1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        tv_distance([0.5, 0.5], [0, 1], [1.0])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        tv_distance(np.full((2, 2), 0.5), [[0], [1], [0]], [[1.0], [1.0], [1.0]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        tv_distance([0.5, 0.5], [[0], [1]], [[1.0], [1.0]])
+
+
+@pytest.mark.parametrize("t", [3, 12], ids=["partial_support", "every_symbol"])
+def test_tv_on_a_support_equals_the_dense_formula_bitwise(t):
+    # The estimate on T, scored against p, is the old dense 0.5 |p - q| sum
+    # of the estimate scattered over all k, bit for bit.
+    gen = np.random.default_rng(17)
+    B, k = 6, 12
+    P = gen.dirichlet(np.ones(k), size=B)
+    T = np.sort(np.argsort(gen.random((B, k)), axis=1)[:, :t], axis=1)
+    values = gen.dirichlet(np.ones(t), size=B)
+    q = np.zeros((B, k))
+    np.put_along_axis(q, T, values, axis=1)
+    want = 0.5 * np.abs(P - q).sum(axis=-1)
+    before = P.copy()
+    assert np.array_equal(tv_distance(P, T, values), want)
+    assert np.array_equal(P, before)  # p is read, not written
+    assert [tv_distance(P[i], T[i], values[i]) for i in range(B)] == want.tolist()
 
 
 def test_tv_is_a_metric_on_random_instances():
@@ -62,9 +91,9 @@ def test_tv_is_a_metric_on_random_instances():
     for _ in range(200):
         k = int(gen.integers(2, 8))
         p, q, r = (gen.dirichlet(np.ones(k)) for _ in range(3))
-        assert tv_distance(p, q) == tv_distance(q, p)
-        assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-12
-        assert 0.0 <= tv_distance(p, q) <= 1.0
+        assert dense_tv(p, q) == dense_tv(q, p)
+        assert dense_tv(p, r) <= dense_tv(p, q) + dense_tv(q, r) + 1e-12
+        assert 0.0 <= dense_tv(p, q) <= 1.0
 
 
 # ----------------------------------------------------------------- chi_square
@@ -123,7 +152,7 @@ def test_sample_empirical_tv_converges():
     p = uniform_sparse(k, 37, derive_key(9, 0))
     xs = sample_iid(p, n, keyed_generator(derive_key(9, 1)))
     emp = np.bincount(xs, minlength=k) / n
-    assert tv_distance(emp, p) <= 3 * math.sqrt(k / n)
+    assert dense_tv(p, emp) <= 3 * math.sqrt(k / n)
 
 
 def test_sample_zero_length():

@@ -12,11 +12,12 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import scatter
 from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main
 from sparse_dist_lab.comm_hash import comm_run_stack
-from sparse_dist_lab.core import GOLDEN64, MASK64, child_keys, mix64, uniform_sparse_stack
-from sparse_dist_lab.hadamard_response import hr_run_stack
+from sparse_dist_lab.core import GOLDEN64, MASK64, child_keys, derive_key, mix64, uniform_sparse_stack
+from sparse_dist_lab.hadamard_response import hr_decode_raw, hr_draw_fractions, hr_run_stack
 from sparse_dist_lab.harness import (
     CSV_HEADER,
     Cell,
@@ -34,7 +35,7 @@ from sparse_dist_lab.harness import (
     trial_seeds,
     write_summary,
 )
-from sparse_dist_lab.projection import project_on_support, project_simplex_vec, top_s_indices
+from sparse_dist_lab.projection import project_simplex_vec, top_s_indices
 from sparse_dist_lab.rappor import rappor_run_stack
 
 
@@ -483,13 +484,18 @@ def test_grid_rows_equal_trials_run_one_by_one(tmp_path, monkeypatch, grid):
     ids=["hr_dense", "hr_sparse", "rappor", "comm_hash", "comm_hash_support_capped_at_k"],
 )
 def test_every_stack_runner_returns_its_support_raw_estimate_and_projection(scheme, s):
-    # Every scheme's runner is (targets, n, param, s, keys) -> (T, raw, est)
-    # with est the projection of raw onto the simplex over T; hr_dense is HR
-    # at s = k, whose T is every symbol.
+    # Every scheme's runner is (targets, n, param, s, keys) -> (T, raw, est),
+    # all (B, t): the support, the raw estimate on it and its projection onto
+    # the simplex over T; hr_dense is HR at s = k, whose T is every symbol.
+    # The harness scores the support form bit for bit as the old dense
+    # score of the scattered estimate. A trial draws its target from child 0
+    # of derive_key(seed, 0) and its protocol randomness from child 1.
     k, B = 40, 4
     cell = Cell(scheme, k, s, 4000, 3 if scheme == "comm_hash" else 1.0)
-    targets = uniform_sparse_stack(k, s, child_keys(5, range(B)))
-    keys = child_keys(6, range(B))
+    seeds = child_keys(5, range(B))
+    trial_keys = [derive_key(seed, 0) for seed in seeds.tolist()]
+    targets = uniform_sparse_stack(k, s, [derive_key(key, 0) for key in trial_keys])
+    keys = np.array([derive_key(key, 1) for key in trial_keys], dtype=np.uint64)
     run, runs_at = {
         "hr_dense": (hr_run_stack, k),
         "hr_sparse": (hr_run_stack, s),
@@ -498,15 +504,19 @@ def test_every_stack_runner_returns_its_support_raw_estimate_and_projection(sche
     }[scheme]
     T, raw, est = run(targets, cell.n, cell.param, runs_at, keys)
     width = {"hr_dense": k, "hr_sparse": s, "rappor": 2 * s, "comm_hash": min(2 * s, k)}[scheme]
-    assert T.shape == (B, width)
-    assert raw.shape == est.shape == (B, k)
-    assert np.array_equal(est, project_on_support(raw, T))
-    assert np.array_equal(harness._run_stack(cell, targets, keys), est)
+    assert T.shape == raw.shape == est.shape == (B, width)
+    assert np.array_equal(est, project_simplex_vec(raw))
+    got_T, got_est = harness._run_stack(cell, targets, keys)
+    assert np.array_equal(got_T, T)
+    assert np.array_equal(got_est, est)
+    dense_tv = 0.5 * np.abs(scatter(T, est, k) - targets).sum(axis=1)
+    assert np.array_equal(harness._cell_errors(cell, seeds), dense_tv)
     if scheme.startswith("hr"):
-        assert np.array_equal(T, top_s_indices(raw, width))
+        dense_raw = hr_decode_raw(hr_draw_fractions(targets, cell.n, cell.param, keys), cell.param, k)
+        assert np.array_equal(T, top_s_indices(dense_raw, width))
+        assert np.array_equal(raw, np.take_along_axis(dense_raw, T, axis=1))
     if scheme == "hr_dense":
         assert np.array_equal(T, np.broadcast_to(np.arange(k), (B, k)))
-        assert np.array_equal(est, project_simplex_vec(raw))
 
 
 # hr_dense and hr_sparse decode shared fractions; ell=5 lies above the

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import column_sums, rappor_encode, rappor_encode_batch
+from oracles import column_sums, rappor_encode, rappor_encode_batch, scatter
 from sparse_dist_lab.bounds import verify_ldp
 from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
 from sparse_dist_lab.projection import split_half_counts, split_half_decode, top_s_indices
@@ -13,16 +13,16 @@ from sparse_dist_lab.rappor import flip_probability, rappor_channel_matrix, rapp
 
 
 def decode(M, N, m2, s, eps):
-    """The split-half decode of one row of counts at rappor's constants."""
+    """The split-half decode of one row of counts at rappor's constants; T and the dense raw and projected estimates."""
     q = flip_probability(eps)
     T = top_s_indices(np.asarray(M), 2 * s)
-    raw, out = split_half_decode(T[None], np.asarray(N)[T][None], len(M), m2, q, q)
-    return T, raw[0], out[0]
+    raw, out = split_half_decode(np.asarray(N)[T][None], m2, q, q)
+    return T, scatter(T, raw[0], len(M)), scatter(T, out[0], len(M))
 
 
 def run(P, n, eps, s, keys):
-    """rappor_run_stack's projected estimates of a (B, k) stack."""
-    return rappor_run_stack(P, n, eps, s, keys)[2]
+    """rappor_run_stack's supports and projected estimates of a (B, k) stack."""
+    return rappor_run_stack(P, n, eps, s, keys)[::2]
 
 
 def test_flip_probability_values():
@@ -83,8 +83,8 @@ def test_point_mass_recovery_rate():
     k, s, eps, n = 100, 1, 1.0, 10**5
     p = np.zeros(k)
     p[42] = 1.0
-    out = run(np.tile(p, (100, 1)), n, eps, s, [derive_key(t, 1) for t in range(100)])
-    hits = sum(tv_distance(row, p) <= 0.05 for row in out)
+    P = np.tile(p, (100, 1))
+    hits = sum(tv_distance(P, *run(P, n, eps, s, [derive_key(t, 1) for t in range(100)])) <= 0.05)
     assert hits >= 95
 
 
@@ -132,7 +132,7 @@ def test_unbiasedness_on_support():
     p[[4, 11]] = [0.35, 0.65]
     T, raw, _ = rappor_run_stack(np.tile(p, (trials, 1)), n, eps, s, [derive_key(t, 2) for t in range(trials)])
     assert all({4, 11} <= set(row) for row in T)  # easy support at this n
-    mean = raw.mean(axis=0)
+    mean = scatter(T, raw, k).mean(axis=0)
     gamma = 1 - 2 * q
     for x, px in ((4, 0.35), (11, 0.65)):
         b = gamma * px + q
@@ -149,8 +149,7 @@ def test_error_shrinks_with_sparsity():
         P = np.zeros((trials, k))
         for t in range(trials):
             P[t, keyed_generator(derive_key(200 + t, s)).choice(k, size=s, replace=False)] = 1 / s
-        out = run(P, n, eps, s, [derive_key(100 + t, s) for t in range(trials)])
-        return tv_distance(out, P).mean()
+        return tv_distance(P, *run(P, n, eps, s, [derive_key(100 + t, s) for t in range(trials)])).mean()
 
     assert mean_tv(1) < mean_tv(16)
 

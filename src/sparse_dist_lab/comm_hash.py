@@ -36,12 +36,10 @@ import numpy as np
 from .projection import split_half_estimate
 
 
-def effective_ell(ell: int, s: int | None) -> int:
+def effective_ell(ell: int, s: int) -> int:
     """Bits the scheme actually uses: min(ell, ceil(log2 s) + 1)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if s is None:
-        return ell
     return min(ell, (s - 1).bit_length() + 1)
 
 

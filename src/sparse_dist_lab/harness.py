@@ -3,24 +3,24 @@
 A grid is the Cartesian product of sparsity values, constraint values
 (epsilon or ell), and trial indices, at fixed (scheme, k, n). Each trial
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
-records the TV error. The cells of a grid that share a cell hash are one
-experiment, and each experiment runs once: the union of its cells' pending
-trials runs as one stack, each trial drawing from its own streams, and
-decoding, projection and scoring run once over the stack, row by row, into
-an array of TV errors (_cell_errors), which _group_rows formats as each
-cell's CSV rows. The stack's stream keys are derived as arrays
-(core.child_keys) and every draw borrows the thread's one re-keyed generator
-(core.keyed_generator), valid until the thread's next re-key; a 64-bit key
-is all a stream needs. Experiments run in this process or, with more than
-one worker, in forked worker processes (POSIX only). Results stream to a
-CSV with a fixed header, one write per cell, in grid order; every row ends
-in SAMPLER_VERSION, the version of the count sampler that drew it. Runs are
-resumable (existing (cell, trial) rows are skipped, a torn last line is
-dropped and rerun, and a foreign header, a file of another sampler, a row
-of the wrong width, a repeated (cell, trial) row or a row written under
-another master seed is an error) and byte-identical across repetitions and
-worker counts. One reader, _read_rows, parses the file for both resuming
-and summarizing.
+records the TV error. Pending cells that are adjacent in grid order and
+share a cell hash form one run, and each run draws once: the union of its
+cells' pending trials runs as one stack, each trial drawing from its own
+streams, and decoding, projection and scoring run once over the stack, row
+by row, into an array of TV errors (_cell_errors), which _group_rows
+formats as the run's CSV rows. The stack's stream keys are derived as
+arrays (core.child_keys) and every draw borrows the thread's one re-keyed
+generator (core.keyed_generator), valid until the thread's next re-key; a
+64-bit key is all a stream needs. Runs go in this process or, with more
+than one worker, in forked worker processes (POSIX only). Results stream
+to a CSV with a fixed header, one write per run, in grid order; every row
+ends in SAMPLER_VERSION, the version of the count sampler that drew it.
+Grids are resumable (existing (cell, trial) rows are skipped, a torn last
+line is dropped and rerun, and a foreign header, a file of another sampler,
+a row of the wrong width or naming no cell, a repeated (cell, trial) row or
+a row written under another master seed is an error) and byte-identical
+across repetitions and worker counts. One reader, _read_rows, parses the
+file for both resuming and summarizing.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -33,8 +33,8 @@ semantics:
   fractions - the projection comparison is paired, not independent.
 * comm_hash cells hash their *effective* bit count; raising ell past the
   ceil(log2 s)+1 cap changes nothing about the protocol, so such cells are
-  the same experiment: a grid draws their trials once, and each cell's
-  rows repeat the capped cell's TV errors.
+  the same experiment: adjacent ones form one run, which draws their
+  trials once, and each cell's rows repeat the capped cell's TV errors.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed,sampler"
 SAMPLER_VERSION = 3
 _SAMPLER_2_HEADER = CSV_HEADER.removesuffix(",sampler")
 
+SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
+
 
 def _finite(text: str) -> float:
     """text as a finite float; ValueError otherwise."""
@@ -92,6 +94,28 @@ def _unit(text: str) -> float:
     return value
 
 
+def _int_in(low: int, high: float = math.inf):
+    """A parser of text as an integer in [low, high); it raises ValueError otherwise."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value < high:
+            raise ValueError(text)
+        return value
+
+    return parse
+
+
+_positive, _index, _seed = _int_in(1), _int_in(0), _int_in(0, 2**64)
+
+
+def _scheme(text: str) -> str:
+    """text as one of SCHEMES; ValueError otherwise."""
+    if text not in SCHEMES:
+        raise ValueError(text)
+    return text
+
+
 def _sampler(text: str) -> int:
     """text as SAMPLER_VERSION; ValueError for any other value."""
     if text != str(SAMPLER_VERSION):
@@ -100,15 +124,19 @@ def _sampler(text: str) -> int:
 
 
 # how _read_rows parses each field, and what a field that fails is not
-_FIELD_PARSERS = dict(zip(CSV_HEADER.split(","), (str, int, int, int, _finite, int, _unit, int, int, _sampler)))
+_FIELD_PARSERS = dict(
+    zip(CSV_HEADER.split(","), (_scheme, _positive, _positive, _positive, _finite, _index, _unit, int, _seed, _sampler))
+)
 _FIELD_KINDS = {
+    _scheme: f"one of {', '.join(SCHEMES)}",
+    _positive: "an integer >= 1",
+    _index: "an integer >= 0",
+    _seed: "an integer in [0, 2^64)",
     int: "an integer",
     _finite: "a finite number",
     _unit: "a number in [0, 1]",
     _sampler: f"{SAMPLER_VERSION}, the sampler this version draws with",
 }
-
-SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 
 _CONFIG_FIELDS = {"scheme", "k", "s_list", "n", "trials", "master_seed", "epsilon_list", "ell_list", "out"}
 
@@ -331,8 +359,10 @@ def _parse_row(path: str, line_no: int, line: str) -> dict:
     """A results row as a dict of its parsed fields.
 
     Raises ValueError naming path and line unless the row has the header's
-    field count, and naming the field too if one does not parse: eps_or_ell
-    must be a finite number and tv_error a number in [0, 1].
+    field count, and naming the field too if one does not parse: scheme
+    must be one of SCHEMES, k, s and n integers >= 1, eps_or_ell a finite
+    number, trial an integer >= 0, tv_error a number in [0, 1] and seed an
+    integer in [0, 2^64), so that every row names a cell.
     """
     parts = line.split(",")
     if len(parts) != len(_FIELD_PARSERS):
@@ -390,15 +420,15 @@ def _row_key(row: dict) -> tuple:
     return row["scheme"], row["k"], row["s"], row["n"], row["eps_or_ell"], row["trial"]
 
 
-def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: np.ndarray) -> list[str]:
-    """The CSV rows of each member of one experiment, from one run of the union of their pending trials.
+def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: np.ndarray) -> str:
+    """A run's CSV rows as one string, member by member, from one stacked batch of the union of their pending trials.
 
-    members are (cell, pending trials) pairs of cells that share a
-    cell_hash, trials the sorted union of their pending trials and seeds
-    those trials' uint64 seeds. A trial's result does not depend on its
-    batch, so each member's rows are those of its own run: the cell (its
-    own param text and bits), each trial's TV error (repr), seed and
-    SAMPLER_VERSION. Errors name the first member.
+    members are the (cell, pending trials) pairs of a run, cells adjacent
+    in grid order that share a cell_hash, trials the sorted union of their
+    pending trials and seeds those trials' uint64 seeds. A trial's result
+    does not depend on its batch, so each member's rows are those it would
+    get alone: the cell (its own param text and bits), each trial's TV
+    error (repr), seed and SAMPLER_VERSION. Errors name the first member.
     """
     tv_of = dict(zip(trials, _cell_errors(members[0][0], seeds).tolist()))
     seed_of = dict(zip(trials, seeds.tolist()))
@@ -406,13 +436,13 @@ def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds:
     for cell, pending in members:
         head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{cell.param_str()}"
         bits = bits_per_user(cell.scheme, cell.k, cell.param)
-        out.append("".join(f"{head},{t},{tv_of[t]!r},{bits},{seed_of[t]},{SAMPLER_VERSION}\n" for t in pending))
-    return out
+        out.extend(f"{head},{t},{tv_of[t]!r},{bits},{seed_of[t]},{SAMPLER_VERSION}\n" for t in pending)
+    return "".join(out)
 
 
 def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
     """The CSV rows of one cell's trials, in order, as a grid writes them."""
-    return _group_rows([(cell, trials)], trials, trial_seeds(master_seed, cell, trials))[0]
+    return _group_rows([(cell, trials)], trials, trial_seeds(master_seed, cell, trials))
 
 
 def _usable_cpus() -> int:
@@ -428,22 +458,22 @@ def _usable_cpus() -> int:
 _WORKER_MIN_WORK = 20_000
 
 
-def _worker_count(threads: int, groups: int, cpus: int, work: int) -> int:
-    """Workers for a grid: the requested count, capped at the pending experiments, the CPUs and the work.
+def _worker_count(threads: int, runs: int, cpus: int, work: int) -> int:
+    """Workers for a grid: the requested count, capped at the runs, the CPUs and the work.
 
-    groups is the number of distinct experiments with pending trials, and
-    work the symbol-trials they draw (drawn trials x k), which tracks a
-    trial's cost whatever n is; each worker gets at least _WORKER_MIN_WORK
-    of it, so a grid too small to pay for a fork runs in-process. Reads no
-    clock: the count never depends on timing.
+    runs is the number of runs with pending trials, and work the
+    symbol-trials they draw (drawn trials x k), which tracks a trial's cost
+    whatever n is; each worker gets at least _WORKER_MIN_WORK of it, so a
+    grid too small to pay for a fork runs in-process. Reads no clock: the
+    count never depends on timing.
     """
-    return max(1, min(threads, groups, cpus, work // _WORKER_MIN_WORK))
+    return max(1, min(threads, runs, cpus, work // _WORKER_MIN_WORK))
 
 
 def _run_stripe(fd: int, stripe: list[tuple]) -> None:
-    """Body of a forked worker: pickle each group's rows, or the error that stopped it, to fd.
+    """Body of a forked worker: pickle each run's rows, or the error that stopped it, to fd.
 
-    A group is the (members, trials, seeds) that _group_rows takes.
+    A run is the (members, trials, seeds) that _group_rows takes.
 
     Leaves with os._exit, so the child never returns into its caller and
     never flushes a buffer it inherited (the results CSV, stdout).
@@ -451,15 +481,15 @@ def _run_stripe(fd: int, stripe: list[tuple]) -> None:
     status = 1
     try:
         with os.fdopen(fd, "wb") as out:
-            for group in stripe:
+            for run in stripe:
                 try:
-                    rows = _group_rows(*group)
+                    rows = _group_rows(*run)
                 except Exception as err:
                     try:
                         payload = pickle.dumps(err)
                         pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
                     except Exception:
-                        payload = pickle.dumps(RuntimeError(f"cell {group[0][0][0]}: {type(err).__name__}: {err}"))
+                        payload = pickle.dumps(RuntimeError(f"cell {run[0][0][0]}: {type(err).__name__}: {err}"))
                     out.write(payload)
                     break
                 pickle.dump(rows, out)
@@ -469,18 +499,15 @@ def _run_stripe(fd: int, stripe: list[tuple]) -> None:
         os._exit(status)
 
 
-def _write_cells(fh, groups: list[tuple], order: list[int], workers: int) -> None:
-    """Run groups on workers processes and write each pending cell's rows to fh in grid order.
+def _write_cells(fh, runs: list[tuple], workers: int) -> None:
+    """Compute runs on workers processes and write each run's rows to fh, in order.
 
-    A group is the (members, trials, seeds) that _group_rows takes, and
-    order holds the group index of each pending cell, in grid order.
-    groups are ordered by their first member, so a group is run (or its
-    rows received) when the writer reaches its first member, and its rows
-    are kept until its last member is written. The calling process forks
-    workers - 1 children (none for one worker) and works as worker 0; group
-    i runs in worker i % workers. Each child pickles its groups' rows to
-    its own pipe. Children are reaped before returning, and killed first
-    if anything raised.
+    A run is the (members, trials, seeds) that _group_rows takes, and runs
+    are in grid order. The calling process forks workers - 1 children (none
+    for one worker) and works as worker 0; run i runs in worker
+    i % workers. Each child pickles its runs' rows to its own pipe. Each
+    run's rows are written with one write and one flush. Children are
+    reaped before returning, and killed first if anything raised.
     """
     pids = []  # worker w's pid is pids[w - 1]
     readers = {}  # pid -> its pipe's read end, until the worker is reaped
@@ -491,32 +518,26 @@ def _write_cells(fh, groups: list[tuple], order: list[int], workers: int) -> Non
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _run_stripe(write_fd, groups[w::workers])
+                _run_stripe(write_fd, runs[w::workers])
             os.close(write_fd)
             pids.append(pid)
             readers[pid] = os.fdopen(read_fd, "rb")
-        unwritten = {}  # group index -> the rows of its members not yet written, in grid order
-        for i in order:
-            if i not in unwritten:  # the group's first member
-                if i % workers == 0:
-                    unwritten[i] = _group_rows(*groups[i])
-                else:
-                    pid = pids[i % workers - 1]
-                    try:
-                        unwritten[i] = pickle.load(readers[pid])
-                    except (EOFError, pickle.UnpicklingError):
-                        readers.pop(pid).close()
-                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
-                        cell = groups[i][0][0][0]
-                        raise RuntimeError(f"cell {cell}: worker process {pid} {how} before sending the cell's rows") from None
-                    if isinstance(unwritten[i], BaseException):
-                        raise unwritten[i]
-            rows = unwritten[i]
-            fh.write(rows.pop(0))
+        for i, run in enumerate(runs):
+            if i % workers == 0:
+                rows = _group_rows(*run)
+            else:
+                pid = pids[i % workers - 1]
+                try:
+                    rows = pickle.load(readers[pid])
+                except (EOFError, pickle.UnpicklingError):
+                    readers.pop(pid).close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+                    raise RuntimeError(f"cell {run[0][0][0]}: worker process {pid} {how} before sending the cell's rows") from None
+                if isinstance(rows, BaseException):
+                    raise rows
+            fh.write(rows)
             fh.flush()
-            if not rows:
-                del unwritten[i]
         finished = True
     finally:
         for pid, reader in readers.items():
@@ -529,24 +550,25 @@ def _write_cells(fh, groups: list[tuple], order: list[int], workers: int) -> Non
 def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     """Run (or resume) one config's grid, appending rows to out_path.
 
-    Cells that share a cell_hash (comm_hash cells with ell past the
-    effective_ell cap) are one experiment, and each experiment runs once:
-    its members' pending trials run as one stacked batch (see _group_rows),
-    whose seeds are derived once and serve the resume check, the draw and
-    the rows. ``threads`` is the number of worker processes, w, capped at
-    the pending experiments, at the CPUs this process may use and at one
-    worker per _WORKER_MIN_WORK drawn symbol-trials (trials x k), so a
-    small grid runs in this process whatever ``threads`` is (on 2 vCPUs,
-    two workers beat one from about 32,000-50,000 symbol-trials). One
-    worker runs every experiment in this process. More fork (POSIX only):
-    this process runs pending experiments 0, w, 2w, ... itself and w - 1
-    forked children run the rest, so do not call it while other threads of
-    the caller hold locks. Each cell's rows are written with one write and
-    one flush, in grid order, so output bytes never depend on w. The first
-    failing experiment stops the grid, with the whole rows of the cells
-    before its first member written, and its error (or, for a worker that
-    died, a RuntimeError) names that first member. Returns the number of
-    rows written.
+    Pending cells that are adjacent in grid order and share a cell_hash
+    (comm_hash cells with ell past the effective_ell cap) form one run,
+    and each run draws once: its members' pending trials run as one
+    stacked batch (see _group_rows). A run's seeds are derived once and
+    serve the resume check, the draw and the rows. Same-hash cells that are
+    not adjacent are separate runs, which draw the same trials and write
+    the same rows. ``threads`` is the number of worker processes, w, capped
+    at the runs, at the CPUs this process may use and at one worker per
+    _WORKER_MIN_WORK drawn symbol-trials (trials x k), so a small grid runs
+    in this process whatever ``threads`` is (on 2 vCPUs, two workers beat
+    one from about 32,000-50,000 symbol-trials). One worker runs every run
+    in this process. More fork (POSIX only): this process computes runs 0,
+    w, 2w, ... itself and w - 1 forked children compute the rest, so do not
+    call it while other threads of the caller hold locks. Each run's rows are
+    written with one write and one flush, in grid order, so output bytes
+    never depend on w. The first failing run stops the grid, with the whole
+    rows of the runs before it written, and its error (or, for a worker
+    that died, a RuntimeError) names its first member. Returns the number
+    of rows written.
 
     Reads out_path once, if it exists, and raises ValueError naming it,
     before writing anything, if its first line is not CSV_HEADER (a
@@ -563,13 +585,14 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     except FileNotFoundError:
         rows, torn = [], 0
     done = {_row_key(r): r["seed"] for r in rows}
-    experiments = {}  # cell_hash -> (pending members, the seeds of trials 0 .. config.trials - 1)
-    order = []  # the cell_hash of each pending cell, in grid order
+    # each run's members and the seeds of trials 0 .. config.trials - 1, then
+    # the (members, trials, seeds) that _group_rows takes
+    runs = []
+    key = None
     for cell in config_cells(config):
-        key = cell_hash(cell)
-        if key not in experiments:
-            experiments[key] = ([], trial_seeds(seed, cell, range(config.trials)))
-        members, seeds = experiments[key]
+        if cell_hash(cell) != key:
+            key = cell_hash(cell)
+            members, seeds = [], trial_seeds(seed, cell, range(config.trials))
         pending = []
         for t in range(config.trials):
             found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param, t))
@@ -582,29 +605,25 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
                     "resume with the master seed the file was written with, or use a new file"
                 )
         if pending:
+            if not members:
+                runs.append((members, seeds))
             members.append((cell, pending))
-            order.append(key)
-    index = {}  # cell_hash -> its group's index, groups in the order of their first member
-    groups = []
-    for key in order:
-        if key not in index:
-            members, seeds = experiments[key]
-            trials = sorted(set().union(*(pending for _, pending in members)))
-            index[key] = len(groups)
-            groups.append((members, trials, seeds[trials]))
+    for i, (members, seeds) in enumerate(runs):
+        trials = sorted(set().union(*(pending for _, pending in members)))
+        runs[i] = (members, trials, seeds[trials])
 
     if torn:
         os.truncate(out_path, os.path.getsize(out_path) - torn)
         print(f"{out_path}: dropped a torn last line ({torn} bytes with no newline); resuming", file=sys.stderr)
     fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
-    drawn = sum(len(trials) for _, trials, _ in groups)
-    workers = _worker_count(threads, len(groups), _usable_cpus(), config.k * drawn)
+    drawn = sum(len(trials) for _, trials, _ in runs)
+    workers = _worker_count(threads, len(runs), _usable_cpus(), config.k * drawn)
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(CSV_HEADER + "\n")
             fh.flush()
-        _write_cells(fh, groups, [index[key] for key in order], workers)
-    return sum(len(pending) for members, _, _ in groups for _, pending in members)
+        _write_cells(fh, runs, workers)
+    return sum(len(pending) for members, _, _ in runs for _, pending in members)
 
 
 def read_results(path: str) -> list[dict]:

@@ -25,7 +25,6 @@ def test_effective_ell_cap():
     assert effective_ell(5, 4) == 3
     assert effective_ell(5, 8) == 4
     assert effective_ell(3, 8) == 3  # ell below the cap is untouched
-    assert effective_ell(7, None) == 7  # no sparsity hint
 
 
 def test_hash_is_deterministic():

@@ -466,6 +466,8 @@ def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
         dict(scheme="rappor", k=20, s_list=[1, 10], n=400, epsilon_list=[0.5, 6.0]),
         # 20 users a half over 300 symbols: most counts tie at 0, 1 or 2
         dict(scheme="comm_hash", k=300, s_list=[3, 150], n=40, ell_list=[1, 4]),
+        # ell = 4 and ell = 3 share a cell hash at both s, with ell = 1 between them
+        dict(scheme="comm_hash", k=40, s_list=[2, 4], n=400, ell_list=[4, 1, 3]),
     ],
 )
 def test_grid_rows_equal_trials_run_one_by_one(tmp_path, monkeypatch, grid):
@@ -819,6 +821,14 @@ def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
         ("eps_or_ell", 4, "nan", "a finite number"),
         ("eps_or_ell", 4, "-inf", "a finite number"),
         ("sampler", 9, "2", "3, the sampler this version draws with"),
+        # a row that names no cell would count as a trial of its own
+        ("scheme", 0, "hr_sparsee", "one of hr_dense, hr_sparse, rappor, comm_hash"),
+        ("k", 1, "0", "an integer >= 1"),
+        ("s", 2, "-2", "an integer >= 1"),
+        ("n", 3, "0", "an integer >= 1"),
+        ("trial", 5, "-1", "an integer >= 0"),
+        ("seed", 8, "-1", "an integer in [0, 2^64)"),
+        ("seed", 8, str(2**64), "an integer in [0, 2^64)"),
     ],
 )
 def test_row_with_unparsable_field_is_an_error(tmp_path, field, at, text, kind):

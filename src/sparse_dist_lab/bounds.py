@@ -96,17 +96,11 @@ def verify_ldp(W: np.ndarray, epsilon: float) -> bool:
         limit = math.exp(epsilon)
     except OverflowError:
         limit = math.inf
-    for y in range(mat.shape[1]):
-        col = mat[:, y]
-        top = float(col.max())
-        if top == 0.0:
-            continue
-        bottom = float(col.min())
-        if bottom == 0.0:
-            return False
-        if top > limit * bottom * (1 + 1e-9):
-            return False
-    return True
+    top, bottom = mat.max(0), mat.min(0)
+    live = top > 0  # an all-zero column constrains nothing
+    top, bottom = top[live], bottom[live]
+    # bottoms are checked first: limit * 0 is NaN when limit is inf
+    return bool(np.all(bottom > 0) and np.all(top <= limit * bottom * (1 + 1e-9)))
 
 
 def expected_chisq_over_packing(W: np.ndarray, k: int, s: int, alpha: float) -> float:

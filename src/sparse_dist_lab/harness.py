@@ -17,10 +17,11 @@ to a CSV with a fixed header, one write per run, in grid order; every row
 ends in SAMPLER_VERSION, the version of the count sampler that drew it.
 Grids are resumable (existing (cell, trial) rows are skipped, a torn last
 line is dropped and rerun, and a foreign header, a file of another sampler,
-a row of the wrong width or naming no cell, a repeated (cell, trial) row or
-a row written under another master seed is an error) and byte-identical
-across repetitions and worker counts. One reader, _read_rows, parses the
-file for both resuming and summarizing.
+a row of the wrong width, a row naming no cell a grid can hold or disagreeing
+with its cell, a repeated (cell, trial) row or a row written under another
+master seed is an error) and byte-identical across repetitions and worker
+counts. One reader, _read_rows, parses the file for both resuming and
+summarizing, and checks each row's cell with ExperimentConfig's rules.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -78,66 +79,6 @@ _SAMPLER_2_HEADER = CSV_HEADER.removesuffix(",sampler")
 SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 
 
-def _finite(text: str) -> float:
-    """text as a finite float; ValueError otherwise."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-def _unit(text: str) -> float:
-    """text as a float in [0, 1]; ValueError otherwise."""
-    value = float(text)
-    if not 0 <= value <= 1:  # NaN fails too
-        raise ValueError(text)
-    return value
-
-
-def _int_in(low: int, high: float = math.inf):
-    """A parser of text as an integer in [low, high); it raises ValueError otherwise."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if not low <= value < high:
-            raise ValueError(text)
-        return value
-
-    return parse
-
-
-_positive, _index, _seed = _int_in(1), _int_in(0), _int_in(0, 2**64)
-
-
-def _scheme(text: str) -> str:
-    """text as one of SCHEMES; ValueError otherwise."""
-    if text not in SCHEMES:
-        raise ValueError(text)
-    return text
-
-
-def _sampler(text: str) -> int:
-    """text as SAMPLER_VERSION; ValueError for any other value."""
-    if text != str(SAMPLER_VERSION):
-        raise ValueError(text)
-    return SAMPLER_VERSION
-
-
-# how _read_rows parses each field, and what a field that fails is not
-_FIELD_PARSERS = dict(
-    zip(CSV_HEADER.split(","), (_scheme, _positive, _positive, _positive, _finite, _index, _unit, int, _seed, _sampler))
-)
-_FIELD_KINDS = {
-    _scheme: f"one of {', '.join(SCHEMES)}",
-    _positive: "an integer >= 1",
-    _index: "an integer >= 0",
-    _seed: "an integer in [0, 2^64)",
-    int: "an integer",
-    _finite: "a finite number",
-    _unit: "a number in [0, 1]",
-    _sampler: f"{SAMPLER_VERSION}, the sampler this version draws with",
-}
-
 _CONFIG_FIELDS = {"scheme", "k", "s_list", "n", "trials", "master_seed", "epsilon_list", "ell_list", "out"}
 
 
@@ -168,7 +109,7 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, not {self.out!r}")
         object.__setattr__(self, "s_list", _numbers("s_list", self.s_list))
-        if not self.s_list or any(not 1 <= s <= self.k for s in self.s_list):
+        if any(not 1 <= s <= self.k for s in self.s_list):
             raise ValueError("every s must satisfy 1 <= s <= k")
         wants_ell = self.scheme == "comm_hash"
         if wants_ell:
@@ -225,13 +166,16 @@ def _number(name: str, value, integral: bool = True):
 
 
 def _numbers(name: str, values, integral: bool = True) -> tuple:
-    """Each entry of the list values checked as by _number, and none repeated.
+    """Each entry of the nonempty list values checked as by _number, and none repeated.
 
     Entries compare after conversion (1 and 1.0 are one epsilon). A repeat
-    would name one grid cell twice and write each of its trials twice.
+    would name one grid cell twice and write each of its trials twice; an
+    empty list would name no cell, and its grid would write no row.
     """
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be a list, not {values!r}")
+    if not values:
+        raise ValueError(f"{name} must not be empty")
     entries = tuple(_number(f"{name} entry", v, integral) for v in values)
     for i, v in enumerate(entries):
         if v in entries[:i]:
@@ -355,25 +299,82 @@ def config_cells(config: ExperimentConfig) -> list[Cell]:
     return [Cell(config.scheme, config.k, s, config.n, param) for s in config.s_list for param in config.params()]
 
 
+def _field(kind: type, low: float, high: float, what: str):
+    """A parser (name, text) -> value of a results field as a kind (int or float) in [low, high].
+
+    It raises ValueError saying the field is not what for any other text, NaN
+    and an int not written as str(int(text)) (3_2, +32, ' 32') among them.
+    """
+
+    def parse(name: str, text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high or (kind is int and str(value) != text):
+            raise ValueError(f"field {name} is {text!r}, not {what}")
+        return value
+
+    return parse
+
+
+_INTEGER = _field(int, -math.inf, math.inf, "an integer")
+_FINITE = _field(float, -sys.float_info.max, sys.float_info.max, "a finite number")
+# how _parse_row reads the fields after a row's cell; its bits_per_user is the cell's (see _row_cell)
+_TRIAL_FIELDS = {
+    "trial": _field(int, 0, math.inf, "an integer >= 0"),
+    "tv_error": _field(float, 0, 1, "a number in [0, 1]"),
+    "seed": _field(int, 0, 2**64 - 1, "an integer in [0, 2^64)"),
+    "sampler": _field(int, SAMPLER_VERSION, SAMPLER_VERSION, f"{SAMPLER_VERSION}, the sampler this version draws with"),
+}
+_COLUMNS = CSV_HEADER.split(",")
+
+
+@functools.lru_cache(maxsize=4096)
+def _row_cell(scheme: str, k: str, s: str, n: str, param: str, bits: str) -> tuple:
+    """A row's (scheme, k, s, n, eps_or_ell, bits_per_user), parsed from the text of those fields.
+
+    k, s and n must be integers and param a finite number (see _field). The
+    cell must be one a grid can hold: a one-cell ExperimentConfig checks it,
+    a comm_hash ell passed as an int when it is integral, and its message is
+    wrapped. bits must be the cell's bits_per_user. Raises ValueError saying
+    what fails. Memoised, as a file repeats each cell's text once per trial.
+    """
+    k, s, n = _INTEGER("k", k), _INTEGER("s", s), _INTEGER("n", n)
+    value = _FINITE("eps_or_ell", param)
+    if scheme == "comm_hash" and value.is_integer():
+        value = int(value)  # 2.5 stays a float, which the config refuses as an ell
+    sweep = "ell_list" if scheme == "comm_hash" else "epsilon_list"
+    try:
+        (param,) = ExperimentConfig(scheme, k, [s], n, trials=1, master_seed=0, **{sweep: [value]}).params()
+    except ValueError as err:
+        raise ValueError(f"names no cell a grid can hold: {err}") from None
+    expected = bits_per_user(scheme, k, param)
+    if bits != str(expected):
+        raise ValueError(f"field bits_per_user is {bits!r}, not {expected}, the bits a user sends in this cell")
+    return scheme, k, s, n, param, expected
+
+
 def _parse_row(path: str, line_no: int, line: str) -> dict:
-    """A results row as a dict of its parsed fields.
+    """A results row as a dict of its parsed fields, in header order.
 
     Raises ValueError naming path and line unless the row has the header's
-    field count, and naming the field too if one does not parse: scheme
-    must be one of SCHEMES, k, s and n integers >= 1, eps_or_ell a finite
-    number, trial an integer >= 0, tv_error a number in [0, 1] and seed an
-    integer in [0, 2^64), so that every row names a cell.
+    field count, names a cell a grid can hold with that cell's
+    bits_per_user (see _row_cell), and holds a trial >= 0, a tv_error in
+    [0, 1], a seed in [0, 2^64) and SAMPLER_VERSION; the message gives the
+    field that fails or the config's reason.
     """
     parts = line.split(",")
-    if len(parts) != len(_FIELD_PARSERS):
-        raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, not the header's {len(_FIELD_PARSERS)}")
-    row = {}
-    for (name, parse), text in zip(_FIELD_PARSERS.items(), parts):
-        try:
-            value = parse(text)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no} field {name} is {text!r}, not {_FIELD_KINDS[parse]}") from None
-        row[name] = value
+    if len(parts) != len(_COLUMNS):
+        raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, not the header's {len(_COLUMNS)}")
+    row = dict(zip(_COLUMNS, parts))
+    try:
+        cell = _row_cell(*parts[:5], row["bits_per_user"])
+        for name, parse in _TRIAL_FIELDS.items():
+            row[name] = parse(name, row[name])
+    except ValueError as err:
+        raise ValueError(f"{path}: line {line_no} {err}") from None
+    row.update(zip(("scheme", "k", "s", "n", "eps_or_ell", "bits_per_user"), cell))
     return row
 
 
@@ -383,7 +384,9 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     Reads path once. Raises ValueError naming path unless the first line is
     CSV_HEADER (naming both sampler versions and asking for a new file when
     it is sampler 2's header) and every row parses (see _parse_row: a row
-    of another sampler than SAMPLER_VERSION does not), and naming a row's
+    must name a cell some ExperimentConfig could hold, write its integers as
+    the harness does and carry its cell's bits_per_user, and a row of
+    another sampler than SAMPLER_VERSION does not parse), and naming a row's
     line and the earlier line it repeats if two rows record one (cell,
     trial), their params compared as numbers (0.50 is 0.5): a repeat would
     count as another trial and mark its cell done.

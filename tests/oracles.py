@@ -11,7 +11,8 @@ the public seed, the user index and the symbol, masked to the bucket count)
 with the preimage scan that counts, for each symbol, the messages consistent
 with it. Messages are plain ints or arrays.
 
-The lower bounds compute the expected chi-squared divergence over the
+verify_ldp is checked against the column-by-column loop ldp_holds. The
+lower bounds compute the expected chi-squared divergence over the
 packing family in closed form. The tests check it against the family itself:
 each hard distribution p_z (PackingIndex, make_packing_dist), listed one by
 one (enumerate_packing_indices), pushed through the channel
@@ -26,6 +27,7 @@ once may borrow keyed_generator(key).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -201,6 +203,27 @@ class PackingIndex:
     @property
     def s(self) -> int:
         return len(self.support)
+
+
+def ldp_holds(W: np.ndarray, epsilon: float) -> bool:
+    """verify_ldp column by column: each column's largest entry at most e^epsilon times its smallest.
+
+    An all-zero column constrains nothing, a column mixing zero and positive
+    entries fails, the comparison carries 1e-9 relative slack, and an
+    e^epsilon that overflows sets no limit. W is a float64 channel matrix
+    and epsilon is not NaN.
+    """
+    try:
+        limit = math.exp(epsilon)
+    except OverflowError:
+        limit = math.inf
+    for y in range(W.shape[1]):
+        top, bottom = float(W[:, y].max()), float(W[:, y].min())
+        if top == 0.0:
+            continue
+        if bottom == 0.0 or top > limit * bottom * (1 + 1e-9):
+            return False
+    return True
 
 
 def chi_square(p, q) -> float:

@@ -14,6 +14,7 @@ from oracles import (
     chi_square,
     enumerate_packing_indices,
     induced_output_dist,
+    ldp_holds,
     make_packing_dist,
     packing_reference_dist,
 )
@@ -129,6 +130,24 @@ def test_verify_ldp_rejects_nan_epsilon():
     # every comparison with a NaN limit is False, which would pass any channel
     with pytest.raises(ValueError, match="epsilon must be a number, got nan"):
         verify_ldp(np.eye(2), math.nan)
+
+
+def test_verify_ldp_equals_the_column_loop():
+    # channels with scattered zeros and all-zero columns, at epsilon values
+    # that set no limit, every limit, and the channel's own ratio
+    gen = np.random.default_rng(3)
+    for i in range(300):
+        W = gen.random((int(gen.integers(1, 6)), int(gen.integers(1, 6))))
+        W[gen.random(W.shape) < 0.2 * (i % 3)] = 0.0
+        W[:, gen.integers(W.shape[1])] *= i % 2
+        W[W.sum(axis=1) == 0, -1] = 1.0
+        W /= W.sum(axis=1, keepdims=True)
+        epsilons = [-math.inf, -1.0, 0.0, 0.5, 2.0, 800.0, math.inf]
+        if W.min() > 0:
+            ratio = math.log(float(np.max(W.max(0) / W.min(0))))
+            epsilons += [ratio, ratio * (1 - 1e-12), ratio * 0.999]
+        for eps in epsilons:
+            assert verify_ldp(W, eps) == ldp_holds(W, eps), (W, eps)
 
 
 def test_indicator_channel_is_ldp():

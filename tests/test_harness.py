@@ -132,11 +132,15 @@ _COMM = dict(scheme="comm_hash", epsilon_list=None)
         (dict(epsilon_list=["1.0"]), "epsilon_list entry must be a real number, not '1.0'"),
         (dict(epsilon_list=[False]), "epsilon_list entry must be a real number, not False"),
         (dict(out=1), "out must be a path string, not 1"),  # 1 would open stdout's descriptor
+        (dict(s_list=[]), "s_list must not be empty"),
+        (dict(epsilon_list=[]), "epsilon_list must not be empty"),
+        (dict(_COMM, ell_list=[]), "ell_list must not be empty"),
     ],
 )
 def test_config_rejects_field_of_wrong_type(over, message):
     # such values once ran as another grid (s=2.7 as s=2, trials=True as one
-    # trial) or died mid-run with a bare TypeError
+    # trial) or died mid-run with a bare TypeError; an empty epsilon_list or
+    # ell_list once wrote a header-only file, which summarize refuses
     with pytest.raises(ValueError, match=re.escape(message)):
         tiny_config(**over)
 
@@ -809,6 +813,9 @@ def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
         read_results(str(out))
 
 
+_NO_CELL = "names no cell a grid can hold: "
+
+
 @pytest.mark.parametrize(
     "field, at, text, kind",
     [
@@ -821,30 +828,49 @@ def test_read_results_rejects_row_of_wrong_width(tmp_path, cut):
         ("eps_or_ell", 4, "nan", "a finite number"),
         ("eps_or_ell", 4, "-inf", "a finite number"),
         ("sampler", 9, "2", "3, the sampler this version draws with"),
-        # a row that names no cell would count as a trial of its own
-        ("scheme", 0, "hr_sparsee", "one of hr_dense, hr_sparse, rappor, comm_hash"),
-        ("k", 1, "0", "an integer >= 1"),
-        ("s", 2, "-2", "an integer >= 1"),
-        ("n", 3, "0", "an integer >= 1"),
+        # a row that names no cell a grid can hold would count as a trial of
+        # its own; the config's message gives the reason, and each id names
+        # what the field must hold
+        pytest.param(
+            "scheme",
+            0,
+            "hr_sparsee",
+            _NO_CELL + "unknown scheme 'hr_sparsee'",
+            id="scheme-0-hr_sparsee-one of hr_dense, hr_sparse, rappor, comm_hash",
+        ),
+        pytest.param("k", 1, "0", _NO_CELL + "k, n, trials must be positive", id="k-1-0-an integer >= 1"),
+        pytest.param("s", 2, "-2", _NO_CELL + "every s must satisfy 1 <= s <= k", id="s-2--2-an integer >= 1"),
+        pytest.param("n", 3, "0", _NO_CELL + "k, n, trials must be positive", id="n-3-0-an integer >= 1"),
+        ("s", 2, "40", _NO_CELL + "every s must satisfy 1 <= s <= k"),
+        ("eps_or_ell", 4, "-1.0", _NO_CELL + "epsilon must be positive, got -1.0"),
+        ("n", 3, "50", _NO_CELL + "n=50 is below the block size K=64 of k=32: HR needs n >= K"),
+        # a text with commas replaces that many fields from at on
+        ("eps_or_ell", 0, "comm_hash,32,2,2000,2.5", _NO_CELL + "ell_list entry must be an integer, not 2.5"),
+        ("bits_per_user", 7, "7", "1, the bits a user sends in this cell"),
+        # int() reads these as 32, and the trial of k = 32 would count as done
+        ("k", 1, "3_2", "an integer"),
+        ("k", 1, " 32", "an integer"),
+        ("k", 1, "+32", "an integer"),
         ("trial", 5, "-1", "an integer >= 0"),
         ("seed", 8, "-1", "an integer in [0, 2^64)"),
         ("seed", 8, str(2**64), "an integer in [0, 2^64)"),
     ],
 )
 def test_row_with_unparsable_field_is_an_error(tmp_path, field, at, text, kind):
-    # read_results and a resuming run_grid name the path, line and field,
-    # and the resume writes nothing; a NaN TV would otherwise count its
-    # trial done and make its cell's mean NaN
+    # read_results and a resuming run_grid name the path, line and field
+    # (or the reason the row names no cell), and the resume writes nothing;
+    # a NaN TV would otherwise count its trial done and make its cell's mean NaN
     cfg = tiny_config(trials=1)
     out = tmp_path / "res.csv"
     run_grid(cfg, str(out), threads=1)
     lines = out.read_text().splitlines()
     parts = lines[2].split(",")
-    parts[at] = text
+    parts[at : at + text.count(",") + 1] = text.split(",")
     lines[2] = ",".join(parts)
     out.write_text("\n".join(lines) + "\n")
     before = out.read_bytes()
-    message = re.escape(f"{out}: line 3 field {field} is {text!r}, not {kind}")
+    reason = kind if kind.startswith(_NO_CELL) else f"field {field} is {text!r}, not {kind}"
+    message = re.escape(f"{out}: line 3 {reason}")
     with pytest.raises(ValueError, match=message):
         read_results(str(out))
     with pytest.raises(ValueError, match=message):

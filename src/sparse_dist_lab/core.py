@@ -9,9 +9,10 @@ streams that make every run replayable regardless of worker count.
 
 A stream is named by a 64-bit int key and draws what
 Generator(Philox(key=key)) draws. Keys come from a master seed and a
-stream id (derive_key; child_keys for arrays of keys), so a child's key is
-derive_key(parent_key, child_id), and keyed_generator(key) draws a key's
-stream through one re-keyed generator per thread.
+stream id (derive_key; derive_keys for several ids of one parent), so a
+child's key is derive_key(parent_key, child_id), and keyed_generator(key)
+draws a key's stream through one re-keyed generator per thread. Keys are
+Python ints, and a stack of keys is a sequence of them.
 
 Conventions
 -----------
@@ -40,32 +41,17 @@ _MIX_M2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer: a fixed 64-bit avalanche permutation.
+    """SplitMix64 finalizer: a fixed 64-bit avalanche permutation, as a Python int.
 
     Bit-exact and platform independent; this single function underlies all
     seed derivation in the package, so two runs (or two implementations)
-    agree on every derived stream.
+    agree on every derived stream. z is any integer, a Python int or a
+    NumPy integer, read mod 2^64.
     """
-    z &= MASK64
+    z = operator.index(z) & MASK64
     z = ((z ^ (z >> 30)) * _MIX_M1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX_M2) & MASK64
     return z ^ (z >> 31)
-
-
-def mix64_array(z) -> np.ndarray:
-    """mix64 of each entry of a uint64 array (or int sequence), as a new uint64 array.
-
-    The arithmetic wraps mod 2^64 as mix64's masks do. It is done on arrays
-    only: NumPy 2 warns when a scalar uint64 product overflows. The Python
-    int operands take the array's dtype (NumPy 2 promotion).
-    """
-    z = np.array(z, dtype=np.uint64)
-    z ^= z >> 30
-    z *= _MIX_M1
-    z ^= z >> 27
-    z *= _MIX_M2
-    z ^= z >> 31
-    return z
 
 
 def derive_key(master_seed: int, stream_id: int) -> int:
@@ -78,6 +64,12 @@ def derive_key(master_seed: int, stream_id: int) -> int:
     return mix64(mix64(master_seed) ^ ((stream_id + 1) * GOLDEN64 & MASK64))
 
 
+def derive_keys(key: int, stream_ids) -> list[int]:
+    """[derive_key(key, i) for i in stream_ids], mixing key once."""
+    mixed = mix64(key)
+    return [mix64(mixed ^ ((i + 1) * GOLDEN64 & MASK64)) for i in stream_ids]
+
+
 def check_master_seed(master_seed: int) -> None:
     """Raise ValueError naming master_seed unless it lies in [0, 2^64).
 
@@ -86,19 +78,6 @@ def check_master_seed(master_seed: int) -> None:
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed={master_seed} is outside [0, 2^64)")
-
-
-def child_keys(keys, stream_id) -> np.ndarray:
-    """derive_key(key, stream_id) for each of keys, as a uint64 array.
-
-    keys is a uint64 array, an int sequence or one Python int (mixed by the
-    scalar mix64). stream_id is a nonnegative int, or an array of them
-    broadcast against keys: child_keys(keys[:, None], range(4)) holds row by
-    row the keys of each key's children 0 to 3, for the price of one call.
-    """
-    steps = (np.array(stream_id, dtype=np.uint64, ndmin=1) + 1) * GOLDEN64
-    mixed = mix64(keys) if isinstance(keys, int) else mix64_array(keys)
-    return mix64_array(mixed ^ steps)
 
 
 _thread = threading.local()
@@ -218,8 +197,7 @@ def tv_distance(p, T, values):
 def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
     """Row i is uniform over a size-s subset of [k], chosen uniformly by the stream of keys[i]; shape (B, k).
 
-    keys holds one 64-bit stream key per row, as a uint64 array or any int
-    sequence.
+    keys is a sequence of integer keys in [0, 2^64), one per row.
     """
     if not 1 <= s <= k:
         raise ValueError("require 1 <= s <= k")

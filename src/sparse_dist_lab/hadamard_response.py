@@ -72,12 +72,13 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
 def hr_draw_fractions(P: np.ndarray, n: int, epsilon: float, keys) -> np.ndarray:
     """Draw, for each row of a (B, k) stack of targets, the K per-group fractions of ones of n users.
 
-    Row i draws from the stream whose key is keys[i] (a uint64 array or any
-    int sequence). Round-robin assignment fixes each group's size, and
-    marginally over its symbol every user in group j sends a 1 with
-    probability t_j (see hr_expected_fractions), independently of all other
-    users, so ones_j ~ Binomial(n_j, t_j) is the exact law of encoding and
-    aggregating every user's bit. Returns the (B, K) fractions.
+    keys is a sequence of integer keys in [0, 2^64), one per row, and row i
+    draws from the stream whose key is keys[i]. Round-robin assignment
+    fixes each group's size, and marginally over its symbol every user in
+    group j sends a 1 with probability t_j (see hr_expected_fractions),
+    independently of all other users, so ones_j ~ Binomial(n_j, t_j) is the
+    exact law of encoding and aggregating every user's bit. Returns the
+    (B, K) fractions.
     """
     K = hadamard_dim(np.shape(P)[1])
     if n < K:
@@ -92,7 +93,7 @@ def hr_draw_fractions(P: np.ndarray, n: int, epsilon: float, keys) -> np.ndarray
 def hr_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     """One protocol run on each row of a (B, k) stack of targets with its own stream key.
 
-    keys holds one 64-bit key per row (a uint64 array or any int sequence).
+    keys is a sequence of integer keys in [0, 2^64), one per row.
     Row i draws its fractions by hr_draw_fractions, from the stream whose
     key is keys[i]; the transforms and projections then run once over the
     whole stack. The support T is the top s entries of each row's raw

@@ -8,8 +8,8 @@ share a cell hash form one run, and each run draws once: the union of its
 cells' pending trials runs as one stack, each trial drawing from its own
 streams, and decoding, projection and scoring run once over the stack, row
 by row, into an array of TV errors (_cell_errors), which _group_rows
-formats as the run's CSV rows. The stack's stream keys are derived as
-arrays (core.child_keys) and every draw borrows the thread's one re-keyed
+formats as the run's CSV rows. The stack's stream keys are Python ints
+(core.derive_keys) and every draw borrows the thread's one re-keyed
 generator (core.keyed_generator), valid until the thread's next re-key; a
 64-bit key is all a stream needs. Runs go in this process or, with more
 than one worker, in forked worker processes (POSIX only). Results stream
@@ -57,7 +57,8 @@ from .comm_hash import comm_run_stack, effective_ell
 from .core import (
     check_master_seed,
     check_probs,
-    child_keys,
+    derive_key,
+    derive_keys,
     fold_string,
     invertible_exp_epsilon,
     mix64,
@@ -239,12 +240,12 @@ def cell_hash(cell: Cell) -> int:
     return fold_string(f"{family}|k={cell.k}|s={cell.s}|n={cell.n}|{tag}")
 
 
-def trial_seeds(master_seed: int, cell: Cell, trials) -> np.ndarray:
-    """The 64-bit seeds that fully determine the given trials of a cell, as a uint64 array.
+def trial_seeds(master_seed: int, cell: Cell, trials) -> list[int]:
+    """The 64-bit seeds that fully determine the given trials of a cell, as a list of ints.
 
     Trial t's seed is derive_key(mix64(master_seed) ^ cell_hash(cell), t).
     """
-    return child_keys(mix64(master_seed) ^ cell_hash(cell), trials)
+    return derive_keys(mix64(master_seed) ^ cell_hash(cell), trials)
 
 
 def bits_per_user(scheme: str, k: int, param) -> int:
@@ -263,28 +264,27 @@ def run_cell(cell: Cell, trials: list[int], master_seed: int) -> np.ndarray:
     return _cell_errors(cell, trial_seeds(master_seed, cell, trials))
 
 
-def _cell_errors(cell: Cell, seeds: np.ndarray) -> np.ndarray:
-    """The (B,) TV errors of a cell's trials whose uint64 seeds are given, run as one stacked batch.
+def _cell_errors(cell: Cell, seeds: list[int]) -> np.ndarray:
+    """The (B,) TV errors of a cell's trials whose integer seeds are given, run as one stacked batch.
 
     A trial's stream key is derive_key(seed, 0). It draws its target from
     that stream's child 0 and its protocol randomness from child 1, so a
     trial's result does not depend on which other trials share its batch.
-    Both children's keys are derived for the whole stack at once. Decoding,
-    projection and scoring run once over the stack. Errors name the cell.
+    Decoding, projection and scoring run once over the stack. Errors name
+    the cell.
     """
-    # each trial's key derive_key(seed, 0), then the keys of its children 0 and 1
-    target_keys, protocol_keys = child_keys(child_keys(seeds, 0)[:, None], [0, 1]).T
+    children = [derive_keys(derive_key(seed, 0), (0, 1)) for seed in seeds]
     try:
-        targets = uniform_sparse_stack(cell.k, cell.s, target_keys)
+        targets = uniform_sparse_stack(cell.k, cell.s, [key for key, _ in children])
         check_probs(targets)
-        T, est = _run_stack(cell, targets, protocol_keys)
+        T, est = _run_stack(cell, targets, [key for _, key in children])
         check_probs(est)
     except ValueError as err:
         raise ValueError(f"cell {cell}: {err}") from err
     return tv_distance(targets, T, est)
 
 
-def _run_stack(cell: Cell, targets: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _run_stack(cell: Cell, targets: np.ndarray, keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The cell's scheme run on each row of targets with its own stream key; the (B, t) supports and estimates on them.
 
     Every runner is (targets, n, param, s, keys) -> (T, raw, est); hr_dense is HR at s = k.
@@ -423,18 +423,18 @@ def _row_key(row: dict) -> tuple:
     return row["scheme"], row["k"], row["s"], row["n"], row["eps_or_ell"], row["trial"]
 
 
-def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: np.ndarray) -> str:
+def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: list[int]) -> str:
     """A run's CSV rows as one string, member by member, from one stacked batch of the union of their pending trials.
 
     members are the (cell, pending trials) pairs of a run, cells adjacent
     in grid order that share a cell_hash, trials the sorted union of their
-    pending trials and seeds those trials' uint64 seeds. A trial's result
+    pending trials and seeds those trials' integer seeds. A trial's result
     does not depend on its batch, so each member's rows are those it would
     get alone: the cell (its own param text and bits), each trial's TV
     error (repr), seed and SAMPLER_VERSION. Errors name the first member.
     """
     tv_of = dict(zip(trials, _cell_errors(members[0][0], seeds).tolist()))
-    seed_of = dict(zip(trials, seeds.tolist()))
+    seed_of = dict(zip(trials, seeds))
     out = []
     for cell, pending in members:
         head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{cell.param_str()}"
@@ -601,7 +601,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
             found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param, t))
             if found is None:
                 pending.append(t)
-            elif found != int(seeds[t]):
+            elif found != seeds[t]:
                 raise ValueError(
                     f"{out_path}: row ({cell.scheme}, s={cell.s}, {cell.param_str()}, trial {t}) has seed "
                     f"{found}, but master seed {seed} gives {seeds[t]}; "
@@ -613,7 +613,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
             members.append((cell, pending))
     for i, (members, seeds) in enumerate(runs):
         trials = sorted(set().union(*(pending for _, pending in members)))
-        runs[i] = (members, trials, seeds[trials])
+        runs[i] = (members, trials, [seeds[t] for t in trials])
 
     if torn:
         os.truncate(out_path, os.path.getsize(out_path) - torn)

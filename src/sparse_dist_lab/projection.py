@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import child_keys, keyed_generator
+from .core import derive_keys, keyed_generator
 
 
 def _as_rows(v) -> np.ndarray:
@@ -129,20 +129,19 @@ def split_half_decode(N: np.ndarray, m2: int, drop: float, noise: float):
 def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, keys):
     """Split n users in half and estimate each row of a (B, k) stack of targets from the halves' counts.
 
-    keys holds one 64-bit stream key per row (a uint64 array or any int
-    sequence). Row i draws the halves' symbol histograms c1 and c2 from the
-    child streams 0 and 1 of the stream whose key is keys[i], as
-    multinomials over the row's support (a zero-probability symbol takes
-    nothing from a stream, so these are the counts of a draw over all k).
+    keys is a sequence of integer keys in [0, 2^64), one per row. Row i
+    draws the halves' symbol histograms c1 and c2 from the child streams 0
+    and 1 of the stream whose key is keys[i], as multinomials over the
+    row's support (a zero-probability symbol takes nothing from a stream,
+    so these are the counts of a draw over all k).
     It draws the first half's counts M over all k symbols by
     split_half_counts on child 2, takes T, the top t entries of each row
     of M (ties to the smaller index), and draws the second half's counts N
     on T only, split_half_counts(c2[T], ...) on child 3 (sampler 3). Given
     c2 the symbols' counts are independent, so N on T has the law of N
-    over all k symbols restricted to T. The children's keys are derived
-    for the whole stack at once (child_keys), and each draw borrows this
-    thread's keyed_generator and finishes before the next re-key. Returns
-    T and split_half_decode's (B, t) raw and projected estimates on T.
+    over all k symbols restricted to T. Each draw borrows this thread's
+    keyed_generator and finishes before the next re-key. Returns T and
+    split_half_decode's (B, t) raw and projected estimates on T.
     """
     P = np.asarray(P, dtype=np.float64)
     m1 = n // 2
@@ -152,7 +151,7 @@ def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int
     c1 = np.zeros(P.shape, dtype=np.int64)
     c2 = np.zeros(P.shape, dtype=np.int64)
     M = np.empty(P.shape, dtype=np.int64)
-    children = child_keys(np.asarray(keys, dtype=np.uint64)[:, None], range(4)).tolist()
+    children = [derive_keys(key, range(4)) for key in keys]
     for i, (key1, key2, key_m, _) in enumerate(children):
         support = P[i].nonzero()[0]
         c1[i, support] = keyed_generator(key1).multinomial(m1, P[i, support])

@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from sparse_dist_lab.bounds import indicator_response_probs
-from sparse_dist_lab.core import GOLDEN64, MASK64, check_probs, mix64, mix64_array
+from sparse_dist_lab.core import _MIX_M1, _MIX_M2, GOLDEN64, MASK64, check_probs, mix64
 from sparse_dist_lab.hadamard import membership_parity
 from sparse_dist_lab.rappor import flip_probability
 
@@ -157,6 +157,24 @@ def hash_eval(public_seed: int, buckets: int, user_index: int, x: int) -> int:
     """h_{user_index}(x) in [0, buckets) for a power-of-two bucket count, one pair at a time."""
     z = public_seed ^ ((user_index + 1) * GOLDEN64 & MASK64) ^ ((x + 1) * ALT64 & MASK64)
     return mix64(z) & (buckets - 1)
+
+
+def mix64_array(z) -> np.ndarray:
+    """core.mix64 of each entry of a uint64 array (or int sequence), as a new uint64 array.
+
+    The per-user hash is evaluated for users x symbols at once, so it needs
+    the mix over arrays. The arithmetic wraps mod 2^64 as mix64's masks do.
+    It is done on arrays only: NumPy 2 warns when a scalar uint64 product
+    overflows. The Python int operands take the array's dtype (NumPy 2
+    promotion).
+    """
+    z = np.array(z, dtype=np.uint64)
+    z ^= z >> 30
+    z *= _MIX_M1
+    z ^= z >> 27
+    z *= _MIX_M2
+    z ^= z >> 31
+    return z
 
 
 def hash_eval_batch(public_seed: int, buckets: int, users: np.ndarray, xs: np.ndarray) -> np.ndarray:

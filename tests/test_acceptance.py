@@ -65,9 +65,11 @@ def desk_grid_run(tmp_path_factory):
 def test_criterion_01_hadamard_exactness():
     start = time.perf_counter()
     for K in (2 ** i for i in range(1, 11)):
-        H = dense_matrix(K).astype(np.int16)  # dot products bounded by 1024
+        # float64 for the BLAS matmul (NumPy has none for int16); still exact:
+        # entries are +-1, so every partial sum is an integer within +-1024
+        H = dense_matrix(K).astype(np.float64)
         gram = H.T @ H
-        assert np.array_equal(gram, K * np.eye(K, dtype=np.int16)), f"Gram failed at K={K}"
+        assert np.array_equal(gram, K * np.eye(K)), f"Gram failed at K={K}"
     gen = np.random.default_rng(MASTER_SEED)
     K = 1024
     Hf = dense_matrix(K).astype(np.float64)

@@ -12,18 +12,18 @@ from oracles import (
     enumerate_packing_indices,
     induced_output_dist,
     make_packing_dist,
+    mix64_array,
     packing_reference_dist,
     sample_iid,
 )
 from sparse_dist_lab.core import (
     GOLDEN64,
     check_probs,
-    child_keys,
     derive_key,
+    derive_keys,
     fold_string,
     keyed_generator,
     mix64,
-    mix64_array,
     tv_distance,
     uniform_sparse_stack,
 )
@@ -337,32 +337,29 @@ def test_stream_is_philox_keyed_by_its_key(master_seed):
 
 # the edges of the 64-bit range, the golden-ratio step, and random keys
 _KEYS = [0, 1, 2**64 - 1, GOLDEN64, *keyed_generator(derive_key(31, 0)).integers(0, 2**64, size=12, dtype=np.uint64).tolist()]
+# NumPy integers, which the mix reads as their values mod 2^64. The suite
+# turns a RuntimeWarning into a failure, so a scalar uint64 product that
+# overflows in the mix fails here.
+_NUMPY_KEYS = [np.uint64(5), np.uint64(2**64 - 1), np.int64(-1), np.int64(2**63 - 1)]
 
 
 def test_mix64_array_matches_mix64():
     assert mix64_array(np.array(_KEYS, dtype=np.uint64)).tolist() == [mix64(key) for key in _KEYS]
     assert mix64_array(_KEYS).tolist() == [mix64(key) for key in _KEYS]
+    got = [mix64(key) for key in _NUMPY_KEYS]
+    assert all(type(z) is int for z in got)
+    assert got == mix64_array([int(key) % 2**64 for key in _NUMPY_KEYS]).tolist()
 
 
 @pytest.mark.parametrize("stream_id", [0, 1, 3, 2**40])
-def test_child_keys_match_derive_key(stream_id):
-    # The uint64 products wrap inside arrays, where NumPy does not warn;
-    # the test run turns a RuntimeWarning into a failure.
-    want = [derive_key(key, stream_id) for key in _KEYS]
-    got = child_keys(np.array(_KEYS, dtype=np.uint64), stream_id)
-    assert got.dtype == np.uint64
-    assert got.tolist() == want
-    assert child_keys(_KEYS, stream_id).tolist() == want
-    assert child_keys(_KEYS[:1], stream_id).tolist() == want[:1]
-    # a Python int key goes through the scalar mix
-    assert [child_keys(key, stream_id).tolist() for key in _KEYS] == [[one] for one in want]
-
-
-def test_child_keys_broadcast_stream_ids():
-    ids = [0, 1, 3, 2**40]
-    got = child_keys(np.array(_KEYS, dtype=np.uint64)[:, None], ids)
-    assert got.tolist() == [[derive_key(key, j) for j in ids] for key in _KEYS]
-    assert child_keys(_KEYS[-1], ids).tolist() == [derive_key(_KEYS[-1], j) for j in ids]
+def test_derive_keys_match_derive_key(stream_id):
+    ids = [stream_id, stream_id + 1, 0]
+    for key in _KEYS + _NUMPY_KEYS:
+        want = [derive_key(int(key) % 2**64, i) for i in ids]
+        assert derive_keys(key, ids) == want
+        assert [derive_key(key, i) for i in ids] == want
+        assert all(type(one) is int for one in derive_keys(key, ids) + [derive_key(key, stream_id)])
+    assert derive_keys(_KEYS[-1], []) == []
 
 
 def _draw_all(gen):

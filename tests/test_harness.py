@@ -16,7 +16,7 @@ from oracles import scatter
 from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main
 from sparse_dist_lab.comm_hash import comm_run_stack
-from sparse_dist_lab.core import GOLDEN64, MASK64, child_keys, derive_key, mix64, uniform_sparse_stack
+from sparse_dist_lab.core import GOLDEN64, MASK64, derive_key, derive_keys, mix64, uniform_sparse_stack
 from sparse_dist_lab.hadamard_response import hr_decode_raw, hr_draw_fractions, hr_run_stack
 from sparse_dist_lab.harness import (
     CSV_HEADER,
@@ -237,18 +237,18 @@ def test_load_configs_accepts_object_or_list(tmp_path):
 
 def trial_seed(master_seed, cell, trial_index):
     """The seed of one trial, as an int."""
-    return int(trial_seeds(master_seed, cell, [trial_index])[0])
+    return trial_seeds(master_seed, cell, [trial_index])[0]
 
 
 def test_trial_seeds_wrap_as_the_scalar_mix():
-    # The seeds are derived as a uint64 array; each must equal the scalar
-    # chain of mix64 over Python ints, masked to 64 bits, for every index.
+    # Each seed must equal the chain of mix64 over Python ints, masked to
+    # 64 bits, for every index.
     cell = Cell("comm_hash", 16, 2, 1000, 3)
     trials = [0, 1, 7, 2**20, 2**40]
     for master_seed in (0, 5, 2**64 - 1):
         mixed = mix64(mix64(master_seed) ^ cell_hash(cell))
         want = [mix64(mixed ^ ((t + 1) * GOLDEN64 & MASK64)) for t in trials]
-        assert trial_seeds(master_seed, cell, trials).tolist() == want
+        assert trial_seeds(master_seed, cell, trials) == want
 
 
 def test_cell_cardinality():
@@ -451,7 +451,7 @@ def test_resume_runs_only_missing_trials_in_order(tmp_path, monkeypatch):
 
     def recording_cell_errors(cell, seeds):
         assert (cell.s, cell.param) not in calls  # one batch per cell
-        calls[(cell.s, cell.param)] = seeds.tolist()
+        calls[(cell.s, cell.param)] = seeds
         return real_cell_errors(cell, seeds)
 
     monkeypatch.setattr(harness, "_cell_errors", recording_cell_errors)
@@ -498,10 +498,10 @@ def test_every_stack_runner_returns_its_support_raw_estimate_and_projection(sche
     # of derive_key(seed, 0) and its protocol randomness from child 1.
     k, B = 40, 4
     cell = Cell(scheme, k, s, 4000, 3 if scheme == "comm_hash" else 1.0)
-    seeds = child_keys(5, range(B))
-    trial_keys = [derive_key(seed, 0) for seed in seeds.tolist()]
+    seeds = derive_keys(5, range(B))
+    trial_keys = [derive_key(seed, 0) for seed in seeds]
     targets = uniform_sparse_stack(k, s, [derive_key(key, 0) for key in trial_keys])
-    keys = np.array([derive_key(key, 1) for key in trial_keys], dtype=np.uint64)
+    keys = [derive_key(key, 1) for key in trial_keys]
     run, runs_at = {
         "hr_dense": (hr_run_stack, k),
         "hr_sparse": (hr_run_stack, s),
@@ -568,7 +568,7 @@ def test_grid_draws_each_experiment_once(tmp_path, monkeypatch):
     real_run_stack = harness._run_stack
 
     def recording_run_stack(cell, targets, keys):
-        drawn.extend((cell_hash(cell), key) for key in keys.tolist())
+        drawn.extend((cell_hash(cell), key) for key in keys)
         return real_run_stack(cell, targets, keys)
 
     monkeypatch.setattr(harness, "_run_stack", recording_run_stack)

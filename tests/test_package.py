@@ -77,7 +77,8 @@ def test_every_public_src_name_is_used():
 
 def _run_python(args: list[str], **env) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    # a RuntimeWarning (an overflow, a NaN) fails a subprocess as it fails a test
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])

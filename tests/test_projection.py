@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import scatter
-from sparse_dist_lab.core import child_keys, derive_key, keyed_generator
+from sparse_dist_lab.core import derive_key, derive_keys, keyed_generator
 from sparse_dist_lab.projection import (
     project_simplex_vec,
     split_half_counts,
@@ -217,10 +217,10 @@ def test_split_half_estimate_draws_sampler_3(drop, noise):
     P = np.zeros((B, k))
     P[:, [3, 17, 18]] = [0.5, 0.3, 0.2]
     P[1] = np.roll(P[1], 11)
-    keys = child_keys(21, range(B))
+    keys = derive_keys(21, range(B))
     T, raw, _ = split_half_estimate(P, n, drop, noise, t, keys)
     m1, m2 = n // 2, n - n // 2
-    for i, key in enumerate(keys.tolist()):
+    for i, key in enumerate(keys):
         gen1, gen2, gen_m, gen_n = (np.random.Generator(np.random.Philox(key=derive_key(key, j))) for j in range(4))
         c1, c2 = gen1.multinomial(m1, P[i]), gen2.multinomial(m2, P[i])
         M = (c1 - gen_m.binomial(c1, drop) if drop else c1) + gen_m.binomial(m1 - c1, noise)
@@ -239,7 +239,7 @@ def test_split_half_raw_estimate_is_unbiased_on_T(drop, noise):
     # standard errors of p, off the support (p = 0) too.
     p = np.array([0.4, 0.3, 0.2, 0.1] + [0.0] * 12)
     trials = 2000
-    T, raw, _ = split_half_estimate(np.tile(p, (trials, 1)), 400, drop, noise, 8, child_keys(11, range(trials)))
+    T, raw, _ = split_half_estimate(np.tile(p, (trials, 1)), 400, drop, noise, 8, derive_keys(11, range(trials)))
     checked = 0
     for x in range(p.size):
         values = raw[T == x]

@@ -60,14 +60,15 @@ def derive_key(master_seed: int, stream_id: int) -> int:
     Injective in practice: distinct stream ids give keys whose streams are
     independent for all practical purposes, and children of children never
     collide with their parent's siblings, as the mix applies at every level.
+    stream_id, like master_seed, may be a Python int or a NumPy integer.
     """
-    return mix64(mix64(master_seed) ^ ((stream_id + 1) * GOLDEN64 & MASK64))
+    return mix64(mix64(master_seed) ^ ((operator.index(stream_id) + 1) * GOLDEN64 & MASK64))
 
 
 def derive_keys(key: int, stream_ids) -> list[int]:
     """[derive_key(key, i) for i in stream_ids], mixing key once."""
     mixed = mix64(key)
-    return [mix64(mixed ^ ((i + 1) * GOLDEN64 & MASK64)) for i in stream_ids]
+    return [mix64(mixed ^ ((operator.index(i) + 1) * GOLDEN64 & MASK64)) for i in stream_ids]
 
 
 def check_master_seed(master_seed: int) -> None:

@@ -40,6 +40,7 @@ semantics:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -78,9 +79,6 @@ SAMPLER_VERSION = 3
 _SAMPLER_2_HEADER = CSV_HEADER.removesuffix(",sampler")
 
 SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
-
-
-_CONFIG_FIELDS = {"scheme", "k", "s_list", "n", "trials", "master_seed", "epsilon_list", "ell_list", "out"}
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ValueError(f"config entry {raw!r} is of type {type(raw).__name__}, not an object")
-        unknown = set(raw) - _CONFIG_FIELDS
+        fields = dataclasses.fields(cls)
+        unknown = set(raw) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"scheme", "k", "s_list", "n", "trials", "master_seed"} - set(raw)
+        missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         return cls(**raw)
@@ -215,9 +214,6 @@ class Cell:
         # share one canonical string, row text and cached cell_hash
         param = int(self.param) if self.scheme == "comm_hash" else float(self.param)
         object.__setattr__(self, "param", param)
-
-    def param_str(self) -> str:
-        return _param_text(self.param)
 
 
 def scheme_family(scheme: str) -> str:
@@ -437,7 +433,7 @@ def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds:
     seed_of = dict(zip(trials, seeds))
     out = []
     for cell, pending in members:
-        head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{cell.param_str()}"
+        head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{_param_text(cell.param)}"
         bits = bits_per_user(cell.scheme, cell.k, cell.param)
         out.extend(f"{head},{t},{tv_of[t]!r},{bits},{seed_of[t]},{SAMPLER_VERSION}\n" for t in pending)
     return "".join(out)
@@ -603,7 +599,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
                 pending.append(t)
             elif found != seeds[t]:
                 raise ValueError(
-                    f"{out_path}: row ({cell.scheme}, s={cell.s}, {cell.param_str()}, trial {t}) has seed "
+                    f"{out_path}: row ({cell.scheme}, s={cell.s}, {_param_text(cell.param)}, trial {t}) has seed "
                     f"{found}, but master seed {seed} gives {seeds[t]}; "
                     "resume with the master seed the file was written with, or use a new file"
                 )

@@ -129,18 +129,20 @@ def split_half_decode(N: np.ndarray, m2: int, drop: float, noise: float):
 def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, keys):
     """Split n users in half and estimate each row of a (B, k) stack of targets from the halves' counts.
 
-    keys is a sequence of integer keys in [0, 2^64), one per row. Row i
-    draws the halves' symbol histograms c1 and c2 from the child streams 0
-    and 1 of the stream whose key is keys[i], as multinomials over the
-    row's support (a zero-probability symbol takes nothing from a stream,
-    so these are the counts of a draw over all k).
-    It draws the first half's counts M over all k symbols by
-    split_half_counts on child 2, takes T, the top t entries of each row
-    of M (ties to the smaller index), and draws the second half's counts N
-    on T only, split_half_counts(c2[T], ...) on child 3 (sampler 3). Given
-    c2 the symbols' counts are independent, so N on T has the law of N
-    over all k symbols restricted to T. Each draw borrows this thread's
-    keyed_generator and finishes before the next re-key. Returns T and
+    keys is a sequence of integer keys in [0, 2^64), one per row; row i
+    draws from the child streams 0 to 3 of the stream whose key is keys[i],
+    in the order 0, 2, 1, 3. Child 0: the first half's symbol histogram, a
+    multinomial over the row's support (a zero-probability symbol takes
+    nothing from a stream, so these are the counts of a draw over all k),
+    drawn into the row of M. Child 2: the first half's counts M over all k
+    symbols, by split_half_counts. T is the top t entries of each row of M
+    (ties to the smaller index). Child 1: the second half's histogram, into
+    a (k,) buffer of the row's own, read on T only. Child 3: the second
+    half's counts N on T only, by split_half_counts (sampler 3). Given the
+    histogram the symbols' counts are independent, so N on T has the law of
+    N over all k symbols restricted to T. M is the one (B, k) stack. Each
+    draw re-keys this thread's keyed_generator, so a stream's variates do
+    not depend on the order the streams are drawn in. Returns T and
     split_half_decode's (B, t) raw and projected estimates on T.
     """
     P = np.asarray(P, dtype=np.float64)
@@ -148,18 +150,16 @@ def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int
     m2 = n - m1
     if m1 == 0:
         raise ValueError("need at least two users")
-    c1 = np.zeros(P.shape, dtype=np.int64)
-    c2 = np.zeros(P.shape, dtype=np.int64)
-    M = np.empty(P.shape, dtype=np.int64)
+    M = np.zeros(P.shape, dtype=np.int64)
     children = [derive_keys(key, range(4)) for key in keys]
-    for i, (key1, key2, key_m, _) in enumerate(children):
-        support = P[i].nonzero()[0]
-        c1[i, support] = keyed_generator(key1).multinomial(m1, P[i, support])
-        c2[i, support] = keyed_generator(key2).multinomial(m2, P[i, support])
-        M[i] = split_half_counts(c1[i], m1, drop, noise, keyed_generator(key_m))
+    supports = [row.nonzero()[0] for row in P]
+    for i, (key1, _, key_m, _) in enumerate(children):
+        M[i, supports[i]] = keyed_generator(key1).multinomial(m1, P[i, supports[i]])
+        M[i] = split_half_counts(M[i], m1, drop, noise, keyed_generator(key_m))
     T = top_s_indices(M, t)
-    c2_on_T = c2[np.arange(P.shape[0])[:, None], T]
     N = np.empty(T.shape, dtype=np.int64)
-    for i, (_, _, _, key_n) in enumerate(children):
-        N[i] = split_half_counts(c2_on_T[i], m2, drop, noise, keyed_generator(key_n))
+    for i, (_, key2, _, key_n) in enumerate(children):
+        c2 = np.zeros(P.shape[1], dtype=np.int64)
+        c2[supports[i]] = keyed_generator(key2).multinomial(m2, P[i, supports[i]])
+        N[i] = split_half_counts(c2[T[i]], m2, drop, noise, keyed_generator(key_n))
     return (T, *split_half_decode(N, m2, drop, noise))

@@ -351,15 +351,18 @@ def test_mix64_array_matches_mix64():
     assert got == mix64_array([int(key) % 2**64 for key in _NUMPY_KEYS]).tolist()
 
 
-@pytest.mark.parametrize("stream_id", [0, 1, 3, 2**40])
+# The NumPy stream ids are read as their values: an int64 or int32 id must
+# not overflow a C long, and a uint64 product must not warn.
+@pytest.mark.parametrize("stream_id", [0, 1, 3, 2**40, np.int64(3), np.int32(3), np.uint64(3)])
 def test_derive_keys_match_derive_key(stream_id):
     ids = [stream_id, stream_id + 1, 0]
     for key in _KEYS + _NUMPY_KEYS:
-        want = [derive_key(int(key) % 2**64, i) for i in ids]
+        want = [derive_key(int(key) % 2**64, int(i)) for i in ids]
         assert derive_keys(key, ids) == want
         assert [derive_key(key, i) for i in ids] == want
         assert all(type(one) is int for one in derive_keys(key, ids) + [derive_key(key, stream_id)])
     assert derive_keys(_KEYS[-1], []) == []
+    assert derive_keys(5, np.arange(4)) == derive_keys(5, range(4))
 
 
 def _draw_all(gen):

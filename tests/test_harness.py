@@ -327,8 +327,8 @@ def test_run_trial_reports_epsilon_too_large(cell):
 def test_cell_param_is_canonical():
     # Equal cells must share one cell_hash, row text and seed.
     assert Cell("rappor", 16, 2, 1000, 1) == Cell("rappor", 16, 2, 1000, 1.0)
-    assert Cell("rappor", 16, 2, 1000, 1).param_str() == "1.0"
-    assert Cell("comm_hash", 16, 2, 1000, 3.0).param_str() == "3"
+    assert harness._param_text(Cell("rappor", 16, 2, 1000, 1).param) == "1.0"
+    assert harness._param_text(Cell("comm_hash", 16, 2, 1000, 3.0).param) == "3"
     assert trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1), 0) == trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1.0), 0)
 
 

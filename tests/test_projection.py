@@ -1,6 +1,7 @@
 """Euclidean projections onto the simplex and its s-sparse subset."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import scatter
-from sparse_dist_lab.core import derive_key, derive_keys, keyed_generator
+from sparse_dist_lab.core import derive_key, derive_keys, keyed_generator, uniform_sparse_stack
 from sparse_dist_lab.projection import (
     project_simplex_vec,
     split_half_counts,
@@ -247,6 +248,24 @@ def test_split_half_raw_estimate_is_unbiased_on_T(drop, noise):
             checked += 1
             assert abs(values.mean() - p[x]) <= 5 * values.std(ddof=1) / np.sqrt(values.size), x
     assert checked >= 8
+
+
+@pytest.mark.parametrize("drop, noise", [(0.0, 0.25), (0.3, 0.3)], ids=["comm_hash", "rappor"])
+def test_split_half_estimate_holds_one_count_stack(drop, noise):
+    # M, the first half's counts over all k symbols, is the one (B, k)
+    # array the estimator allocates: the halves' histograms are drawn row
+    # by row. M and top_s_indices' partitioned copy of it take 2 B k 8
+    # bytes; one more (B, k) int64 stack would pass 3.
+    B, k = 20, 10**5
+    P = uniform_sparse_stack(k, 8, derive_keys(4, range(B)))
+    keys = derive_keys(5, range(B))
+    tracemalloc.start()
+    try:
+        split_half_estimate(P, 10**5, drop, noise, 8, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * B * k * 8
 
 
 def test_sparse_range_checks():

@@ -78,8 +78,10 @@ def hr_draw_fractions(P: np.ndarray, n: int, epsilon: float, keys) -> np.ndarray
     group j sends a 1 with probability t_j (see hr_expected_fractions),
     independently of all other users, so ones_j ~ Binomial(n_j, t_j) is the
     exact law of encoding and aggregating every user's bit. Returns the
-    (B, K) fractions.
+    (B, K) fractions. Raises ValueError unless keys holds one key per row.
     """
+    if len(keys) != len(P):
+        raise ValueError(f"got {len(keys)} keys for {len(P)} targets")
     K = hadamard_dim(np.shape(P)[1])
     if n < K:
         raise ValueError(f"need at least K={K} users, got n={n}")

@@ -117,8 +117,6 @@ class ExperimentConfig:
             object.__setattr__(self, "ell_list", _numbers("ell_list", self.ell_list))
             if any(v < 1 for v in self.ell_list):
                 raise ValueError("ell values must be >= 1")
-            if self.n % 2:
-                raise ValueError("comm_hash needs an even n (the scheme splits users in half)")
         else:
             if self.epsilon_list is None or self.ell_list is not None:
                 raise ValueError(f"{self.scheme} takes epsilon_list (and no ell_list)")
@@ -132,11 +130,8 @@ class ExperimentConfig:
         # grids that no trial could run fail here, not at their first trial
         if self.scheme in ("hr_dense", "hr_sparse") and self.n < hadamard_dim(self.k):
             raise ValueError(f"n={self.n} is below the block size K={hadamard_dim(self.k)} of k={self.k}: HR needs n >= K")
-        if self.scheme == "rappor":
-            if 2 * max(self.s_list) > self.k:
-                raise ValueError(f"s_list holds s={max(self.s_list)}, but rappor needs 2s <= k={self.k}")
-            if self.n < 2:
-                raise ValueError(f"n={self.n}: rappor splits users in half and needs n >= 2")
+        if self.scheme in ("rappor", "comm_hash") and self.n < 2:
+            raise ValueError(f"n={self.n}: {self.scheme} splits users in half and needs n >= 2")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -14,14 +14,16 @@ Tie-breaking on equal values prefers the smaller index, so outputs are fully
 deterministic - seeded experiment replays depend on this.
 
 rappor and comm_hash share one two-stage estimator (split_half_estimate):
-per-symbol counts of the first half of the users rank the symbols and pick
-a candidate support T, and the second half's counts, whose mean is affine in
+n users split into halves of n // 2 and n - n // 2, per-symbol counts of
+the first half rank the symbols and pick a candidate support T of
+min(2s, k) symbols, and the second half's counts, whose mean is affine in
 p, are drawn on T only (sampler 3), inverted on T (split_half_decode) and
 projected onto the simplex over T. Each scheme is described by its
 channel's two probabilities: a user's message counts for the user's own
 symbol with probability 1 - drop and for any other symbol with probability
-noise. The count law (split_half_counts) and the affine decode constants
-both follow from that pair, here and nowhere else.
+noise. That pair is all a scheme supplies: the halves, the size of T, the
+count law (split_half_counts) and the affine decode constants are decided
+here and nowhere else.
 """
 
 from __future__ import annotations
@@ -126,26 +128,31 @@ def split_half_decode(N: np.ndarray, m2: int, drop: float, noise: float):
     return raw, project_simplex_vec(raw)
 
 
-def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int, keys):
-    """Split n users in half and estimate each row of a (B, k) stack of targets from the halves' counts.
+def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, s: int, keys):
+    """Split n users in half and estimate each row of a (B, k) stack of s-sparse targets from the halves' counts.
 
-    keys is a sequence of integer keys in [0, 2^64), one per row; row i
-    draws from the child streams 0 to 3 of the stream whose key is keys[i],
-    in the order 0, 2, 1, 3. Child 0: the first half's symbol histogram, a
-    multinomial over the row's support (a zero-probability symbol takes
-    nothing from a stream, so these are the counts of a draw over all k),
-    drawn into the row of M. Child 2: the first half's counts M over all k
-    symbols, by split_half_counts. T is the top t entries of each row of M
-    (ties to the smaller index). Child 1: the second half's histogram, into
-    a (k,) buffer of the row's own, read on T only. Child 3: the second
-    half's counts N on T only, by split_half_counts (sampler 3). Given the
-    histogram the symbols' counts are independent, so N on T has the law of
-    N over all k symbols restricted to T. M is the one (B, k) stack. Each
-    draw re-keys this thread's keyed_generator, so a stream's variates do
-    not depend on the order the streams are drawn in. Returns T and
-    split_half_decode's (B, t) raw and projected estimates on T.
+    The first half holds n // 2 users and the second n - n // 2, so any
+    n >= 2 splits. keys is a sequence of integer keys in [0, 2^64), one per
+    row; row i draws from the child streams 0 to 3 of the stream whose key
+    is keys[i], in the order 0, 2, 1, 3. Child 0: the first half's symbol
+    histogram, a multinomial over the row's support (a zero-probability
+    symbol takes nothing from a stream, so these are the counts of a draw
+    over all k), drawn into the row of M. Child 2: the first half's counts
+    M over all k symbols, by split_half_counts. The candidate support T is
+    the top t = min(2s, k) entries of each row of M (ties to the smaller
+    index). Child 1: the second half's histogram, into a (k,) buffer of the
+    row's own, read on T only. Child 3: the second half's counts N on T
+    only, by split_half_counts (sampler 3). Given the histogram the
+    symbols' counts are independent, so N on T has the law of N over all k
+    symbols restricted to T. M is the one (B, k) stack. Each draw re-keys
+    this thread's keyed_generator, so a stream's variates do not depend on
+    the order the streams are drawn in. Returns T and split_half_decode's
+    (B, t) raw and projected estimates on T. Raises ValueError unless
+    n >= 2 and keys holds one key per row.
     """
     P = np.asarray(P, dtype=np.float64)
+    if len(keys) != len(P):
+        raise ValueError(f"got {len(keys)} keys for {len(P)} targets")
     m1 = n // 2
     m2 = n - m1
     if m1 == 0:
@@ -156,7 +163,7 @@ def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, t: int
     for i, (key1, _, key_m, _) in enumerate(children):
         M[i, supports[i]] = keyed_generator(key1).multinomial(m1, P[i, supports[i]])
         M[i] = split_half_counts(M[i], m1, drop, noise, keyed_generator(key_m))
-    T = top_s_indices(M, t)
+    T = top_s_indices(M, min(2 * s, P.shape[1]))
     N = np.empty(T.shape, dtype=np.int64)
     for i, (_, key2, _, key_n) in enumerate(children):
         c2 = np.zeros(P.shape[1], dtype=np.int64)

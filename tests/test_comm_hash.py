@@ -9,6 +9,7 @@ from oracles import comm_encode_batch, hash_eval, hash_eval_batch, preimage_coun
 from sparse_dist_lab.comm_hash import comm_run_stack, effective_ell
 from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
 from sparse_dist_lab.projection import split_half_counts, split_half_decode, top_s_indices
+from sparse_dist_lab.rappor import rappor_run_stack
 
 
 def decode(M, N, m2, buckets, k, s):
@@ -130,10 +131,13 @@ def test_decode_full_preimage_means_one():
     assert np.allclose(on_T, 1.0, atol=1e-12)
 
 
-def test_decode_clamps_support_to_k():
+@pytest.mark.parametrize("runner, param", [(comm_run_stack, 2), (rappor_run_stack, 1.0)], ids=["comm_hash", "rappor"])
+def test_decode_clamps_support_to_k(runner, param):
+    # the split-half estimator's candidate support is min(2s, k) symbols
     k, s_sp = 3, 2  # 2s > k
-    T, _, _ = comm_run_stack(np.full((1, k), 1 / k), 200, 2, s_sp, [derive_key(3, 0)])
-    assert sorted(T[0].tolist()) == [0, 1, 2]
+    T, raw, est = runner(np.full((1, k), 1 / k), 200, param, s_sp, [derive_key(3, 0)])
+    assert T.tolist() == [[0, 1, 2]]
+    assert raw.shape == est.shape == (1, k)
 
 
 def test_decode_from_messages_roundtrip():

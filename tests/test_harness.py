@@ -86,9 +86,9 @@ def test_config_scheme_constraint_pairing():
     assert cfg.params() == (1, 2)
 
 
-def test_config_comm_needs_even_n():
-    with pytest.raises(ValueError, match="even n"):
-        tiny_config(scheme="comm_hash", epsilon_list=None, ell_list=[1], n=2001)
+def test_config_accepts_comm_with_odd_n():
+    # the split-half estimator splits n users as n // 2 and n - n // 2
+    assert tiny_config(scheme="comm_hash", epsilon_list=None, ell_list=[1], n=2001).n == 2001
 
 
 def test_config_validates_ranges():
@@ -200,16 +200,18 @@ def test_config_rejects_hr_grid_with_fewer_users_than_groups(scheme):
     assert tiny_config(scheme=scheme, n=64).n == 64
 
 
-def test_config_rejects_rappor_support_wider_than_k():
-    with pytest.raises(ValueError, match=r"s_list holds s=17.*k=32"):
-        tiny_config(scheme="rappor", s_list=[2, 17])
-    assert tiny_config(scheme="rappor", s_list=[2, 16]).s_list == (2, 16)
+def test_config_accepts_rappor_at_s_equal_k():
+    # the candidate support is min(2s, k) symbols, so every s <= k runs
+    assert tiny_config(scheme="rappor", s_list=[2, 17, 32]).s_list == (2, 17, 32)
 
 
-def test_config_rejects_rappor_with_one_user():
-    with pytest.raises(ValueError, match=r"n=1\b"):
-        tiny_config(scheme="rappor", n=1)
-    assert tiny_config(scheme="rappor", n=2).n == 2
+@pytest.mark.parametrize(
+    "scheme, params", [("rappor", {}), ("comm_hash", {"epsilon_list": None, "ell_list": [1]})], ids=["rappor", "comm_hash"]
+)
+def test_config_rejects_split_half_grid_with_one_user(scheme, params):
+    with pytest.raises(ValueError, match=rf"n=1: {scheme} splits users in half and needs n >= 2"):
+        tiny_config(scheme=scheme, n=1, **params)
+    assert tiny_config(scheme=scheme, n=2, **params).n == 2
 
 
 def test_load_configs_accepts_object_or_list(tmp_path):
@@ -369,6 +371,34 @@ def test_grid_row_count_and_resume(tmp_path):
     assert out.read_bytes() == full
 
 
+def test_split_half_grids_at_odd_n_and_s_equal_k_resume_and_summarize(tmp_path):
+    # an odd n splits as n // 2 and n - n // 2, and at s = k the candidate
+    # support is all k symbols: the reader accepts every row the writer wrote
+    out = tmp_path / "res.csv"
+    grids = [
+        tiny_config(scheme="comm_hash", k=8, s_list=[2, 8], n=301, epsilon_list=None, ell_list=[1, 3]),
+        tiny_config(scheme="rappor", k=6, s_list=[1, 4, 6], n=401, epsilon_list=[2.0]),
+    ]
+    assert [run_grid(cfg, str(out)) for cfg in grids] == [12, 9]
+    full = out.read_bytes()
+    assert [run_grid(cfg, str(out), threads=2) for cfg in grids] == [0, 0]
+    assert out.read_bytes() == full
+    cells = summarize(read_results(str(out)))
+    assert len(cells) == 7
+    at_k = [(c["scheme"], c["eps_or_ell"], c["trials"]) for c in cells if c["s"] == c["k"]]
+    assert at_k == [("comm_hash", "1", 3), ("comm_hash", "3", 3), ("rappor", "2.0", 3)]
+
+
+@pytest.mark.parametrize("runner", [hr_run_stack, rappor_run_stack, comm_run_stack], ids=["hr", "rappor", "comm_hash"])
+@pytest.mark.parametrize("n_keys", [1, 4])
+def test_stack_runner_needs_one_key_per_target(runner, n_keys):
+    # 3 targets with 1 key or with 4: a key count other than the row count
+    # is refused, not zipped short or left unfilled
+    P = uniform_sparse_stack(8, 2, derive_keys(3, range(3)))
+    with pytest.raises(ValueError, match=rf"got {n_keys} keys for 3 targets"):
+        runner(P, 400, 2, 2, derive_keys(4, range(n_keys)))  # epsilon 2 or ell 2
+
+
 def test_resume_rejects_other_master_seed(tmp_path):
     # Row keys leave the seed out, so without a seed check a resume under a
     # different master seed would treat every row as done and write nothing.
@@ -509,7 +539,7 @@ def test_every_stack_runner_returns_its_support_raw_estimate_and_projection(sche
         "comm_hash": (comm_run_stack, s),
     }[scheme]
     T, raw, est = run(targets, cell.n, cell.param, runs_at, keys)
-    width = {"hr_dense": k, "hr_sparse": s, "rappor": 2 * s, "comm_hash": min(2 * s, k)}[scheme]
+    width = {"hr_dense": k, "hr_sparse": s, "rappor": min(2 * s, k), "comm_hash": min(2 * s, k)}[scheme]
     assert T.shape == raw.shape == est.shape == (B, width)
     assert np.array_equal(est, project_simplex_vec(raw))
     got_T, got_est = harness._run_stack(cell, targets, keys)

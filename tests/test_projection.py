@@ -213,19 +213,19 @@ def test_split_half_counts_draw_order(drop):
 def test_split_half_estimate_draws_sampler_3(drop, noise):
     # c1 and c2 from children 0 and 1 (a multinomial over all k symbols
     # draws the same counts as one over the support), M over all k symbols
-    # from child 2, T its top t, and N on T only, from child 3.
-    k, n, t, B = 40, 3001, 6, 5
+    # from child 2, T its top t = 2s, and N on T only, from child 3.
+    k, n, s, B = 40, 3001, 3, 5
     P = np.zeros((B, k))
     P[:, [3, 17, 18]] = [0.5, 0.3, 0.2]
     P[1] = np.roll(P[1], 11)
     keys = derive_keys(21, range(B))
-    T, raw, _ = split_half_estimate(P, n, drop, noise, t, keys)
+    T, raw, _ = split_half_estimate(P, n, drop, noise, s, keys)
     m1, m2 = n // 2, n - n // 2
     for i, key in enumerate(keys):
         gen1, gen2, gen_m, gen_n = (np.random.Generator(np.random.Philox(key=derive_key(key, j))) for j in range(4))
         c1, c2 = gen1.multinomial(m1, P[i]), gen2.multinomial(m2, P[i])
         M = (c1 - gen_m.binomial(c1, drop) if drop else c1) + gen_m.binomial(m1 - c1, noise)
-        want_T = np.sort(np.argsort(-M, kind="stable")[:t])
+        want_T = np.sort(np.argsort(-M, kind="stable")[: 2 * s])
         c2 = c2[want_T]
         N = (c2 - gen_n.binomial(c2, drop) if drop else c2) + gen_n.binomial(m2 - c2, noise)
         assert T[i].tolist() == want_T.tolist()
@@ -240,7 +240,7 @@ def test_split_half_raw_estimate_is_unbiased_on_T(drop, noise):
     # standard errors of p, off the support (p = 0) too.
     p = np.array([0.4, 0.3, 0.2, 0.1] + [0.0] * 12)
     trials = 2000
-    T, raw, _ = split_half_estimate(np.tile(p, (trials, 1)), 400, drop, noise, 8, derive_keys(11, range(trials)))
+    T, raw, _ = split_half_estimate(np.tile(p, (trials, 1)), 400, drop, noise, 4, derive_keys(11, range(trials)))
     checked = 0
     for x in range(p.size):
         values = raw[T == x]
@@ -261,7 +261,7 @@ def test_split_half_estimate_holds_one_count_stack(drop, noise):
     keys = derive_keys(5, range(B))
     tracemalloc.start()
     try:
-        split_half_estimate(P, 10**5, drop, noise, 8, keys)
+        split_half_estimate(P, 10**5, drop, noise, 4, keys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

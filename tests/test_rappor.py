@@ -100,11 +100,6 @@ def test_user_permutation_within_half_is_irrelevant():
     assert np.array_equal(base, shuffled)
 
 
-def test_estimate_rejects_oversized_support():
-    with pytest.raises(ValueError, match="2s=6 would exceed k=5"):
-        run(np.full((1, 5), 0.2), 10, 1.0, 3, [derive_key(0, 0)])
-
-
 def test_estimate_rejects_empty_half():
     # one user leaves the first half empty
     with pytest.raises(ValueError, match="at least two users"):

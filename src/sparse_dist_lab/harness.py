@@ -21,7 +21,9 @@ a row of the wrong width, a row naming no cell a grid can hold or disagreeing
 with its cell, a repeated (cell, trial) row or a row written under another
 master seed is an error) and byte-identical across repetitions and worker
 counts. One reader, _read_rows, parses the file for both resuming and
-summarizing, and checks each row's cell with ExperimentConfig's rules.
+summarizing. Cell is the one home of a grid point's rules: a config's cells,
+each row's cell and each summarized cell are built as Cells, which check
+themselves.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -50,6 +52,7 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -83,7 +86,12 @@ SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One grid: a scheme, its domain, and the lists swept over."""
+    """One grid: a scheme, its domain, and the lists swept over.
+
+    Checks its own fields (their types, the sweep list its scheme takes, no
+    empty or repeated list, trials, master_seed, out), then builds its
+    cells, each of which checks the rules of a grid point (see Cell).
+    """
 
     scheme: str
     k: int
@@ -96,42 +104,21 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         for name in ("k", "n", "trials", "master_seed"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
-        if self.k < 1 or self.n < 1 or self.trials < 1:
+        if self.trials < 1:
             raise ValueError("k, n, trials must be positive")
-        if self.n >= 2**63:  # NumPy's binomial and multinomial take n as an int64
-            raise ValueError(f"n={self.n} is too large: n must be below 2^63")
         check_master_seed(self.master_seed)
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, not {self.out!r}")
         object.__setattr__(self, "s_list", _numbers("s_list", self.s_list))
-        if any(not 1 <= s <= self.k for s in self.s_list):
-            raise ValueError("every s must satisfy 1 <= s <= k")
-        wants_ell = self.scheme == "comm_hash"
-        if wants_ell:
-            if self.ell_list is None or self.epsilon_list is not None:
-                raise ValueError("comm_hash takes ell_list (and no epsilon_list)")
-            object.__setattr__(self, "ell_list", _numbers("ell_list", self.ell_list))
-            if any(v < 1 for v in self.ell_list):
-                raise ValueError("ell values must be >= 1")
-        else:
-            if self.epsilon_list is None or self.ell_list is not None:
-                raise ValueError(f"{self.scheme} takes epsilon_list (and no ell_list)")
-            object.__setattr__(self, "epsilon_list", _numbers("epsilon_list", self.epsilon_list, integral=False))
-            # reject an epsilon that is not positive or whose exponential (e^eps
-            # for HR's decoder, e^(eps/2) for rappor's flip probability)
-            # overflows or rounds to 1, where the decoder would divide by 0
-            check = flip_probability if self.scheme == "rappor" else invertible_exp_epsilon
-            for v in self.epsilon_list:
-                check(v)
-        # grids that no trial could run fail here, not at their first trial
-        if self.scheme in ("hr_dense", "hr_sparse") and self.n < hadamard_dim(self.k):
-            raise ValueError(f"n={self.n} is below the block size K={hadamard_dim(self.k)} of k={self.k}: HR needs n >= K")
-        if self.scheme in ("rappor", "comm_hash") and self.n < 2:
-            raise ValueError(f"n={self.n}: {self.scheme} splits users in half and needs n >= 2")
+        sweep, other = ("ell_list", "epsilon_list") if self.scheme == "comm_hash" else ("epsilon_list", "ell_list")
+        if getattr(self, sweep) is None or getattr(self, other) is not None:
+            raise ValueError(f"{self.scheme} takes {sweep} (and no {other})")
+        object.__setattr__(self, sweep, _numbers(sweep, getattr(self, sweep), integral=sweep == "ell_list"))
+        # each cell checks the rules of a grid point, so a grid no trial
+        # could run fails here, not at its first trial
+        config_cells(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -196,7 +183,18 @@ def _param_text(param: float | int) -> str:
 
 @dataclass(frozen=True)
 class Cell:
-    """One grid point; ``param`` is epsilon or ell depending on the scheme."""
+    """One grid point; ``param`` is epsilon or ell depending on the scheme.
+
+    The one home of a grid point's rules: construction raises ValueError
+    saying which one fails unless the scheme is known, 1 <= k, 1 <= n < 2^63
+    (NumPy's binomial and multinomial take n as an int64), 1 <= s <= k, and
+    param is an epsilon whose exponential (e^eps for HR's decoder, e^(eps/2)
+    for rappor's flip probability) is finite and not 1, where the decoder
+    would divide by 0, or an integral ell >= 1. HR needs n >= K, its block
+    size, and the split-half schemes n >= 2. param is made canonical, an int
+    ell or a float epsilon, so that equal cells (1 == 1.0) share one
+    canonical string, row text and cached cell_hash.
+    """
 
     scheme: str
     k: int
@@ -205,10 +203,32 @@ class Cell:
     param: float | int
 
     def __post_init__(self):
-        # ell is an int and epsilon a float, so that equal cells (1 == 1.0)
-        # share one canonical string, row text and cached cell_hash
-        param = int(self.param) if self.scheme == "comm_hash" else float(self.param)
-        object.__setattr__(self, "param", param)
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        if self.k < 1 or self.n < 1:
+            raise ValueError("k, n, trials must be positive")
+        if self.n >= 2**63:
+            raise ValueError(f"n={self.n} is too large: n must be below 2^63")
+        if not 1 <= self.s <= self.k:
+            raise ValueError("every s must satisfy 1 <= s <= k")
+        if self.scheme == "comm_hash":
+            if self.param % 1:  # NaN and inf too
+                raise ValueError(f"ell_list entry must be an integer, not {self.param!r}")
+            object.__setattr__(self, "param", int(self.param))
+            if self.param < 1:
+                raise ValueError("ell values must be >= 1")
+        else:
+            object.__setattr__(self, "param", float(self.param))
+            (flip_probability if self.scheme == "rappor" else invertible_exp_epsilon)(self.param)
+        if scheme_family(self.scheme) == "hr" and self.n < hadamard_dim(self.k):
+            raise ValueError(f"n={self.n} is below the block size K={hadamard_dim(self.k)} of k={self.k}: HR needs n >= K")
+        if self.scheme in ("rappor", "comm_hash") and self.n < 2:
+            raise ValueError(f"n={self.n}: {self.scheme} splits users in half and needs n >= 2")
+
+    @property
+    def bits(self) -> int:
+        """The bits a user sends: 1 for HR, k for rappor, ell for comm_hash."""
+        return {"rappor": self.k, "comm_hash": self.param}.get(self.scheme, 1)
 
 
 def scheme_family(scheme: str) -> str:
@@ -225,7 +245,7 @@ def cell_hash(cell: Cell) -> int:
     """
     family = scheme_family(cell.scheme)
     if cell.scheme == "comm_hash":
-        tag = f"ell={effective_ell(int(cell.param), cell.s)}"
+        tag = f"ell={effective_ell(cell.param, cell.s)}"
     else:
         tag = f"eps={cell.param!r}"
     return fold_string(f"{family}|k={cell.k}|s={cell.s}|n={cell.n}|{tag}")
@@ -237,14 +257,6 @@ def trial_seeds(master_seed: int, cell: Cell, trials) -> list[int]:
     Trial t's seed is derive_key(mix64(master_seed) ^ cell_hash(cell), t).
     """
     return derive_keys(mix64(master_seed) ^ cell_hash(cell), trials)
-
-
-def bits_per_user(scheme: str, k: int, param) -> int:
-    if scheme in ("hr_dense", "hr_sparse"):
-        return 1
-    if scheme == "rappor":
-        return k
-    return int(param)
 
 
 def run_cell(cell: Cell, trials: list[int], master_seed: int) -> np.ndarray:
@@ -311,7 +323,7 @@ def _field(kind: type, low: float, high: float, what: str):
 
 _INTEGER = _field(int, -math.inf, math.inf, "an integer")
 _FINITE = _field(float, -sys.float_info.max, sys.float_info.max, "a finite number")
-# how _parse_row reads the fields after a row's cell; its bits_per_user is the cell's (see _row_cell)
+# how _parse_row reads the fields after a row's Cell; its bits_per_user is Cell.bits (see _row_cell)
 _TRIAL_FIELDS = {
     "trial": _field(int, 0, math.inf, "an integer >= 0"),
     "tv_error": _field(float, 0, 1, "a number in [0, 1]"),
@@ -322,50 +334,44 @@ _COLUMNS = CSV_HEADER.split(",")
 
 
 @functools.lru_cache(maxsize=4096)
-def _row_cell(scheme: str, k: str, s: str, n: str, param: str, bits: str) -> tuple:
-    """A row's (scheme, k, s, n, eps_or_ell, bits_per_user), parsed from the text of those fields.
+def _row_cell(scheme: str, k: str, s: str, n: str, param: str, bits: str) -> MappingProxyType:
+    """A row's scheme, k, s, n, eps_or_ell and bits_per_user parsed from their text, and its Cell under "cell", read-only.
 
     k, s and n must be integers and param a finite number (see _field). The
-    cell must be one a grid can hold: a one-cell ExperimentConfig checks it,
-    a comm_hash ell passed as an int when it is integral, and its message is
-    wrapped. bits must be the cell's bits_per_user. Raises ValueError saying
-    what fails. Memoised, as a file repeats each cell's text once per trial.
+    Cell checks that they name a grid point, and its message is wrapped;
+    bits must be the Cell's bits. Raises ValueError saying what fails.
+    Memoised, as a file repeats each cell's text once per trial.
     """
-    k, s, n = _INTEGER("k", k), _INTEGER("s", s), _INTEGER("n", n)
-    value = _FINITE("eps_or_ell", param)
-    if scheme == "comm_hash" and value.is_integer():
-        value = int(value)  # 2.5 stays a float, which the config refuses as an ell
-    sweep = "ell_list" if scheme == "comm_hash" else "epsilon_list"
+    values = _INTEGER("k", k), _INTEGER("s", s), _INTEGER("n", n), _FINITE("eps_or_ell", param)
     try:
-        (param,) = ExperimentConfig(scheme, k, [s], n, trials=1, master_seed=0, **{sweep: [value]}).params()
+        cell = Cell(scheme, *values)
     except ValueError as err:
         raise ValueError(f"names no cell a grid can hold: {err}") from None
-    expected = bits_per_user(scheme, k, param)
-    if bits != str(expected):
-        raise ValueError(f"field bits_per_user is {bits!r}, not {expected}, the bits a user sends in this cell")
-    return scheme, k, s, n, param, expected
+    if bits != str(cell.bits):
+        raise ValueError(f"field bits_per_user is {bits!r}, not {cell.bits}, the bits a user sends in this cell")
+    return MappingProxyType(dict(scheme=scheme, k=cell.k, s=cell.s, n=cell.n, eps_or_ell=cell.param, bits_per_user=cell.bits, cell=cell))
 
 
 def _parse_row(path: str, line_no: int, line: str) -> dict:
-    """A results row as a dict of its parsed fields, in header order.
+    """A results row as a dict of its parsed fields, in header order, then its Cell under "cell".
 
     Raises ValueError naming path and line unless the row has the header's
-    field count, names a cell a grid can hold with that cell's
-    bits_per_user (see _row_cell), and holds a trial >= 0, a tv_error in
-    [0, 1], a seed in [0, 2^64) and SAMPLER_VERSION; the message gives the
-    field that fails or the config's reason.
+    field count, names a Cell with that Cell's bits (see _row_cell), and
+    holds a trial >= 0, a tv_error in [0, 1], a seed in [0, 2^64) and
+    SAMPLER_VERSION; the message gives the field that fails or the Cell's
+    reason.
     """
     parts = line.split(",")
     if len(parts) != len(_COLUMNS):
         raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, not the header's {len(_COLUMNS)}")
     row = dict(zip(_COLUMNS, parts))
     try:
-        cell = _row_cell(*parts[:5], row["bits_per_user"])
+        fields = _row_cell(*parts[:5], row["bits_per_user"])
         for name, parse in _TRIAL_FIELDS.items():
             row[name] = parse(name, row[name])
     except ValueError as err:
         raise ValueError(f"{path}: line {line_no} {err}") from None
-    row.update(zip(("scheme", "k", "s", "n", "eps_or_ell", "bits_per_user"), cell))
+    row.update(fields)
     return row
 
 
@@ -375,11 +381,11 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     Reads path once. Raises ValueError naming path unless the first line is
     CSV_HEADER (naming both sampler versions and asking for a new file when
     it is sampler 2's header) and every row parses (see _parse_row: a row
-    must name a cell some ExperimentConfig could hold, write its integers as
-    the harness does and carry its cell's bits_per_user, and a row of
+    must name a Cell, which checks the rules of a grid point, write its
+    integers as the harness does and carry its Cell's bits, and a row of
     another sampler than SAMPLER_VERSION does not parse), and naming a row's
-    line and the earlier line it repeats if two rows record one (cell,
-    trial), their params compared as numbers (0.50 is 0.5): a repeat would
+    line and the earlier line it repeats if two rows record one (Cell,
+    trial), their Cells compared by value (0.50 is 0.5): a repeat would
     count as another trial and mark its cell done.
     Rows are written whole, each ending in a newline, so a last line with no
     newline is a write cut short by a crash, not a row: it is left out and
@@ -387,7 +393,7 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     first line must be a prefix of the header. Blank lines are skipped.
     """
     rows = []
-    first_line = {}  # (scheme, k, s, n, eps_or_ell, trial) -> the line that holds it
+    first_line = {}  # (cell, trial) -> the line that holds it
     torn = 0
     with open(path, encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -402,16 +408,11 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
                 torn = len(line.encode())
             elif line_no > 1 and line != "\n":
                 row = _parse_row(path, line_no, line[:-1])
-                earlier = first_line.setdefault(_row_key(row), line_no)
+                earlier = first_line.setdefault((row["cell"], row["trial"]), line_no)
                 if earlier != line_no:
                     raise ValueError(f"{path}: line {line_no} repeats the (cell, trial) of line {earlier}")
                 rows.append(row)
     return rows, torn
-
-
-def _row_key(row: dict) -> tuple:
-    """A parsed row's (scheme, k, s, n, eps_or_ell, trial), the trial it records."""
-    return row["scheme"], row["k"], row["s"], row["n"], row["eps_or_ell"], row["trial"]
 
 
 def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: list[int]) -> str:
@@ -429,8 +430,7 @@ def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds:
     out = []
     for cell, pending in members:
         head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{_param_text(cell.param)}"
-        bits = bits_per_user(cell.scheme, cell.k, cell.param)
-        out.extend(f"{head},{t},{tv_of[t]!r},{bits},{seed_of[t]},{SAMPLER_VERSION}\n" for t in pending)
+        out.extend(f"{head},{t},{tv_of[t]!r},{cell.bits},{seed_of[t]},{SAMPLER_VERSION}\n" for t in pending)
     return "".join(out)
 
 
@@ -578,7 +578,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
         rows, torn = _read_rows(out_path)
     except FileNotFoundError:
         rows, torn = [], 0
-    done = {_row_key(r): r["seed"] for r in rows}
+    done = {(r["cell"], r["trial"]): r["seed"] for r in rows}
     # each run's members and the seeds of trials 0 .. config.trials - 1, then
     # the (members, trials, seeds) that _group_rows takes
     runs = []
@@ -589,7 +589,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
             members, seeds = [], trial_seeds(seed, cell, range(config.trials))
         pending = []
         for t in range(config.trials):
-            found = done.get((cell.scheme, cell.k, cell.s, cell.n, cell.param, t))
+            found = done.get((cell, t))
             if found is None:
                 pending.append(t)
             elif found != seeds[t]:
@@ -637,28 +637,28 @@ def read_results(path: str) -> list[dict]:
 def summarize(rows: list[dict]) -> list[dict]:
     """Per-cell mean TV error, standard error, and trial count.
 
-    A row's param is grouped by its value (0.50 is 0.5) and written as the
-    harness writes it (an int for comm_hash). A single-trial cell has stderr
-    0 and is flagged degenerate. Cells are ordered by (scheme, k, n,
-    constraint value, s), one series per constraint value with s as the x
-    axis.
+    Rows are grouped by the Cell their scheme, k, s, n and eps_or_ell name,
+    so a param is grouped by its value (0.50 is 0.5) and written as the
+    harness writes it, and a row naming no grid point is refused as Cell
+    refuses it. A single-trial cell has stderr 0 and is flagged degenerate.
+    Cells are ordered by (scheme, k, n, constraint value, s), one series per
+    constraint value with s as the x axis.
     """
-    groups: dict[tuple, list[float]] = {}
+    groups: dict[Cell, list[float]] = {}
     for row in rows:
-        key = (row["scheme"], row["k"], row["n"], float(row["eps_or_ell"]), row["s"])
-        groups.setdefault(key, []).append(row["tv_error"])
+        cell = Cell(row["scheme"], row["k"], row["s"], row["n"], float(row["eps_or_ell"]))
+        groups.setdefault(cell, []).append(row["tv_error"])
     out = []
-    for key in sorted(groups):
-        errs = np.asarray(groups[key])
-        scheme, k, n, param, s = key
+    for cell in sorted(groups, key=lambda c: (c.scheme, c.k, c.n, c.param, c.s)):
+        errs = np.asarray(groups[cell])
         stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
         out.append(
             {
-                "scheme": scheme,
-                "k": k,
-                "n": n,
-                "eps_or_ell": _param_text(int(param) if scheme == "comm_hash" and param.is_integer() else param),
-                "s": s,
+                "scheme": cell.scheme,
+                "k": cell.k,
+                "n": cell.n,
+                "eps_or_ell": _param_text(cell.param),
+                "s": cell.s,
                 "mean_tv_error": float(errs.mean()),
                 "stderr": stderr,
                 "trials": int(errs.size),

@@ -19,6 +19,11 @@ one (enumerate_packing_indices), pushed through the channel
 (induced_output_dist) and compared with the pushforward of the family's mean
 (packing_reference_dist) by chi_square.
 
+exact_mean_tv is the exact mean TV error of a Hadamard-response cell: it
+lists every outcome of the per-group counts, weighs it by math.comb pmfs
+rather than draws, and scores it with the package's decoder and projection,
+so a harness mean over many trials can be checked against it.
+
 The samplers and encoders draw from the generator they are given, going on
 from its last draw. A test that calls one repeatedly on one stream owns its
 generator, np.random.Generator(np.random.Philox(key=key)); a test that draws
@@ -29,14 +34,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 import numpy as np
 
 from sparse_dist_lab.bounds import indicator_response_probs
-from sparse_dist_lab.core import _MIX_M1, _MIX_M2, GOLDEN64, MASK64, check_probs, mix64
-from sparse_dist_lab.hadamard import membership_parity
+from sparse_dist_lab.core import _MIX_M1, _MIX_M2, GOLDEN64, MASK64, check_probs, mix64, tv_distance
+from sparse_dist_lab.hadamard import hadamard_dim, membership_parity
+from sparse_dist_lab.hadamard_response import hr_decode_raw
+from sparse_dist_lab.projection import project_simplex_vec, top_s_indices
 from sparse_dist_lab.rappor import flip_probability
 
 # a second odd multiplier, so the user index and the symbol enter a hash
@@ -119,6 +126,40 @@ def hr_aggregate(bits: np.ndarray, n: int, K: int) -> tuple[np.ndarray, np.ndarr
     sizes = np.bincount(groups, minlength=K)
     ones = np.bincount(groups, weights=bits.astype(np.float64), minlength=K)
     return ones / sizes, sizes
+
+
+def exact_mean_tv(scheme: str, k: int, s: int, n: int, epsilon: float) -> float:
+    """The exact mean TV error of an hr_sparse or hr_dense cell, averaged over its C(k, s) uniform targets.
+
+    Group j of the K groups holds n_j round-robin users, and its count of
+    ones is Binomial(n_j, t_j), where t_j is q_in when a user's symbol lies
+    in column set B_j and q_out when not, averaged over the target. Every
+    joint outcome of the K counts is listed, with its probability from
+    math.comb pmfs, and decoded (hr_decode_raw), cut to its top t entries,
+    projected onto the simplex over them and scored (tv_distance) by the
+    package's own functions; t = s for hr_sparse and t = k for hr_dense.
+    """
+    t = {"hr_sparse": s, "hr_dense": k}[scheme]
+    K = hadamard_dim(k)
+    sizes = [n // K + (j < n % K) for j in range(K)]
+    ones = np.array(list(product(*(range(m + 1) for m in sizes))))  # (outcomes, K)
+    raw = hr_decode_raw(ones / sizes, epsilon, k)
+    T = top_s_indices(raw, t)
+    est = project_simplex_vec(np.take_along_axis(raw, T, axis=1))
+    q_in, q_out = indicator_response_probs(epsilon)
+    targets = list(combinations(range(k), s))
+    total = 0.0
+    for support in targets:
+        p = np.zeros(k)
+        p[list(support)] = 1 / s
+        prob = np.ones(len(ones))
+        for j, m in enumerate(sizes):
+            member = sum(in_column_set(K, j, x) for x in support) / s
+            tj = q_out + (q_in - q_out) * member
+            pmf = np.array([math.comb(m, c) * tj**c * (1 - tj) ** (m - c) for c in range(m + 1)])
+            prob *= pmf[ones[:, j]]
+        total += float(prob @ tv_distance(np.broadcast_to(p, raw.shape), T, est))
+    return total / len(targets)
 
 
 # ---------------------------------------------------------------------- RAPPOR

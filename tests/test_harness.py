@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import scatter
+from oracles import exact_mean_tv, scatter
 from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main
 from sparse_dist_lab.comm_hash import comm_run_stack
@@ -22,7 +22,6 @@ from sparse_dist_lab.harness import (
     CSV_HEADER,
     Cell,
     ExperimentConfig,
-    bits_per_user,
     cell_hash,
     config_cells,
     load_configs,
@@ -214,6 +213,49 @@ def test_config_rejects_split_half_grid_with_one_user(scheme, params):
     assert tiny_config(scheme=scheme, n=2, **params).n == 2
 
 
+_SPLIT = "splits users in half and needs n >= 2"
+
+
+@pytest.mark.parametrize(
+    "cell, reason",
+    [
+        pytest.param(("hr_sparse", 32, 0, 2000, 1.0), "every s must satisfy 1 <= s <= k", id="s=0"),
+        pytest.param(("hr_sparse", 32, 40, 2000, 1.0), "every s must satisfy 1 <= s <= k", id="s>k"),
+        pytest.param(("rappor", 0, 1, 400, 1.0), "k, n, trials must be positive", id="k=0"),
+        pytest.param(("comm_hash", 16, 2, 0, 1), "k, n, trials must be positive", id="n=0"),
+        pytest.param(("comm_hash", 16, 2, 2**63, 1), f"n={2**63} is too large: n must be below 2^63", id="n=2^63"),
+        pytest.param(("hr_dense", 32, 2, 50, 1.0), "n=50 is below the block size K=64 of k=32: HR needs n >= K", id="hr-n<K"),
+        pytest.param(("rappor", 16, 2, 1, 1.0), f"n=1: rappor {_SPLIT}", id="rappor-n=1"),
+        pytest.param(("comm_hash", 16, 2, 1, 1), f"n=1: comm_hash {_SPLIT}", id="comm_hash-n=1"),
+        pytest.param(("hr_sparse", 32, 2, 2000, 0.0), "epsilon must be positive, got 0.0", id="eps=0"),
+        pytest.param(("rappor", 16, 2, 400, -1.0), "epsilon must be positive, got -1.0", id="eps<0"),
+        pytest.param(("hr_sparse", 32, 2, 2000, 800.0), "epsilon=800.0 is too large", id="hr-eps-overflows"),
+        pytest.param(("rappor", 16, 2, 400, 1600.0), "epsilon=1600.0 is too large", id="rappor-eps-overflows"),
+        pytest.param(("hr_dense", 32, 2, 2000, 1e-17), "epsilon=1e-17 is too small: e^epsilon rounds to 1", id="hr-eps-rounds-to-1"),
+        pytest.param(("rappor", 16, 2, 400, 2e-16), "epsilon=2e-16 is too small: e^(epsilon/2) rounds to 1", id="rappor-eps-rounds-to-1"),
+        pytest.param(("comm_hash", 16, 2, 1000, 0), "ell values must be >= 1", id="ell=0"),
+        pytest.param(("comm_hash", 16, 2, 1000, 2.5), "ell_list entry must be an integer, not 2.5", id="ell=2.5"),
+        pytest.param(("hr", 16, 2, 1000, 1.0), "unknown scheme 'hr'; expected one of", id="unknown-scheme"),
+    ],
+)
+def test_cell_config_and_row_refuse_an_impossible_grid_point(tmp_path, cell, reason):
+    # one rule set: Cell holds it, and a one-cell grid, a results row naming
+    # the cell and a summary of such a row each refuse the cell for the reason
+    # Cell gives
+    scheme, k, s, n, param = cell
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        Cell(*cell)
+    sweep = "ell_list" if scheme == "comm_hash" else "epsilon_list"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        ExperimentConfig(scheme, k, [s], n, trials=1, master_seed=0, **{sweep: [param]})
+    out = tmp_path / "res.csv"
+    out.write_text(f"{CSV_HEADER}\n{scheme},{k},{s},{n},{param!r},0,0.5,1,0,{harness.SAMPLER_VERSION}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{out}: line 2 names no cell a grid can hold: {reason}")):
+        read_results(str(out))
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        summarize([dict(scheme=scheme, k=k, s=s, n=n, eps_or_ell=param, tv_error=0.5)])
+
+
 def test_load_configs_accepts_object_or_list(tmp_path):
     raw = dict(
         scheme="rappor", k=8, s_list=[1], n=100, trials=1, master_seed=0, epsilon_list=[1.0]
@@ -284,10 +326,10 @@ def test_comm_cells_share_seed_at_capped_ell():
 
 
 def test_bits_per_user_mapping():
-    assert bits_per_user("hr_dense", 100, 1.0) == 1
-    assert bits_per_user("hr_sparse", 100, 0.5) == 1
-    assert bits_per_user("rappor", 100, 1.0) == 100
-    assert bits_per_user("comm_hash", 100, 3) == 3
+    assert Cell("hr_dense", 100, 2, 1000, 1.0).bits == 1
+    assert Cell("hr_sparse", 100, 2, 1000, 0.5).bits == 1
+    assert Cell("rappor", 100, 2, 1000, 1.0).bits == 100
+    assert Cell("comm_hash", 100, 2, 1000, 3).bits == 3
 
 
 # --------------------------------------------------------------------- trials
@@ -310,20 +352,22 @@ def test_run_trial_csv_row_shape():
 
 
 def test_run_trial_errors_carry_cell_identity():
-    # k=32 needs K=64 groups; n=50 cannot fill them.
-    cell = Cell("hr_sparse", 32, 2, 50, 1.0)
-    with pytest.raises(ValueError, match="cell Cell"):
-        run_cell(cell, [0], 0)
+    # k=32 needs K=64 groups; n=50 cannot fill them, so no such cell is
+    # built and no trial runs (a trial's own errors name its cell: see
+    # test_worker_error_names_cell)
+    with pytest.raises(ValueError, match=re.escape("n=50 is below the block size K=64 of k=32: HR needs n >= K")):
+        Cell("hr_sparse", 32, 2, 50, 1.0)
 
 
 @pytest.mark.parametrize(
     "cell",
-    [Cell("hr_sparse", 32, 2, 2000, 800.0), Cell("hr_dense", 32, 2, 2000, 800.0), Cell("rappor", 32, 2, 2000, 1600.0)],
+    [("hr_sparse", 32, 2, 2000, 800.0), ("hr_dense", 32, 2, 2000, 800.0), ("rappor", 32, 2, 2000, 1600.0)],
 )
 def test_run_trial_reports_epsilon_too_large(cell):
-    # e^eps (HR) or e^(eps/2) (rappor) overflows a float here.
-    with pytest.raises(ValueError, match=r"cell Cell.*epsilon=.*too large"):
-        run_cell(cell, [0], 1)
+    # e^eps (HR) or e^(eps/2) (rappor) overflows a float here, so no such
+    # cell is built and no trial runs
+    with pytest.raises(ValueError, match=r"epsilon=.*too large"):
+        Cell(*cell)
 
 
 def test_cell_param_is_canonical():
@@ -332,6 +376,18 @@ def test_cell_param_is_canonical():
     assert harness._param_text(Cell("rappor", 16, 2, 1000, 1).param) == "1.0"
     assert harness._param_text(Cell("comm_hash", 16, 2, 1000, 3.0).param) == "3"
     assert trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1), 0) == trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1.0), 0)
+
+
+@pytest.mark.parametrize("scheme, exact", [("hr_sparse", 0.23992), ("hr_dense", 0.27483)])
+def test_hr_mean_tv_matches_its_exact_value(scheme, exact):
+    # the number the lab reports, a cell's mean TV, against its exact value
+    # from every outcome of the per-group binomials; 4 is a normal quantile
+    # and the seed is fixed, so the test is deterministic
+    value = exact_mean_tv(scheme, 3, 1, 12, 0.9)
+    assert value == pytest.approx(exact, abs=5e-6)
+    errs = run_cell(Cell(scheme, 3, 1, 12, 0.9), range(20_000), 20240801)
+    z = (errs.mean() - value) / (errs.std(ddof=1) / np.sqrt(errs.size))
+    assert abs(z) < 4, z
 
 
 def test_all_schemes_consistent_at_large_n():

@@ -88,9 +88,11 @@ SCHEMES = ("hr_dense", "hr_sparse", "rappor", "comm_hash")
 class ExperimentConfig:
     """One grid: a scheme, its domain, and the lists swept over.
 
-    Checks its own fields (their types, the sweep list its scheme takes, no
-    empty or repeated list, trials, master_seed, out), then builds its
-    cells, each of which checks the rules of a grid point (see Cell).
+    Checks its own fields (their types, a known scheme, then the one sweep
+    list that scheme takes, ell_list for comm_hash and epsilon_list for the
+    rest, no empty or repeated list, trials, master_seed, out), then builds
+    its cells, each of which checks the rules of a grid point (see Cell).
+    A validated config holds exactly one of ell_list and epsilon_list.
     """
 
     scheme: str
@@ -112,6 +114,7 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, not {self.out!r}")
         object.__setattr__(self, "s_list", _numbers("s_list", self.s_list))
+        _check_scheme(self.scheme)  # before the scheme picks its sweep list
         sweep, other = ("ell_list", "epsilon_list") if self.scheme == "comm_hash" else ("epsilon_list", "ell_list")
         if getattr(self, sweep) is None or getattr(self, other) is not None:
             raise ValueError(f"{self.scheme} takes {sweep} (and no {other})")
@@ -132,9 +135,6 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         return cls(**raw)
-
-    def params(self) -> tuple:
-        return self.ell_list if self.scheme == "comm_hash" else self.epsilon_list
 
 
 def _number(name: str, value, integral: bool = True):
@@ -176,6 +176,12 @@ def load_configs(path: str) -> list[ExperimentConfig]:
     return [ExperimentConfig.from_dict(item) for item in raw]
 
 
+def _check_scheme(scheme: str) -> None:
+    """Raise ValueError unless scheme is one of SCHEMES; the one home of that rule's message."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
 def _param_text(param: float | int) -> str:
     """A cell's epsilon or ell as the results CSV writes it: repr for floats."""
     return repr(param) if isinstance(param, float) else str(param)
@@ -203,8 +209,7 @@ class Cell:
     param: float | int
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        _check_scheme(self.scheme)
         if self.k < 1 or self.n < 1:
             raise ValueError("k, n, trials must be positive")
         if self.n >= 2**63:
@@ -299,7 +304,7 @@ def _run_stack(cell: Cell, targets: np.ndarray, keys: list[int]) -> tuple[np.nda
 
 def config_cells(config: ExperimentConfig) -> list[Cell]:
     """Grid cells in canonical order: s outer, constraint value inner."""
-    return [Cell(config.scheme, config.k, s, config.n, param) for s in config.s_list for param in config.params()]
+    return [Cell(config.scheme, config.k, s, config.n, param) for s in config.s_list for param in config.ell_list or config.epsilon_list]
 
 
 def _field(kind: type, low: float, high: float, what: str):
@@ -337,12 +342,14 @@ _COLUMNS = CSV_HEADER.split(",")
 def _row_cell(scheme: str, k: str, s: str, n: str, param: str, bits: str) -> MappingProxyType:
     """A row's scheme, k, s, n, eps_or_ell and bits_per_user parsed from their text, and its Cell under "cell", read-only.
 
-    k, s and n must be integers and param a finite number (see _field). The
-    Cell checks that they name a grid point, and its message is wrapped;
-    bits must be the Cell's bits. Raises ValueError saying what fails.
-    Memoised, as a file repeats each cell's text once per trial.
+    k, s and n must be integers (see _field), and so must param for comm_hash,
+    so an ell reaches Cell as the integer it was written as; an epsilon must
+    be a finite number. The Cell checks that they name a grid point, and its
+    message is wrapped; bits must be the Cell's bits. Raises ValueError
+    saying what fails. Memoised, as a file repeats each cell's text once per
+    trial.
     """
-    values = _INTEGER("k", k), _INTEGER("s", s), _INTEGER("n", n), _FINITE("eps_or_ell", param)
+    values = _INTEGER("k", k), _INTEGER("s", s), _INTEGER("n", n), (_INTEGER if scheme == "comm_hash" else _FINITE)("eps_or_ell", param)
     try:
         cell = Cell(scheme, *values)
     except ValueError as err:
@@ -637,16 +644,18 @@ def read_results(path: str) -> list[dict]:
 def summarize(rows: list[dict]) -> list[dict]:
     """Per-cell mean TV error, standard error, and trial count.
 
-    Rows are grouped by the Cell their scheme, k, s, n and eps_or_ell name,
-    so a param is grouped by its value (0.50 is 0.5) and written as the
-    harness writes it, and a row naming no grid point is refused as Cell
-    refuses it. A single-trial cell has stderr 0 and is flagged degenerate.
-    Cells are ordered by (scheme, k, n, constraint value, s), one series per
-    constraint value with s as the x axis.
+    Rows are grouped by the Cell their scheme, k, s, n and eps_or_ell name.
+    eps_or_ell is a number (read_results parses it, and a hand-built row
+    holds one), which Cell alone makes canonical, so a param is grouped by
+    its value (0.50 is 0.5) and written as the harness writes it, and a row
+    naming no grid point is refused as Cell refuses it. A single-trial cell
+    has stderr 0 and is flagged degenerate. Cells are ordered by (scheme, k,
+    n, constraint value, s), one series per constraint value with s as the
+    x axis.
     """
     groups: dict[Cell, list[float]] = {}
     for row in rows:
-        cell = Cell(row["scheme"], row["k"], row["s"], row["n"], float(row["eps_or_ell"]))
+        cell = Cell(row["scheme"], row["k"], row["s"], row["n"], row["eps_or_ell"])
         groups.setdefault(cell, []).append(row["tv_error"])
     out = []
     for cell in sorted(groups, key=lambda c: (c.scheme, c.k, c.n, c.param, c.s)):

@@ -19,9 +19,11 @@ one (enumerate_packing_indices), pushed through the channel
 (induced_output_dist) and compared with the pushforward of the family's mean
 (packing_reference_dist) by chi_square.
 
-exact_mean_tv is the exact mean TV error of a Hadamard-response cell: it
-lists every outcome of the per-group counts, weighs it by math.comb pmfs
-rather than draws, and scores it with the package's decoder and projection,
+exact_mean_tv is the exact mean TV error of a cell of any scheme: it lists
+every outcome of the scheme's law (Hadamard response's per-group counts;
+the split half's first histogram, counts M, candidate support T, second
+histogram and counts N on T), weighs it by math.comb pmfs rather than
+draws, and scores it with the package's decoder, selection and projection,
 so a harness mean over many trials can be checked against it.
 
 The samplers and encoders draw from the generator they are given, going on
@@ -40,10 +42,11 @@ from typing import Iterator
 import numpy as np
 
 from sparse_dist_lab.bounds import indicator_response_probs
+from sparse_dist_lab.comm_hash import effective_ell
 from sparse_dist_lab.core import _MIX_M1, _MIX_M2, GOLDEN64, MASK64, check_probs, mix64, tv_distance
 from sparse_dist_lab.hadamard import hadamard_dim, membership_parity
 from sparse_dist_lab.hadamard_response import hr_decode_raw
-from sparse_dist_lab.projection import project_simplex_vec, top_s_indices
+from sparse_dist_lab.projection import project_simplex_vec, split_half_decode, top_s_indices
 from sparse_dist_lab.rappor import flip_probability
 
 # a second odd multiplier, so the user index and the symbol enter a hash
@@ -128,8 +131,21 @@ def hr_aggregate(bits: np.ndarray, n: int, K: int) -> tuple[np.ndarray, np.ndarr
     return ones / sizes, sizes
 
 
-def exact_mean_tv(scheme: str, k: int, s: int, n: int, epsilon: float) -> float:
-    """The exact mean TV error of an hr_sparse or hr_dense cell, averaged over its C(k, s) uniform targets.
+def exact_mean_tv(scheme: str, k: int, s: int, n: int, param: float) -> float:
+    """The exact mean TV error of a cell, averaged over its C(k, s) uniform targets.
+
+    param is the cell's epsilon, or its ell for comm_hash. Every outcome of
+    the scheme's law is listed with its probability from math.comb pmfs and
+    scored by the package's own decoder, selection, projection and
+    tv_distance: see _hr_mean_tv and _split_half_mean_tv.
+    """
+    targets = list(combinations(range(k), s))
+    mean_tv = _split_half_mean_tv if scheme in ("rappor", "comm_hash") else _hr_mean_tv
+    return sum(mean_tv(scheme, k, support, n, param) for support in targets) / len(targets)
+
+
+def _hr_mean_tv(scheme: str, k: int, support: tuple, n: int, epsilon: float) -> float:
+    """The exact mean TV error of an hr_sparse or hr_dense cell at the uniform target on support.
 
     Group j of the K groups holds n_j round-robin users, and its count of
     ones is Binomial(n_j, t_j), where t_j is q_in when a user's symbol lies
@@ -139,6 +155,7 @@ def exact_mean_tv(scheme: str, k: int, s: int, n: int, epsilon: float) -> float:
     projected onto the simplex over them and scored (tv_distance) by the
     package's own functions; t = s for hr_sparse and t = k for hr_dense.
     """
+    s = len(support)
     t = {"hr_sparse": s, "hr_dense": k}[scheme]
     K = hadamard_dim(k)
     sizes = [n // K + (j < n % K) for j in range(K)]
@@ -147,19 +164,72 @@ def exact_mean_tv(scheme: str, k: int, s: int, n: int, epsilon: float) -> float:
     T = top_s_indices(raw, t)
     est = project_simplex_vec(np.take_along_axis(raw, T, axis=1))
     q_in, q_out = indicator_response_probs(epsilon)
-    targets = list(combinations(range(k), s))
+    p = np.zeros(k)
+    p[list(support)] = 1 / s
+    prob = np.ones(len(ones))
+    for j, m in enumerate(sizes):
+        member = sum(in_column_set(K, j, x) for x in support) / s
+        prob *= _binomial_pmf(m, q_out + (q_in - q_out) * member)[ones[:, j]]
+    return float(prob @ tv_distance(np.broadcast_to(p, raw.shape), T, est))
+
+
+def _binomial_pmf(m: int, prob: float) -> np.ndarray:
+    """P(Binomial(m, prob) = c) for c = 0 .. m, from math.comb."""
+    return np.array([math.comb(m, c) * prob**c * (1 - prob) ** (m - c) for c in range(m + 1)])
+
+
+def _count_pmfs(m: int, drop: float, noise: float) -> np.ndarray:
+    """Row c is the pmf over 0 .. m of a symbol's count among m users of whom c hold it.
+
+    The count is c - Binomial(c, drop) + Binomial(m - c, noise), the two
+    binomials independent.
+    """
+    return np.array([np.convolve(_binomial_pmf(c, drop)[::-1], _binomial_pmf(m - c, noise)) for c in range(m + 1)])
+
+
+def _histograms(m: int, k: int, support: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every histogram over k symbols of m users who each hold a uniform symbol of support, (H, k), and its probability, (H,)."""
+    hists = [h for h in product(range(m + 1), repeat=len(support)) if sum(h) == m]
+    full = np.zeros((len(hists), k), dtype=np.int64)
+    full[:, support] = hists
+    probs = [math.factorial(m) / math.prod(map(math.factorial, h)) / len(support) ** m for h in hists]
+    return full, np.array(probs)
+
+
+def _split_half_mean_tv(scheme: str, k: int, support: tuple, n: int, param: float) -> float:
+    """The exact mean TV error of a rappor or comm_hash cell at the uniform target on support.
+
+    The channel pair is drop = noise = the flip probability at epsilon for
+    rappor, and drop = 0, noise = 2^-effective_ell for comm_hash. The first
+    n // 2 users' histogram is listed; given it, every joint count vector M
+    over all k symbols is listed, symbol x's count following _count_pmfs
+    independently, and its candidate support T taken with top_s_indices, so
+    P(T) sums P(M) over the M that pick T. Given T, the other n - n // 2
+    users' histogram is listed and read on T, and every count vector N on T
+    is listed the same way, decoded by split_half_decode and scored by
+    tv_distance.
+    """
+    s = len(support)
+    if scheme == "rappor":
+        drop = noise = flip_probability(param)
+    else:
+        drop, noise = 0.0, 1 / 2 ** effective_ell(param, s)
+    m1, m2 = n // 2, n - n // 2
+    first, second = _count_pmfs(m1, drop, noise), _count_pmfs(m2, drop, noise)
+    c1, prob_c1 = _histograms(m1, k, support)
+    c2, prob_c2 = _histograms(m2, k, support)
+    M = np.array(list(product(range(m1 + 1), repeat=k)))  # (outcomes, k)
+    Ts, which = np.unique(top_s_indices(M, min(2 * s, k)), axis=0, return_inverse=True)
+    prob_T = np.bincount(which.ravel(), prob_c1 @ first[c1[:, None], M].prod(axis=2), len(Ts))
+    N = np.array(list(product(range(m2 + 1), repeat=Ts.shape[1])))  # (outcomes, t)
+    est = split_half_decode(N, m2, drop, noise)[1]
+    p = np.zeros((len(N), k))
+    p[:, support] = 1 / s
     total = 0.0
-    for support in targets:
-        p = np.zeros(k)
-        p[list(support)] = 1 / s
-        prob = np.ones(len(ones))
-        for j, m in enumerate(sizes):
-            member = sum(in_column_set(K, j, x) for x in support) / s
-            tj = q_out + (q_in - q_out) * member
-            pmf = np.array([math.comb(m, c) * tj**c * (1 - tj) ** (m - c) for c in range(m + 1)])
-            prob *= pmf[ones[:, j]]
-        total += float(prob @ tv_distance(np.broadcast_to(p, raw.shape), T, est))
-    return total / len(targets)
+    for T, prob in zip(Ts, prob_T):
+        prob_N = prob_c2 @ second[c2[:, T][:, None], N].prod(axis=2)
+        total += prob * float(prob_N @ tv_distance(p, np.broadcast_to(T, N.shape), est))
+    return total
 
 
 # ---------------------------------------------------------------------- RAPPOR

@@ -11,12 +11,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import exact_mean_tv, scatter
 from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main
 from sparse_dist_lab.comm_hash import comm_run_stack
 from sparse_dist_lab.core import GOLDEN64, MASK64, derive_key, derive_keys, mix64, uniform_sparse_stack
+from sparse_dist_lab.hadamard import hadamard_dim
 from sparse_dist_lab.hadamard_response import hr_decode_raw, hr_draw_fractions, hr_run_stack
 from sparse_dist_lab.harness import (
     CSV_HEADER,
@@ -82,7 +85,15 @@ def test_config_scheme_constraint_pairing():
     with pytest.raises(ValueError):
         tiny_config(epsilon_list=None, ell_list=[1, 2])
     cfg = tiny_config(scheme="comm_hash", epsilon_list=None, ell_list=[1, 2])
-    assert cfg.params() == (1, 2)
+    assert cfg.ell_list == (1, 2)
+
+
+@pytest.mark.parametrize("sweep", [dict(ell_list=[1]), dict(epsilon_list=[1.0])], ids=["ell_list", "epsilon_list"])
+def test_config_refuses_an_unknown_scheme_as_unknown(sweep):
+    # the scheme rule runs before the scheme picks its sweep list, so the
+    # typo comm_hsh is not refused for carrying comm_hash's ell_list
+    with pytest.raises(ValueError, match=re.escape("unknown scheme 'comm_hsh'; expected one of (")):
+        ExperimentConfig("comm_hsh", 16, [2], 1000, 1, 0, **sweep)
 
 
 def test_config_accepts_comm_with_odd_n():
@@ -173,7 +184,7 @@ def test_config_rejects_epsilon_whose_exponential_overflows():
         tiny_config(epsilon_list=[float("inf")])
     with pytest.raises(ValueError, match="epsilon=1600.0"):
         tiny_config(scheme="rappor", epsilon_list=[1600.0])
-    assert tiny_config(scheme="rappor", epsilon_list=[800.0]).params() == (800.0,)
+    assert tiny_config(scheme="rappor", epsilon_list=[800.0]).epsilon_list == (800.0,)
 
 
 @pytest.mark.parametrize("scheme", ["hr_dense", "hr_sparse", "rappor"])
@@ -188,7 +199,7 @@ def test_config_rejects_epsilon_whose_exponential_rounds_to_one(scheme):
         with pytest.raises(ValueError, match=r"epsilon=2e-16 is too small"):
             tiny_config(scheme=scheme, epsilon_list=[2e-16])
     else:
-        assert tiny_config(scheme=scheme, epsilon_list=[2e-16]).params() == (2e-16,)
+        assert tiny_config(scheme=scheme, epsilon_list=[2e-16]).epsilon_list == (2e-16,)
 
 
 @pytest.mark.parametrize("scheme", ["hr_sparse", "hr_dense"])
@@ -250,7 +261,10 @@ def test_cell_config_and_row_refuse_an_impossible_grid_point(tmp_path, cell, rea
         ExperimentConfig(scheme, k, [s], n, trials=1, master_seed=0, **{sweep: [param]})
     out = tmp_path / "res.csv"
     out.write_text(f"{CSV_HEADER}\n{scheme},{k},{s},{n},{param!r},0,0.5,1,0,{harness.SAMPLER_VERSION}\n")
-    with pytest.raises(ValueError, match=re.escape(f"{out}: line 2 names no cell a grid can hold: {reason}")):
+    row_reason = f"names no cell a grid can hold: {reason}"
+    if scheme == "comm_hash" and param % 1:  # a row's ell is read as an integer, as its k is
+        row_reason = f"field eps_or_ell is {repr(param)!r}, not an integer"
+    with pytest.raises(ValueError, match=re.escape(f"{out}: line 2 {row_reason}")):
         read_results(str(out))
     with pytest.raises(ValueError, match=re.escape(reason)):
         summarize([dict(scheme=scheme, k=k, s=s, n=n, eps_or_ell=param, tv_error=0.5)])
@@ -378,6 +392,40 @@ def test_cell_param_is_canonical():
     assert trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1), 0) == trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1.0), 0)
 
 
+# ell up to 2^64 and epsilon over each scheme's valid range: e^epsilon
+# (HR) or e^(epsilon/2) (rappor) finite and not 1
+_PARAMS = {
+    "hr_dense": st.floats(2e-16, 709.78),
+    "hr_sparse": st.floats(2e-16, 709.78),
+    "rappor": st.floats(4.5e-16, 1419.56),
+    "comm_hash": st.integers(1, 2**64),
+}
+
+
+@st.composite
+def _cells(draw):
+    scheme = draw(st.sampled_from(harness.SCHEMES))
+    k = draw(st.integers(1, 10**6))
+    s = draw(st.integers(1, k))
+    n = draw(st.integers(hadamard_dim(k) if scheme.startswith("hr") else 2, 2**63 - 1))
+    return Cell(scheme, k, s, n, draw(_PARAMS[scheme]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cells())
+@example(Cell("comm_hash", 8, 2, 100, 2**53 + 1))
+def test_row_text_parses_back_to_its_cell(cell):
+    # the text the writer makes for a cell names that cell to the reader, and
+    # summarize writes its param as the writer does: an ell above 2^53 is not
+    # rounded to a float
+    text = harness._param_text(cell.param)
+    fields = harness._row_cell(cell.scheme, str(cell.k), str(cell.s), str(cell.n), text, str(cell.bits))
+    assert fields["cell"] == cell and type(fields["cell"].param) is type(cell.param)
+    assert fields["eps_or_ell"] == cell.param and fields["bits_per_user"] == cell.bits
+    [summary] = summarize([dict(fields, tv_error=0.5)])
+    assert summary["eps_or_ell"] == text
+
+
 @pytest.mark.parametrize("scheme, exact", [("hr_sparse", 0.23992), ("hr_dense", 0.27483)])
 def test_hr_mean_tv_matches_its_exact_value(scheme, exact):
     # the number the lab reports, a cell's mean TV, against its exact value
@@ -386,6 +434,26 @@ def test_hr_mean_tv_matches_its_exact_value(scheme, exact):
     value = exact_mean_tv(scheme, 3, 1, 12, 0.9)
     assert value == pytest.approx(exact, abs=5e-6)
     errs = run_cell(Cell(scheme, 3, 1, 12, 0.9), range(20_000), 20240801)
+    z = (errs.mean() - value) / (errs.std(ddof=1) / np.sqrt(errs.size))
+    assert abs(z) < 4, z
+
+
+@pytest.mark.parametrize(
+    "scheme, k, s, param, exact",
+    [
+        pytest.param("comm_hash", 6, 1, 1, 0.10448, id="comm_hash-ell-at-cap"),
+        pytest.param("comm_hash", 4, 2, 1, 0.37158, id="comm_hash-ell-below-cap"),
+        pytest.param("comm_hash", 4, 2, 3, 0.30296, id="comm_hash-ell-above-cap"),
+        pytest.param("rappor", 4, 1, 2.0, 0.18369, id="rappor"),
+    ],
+)
+def test_split_half_mean_tv_matches_its_exact_value(scheme, k, s, param, exact):
+    # as for HR, from every outcome of the split-half law at n = 8: the first
+    # histogram, M, T, the second histogram and N on T; ell = 3 at s = 2 runs
+    # at its effective ell, 2
+    value = exact_mean_tv(scheme, k, s, 8, param)
+    assert value == pytest.approx(exact, abs=5e-6)
+    errs = run_cell(Cell(scheme, k, s, 8, param), range(20_000), 20240801)
     z = (errs.mean() - value) / (errs.std(ddof=1) / np.sqrt(errs.size))
     assert abs(z) < 4, z
 
@@ -443,6 +511,23 @@ def test_split_half_grids_at_odd_n_and_s_equal_k_resume_and_summarize(tmp_path):
     assert len(cells) == 7
     at_k = [(c["scheme"], c["eps_or_ell"], c["trials"]) for c in cells if c["s"] == c["k"]]
     assert at_k == [("comm_hash", "1", 3), ("comm_hash", "3", 3), ("rappor", "2.0", 3)]
+
+
+def test_grid_at_an_ell_above_2_53_resumes_and_summarizes(tmp_path):
+    # 2^53 + 1 is no float: read as one, the row's ell would disagree with
+    # its bits_per_user and the file would refuse its own resume
+    ell = 2**53 + 1
+    cfg = tiny_config(scheme="comm_hash", k=8, s_list=[2], n=100, trials=1, epsilon_list=None, ell_list=[ell])
+    out = tmp_path / "res.csv"
+    assert run_grid(cfg, str(out)) == 1
+    assert run_grid(cfg, str(out)) == 0
+    [row] = read_results(str(out))
+    assert row["cell"] == Cell("comm_hash", 8, 2, 100, ell)
+    assert row["eps_or_ell"] == ell and type(row["eps_or_ell"]) is int
+    [cell] = summarize([row])
+    assert cell["eps_or_ell"] == "9007199254740993"
+    write_summary([cell], str(tmp_path / "summary.json"), str(tmp_path / "summary.csv"))
+    assert ",9007199254740993," in (tmp_path / "summary.csv").read_text()
 
 
 @pytest.mark.parametrize("runner", [hr_run_stack, rappor_run_stack, comm_run_stack], ids=["hr", "rappor", "comm_hash"])
@@ -930,8 +1015,10 @@ _NO_CELL = "names no cell a grid can hold: "
         ("s", 2, "40", _NO_CELL + "every s must satisfy 1 <= s <= k"),
         ("eps_or_ell", 4, "-1.0", _NO_CELL + "epsilon must be positive, got -1.0"),
         ("n", 3, "50", _NO_CELL + "n=50 is below the block size K=64 of k=32: HR needs n >= K"),
-        # a text with commas replaces that many fields from at on
-        ("eps_or_ell", 0, "comm_hash,32,2,2000,2.5", _NO_CELL + "ell_list entry must be an integer, not 2.5"),
+        # a text with commas replaces that many fields from at on, the last of
+        # them the field named; a row's ell is read as an integer, as its k is
+        ("eps_or_ell", 0, "comm_hash,32,2,2000,2.5", "an integer"),
+        ("eps_or_ell", 0, "comm_hash,32,2,2000,3.0", "an integer"),
         ("bits_per_user", 7, "7", "1, the bits a user sends in this cell"),
         # int() reads these as 32, and the trial of k = 32 would count as done
         ("k", 1, "3_2", "an integer"),
@@ -955,7 +1042,7 @@ def test_row_with_unparsable_field_is_an_error(tmp_path, field, at, text, kind):
     lines[2] = ",".join(parts)
     out.write_text("\n".join(lines) + "\n")
     before = out.read_bytes()
-    reason = kind if kind.startswith(_NO_CELL) else f"field {field} is {text!r}, not {kind}"
+    reason = kind if kind.startswith(_NO_CELL) else f"field {field} is {text.split(',')[-1]!r}, not {kind}"
     message = re.escape(f"{out}: line 3 {reason}")
     with pytest.raises(ValueError, match=message):
         read_results(str(out))

@@ -32,6 +32,7 @@ import os
 import sys
 
 from . import bounds, harness
+from .comm_hash import effective_ell
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,12 +99,36 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
+def plan_report(scheme: str, k: int, s: int, alpha: float, epsilon: float | None = None, ell: int | None = None) -> str:
+    """Human-readable sample-size plan for one problem instance."""
+    lines = []
+    if scheme == "comm":
+        n = bounds.planned_sample_size("comm", k, s, alpha, ell=ell)
+        stage1, stage2 = bounds.comm_stage_sizes(k, s, alpha, ell)
+        eff = effective_ell(ell, s)
+        lines.append(f"scheme comm_hash: k={k} s={s} alpha={alpha} ell={ell}")
+        lines.append(f"planned n = {n} (per half: support stage {stage1}, estimation stage {stage2})")
+        if eff < ell:
+            lines.append(f"effective ell = {eff} (capped from {ell}: more buckets than ~2s buy nothing)")
+        else:
+            lines.append(f"effective ell = {eff}")
+        lines.append(f"guarantee at planned n: TV error <= {alpha} with probability >= 0.9")
+    elif scheme == "ldp":
+        n = bounds.planned_sample_size("ldp", k, s, alpha, epsilon=epsilon)
+        lines.append(f"scheme hr (ldp): k={k} s={s} alpha={alpha} epsilon={epsilon}")
+        lines.append(f"planned n = {n}")
+        lines.append(f"risk bound at planned n: {bounds.ldp_risk_bound(k, s, epsilon, n):.6g} (target alpha = {alpha})")
+    else:
+        raise ValueError("scheme must be 'ldp' or 'comm'")
+    return "\n".join(lines)
+
+
 def _cmd_plan(args) -> int:
     if args.scheme == "ldp" and args.eps is None:
         raise ValueError("--scheme ldp needs --eps")
     if args.scheme == "comm" and args.ell is None:
         raise ValueError("--scheme comm needs --ell")
-    print(harness.plan_report(args.scheme, args.k, args.s, args.alpha, epsilon=args.eps, ell=args.ell))
+    print(plan_report(args.scheme, args.k, args.s, args.alpha, epsilon=args.eps, ell=args.ell))
     return 0
 
 

@@ -21,9 +21,10 @@ a row of the wrong width, a row naming no cell a grid can hold or disagreeing
 with its cell, a repeated (cell, trial) row or a row written under another
 master seed is an error) and byte-identical across repetitions and worker
 counts. One reader, _read_rows, parses the file for both resuming and
-summarizing. Cell is the one home of a grid point's rules: a config's cells,
-each row's cell and each summarized cell are built as Cells, which check
-themselves.
+summarizing. Cell is the one representation of a grid point and the one
+home of its rules and its fields' types: a config's cells and each row's
+cell are built as Cells, which check themselves, and a parsed row carries
+its Cell, by which resuming and summarizing key the row.
 
 Determinism works by construction: a trial's seed is an avalanche mix of
 (master_seed, cell hash, trial index), where the cell hash folds a canonical
@@ -52,11 +53,9 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
-from .bounds import comm_stage_sizes, ldp_risk_bound, planned_sample_size
 from .comm_hash import comm_run_stack, effective_ell
 from .core import (
     check_master_seed,
@@ -191,15 +190,19 @@ def _param_text(param: float | int) -> str:
 class Cell:
     """One grid point; ``param`` is epsilon or ell depending on the scheme.
 
-    The one home of a grid point's rules: construction raises ValueError
-    saying which one fails unless the scheme is known, 1 <= k, 1 <= n < 2^63
-    (NumPy's binomial and multinomial take n as an int64), 1 <= s <= k, and
-    param is an epsilon whose exponential (e^eps for HR's decoder, e^(eps/2)
-    for rappor's flip probability) is finite and not 1, where the decoder
-    would divide by 0, or an integral ell >= 1. HR needs n >= K, its block
-    size, and the split-half schemes n >= 2. param is made canonical, an int
-    ell or a float epsilon, so that equal cells (1 == 1.0) share one
-    canonical string, row text and cached cell_hash.
+    The one home of a grid point's rules and of its fields' types:
+    construction raises ValueError saying which one fails unless the scheme
+    is known, k, s and n are integers and param is an integer ell for
+    comm_hash and a real epsilon otherwise (see _number: a bool, a string
+    or a float where an integer is due is refused), 1 <= k,
+    1 <= n < 2^63 (NumPy's binomial and multinomial take n as an int64),
+    1 <= s <= k, and epsilon's exponential (e^eps for HR's decoder,
+    e^(eps/2) for rappor's flip probability) is finite and not 1, where the
+    decoder would divide by 0, or ell >= 1. HR needs n >= K, its block
+    size, and the split-half schemes n >= 2. The fields are stored as Python
+    ints and epsilon as a float, so that equal cells (1 == 1.0,
+    np.int64(3) == 3) share one canonical string, row text and cached
+    cell_hash.
     """
 
     scheme: str
@@ -210,21 +213,20 @@ class Cell:
 
     def __post_init__(self):
         _check_scheme(self.scheme)
+        sweep = "ell_list" if self.scheme == "comm_hash" else "epsilon_list"
+        for name in ("k", "s", "n"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        object.__setattr__(self, "param", _number(f"{sweep} entry", self.param, integral=sweep == "ell_list"))
         if self.k < 1 or self.n < 1:
             raise ValueError("k, n, trials must be positive")
         if self.n >= 2**63:
             raise ValueError(f"n={self.n} is too large: n must be below 2^63")
         if not 1 <= self.s <= self.k:
             raise ValueError("every s must satisfy 1 <= s <= k")
-        if self.scheme == "comm_hash":
-            if self.param % 1:  # NaN and inf too
-                raise ValueError(f"ell_list entry must be an integer, not {self.param!r}")
-            object.__setattr__(self, "param", int(self.param))
-            if self.param < 1:
-                raise ValueError("ell values must be >= 1")
-        else:
-            object.__setattr__(self, "param", float(self.param))
+        if sweep == "epsilon_list":
             (flip_probability if self.scheme == "rappor" else invertible_exp_epsilon)(self.param)
+        elif self.param < 1:
+            raise ValueError("ell values must be >= 1")
         if scheme_family(self.scheme) == "hr" and self.n < hadamard_dim(self.k):
             raise ValueError(f"n={self.n} is below the block size K={hadamard_dim(self.k)} of k={self.k}: HR needs n >= K")
         if self.scheme in ("rappor", "comm_hash") and self.n < 2:
@@ -328,7 +330,7 @@ def _field(kind: type, low: float, high: float, what: str):
 
 _INTEGER = _field(int, -math.inf, math.inf, "an integer")
 _FINITE = _field(float, -sys.float_info.max, sys.float_info.max, "a finite number")
-# how _parse_row reads the fields after a row's Cell; its bits_per_user is Cell.bits (see _row_cell)
+# how _parse_row reads the fields besides a row's Cell; its bits_per_user is Cell.bits (see _row_cell)
 _TRIAL_FIELDS = {
     "trial": _field(int, 0, math.inf, "an integer >= 0"),
     "tv_error": _field(float, 0, 1, "a number in [0, 1]"),
@@ -339,8 +341,8 @@ _COLUMNS = CSV_HEADER.split(",")
 
 
 @functools.lru_cache(maxsize=4096)
-def _row_cell(scheme: str, k: str, s: str, n: str, param: str, bits: str) -> MappingProxyType:
-    """A row's scheme, k, s, n, eps_or_ell and bits_per_user parsed from their text, and its Cell under "cell", read-only.
+def _row_cell(scheme: str, k: str, s: str, n: str, param: str, bits: str) -> Cell:
+    """The Cell a row's scheme, k, s, n, eps_or_ell and bits_per_user text names.
 
     k, s and n must be integers (see _field), and so must param for comm_hash,
     so an ell reaches Cell as the integer it was written as; an epsilon must
@@ -356,11 +358,11 @@ def _row_cell(scheme: str, k: str, s: str, n: str, param: str, bits: str) -> Map
         raise ValueError(f"names no cell a grid can hold: {err}") from None
     if bits != str(cell.bits):
         raise ValueError(f"field bits_per_user is {bits!r}, not {cell.bits}, the bits a user sends in this cell")
-    return MappingProxyType(dict(scheme=scheme, k=cell.k, s=cell.s, n=cell.n, eps_or_ell=cell.param, bits_per_user=cell.bits, cell=cell))
+    return cell
 
 
 def _parse_row(path: str, line_no: int, line: str) -> dict:
-    """A results row as a dict of its parsed fields, in header order, then its Cell under "cell".
+    """A results row as the dict {cell, trial, tv_error, seed, sampler}: its Cell, then its parsed trial fields.
 
     Raises ValueError naming path and line unless the row has the header's
     field count, names a Cell with that Cell's bits (see _row_cell), and
@@ -371,14 +373,12 @@ def _parse_row(path: str, line_no: int, line: str) -> dict:
     parts = line.split(",")
     if len(parts) != len(_COLUMNS):
         raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, not the header's {len(_COLUMNS)}")
-    row = dict(zip(_COLUMNS, parts))
+    text = dict(zip(_COLUMNS, parts))
     try:
-        fields = _row_cell(*parts[:5], row["bits_per_user"])
-        for name, parse in _TRIAL_FIELDS.items():
-            row[name] = parse(name, row[name])
+        row = {"cell": _row_cell(*parts[:5], text["bits_per_user"])}
+        row.update((name, parse(name, text[name])) for name, parse in _TRIAL_FIELDS.items())
     except ValueError as err:
         raise ValueError(f"{path}: line {line_no} {err}") from None
-    row.update(fields)
     return row
 
 
@@ -628,7 +628,7 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
 
 
 def read_results(path: str) -> list[dict]:
-    """Parse a results CSV into row dicts, every field but scheme parsed as a number.
+    """Parse a results CSV into row dicts {cell, trial, tv_error, seed, sampler} (see _parse_row).
 
     Raises ValueError naming path if the file is malformed (see _read_rows),
     ends in a torn line, or holds no rows.
@@ -644,19 +644,17 @@ def read_results(path: str) -> list[dict]:
 def summarize(rows: list[dict]) -> list[dict]:
     """Per-cell mean TV error, standard error, and trial count.
 
-    Rows are grouped by the Cell their scheme, k, s, n and eps_or_ell name.
-    eps_or_ell is a number (read_results parses it, and a hand-built row
-    holds one), which Cell alone makes canonical, so a param is grouped by
-    its value (0.50 is 0.5) and written as the harness writes it, and a row
-    naming no grid point is refused as Cell refuses it. A single-trial cell
-    has stderr 0 and is flagged degenerate. Cells are ordered by (scheme, k,
-    n, constraint value, s), one series per constraint value with s as the
-    x axis.
+    Each row carries its Cell under "cell" and its TV error under
+    "tv_error", as read_results gives them, and rows are grouped by their
+    Cell, which is canonical: a param is grouped by its value (0.50 is 0.5)
+    and written as the harness writes it. A single-trial cell has stderr 0
+    and is flagged degenerate. Cells are ordered by (scheme, k, n,
+    constraint value, s), one series per constraint value with s as the x
+    axis.
     """
     groups: dict[Cell, list[float]] = {}
     for row in rows:
-        cell = Cell(row["scheme"], row["k"], row["s"], row["n"], row["eps_or_ell"])
-        groups.setdefault(cell, []).append(row["tv_error"])
+        groups.setdefault(row["cell"], []).append(row["tv_error"])
     out = []
     for cell in sorted(groups, key=lambda c: (c.scheme, c.k, c.n, c.param, c.s)):
         errs = np.asarray(groups[cell])
@@ -689,27 +687,3 @@ def write_summary(summary: list[dict], json_path: str, csv_path: str) -> None:
                 f"{cell['scheme']},{cell['k']},{cell['n']},{cell['eps_or_ell']},{cell['s']},"
                 f"{cell['mean_tv_error']!r},{cell['stderr']!r},{cell['trials']}\n"
             )
-
-
-def plan_report(scheme: str, k: int, s: int, alpha: float, epsilon: float | None = None, ell: int | None = None) -> str:
-    """Human-readable sample-size plan for one problem instance."""
-    lines = []
-    if scheme == "comm":
-        n = planned_sample_size("comm", k, s, alpha, ell=ell)
-        stage1, stage2 = comm_stage_sizes(k, s, alpha, ell)
-        eff = effective_ell(ell, s)
-        lines.append(f"scheme comm_hash: k={k} s={s} alpha={alpha} ell={ell}")
-        lines.append(f"planned n = {n} (per half: support stage {stage1}, estimation stage {stage2})")
-        if eff < ell:
-            lines.append(f"effective ell = {eff} (capped from {ell}: more buckets than ~2s buy nothing)")
-        else:
-            lines.append(f"effective ell = {eff}")
-        lines.append(f"guarantee at planned n: TV error <= {alpha} with probability >= 0.9")
-    elif scheme == "ldp":
-        n = planned_sample_size("ldp", k, s, alpha, epsilon=epsilon)
-        lines.append(f"scheme hr (ldp): k={k} s={s} alpha={alpha} epsilon={epsilon}")
-        lines.append(f"planned n = {n}")
-        lines.append(f"risk bound at planned n: {ldp_risk_bound(k, s, epsilon, n):.6g} (target alpha = {alpha})")
-    else:
-        raise ValueError("scheme must be 'ldp' or 'comm'")
-    return "\n".join(lines)

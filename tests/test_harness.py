@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import exact_mean_tv, scatter
 from sparse_dist_lab import harness
-from sparse_dist_lab.cli import main
+from sparse_dist_lab.cli import main, plan_report
 from sparse_dist_lab.comm_hash import comm_run_stack
 from sparse_dist_lab.core import GOLDEN64, MASK64, derive_key, derive_keys, mix64, uniform_sparse_stack
 from sparse_dist_lab.hadamard import hadamard_dim
@@ -28,7 +28,6 @@ from sparse_dist_lab.harness import (
     cell_hash,
     config_cells,
     load_configs,
-    plan_report,
     read_results,
     run_cell,
     run_grid,
@@ -250,9 +249,8 @@ _SPLIT = "splits users in half and needs n >= 2"
     ],
 )
 def test_cell_config_and_row_refuse_an_impossible_grid_point(tmp_path, cell, reason):
-    # one rule set: Cell holds it, and a one-cell grid, a results row naming
-    # the cell and a summary of such a row each refuse the cell for the reason
-    # Cell gives
+    # one rule set: Cell holds it, and a one-cell grid and a results row
+    # naming the cell each refuse the cell for the reason Cell gives
     scheme, k, s, n, param = cell
     with pytest.raises(ValueError, match=re.escape(reason)):
         Cell(*cell)
@@ -266,8 +264,6 @@ def test_cell_config_and_row_refuse_an_impossible_grid_point(tmp_path, cell, rea
         row_reason = f"field eps_or_ell is {repr(param)!r}, not an integer"
     with pytest.raises(ValueError, match=re.escape(f"{out}: line 2 {row_reason}")):
         read_results(str(out))
-    with pytest.raises(ValueError, match=re.escape(reason)):
-        summarize([dict(scheme=scheme, k=k, s=s, n=n, eps_or_ell=param, tv_error=0.5)])
 
 
 def test_load_configs_accepts_object_or_list(tmp_path):
@@ -388,8 +384,26 @@ def test_cell_param_is_canonical():
     # Equal cells must share one cell_hash, row text and seed.
     assert Cell("rappor", 16, 2, 1000, 1) == Cell("rappor", 16, 2, 1000, 1.0)
     assert harness._param_text(Cell("rappor", 16, 2, 1000, 1).param) == "1.0"
-    assert harness._param_text(Cell("comm_hash", 16, 2, 1000, 3.0).param) == "3"
+    assert harness._param_text(Cell("comm_hash", 16, 2, 1000, np.int64(3)).param) == "3"
     assert trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1), 0) == trial_seed(5, Cell("hr_dense", 16, 2, 1000, 1.0), 0)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        pytest.param(("rappor", 16, 2, 1000, "1.0"), "epsilon_list entry must be a real number, not '1.0'", id="eps-text"),
+        pytest.param(("comm_hash", 16, 2, 1000, "3"), "ell_list entry must be an integer, not '3'", id="ell-text"),
+        pytest.param(("comm_hash", 16, 2, 1000, True), "ell_list entry must be an integer, not True", id="ell-bool"),
+        pytest.param(("comm_hash", 16, 2, 1000, 3.0), "ell_list entry must be an integer, not 3.0", id="ell-float"),
+        pytest.param(("rappor", 16.0, 2, 1000, 1.0), "k must be an integer, not 16.0", id="rappor-k-float"),
+        pytest.param(("hr_sparse", 16.0, 2, 1000, 1.0), "k must be an integer, not 16.0", id="hr-k-float"),
+    ],
+)
+def test_cell_refuses_a_field_of_the_wrong_type(cell, message):
+    # a Cell types its own fields as a config does: k, s and n are integers,
+    # ell an integer and epsilon a real number, and a bool is neither
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Cell(*cell)
 
 
 # ell up to 2^64 and epsilon over each scheme's valid range: e^epsilon
@@ -419,10 +433,9 @@ def test_row_text_parses_back_to_its_cell(cell):
     # summarize writes its param as the writer does: an ell above 2^53 is not
     # rounded to a float
     text = harness._param_text(cell.param)
-    fields = harness._row_cell(cell.scheme, str(cell.k), str(cell.s), str(cell.n), text, str(cell.bits))
-    assert fields["cell"] == cell and type(fields["cell"].param) is type(cell.param)
-    assert fields["eps_or_ell"] == cell.param and fields["bits_per_user"] == cell.bits
-    [summary] = summarize([dict(fields, tv_error=0.5)])
+    read = harness._row_cell(cell.scheme, str(cell.k), str(cell.s), str(cell.n), text, str(cell.bits))
+    assert read == cell and type(read.param) is type(cell.param)
+    [summary] = summarize([dict(cell=read, tv_error=0.5)])
     assert summary["eps_or_ell"] == text
 
 
@@ -522,8 +535,9 @@ def test_grid_at_an_ell_above_2_53_resumes_and_summarizes(tmp_path):
     assert run_grid(cfg, str(out)) == 1
     assert run_grid(cfg, str(out)) == 0
     [row] = read_results(str(out))
+    assert list(row) == ["cell", "trial", "tv_error", "seed", "sampler"]
     assert row["cell"] == Cell("comm_hash", 8, 2, 100, ell)
-    assert row["eps_or_ell"] == ell and type(row["eps_or_ell"]) is int
+    assert row["cell"].param == ell and type(row["cell"].param) is int
     [cell] = summarize([row])
     assert cell["eps_or_ell"] == "9007199254740993"
     write_summary([cell], str(tmp_path / "summary.json"), str(tmp_path / "summary.csv"))
@@ -753,8 +767,7 @@ def test_grid_draws_each_experiment_once(tmp_path, monkeypatch):
     assert {h for h, _ in drawn} == experiments
     errors = {}
     for row in read_results(str(out)):
-        cell = Cell("comm_hash", 32, row["s"], 2000, row["eps_or_ell"])
-        assert errors.setdefault((cell_hash(cell), row["trial"]), row["tv_error"]) == row["tv_error"]
+        assert errors.setdefault((cell_hash(row["cell"]), row["trial"]), row["tv_error"]) == row["tv_error"]
 
     # the members of the s = 2, ell >= 2 experiment lack different trials
     missing = {("2", "2", "0"), ("2", "3", "1"), ("2", "3", "2"), ("2", "4", "2"), ("4", "1", "3")}
@@ -1114,7 +1127,7 @@ def test_read_results_refuses_file_without_rows(tmp_path, content):
 
 def test_summarize_single_trial_degenerate():
     rows = [
-        dict(scheme="rappor", k=8, s=1, n=100, eps_or_ell="1.0", tv_error=0.25),
+        dict(cell=Cell("rappor", 8, 1, 100, 1.0), tv_error=0.25),
     ]
     cells = summarize(rows)
     assert cells[0]["mean_tv_error"] == 0.25
@@ -1124,7 +1137,7 @@ def test_summarize_single_trial_degenerate():
 
 def test_summarize_constant_column():
     rows = [
-        dict(scheme="rappor", k=8, s=1, n=100, eps_or_ell="1.0", tv_error=0.3)
+        dict(cell=Cell("rappor", 8, 1, 100, 1.0), tv_error=0.3)
         for _ in range(5)
     ]
     cells = summarize(rows)
@@ -1138,7 +1151,7 @@ def test_summarize_hand_recomputation():
     for s, vals in ((1, [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]), (2, [0.4, 0.6, 0.5, 0.5, 0.4, 0.6])):
         for t, v in enumerate(vals):
             rows.append(
-                dict(scheme="hr_sparse", k=16, s=s, n=500, eps_or_ell="1.0", tv_error=v)
+                dict(cell=Cell("hr_sparse", 16, s, 500, 1.0), tv_error=v)
             )
     cells = summarize(rows)
     assert len(cells) == 2
@@ -1152,7 +1165,7 @@ def test_summarize_hand_recomputation():
 
 
 def test_summary_files(tmp_path):
-    rows = [dict(scheme="rappor", k=8, s=1, n=100, eps_or_ell="1.0", tv_error=0.25)]
+    rows = [dict(cell=Cell("rappor", 8, 1, 100, 1.0), tv_error=0.25)]
     jp, cp = tmp_path / "s.json", tmp_path / "s.csv"
     write_summary(summarize(rows), str(jp), str(cp))
     loaded = json.loads(jp.read_text())
@@ -1163,8 +1176,8 @@ def test_summary_files(tmp_path):
 
 def test_summary_sorts_eps_numerically():
     rows = []
-    for eps in ("0.5", "2.0", "10.0"):
-        rows.append(dict(scheme="rappor", k=8, s=1, n=100, eps_or_ell=eps, tv_error=0.1))
+    for eps in (0.5, 2.0, 10.0):
+        rows.append(dict(cell=Cell("rappor", 8, 1, 100, eps), tv_error=0.1))
     order = [c["eps_or_ell"] for c in summarize(rows)]
     assert order == ["0.5", "2.0", "10.0"]
 
@@ -1217,6 +1230,36 @@ def test_cli_run_summarize_plan(tmp_path, capsys):
     assert "planned n" in capsys.readouterr().out
 
     assert main(["plan", "--scheme", "ldp", "--k", "100", "--s", "2", "--alpha", "0.3", "--eps", "1.0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, sha256",
+    [
+        pytest.param(
+            "--scheme comm --k 1000 --s 4 --alpha 0.2 --ell 5",
+            "scheme comm_hash: k=1000 s=4 alpha=0.2 ell=5\n"
+            "planned n = 773004530 (per half: support stage 386502265, estimation stage 640000)\n"
+            "effective ell = 3 (capped from 5: more buckets than ~2s buy nothing)\n"
+            "guarantee at planned n: TV error <= 0.2 with probability >= 0.9\n",
+            "9a65a1b9ca9fe5779d51117027000070e4d09ae3c5661d807c11ad1064863028",
+            id="comm-capped-ell",
+        ),
+        pytest.param(
+            "--scheme ldp --k 1000 --s 8 --alpha 0.2 --eps 1.0",
+            "scheme hr (ldp): k=1000 s=8 alpha=0.2 epsilon=1.0\n"
+            "planned n = 66189604\n"
+            "risk bound at planned n: 0.2 (target alpha = 0.2)\n",
+            "971d97c3ce8280e4bb1c826f1ed164cefb144f49a9663ce740e74b6e75a36f65",
+            id="ldp",
+        ),
+    ],
+)
+def test_cli_plan_stdout_is_pinned(capsys, argv, stdout, sha256):
+    # the same sha256 pins the installed console script's stdout in CI
+    assert main(["plan", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    assert out == stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_cli_seed_overrides_config_master_seed(tmp_path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_master_seed, check_probs, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .core import check_ell, check_master_seed, check_probs, check_sparsity, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
 
 REPORT_TOL = 1e-9
 
@@ -29,6 +29,8 @@ REPORT_TOL = 1e-9
 # then per-coordinate estimation), as fixed by the analysis.
 C1_SUPPORT = 700000
 C2_ESTIMATE = 6400
+# The constant of the one-bit private scheme's proven risk bound.
+C_LDP_RISK = 40
 
 
 def _channel(W) -> np.ndarray:
@@ -113,15 +115,15 @@ def expected_chisq_over_packing(W: np.ndarray, k: int, s: int, alpha: float) -> 
     64 alpha^2 (k-s)/(s k (k-1)) ||D||_F^2, D[x, y] = (W[x+1, y] - mean_x
     W[x+1, y]) / sqrt(q0(y)) over the outputs where q0 = p_0 W > 0 (for
     0 < 8 alpha < 1, q0(y) = 0 makes every row 0 at y). Costs O(k |Y|).
-    Raises ValueError unless W is a channel matrix (see _channel).
+    Raises ValueError unless W is a channel matrix (see _channel) and
+    1 <= s <= k (check_sparsity).
     """
     mat = _channel(W)
     if not 0 < 8 * alpha < 1:
         raise ValueError("require 0 < 8*alpha < 1")
     if mat.shape[0] != k + 1:
         raise ValueError(f"channel has {mat.shape[0]} inputs, expected k+1={k + 1}")
-    if not 1 <= s <= k:
-        raise ValueError(f"require 1 <= s <= k (got s={s}, k={k})")
+    check_sparsity(k, s)
 
     symbol_rows = mat[1:]
     q0 = (1 - 8 * alpha) * mat[0] + (8 * alpha / k) * symbol_rows.sum(axis=0)
@@ -152,12 +154,13 @@ def ldp_contraction_ceiling(epsilon: float, s: int, alpha: float) -> float:
 def lbit_contraction_ceiling(ell: int, s: int, alpha: float) -> float:
     """Ceiling 8 alpha 2^ell / s on expected_chisq_over_packing for any channel with 2^ell outputs.
 
-    Raises ValueError naming s and ell unless both are >= 1, naming ell
-    when 2^ell overflows a float, and naming alpha unless it is finite and
-    positive.
+    Raises ValueError naming s unless s >= 1, naming ell unless ell >= 1
+    (check_ell) and when 2^ell overflows a float, and naming alpha unless it
+    is finite and positive.
     """
-    if not (s >= 1 and ell >= 1):
-        raise ValueError(f"require s >= 1 and ell >= 1 (got s={s!r}, ell={ell!r})")
+    if not s >= 1:
+        raise ValueError(f"s must be >= 1, got {s!r}")
+    check_ell(ell)
     _check_alpha(alpha)
     if ell >= 1024:  # 2^1024 is past the largest float
         raise ValueError(f"ell={ell!r} is too large: 2^ell overflows a float")
@@ -191,9 +194,9 @@ def hamming_ball_count(k: int, s: int, t: float) -> int:
     Two weight-s binary vectors at Hamming distance 2j differ in exactly j
     swapped positions, so distances are even and the ball size is
     sum_{j=0}^{floor(t/2)} C(s,j) * C(k-s,j). Exact integer arithmetic.
+    Raises ValueError unless 1 <= s <= k (check_sparsity).
     """
-    if not 1 <= s <= k:
-        raise ValueError("require 1 <= s <= k")
+    check_sparsity(k, s)
     return sum(math.comb(s, j) * math.comb(k - s, j) for j in range(int(t // 2) + 1))
 
 
@@ -202,10 +205,10 @@ def packing_gap(k: int, s: int, diagnostic: bool = False) -> BoundReport:
 
     The gap must be at least (s/8) * log(k/s); the report records both
     sides. Requires s <= k/100 unless diagnostic mode relaxes the
-    precondition for small sanity instances.
+    precondition for small sanity instances. Raises ValueError unless
+    1 <= s <= k (check_sparsity).
     """
-    if not 1 <= s <= k:
-        raise ValueError("require 1 <= s <= k")
+    check_sparsity(k, s)
     if not diagnostic and s > k / 100:
         raise ValueError(f"packing gap needs s <= k/100 (got s={s}, k={k}); use diagnostic=True to relax")
     ball = hamming_ball_count(k, s, s / 2)
@@ -225,23 +228,21 @@ def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: floa
     For the hashing scheme ("comm") the two stages need
     C1*s^2*max(log(k/s),1) / (alpha^2*min(2^ell,s)) and
     C2*s^2 / (alpha^2*min(2^ell,s)) users respectively; both halves get the
-    larger of the two. For the private scheme ("ldp") the risk bound
-    40*s*sqrt(log(2k/s))/sqrt(n) * (e^eps+1)/(e^eps-1) is inverted at
-    accuracy alpha. Raises ValueError naming alpha when a size is not a
+    larger of the two (comm_stage_sizes, which checks the comm plan). For
+    the private scheme ("ldp") the risk bound
+    C_LDP_RISK*s*sqrt(log(2k/s))/sqrt(n) * (e^eps+1)/(e^eps-1) is inverted
+    at accuracy alpha. Raises ValueError unless 1 <= s <= k and
+    0 < alpha < 1 (_check_plan), and naming alpha when a size is not a
     finite number.
     """
-    if k < 1 or not 1 <= s <= k or not 0 < alpha < 1:
-        raise ValueError("invalid parameters")
     if scheme == "comm":
-        if ell is None or ell < 1:
-            raise ValueError("comm scheme needs ell >= 1")
-        stage1, stage2 = comm_stage_sizes(k, s, alpha, ell)
-        return 2 * max(stage1, stage2)
+        return 2 * max(comm_stage_sizes(k, s, alpha, ell))
     if scheme == "ldp":
+        _check_plan(k, s, alpha)
         if epsilon is None or epsilon <= 0:
             raise ValueError("ldp scheme needs epsilon > 0")
         e = invertible_exp_epsilon(epsilon)
-        root = 40 * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
+        root = C_LDP_RISK * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
         n = _ceil_size(root * root, alpha)
         return n + (n % 2)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -250,14 +251,25 @@ def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: floa
 def comm_stage_sizes(k: int, s: int, alpha: float, ell: int) -> tuple[int, int]:
     """Per-half sample sizes of the hashing scheme's two stages.
 
-    Raises ValueError naming alpha when a size is not a finite number.
+    Raises ValueError unless 1 <= s <= k and 0 < alpha < 1 (_check_plan)
+    and ell >= 1 (check_ell), and naming alpha when a size is not a finite
+    number.
     """
+    _check_plan(k, s, alpha)
+    check_ell(ell)
     # 2^ell >= s once ell reaches s's bit length, so a large ell builds no 2^ell
     buckets = s if ell >= s.bit_length() else min(2**ell, s)
     denom = alpha * alpha * buckets or math.nan  # alpha^2 can underflow to 0
     stage1 = _ceil_size(C1_SUPPORT * s * s * max(math.log(k / s), 1.0) / denom, alpha)
     stage2 = _ceil_size(C2_ESTIMATE * s * s / denom, alpha)
     return stage1, stage2
+
+
+def _check_plan(k: int, s: int, alpha: float) -> None:
+    """Raise ValueError unless 1 <= s <= k (check_sparsity) and alpha lies in (0, 1): the planner's rules."""
+    check_sparsity(k, s)
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 def _ceil_size(size: float, alpha: float) -> int:
@@ -268,11 +280,12 @@ def _ceil_size(size: float, alpha: float) -> int:
 
 
 def ldp_risk_bound(k: int, s: int, epsilon: float, n: int) -> float:
-    """The proven accuracy of the one-bit scheme at sample size n; ValueError unless 1 <= s <= k and n >= 1."""
-    if not (1 <= s <= k and n >= 1):
-        raise ValueError(f"require 1 <= s <= k and n >= 1 (got s={s}, k={k}, n={n})")
+    """The proven accuracy of the one-bit scheme at sample size n; ValueError unless 1 <= s <= k (check_sparsity) and n >= 1."""
+    check_sparsity(k, s)
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     e = invertible_exp_epsilon(epsilon)
-    return 40 * s * math.sqrt(math.log(2 * k / s) / n) * (e + 1) / (e - 1)
+    return C_LDP_RISK * s * math.sqrt(math.log(2 * k / s) / n) * (e + 1) / (e - 1)
 
 
 def randomized_response_channel(num_symbols: int, epsilon: float) -> np.ndarray:
@@ -305,9 +318,11 @@ def indicator_response_channel(num_symbols: int, epsilon: float, member: np.ndar
 
 
 def random_lbit_channel(num_symbols: int, ell: int, key: int) -> np.ndarray:
-    """A random channel with 2^ell outputs (rows drawn flat on the simplex by the stream of key)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    """A random channel with 2^ell outputs (rows drawn flat on the simplex by the stream of key).
+
+    Raises ValueError unless ell >= 1 (check_ell).
+    """
+    check_ell(ell)
     rows = keyed_generator(key).dirichlet(np.ones(2**ell), size=num_symbols)
     return _channel(rows)
 

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_ell
 from .projection import split_half_estimate
 
 
 def effective_ell(ell: int, s: int) -> int:
-    """Bits the scheme actually uses: min(ell, ceil(log2 s) + 1)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    """Bits the scheme actually uses: min(ell, ceil(log2 s) + 1); ValueError unless ell >= 1 (check_ell)."""
+    check_ell(ell)
     return min(ell, (s - 1).bit_length() + 1)
 
 

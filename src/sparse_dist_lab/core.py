@@ -129,6 +129,11 @@ def fold_string(text: str) -> int:
     return h
 
 
+def _exp_text(divisor: int) -> str:
+    """The exponential e^(epsilon/divisor) as the epsilon messages write it: e^epsilon at a divisor of 1."""
+    return "e^epsilon" if divisor == 1 else f"e^(epsilon/{divisor})"
+
+
 def exp_epsilon(epsilon: float, divisor: int = 1) -> float:
     """e^(epsilon / divisor) for a privacy budget epsilon.
 
@@ -144,7 +149,7 @@ def exp_epsilon(epsilon: float, divisor: int = 1) -> float:
     except OverflowError:
         e = math.inf
     if e == math.inf:
-        raise ValueError(f"epsilon={epsilon!r} is too large: e^(epsilon/{divisor}) overflows a float")
+        raise ValueError(f"epsilon={epsilon!r} is too large: {_exp_text(divisor)} overflows a float")
     return e
 
 
@@ -156,9 +161,23 @@ def invertible_exp_epsilon(epsilon: float, divisor: int = 1) -> float:
     """
     e = exp_epsilon(epsilon, divisor)
     if e == 1.0:
-        power = "epsilon" if divisor == 1 else f"(epsilon/{divisor})"
-        raise ValueError(f"epsilon={epsilon!r} is too small: e^{power} rounds to 1")
+        raise ValueError(f"epsilon={epsilon!r} is too small: {_exp_text(divisor)} rounds to 1")
     return e
+
+
+def check_sparsity(k: int, s: int) -> None:
+    """Raise ValueError naming s and k unless 1 <= s <= k: the one home of the sparsity rule.
+
+    An s-sparse target over [k] needs that, so no k below 1 passes.
+    """
+    if not 1 <= s <= k:
+        raise ValueError(f"require 1 <= s <= k (got s={s}, k={k})")
+
+
+def check_ell(ell: int) -> None:
+    """Raise ValueError naming ell unless ell >= 1, and for None: the one home of the rule on bits per user."""
+    if ell is None or not ell >= 1:
+        raise ValueError(f"ell must be >= 1, got {ell!r}")
 
 
 def check_probs(p: np.ndarray) -> None:
@@ -198,10 +217,10 @@ def tv_distance(p, T, values):
 def uniform_sparse_stack(k: int, s: int, keys) -> np.ndarray:
     """Row i is uniform over a size-s subset of [k], chosen uniformly by the stream of keys[i]; shape (B, k).
 
-    keys is a sequence of integer keys in [0, 2^64), one per row.
+    keys is a sequence of integer keys in [0, 2^64), one per row. Raises
+    ValueError unless 1 <= s <= k (check_sparsity).
     """
-    if not 1 <= s <= k:
-        raise ValueError("require 1 <= s <= k")
+    check_sparsity(k, s)
     probs = np.zeros((len(keys), k))
     for row, key in zip(probs, keys):
         row[keyed_generator(key).choice(k, size=s, replace=False)] = 1.0 / s

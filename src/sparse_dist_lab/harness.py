@@ -60,6 +60,7 @@ from .comm_hash import comm_run_stack, effective_ell
 from .core import (
     check_master_seed,
     check_probs,
+    check_sparsity,
     derive_key,
     derive_keys,
     fold_string,
@@ -108,7 +109,7 @@ class ExperimentConfig:
         for name in ("k", "n", "trials", "master_seed"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.trials < 1:
-            raise ValueError("k, n, trials must be positive")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         check_master_seed(self.master_seed)
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, not {self.out!r}")
@@ -194,13 +195,14 @@ class Cell:
     construction raises ValueError saying which one fails unless the scheme
     is known, k, s and n are integers and param is an integer ell for
     comm_hash and a real epsilon otherwise (see _number: a bool, a string
-    or a float where an integer is due is refused), 1 <= k,
-    1 <= n < 2^63 (NumPy's binomial and multinomial take n as an int64),
-    1 <= s <= k, and epsilon's exponential (e^eps for HR's decoder,
-    e^(eps/2) for rappor's flip probability) is finite and not 1, where the
-    decoder would divide by 0, or ell >= 1. HR needs n >= K, its block
-    size, and the split-half schemes n >= 2. The fields are stored as Python
-    ints and epsilon as a float, so that equal cells (1 == 1.0,
+    or a float where an integer is due is refused), 1 <= n < 2^63
+    (NumPy's binomial and multinomial take n as an int64), 1 <= s <= k
+    (core.check_sparsity, so k >= 1 too), and epsilon's exponential (e^eps
+    for HR's decoder, e^(eps/2) for rappor's flip probability) is finite
+    and not 1, where the decoder would divide by 0, or ell >= 1
+    (core.check_ell, through effective_ell). HR needs n >= K, its block
+    size, and the split-half schemes n >= 2. The fields are stored as
+    Python ints and epsilon as a float, so that equal cells (1 == 1.0,
     np.int64(3) == 3) share one canonical string, row text and cached
     cell_hash.
     """
@@ -217,16 +219,15 @@ class Cell:
         for name in ("k", "s", "n"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         object.__setattr__(self, "param", _number(f"{sweep} entry", self.param, integral=sweep == "ell_list"))
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k, n, trials must be positive")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.n >= 2**63:
             raise ValueError(f"n={self.n} is too large: n must be below 2^63")
-        if not 1 <= self.s <= self.k:
-            raise ValueError("every s must satisfy 1 <= s <= k")
+        check_sparsity(self.k, self.s)
         if sweep == "epsilon_list":
             (flip_probability if self.scheme == "rappor" else invertible_exp_epsilon)(self.param)
-        elif self.param < 1:
-            raise ValueError("ell values must be >= 1")
+        else:
+            effective_ell(self.param, self.s)
         if scheme_family(self.scheme) == "hr" and self.n < hadamard_dim(self.k):
             raise ValueError(f"n={self.n} is below the block size K={hadamard_dim(self.k)} of k={self.k}: HR needs n >= K")
         if self.scheme in ("rappor", "comm_hash") and self.n < 2:

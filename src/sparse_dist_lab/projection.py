@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import derive_keys, keyed_generator
+from .core import check_sparsity, derive_keys, keyed_generator
 
 
 def _as_rows(v) -> np.ndarray:
@@ -69,16 +69,15 @@ def top_s_indices(v: np.ndarray, s: int) -> np.ndarray:
     """Indices of the s largest entries of v, ties broken by smaller index.
 
     Returned in increasing index order; for a (B, k) stack, one such row of
-    s indices per row of v. Raises ValueError naming the NaN if v holds
-    one.
+    s indices per row of v. Raises ValueError unless 1 <= s <= k, the row
+    width (check_sparsity), and naming the NaN if v holds one.
     """
     v = np.asarray(v)
     if v.ndim not in (1, 2):
         raise ValueError(f"input must be a vector or (B, k) stack, got shape {v.shape}")
     rows = v.reshape(-1, v.shape[-1])
     k = rows.shape[1]
-    if not 1 <= s <= k:
-        raise ValueError(f"require 1 <= s <= {k}, got s={s}")
+    check_sparsity(k, s)
     if np.isnan(rows).any():
         raise ValueError("input holds a NaN, which has no rank")
     # each row's s-th largest value is its cut: keep everything at or above

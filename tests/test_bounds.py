@@ -268,13 +268,13 @@ def test_bound_formulas_reject_arguments_they_cannot_take():
     # each raised ZeroDivisionError or OverflowError, or returned a number
     calls = (
         (lambda: ldp_contraction_ceiling(1.0, 0, 0.05), "s must be >= 1, got 0"),
-        (lambda: lbit_contraction_ceiling(1, 0, 0.05), r"s >= 1 and ell >= 1 \(got s=0, ell=1\)"),
-        (lambda: lbit_contraction_ceiling(0, 2, 0.05), r"s >= 1 and ell >= 1 \(got s=2, ell=0\)"),
+        (lambda: lbit_contraction_ceiling(1, 0, 0.05), "s must be >= 1, got 0"),
+        (lambda: lbit_contraction_ceiling(0, 2, 0.05), "ell must be >= 1, got 0"),
         (lambda: lbit_contraction_ceiling(1024, 2, 0.05), r"ell=1024 is too large: 2\^ell overflows a float"),
         (lambda: lbit_contraction_ceiling(2000, 2, 0.05), r"ell=2000 is too large: 2\^ell overflows a float"),
-        (lambda: ldp_risk_bound(1000, 0, 1.0, 10**6), r"\(got s=0, k=1000, n=1000000\)"),
-        (lambda: ldp_risk_bound(1000, 1500, 1.0, 10**6), r"\(got s=1500, k=1000, n=1000000\)"),
-        (lambda: ldp_risk_bound(1000, 8, 1.0, 0), r"\(got s=8, k=1000, n=0\)"),
+        (lambda: ldp_risk_bound(1000, 0, 1.0, 10**6), r"require 1 <= s <= k \(got s=0, k=1000\)"),
+        (lambda: ldp_risk_bound(1000, 1500, 1.0, 10**6), r"require 1 <= s <= k \(got s=1500, k=1000\)"),
+        (lambda: ldp_risk_bound(1000, 8, 1.0, 0), "n must be >= 1, got 0"),
     )
     for call, message in calls:
         with pytest.raises(ValueError, match=message):
@@ -361,6 +361,23 @@ def test_comm_planning_fixture():
 def test_comm_planning_past_the_bucket_cap_builds_no_power():
     # min(2^ell, s) = s from ell = 4 at s = 8; a huge ell must not build 2^ell
     assert comm_stage_sizes(1000, 8, 0.1, 10**8) == comm_stage_sizes(1000, 8, 0.1, 4)
+
+
+@pytest.mark.parametrize(
+    "k, s, alpha, ell, message",
+    [
+        pytest.param(1000, 0, 0.2, 3, "require 1 <= s <= k (got s=0, k=1000)", id="s=0"),
+        pytest.param(10, 40, 0.2, 3, "require 1 <= s <= k (got s=40, k=10)", id="s>k"),
+        pytest.param(1000, 8, -0.2, 3, "alpha must lie in (0, 1), got -0.2", id="alpha<0"),
+        pytest.param(1000, 8, 2.0, 3, "alpha must lie in (0, 1), got 2.0", id="alpha>1"),
+        pytest.param(1000, 8, 0.2, 0, "ell must be >= 1, got 0", id="ell=0"),
+        pytest.param(1000, 8, 0.2, None, "ell must be >= 1, got None", id="ell=None"),
+    ],
+)
+def test_comm_stage_sizes_refuses_what_the_plan_cannot_take(k, s, alpha, ell, message):
+    # each raised ZeroDivisionError or TypeError, or returned a plan
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        comm_stage_sizes(k, s, alpha, ell)
 
 
 def test_ldp_planning_scales_inverse_square_in_eps():

@@ -16,6 +16,18 @@ from oracles import (
     packing_reference_dist,
     sample_iid,
 )
+from sparse_dist_lab.bounds import (
+    comm_stage_sizes,
+    expected_chisq_over_packing,
+    hamming_ball_count,
+    lbit_contraction_ceiling,
+    ldp_risk_bound,
+    packing_gap,
+    planned_sample_size,
+    random_lbit_channel,
+    randomized_response_channel,
+)
+from sparse_dist_lab.comm_hash import effective_ell
 from sparse_dist_lab.core import (
     GOLDEN64,
     check_probs,
@@ -27,6 +39,8 @@ from sparse_dist_lab.core import (
     tv_distance,
     uniform_sparse_stack,
 )
+from sparse_dist_lab.harness import Cell
+from sparse_dist_lab.projection import top_s_indices
 
 
 def uniform_sparse(k, s, key):
@@ -408,3 +422,44 @@ def test_fold_string_stable():
     assert fold_string("") == 0xCBF29CE484222325
     assert fold_string("abc") == fold_string("abc")
     assert fold_string("abc") != fold_string("abd")
+
+
+# ------------------------------------------------------- the parameter rules
+
+# Every public entry that takes (k, s), called at k = 16 with the given s.
+_SPARSITY_ENTRIES = {
+    "Cell": lambda s: Cell("rappor", 16, s, 400, 1.0),
+    "uniform_sparse_stack": lambda s: uniform_sparse_stack(16, s, [derive_key(0, 0)]),
+    "top_s_indices": lambda s: top_s_indices(np.arange(16.0), s),
+    "expected_chisq_over_packing": lambda s: expected_chisq_over_packing(randomized_response_channel(17, 1.0), 16, s, 0.05),
+    "hamming_ball_count": lambda s: hamming_ball_count(16, s, 2),
+    "packing_gap": lambda s: packing_gap(16, s, diagnostic=True),
+    "ldp_risk_bound": lambda s: ldp_risk_bound(16, s, 1.0, 1000),
+    "planned_sample_size_comm": lambda s: planned_sample_size("comm", 16, s, 0.2, ell=3),
+    "planned_sample_size_ldp": lambda s: planned_sample_size("ldp", 16, s, 0.2, epsilon=1.0),
+    "comm_stage_sizes": lambda s: comm_stage_sizes(16, s, 0.2, 3),
+}
+
+
+@pytest.mark.parametrize("s", [0, 17], ids=["s=0", "s=k+1"])
+@pytest.mark.parametrize("entry", sorted(_SPARSITY_ENTRIES))
+def test_every_sparsity_entry_gives_the_one_message(entry, s):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'require 1 <= s <= k (got s={s}, k=16)')}$"):
+        _SPARSITY_ENTRIES[entry](s)
+
+
+# Every public entry that takes a bit count ell, called with the given ell.
+_ELL_ENTRIES = {
+    "Cell": lambda ell: Cell("comm_hash", 16, 2, 1000, ell),
+    "effective_ell": lambda ell: effective_ell(ell, 2),
+    "lbit_contraction_ceiling": lambda ell: lbit_contraction_ceiling(ell, 2, 0.05),
+    "random_lbit_channel": lambda ell: random_lbit_channel(7, ell, derive_key(0, 0)),
+    "planned_sample_size_comm": lambda ell: planned_sample_size("comm", 1000, 8, 0.2, ell=ell),
+    "comm_stage_sizes": lambda ell: comm_stage_sizes(1000, 8, 0.2, ell),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ELL_ENTRIES))
+def test_every_ell_entry_gives_the_one_message(entry):
+    with pytest.raises(ValueError, match=f"^{re.escape('ell must be >= 1, got 0')}$"):
+        _ELL_ENTRIES[entry](0)

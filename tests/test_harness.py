@@ -105,7 +105,7 @@ def test_config_validates_ranges():
         tiny_config(s_list=[0])
     with pytest.raises(ValueError):
         tiny_config(s_list=[33])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("trials must be >= 1, got 0")):
         tiny_config(trials=0)
     with pytest.raises(ValueError):
         tiny_config(scheme="nope")
@@ -229,10 +229,10 @@ _SPLIT = "splits users in half and needs n >= 2"
 @pytest.mark.parametrize(
     "cell, reason",
     [
-        pytest.param(("hr_sparse", 32, 0, 2000, 1.0), "every s must satisfy 1 <= s <= k", id="s=0"),
-        pytest.param(("hr_sparse", 32, 40, 2000, 1.0), "every s must satisfy 1 <= s <= k", id="s>k"),
-        pytest.param(("rappor", 0, 1, 400, 1.0), "k, n, trials must be positive", id="k=0"),
-        pytest.param(("comm_hash", 16, 2, 0, 1), "k, n, trials must be positive", id="n=0"),
+        pytest.param(("hr_sparse", 32, 0, 2000, 1.0), "require 1 <= s <= k (got s=0, k=32)", id="s=0"),
+        pytest.param(("hr_sparse", 32, 40, 2000, 1.0), "require 1 <= s <= k (got s=40, k=32)", id="s>k"),
+        pytest.param(("rappor", 0, 1, 400, 1.0), "require 1 <= s <= k (got s=1, k=0)", id="k=0"),
+        pytest.param(("comm_hash", 16, 2, 0, 1), "n must be >= 1, got 0", id="n=0"),
         pytest.param(("comm_hash", 16, 2, 2**63, 1), f"n={2**63} is too large: n must be below 2^63", id="n=2^63"),
         pytest.param(("hr_dense", 32, 2, 50, 1.0), "n=50 is below the block size K=64 of k=32: HR needs n >= K", id="hr-n<K"),
         pytest.param(("rappor", 16, 2, 1, 1.0), f"n=1: rappor {_SPLIT}", id="rappor-n=1"),
@@ -243,7 +243,7 @@ _SPLIT = "splits users in half and needs n >= 2"
         pytest.param(("rappor", 16, 2, 400, 1600.0), "epsilon=1600.0 is too large", id="rappor-eps-overflows"),
         pytest.param(("hr_dense", 32, 2, 2000, 1e-17), "epsilon=1e-17 is too small: e^epsilon rounds to 1", id="hr-eps-rounds-to-1"),
         pytest.param(("rappor", 16, 2, 400, 2e-16), "epsilon=2e-16 is too small: e^(epsilon/2) rounds to 1", id="rappor-eps-rounds-to-1"),
-        pytest.param(("comm_hash", 16, 2, 1000, 0), "ell values must be >= 1", id="ell=0"),
+        pytest.param(("comm_hash", 16, 2, 1000, 0), "ell must be >= 1, got 0", id="ell=0"),
         pytest.param(("comm_hash", 16, 2, 1000, 2.5), "ell_list entry must be an integer, not 2.5", id="ell=2.5"),
         pytest.param(("hr", 16, 2, 1000, 1.0), "unknown scheme 'hr'; expected one of", id="unknown-scheme"),
     ],
@@ -1022,10 +1022,10 @@ _NO_CELL = "names no cell a grid can hold: "
             _NO_CELL + "unknown scheme 'hr_sparsee'",
             id="scheme-0-hr_sparsee-one of hr_dense, hr_sparse, rappor, comm_hash",
         ),
-        pytest.param("k", 1, "0", _NO_CELL + "k, n, trials must be positive", id="k-1-0-an integer >= 1"),
-        pytest.param("s", 2, "-2", _NO_CELL + "every s must satisfy 1 <= s <= k", id="s-2--2-an integer >= 1"),
-        pytest.param("n", 3, "0", _NO_CELL + "k, n, trials must be positive", id="n-3-0-an integer >= 1"),
-        ("s", 2, "40", _NO_CELL + "every s must satisfy 1 <= s <= k"),
+        pytest.param("k", 1, "0", _NO_CELL + "require 1 <= s <= k (got s=2, k=0)", id="k-1-0-an integer >= 1"),
+        pytest.param("s", 2, "-2", _NO_CELL + "require 1 <= s <= k (got s=-2, k=32)", id="s-2--2-an integer >= 1"),
+        pytest.param("n", 3, "0", _NO_CELL + "n must be >= 1, got 0", id="n-3-0-an integer >= 1"),
+        ("s", 2, "40", _NO_CELL + "require 1 <= s <= k (got s=40, k=32)"),
         ("eps_or_ell", 4, "-1.0", _NO_CELL + "epsilon must be positive, got -1.0"),
         ("n", 3, "50", _NO_CELL + "n=50 is below the block size K=64 of k=32: HR needs n >= K"),
         # a text with commas replaces that many fields from at on, the last of
@@ -1331,7 +1331,9 @@ _RAPPOR = dict(scheme="rappor", k=16, s_list=[1], n=400, trials=1, master_seed=3
         ("config", "epsilon=2000.0 is too large"),
         ("huge_n", "n=18446744073709551616 is too large"),
         ("json", "Expecting property name enclosed in double quotes"),
-        ("plan", "invalid parameters"),
+        ("plan", "require 1 <= s <= k (got s=20, k=10)"),
+        ("plan_alpha", "alpha must lie in (0, 1), got 2.0"),
+        ("plan_huge_eps", "epsilon=1000.0 is too large: e^epsilon overflows a float"),
         ("plan_without_eps", "--scheme ldp needs --eps"),
         ("plan_tiny_alpha_ldp", "alpha=1e-300 is too small"),
         ("plan_tiny_alpha_comm", "alpha=1e-170 is too small"),
@@ -1358,6 +1360,8 @@ def test_cli_rejection_is_one_line_and_status_2(tmp_path, capsys, case, message)
         "huge_n": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
         "json": ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
         "plan": ["plan", "--scheme", "comm", "--k", "10", "--s", "20", "--alpha", "0.1", "--ell", "2"],
+        "plan_alpha": ["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "2", "--eps", "1.0"],
+        "plan_huge_eps": ["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--alpha", "0.2", "--eps", "1000"],
         "plan_without_eps": ["plan", "--scheme", "ldp", "--k", "10", "--s", "2", "--alpha", "0.1", "--ell", "2"],
         "plan_tiny_alpha_ldp": ["plan", "--scheme", "ldp", "--k", "1000", "--s", "8", "--eps", "1", "--alpha", "1e-300"],
         "plan_tiny_alpha_comm": ["plan", "--scheme", "comm", "--k", "1000", "--s", "8", "--ell", "3", "--alpha", "1e-170"],

@@ -269,9 +269,9 @@ def test_split_half_estimate_holds_one_count_stack(drop, noise):
 
 
 def test_sparse_range_checks():
-    with pytest.raises(ValueError, match="require 1 <= s <= 3, got s=0"):
+    with pytest.raises(ValueError, match=r"require 1 <= s <= k \(got s=0, k=3\)"):
         top_s_indices(np.ones(3), 0)
-    with pytest.raises(ValueError, match="require 1 <= s <= 3, got s=4"):
+    with pytest.raises(ValueError, match=r"require 1 <= s <= k \(got s=4, k=3\)"):
         top_s_indices(np.ones((2, 3)), 4)
     with pytest.raises(ValueError, match="NaN"):
         top_s_indices(np.array([np.nan, 1.0, 2.0]), 1)

@@ -232,15 +232,16 @@ def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: floa
     the private scheme ("ldp") the risk bound
     C_LDP_RISK*s*sqrt(log(2k/s))/sqrt(n) * (e^eps+1)/(e^eps-1) is inverted
     at accuracy alpha. Raises ValueError unless 1 <= s <= k and
-    0 < alpha < 1 (_check_plan), and naming alpha when a size is not a
-    finite number.
+    0 < alpha < 1 (_check_plan), naming epsilon when an ldp plan has none
+    or invertible_exp_epsilon refuses it, and naming alpha when a size is
+    not a finite number.
     """
     if scheme == "comm":
         return 2 * max(comm_stage_sizes(k, s, alpha, ell))
     if scheme == "ldp":
         _check_plan(k, s, alpha)
-        if epsilon is None or epsilon <= 0:
-            raise ValueError("ldp scheme needs epsilon > 0")
+        if epsilon is None:
+            raise ValueError("ldp scheme needs epsilon")
         e = invertible_exp_epsilon(epsilon)
         root = C_LDP_RISK * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
         n = _ceil_size(root * root, alpha)

@@ -25,6 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 
@@ -165,17 +166,33 @@ def invertible_exp_epsilon(epsilon: float, divisor: int = 1) -> float:
     return e
 
 
-def check_sparsity(k: int, s: int) -> None:
-    """Raise ValueError naming s and k unless 1 <= s <= k: the one home of the sparsity rule.
+def check_number(name: str, value, integral: bool = True) -> None:
+    """Raise ValueError naming the parameter unless value is an integer (or, if not integral, a real number).
 
-    An s-sparse target over [k] needs that, so no k below 1 passes.
+    A bool is neither, and a float is no integer; NumPy integers and floats pass.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, not {value!r}")
+
+
+def check_sparsity(k: int, s: int) -> None:
+    """Raise ValueError naming s and k unless s is an integer and 1 <= s <= k: the one home of the sparsity rule.
+
+    An s-sparse target over [k] needs that, so no k below 1 passes. A float
+    or bool s is refused by check_number, as `s must be an integer, not 2.5`.
+    """
+    check_number("s", s)
     if not 1 <= s <= k:
         raise ValueError(f"require 1 <= s <= k (got s={s}, k={k})")
 
 
 def check_ell(ell: int) -> None:
-    """Raise ValueError naming ell unless ell >= 1, and for None: the one home of the rule on bits per user."""
+    """Raise ValueError naming ell unless it is an integer >= 1, and for None: the one home of the rule on bits per user.
+
+    A float or bool ell is refused by check_number, as `ell must be an integer, not 2.5`.
+    """
+    if ell is not None:
+        check_number("ell", ell)
     if ell is None or not ell >= 1:
         raise ValueError(f"ell must be >= 1, got {ell!r}")
 

@@ -47,7 +47,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -59,6 +58,7 @@ import numpy as np
 from .comm_hash import comm_run_stack, effective_ell
 from .core import (
     check_master_seed,
+    check_number,
     check_probs,
     check_sparsity,
     derive_key,
@@ -138,12 +138,8 @@ class ExperimentConfig:
 
 
 def _number(name: str, value, integral: bool = True):
-    """value as an int (or, if not integral, a float); ValueError naming the field if it is another type.
-
-    A bool is not a number here, and neither is a float where an int is due.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-        raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, not {value!r}")
+    """value as an int (or, if not integral, a float); ValueError naming the field if it is another type (core.check_number)."""
+    check_number(name, value, integral)
     return int(value) if integral else float(value)
 
 

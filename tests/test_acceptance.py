@@ -3,8 +3,10 @@
 Each test prints one ``[criterion N] PASS`` line on success (visible with
 ``pytest -s``); under plain ``pytest -v`` the per-test PASSED/FAILED line
 serves the same purpose. Budgeted criteria assert their own wall-clock limit.
+The desk grid's run is also checked against its pinned bytes (tests/pins.py).
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import chi_square, enumerate_packing_indices, induced_output_dist, make_packing_dist, packing_reference_dist
+from pins import PINS
 from sparse_dist_lab.bounds import (
     expected_chisq_over_packing,
     hamming_ball_count,
@@ -26,6 +29,7 @@ from sparse_dist_lab.bounds import (
     randomized_response_channel,
     verify_ldp,
 )
+from sparse_dist_lab.cli import main
 from sparse_dist_lab.comm_hash import comm_run_stack
 from sparse_dist_lab.core import derive_key, tv_distance, uniform_sparse_stack
 from sparse_dist_lab.hadamard import dense_matrix, fwht
@@ -52,7 +56,7 @@ DESK_GRID = Path(__file__).resolve().parents[1] / "configs" / "desk_grid.json"
 
 @pytest.fixture(scope="module")
 def desk_grid_run(tmp_path_factory):
-    """One full desk-grid run (8 workers), shared by criteria 7 and 10."""
+    """One full desk-grid run (8 workers), shared by criteria 7 and 10 and the desk pins."""
     out = tmp_path_factory.mktemp("grid") / "desk.csv"
     configs = load_configs(str(DESK_GRID))
     start = time.perf_counter()
@@ -311,3 +315,15 @@ def test_criterion_10_grid_determinism(desk_grid_run, tmp_path):
         f"(8 workers vs 1)",
         flush=True,
     )
+
+
+def test_desk_grid_bytes_are_pinned(desk_grid_run, tmp_path):
+    # the results CSV and the two files `summarize` writes from it, as CI pins them
+    out, _ = desk_grid_run
+    assert main(["summarize", "--in", str(out), "--out", str(tmp_path / "summary.json")]) == 0
+    for name, path in (
+        ("desk_grid.csv", out),
+        ("desk_grid.summary.json", tmp_path / "summary.json"),
+        ("desk_grid.summary.csv", tmp_path / "summary.csv"),
+    ):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINS[name], name

@@ -419,6 +419,16 @@ def test_planning_validates_inputs():
         planned_sample_size("other", 1000, 8, 0.2, epsilon=1.0)
 
 
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [(0, "epsilon must be positive, got 0"), (-1, "epsilon must be positive, got -1"), (None, "ldp scheme needs epsilon")],
+)
+def test_ldp_planning_gives_the_one_epsilon_message(epsilon, message):
+    # a nonpositive epsilon gets core.exp_epsilon's message, as at every other epsilon site
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        planned_sample_size("ldp", 1000, 8, 0.2, epsilon=epsilon)
+
+
 def test_bounds_reject_epsilon_whose_exponential_overflows():
     # e^800 overflows a float; each must name epsilon, not raise OverflowError.
     calls = (

@@ -30,7 +30,9 @@ from sparse_dist_lab.bounds import (
 from sparse_dist_lab.comm_hash import effective_ell
 from sparse_dist_lab.core import (
     GOLDEN64,
+    check_ell,
     check_probs,
+    check_sparsity,
     derive_key,
     derive_keys,
     fold_string,
@@ -463,3 +465,27 @@ _ELL_ENTRIES = {
 def test_every_ell_entry_gives_the_one_message(entry):
     with pytest.raises(ValueError, match=f"^{re.escape('ell must be >= 1, got 0')}$"):
         _ELL_ENTRIES[entry](0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: comm_stage_sizes(1000, 8.0, 0.2, 3), "s must be an integer, not 8.0", id="comm_stage_sizes-s"),
+        pytest.param(lambda: uniform_sparse_stack(16, 2.5, [1]), "s must be an integer, not 2.5", id="uniform_sparse_stack-s"),
+        pytest.param(lambda: hamming_ball_count(10, 2.5, 2), "s must be an integer, not 2.5", id="hamming_ball_count-s"),
+        pytest.param(lambda: ldp_risk_bound(1000, 2.5, 1.0, 1000), "s must be an integer, not 2.5", id="ldp_risk_bound-s"),
+        pytest.param(lambda: comm_stage_sizes(1000, 8, 0.2, 2.5), "ell must be an integer, not 2.5", id="comm_stage_sizes-ell"),
+        pytest.param(lambda: top_s_indices(np.arange(16.0), True), "s must be an integer, not True", id="top_s_indices-s-bool"),
+        pytest.param(lambda: effective_ell(True, 2), "ell must be an integer, not True", id="effective_ell-ell-bool"),
+    ],
+)
+def test_sparsity_and_ell_rules_refuse_a_non_integer(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_sparsity_and_ell_rules_take_numpy_integers():
+    check_sparsity(16, np.int64(2))
+    check_ell(np.uint8(3))
+    assert uniform_sparse_stack(16, np.int64(2), [1]).shape == (1, 16)
+    assert ldp_risk_bound(1000, np.int64(8), 1.0, 1000) == ldp_risk_bound(1000, 8, 1.0, 1000)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_mean_tv, scatter
+from pins import PINS, SAMPLER_VERSION
 from sparse_dist_lab import harness
 from sparse_dist_lab.cli import main, plan_report
 from sparse_dist_lab.comm_hash import comm_run_stack
@@ -719,24 +720,24 @@ _GOLDEN_GRIDS = [
     dict(scheme="rappor", k=32, s_list=[2, 4], n=2000, epsilon_list=[1.0, 3.0]),
     dict(scheme="comm_hash", k=32, s_list=[2, 4], n=2000, ell_list=[2, 3, 5]),
 ]
-_GOLDEN_SHA256 = "884c763da117482d9633ef0836d4b17595d9a27cb5f0202acbe02d5a82da0793"
 # At these epsilons rappor's 1 - 2q and (1 - q) - q differ in the last bit,
 # which moves the TV errors' last digits.
 _GOLDEN_RAPPOR_GRIDS = [dict(scheme="rappor", k=32, s_list=[2, 4], n=2000, epsilon_list=[0.3, 0.9, 6.0])]
-_GOLDEN_RAPPOR_SHA256 = "b07123e5993b64534e8d146bc3606ba0b2e397524e852854de4901ad878525ee"
 
 
 def test_results_csv_bytes_are_pinned(tmp_path):
     # The exact bytes of tiny grids: a refactor that moves any draw, rounding
     # or row format changes one of these hashes.
-    for name, grids, sha256 in (
-        ("every_scheme", _GOLDEN_GRIDS, _GOLDEN_SHA256),
-        ("rappor_rounding", _GOLDEN_RAPPOR_GRIDS, _GOLDEN_RAPPOR_SHA256),
-    ):
-        out = tmp_path / f"{name}.csv"
+    for name, grids in (("golden_every_scheme.csv", _GOLDEN_GRIDS), ("golden_rappor_rounding.csv", _GOLDEN_RAPPOR_GRIDS)):
+        out = tmp_path / name
         for grid in grids:
             run_grid(ExperimentConfig(trials=2, master_seed=20240801, **grid), str(out), threads=1)
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name], name
+
+
+def test_pins_were_made_under_the_current_sampler():
+    # a sampler bump moves the results-CSV bytes, so it re-pins tests/pins.py in the same change
+    assert SAMPLER_VERSION == harness.SAMPLER_VERSION
 
 
 def test_grid_draws_each_experiment_once(tmp_path, monkeypatch):
@@ -857,7 +858,7 @@ def test_grid_builds_one_philox_per_thread(tmp_path, monkeypatch):
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS["golden_every_scheme.csv"]
     assert built == [thread.ident]
 
 
@@ -1241,7 +1242,7 @@ def test_cli_run_summarize_plan(tmp_path, capsys):
             "planned n = 773004530 (per half: support stage 386502265, estimation stage 640000)\n"
             "effective ell = 3 (capped from 5: more buckets than ~2s buy nothing)\n"
             "guarantee at planned n: TV error <= 0.2 with probability >= 0.9\n",
-            "9a65a1b9ca9fe5779d51117027000070e4d09ae3c5661d807c11ad1064863028",
+            PINS["plan_comm.stdout"],
             id="comm-capped-ell",
         ),
         pytest.param(
@@ -1249,13 +1250,13 @@ def test_cli_run_summarize_plan(tmp_path, capsys):
             "scheme hr (ldp): k=1000 s=8 alpha=0.2 epsilon=1.0\n"
             "planned n = 66189604\n"
             "risk bound at planned n: 0.2 (target alpha = 0.2)\n",
-            "971d97c3ce8280e4bb1c826f1ed164cefb144f49a9663ce740e74b6e75a36f65",
+            PINS["plan_ldp.stdout"],
             id="ldp",
         ),
     ],
 )
 def test_cli_plan_stdout_is_pinned(capsys, argv, stdout, sha256):
-    # the same sha256 pins the installed console script's stdout in CI
+    # CI checks the installed console script's stdout against the same pin
     assert main(["plan", *argv.split()]) == 0
     out = capsys.readouterr().out
     assert out == stdout
@@ -1282,13 +1283,7 @@ def test_cli_verify_bounds(tmp_path, capsys):
     assert "[ok]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "seed, sha256",
-    [
-        (0, "79e40a86837f7e5ac794dab777cc9dd1faf794e2c4563705fa2694724bdb64ef"),
-        (5, "b1cb6e8587daf08c6397f334e7e15f6518e6f5c669dddce01c1d1ea831c980ed"),
-    ],
-)
+@pytest.mark.parametrize("seed, sha256", [(seed, PINS[f"verify_bounds_seed{seed}.json"]) for seed in (0, 5)])
 def test_verify_bounds_report_bytes_are_pinned(tmp_path, seed, sha256):
     # The random l-bit channels are drawn from keyed streams; a change in how
     # they are keyed or drawn moves these bytes.

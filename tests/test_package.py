@@ -1,4 +1,4 @@
-"""The package surface: every export and every public name in src/ is used, and every demo and README snippet runs."""
+"""The package surface: every export and every public name in src/ is used, every demo and README snippet runs, and every output pin lives in tests/pins.py."""
 
 import ast
 import hashlib
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sparse_dist_lab
+from pins import PINS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sparse_dist_lab"
@@ -89,18 +90,32 @@ def test_demo_runs(demo, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-_DEMO_STDOUT_SHA256 = {
-    "hashing_demo": "151e0413218f834f91dfeb3b809649651380dd30c34e95271d59027dbcbdaa20",
-    "hadamard_response_demo": "c1a4f3a478a5fa122edc840ee694862bad219da23a4443799f875b1506bd36ae",
-    "lower_bounds_demo": "c338b4d179d81ed1fc64e8cfa764345b18a3291a365efb35a22713ee16ca4c8f",
-}
-
-
-@pytest.mark.parametrize("name", sorted(_DEMO_STDOUT_SHA256))
+@pytest.mark.parametrize("name", sorted(pin.removesuffix(".stdout") for pin in PINS if pin.endswith("_demo.stdout")))
 def test_demo_stdout_bytes_are_pinned(name):
     done = _run_python([str(ROOT / "demos" / f"{name}.py")])
     assert done.returncode == 0, done.stderr
-    assert hashlib.sha256(done.stdout.encode()).hexdigest() == _DEMO_STDOUT_SHA256[name]
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == PINS[f"{name}.stdout"]
+
+
+def test_every_sha256_pin_is_written_once_in_the_pin_table():
+    # A re-pin is one edit of tests/pins.py: no test or CI step spells a hash itself.
+    found = {}
+    for path in sorted([*(ROOT / "tests").rglob("*"), *(ROOT / ".github").rglob("*")]):
+        if path.is_file() and "__pycache__" not in path.parts:
+            for value in re.findall(r"[0-9a-f]{64}", path.read_text(errors="replace")):
+                found.setdefault(value, []).append(path.relative_to(ROOT).as_posix())
+    assert found == {value: ["tests/pins.py"] for value in PINS.values()}
+
+
+def test_pin_table_prints_sha256sum_check_lines():
+    pins = str(ROOT / "tests" / "pins.py")
+    done = _run_python([pins, "desk_grid.csv=desk.csv", "plan_ldp.stdout=out/plan ldp.txt"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{PINS['desk_grid.csv']}  desk.csv\n{PINS['plan_ldp.stdout']}  out/plan ldp.txt\n"
+    for bad in ("desk.csv=desk.csv", "desk_grid.csv"):
+        done = _run_python([pins, "plan_ldp.stdout=plan.txt", bad])
+        assert done.returncode != 0 and done.stdout == "", bad
+        assert repr(bad) in done.stderr
 
 
 def test_trend_demo_writes_to_the_directory_it_is_given(tmp_path):

@@ -11,13 +11,14 @@ protocols' planned sample sizes.
 """
 
 from sparse_dist_lab import (
+    comm_sample_size,
     derive_key,
     expected_chisq_over_packing,
     implied_sample_lower_bound,
     lbit_contraction_ceiling,
     ldp_contraction_ceiling,
+    ldp_sample_size,
     packing_gap,
-    planned_sample_size,
     random_lbit_channel,
     randomized_response_channel,
     verification_suite,
@@ -56,10 +57,10 @@ def main():
     for label, chisq, planned in (
         ("eps=1 (LDP)",
          ldp_contraction_ceiling(1.0, ss, aa),
-         planned_sample_size("ldp", kk, ss, aa, epsilon=1.0)),
+         ldp_sample_size(kk, ss, aa, 1.0)),
         ("ell=3 (comm)",
          lbit_contraction_ceiling(3, ss, aa),
-         planned_sample_size("comm", kk, ss, aa, ell=3)),
+         comm_sample_size(kk, ss, aa, 3)),
     ):
         floor = implied_sample_lower_bound(gap, chisq)
         print(f"  {label}: n >= {floor:,.0f} (contraction-bound floor), "

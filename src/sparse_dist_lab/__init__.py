@@ -13,6 +13,7 @@ from types import ModuleType as _ModuleType
 
 from .bounds import (
     BoundReport,
+    comm_sample_size,
     comm_stage_sizes,
     expected_chisq_over_packing,
     hamming_ball_count,
@@ -20,8 +21,8 @@ from .bounds import (
     lbit_contraction_ceiling,
     ldp_contraction_ceiling,
     ldp_risk_bound,
+    ldp_sample_size,
     packing_gap,
-    planned_sample_size,
     random_lbit_channel,
     randomized_response_channel,
     verification_suite,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .comm_hash import effective_ell
 from .core import check_ell, check_master_seed, check_probs, check_sparsity, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
 
 REPORT_TOL = 1e-9
@@ -222,48 +223,30 @@ def packing_gap(k: int, s: int, diagnostic: bool = False) -> BoundReport:
     )
 
 
-def planned_sample_size(scheme: str, k: int, s: int, alpha: float, epsilon: float | None = None, ell: int | None = None) -> int:
-    """Sample size at which the scheme's guarantee kicks in, rounded up even.
-
-    For the hashing scheme ("comm") the two stages need
-    C1*s^2*max(log(k/s),1) / (alpha^2*min(2^ell,s)) and
-    C2*s^2 / (alpha^2*min(2^ell,s)) users respectively; both halves get the
-    larger of the two (comm_stage_sizes, which checks the comm plan). For
-    the private scheme ("ldp") the risk bound
-    C_LDP_RISK*s*sqrt(log(2k/s))/sqrt(n) * (e^eps+1)/(e^eps-1) is inverted
-    at accuracy alpha. Raises ValueError unless 1 <= s <= k and
-    0 < alpha < 1 (_check_plan), naming epsilon when an ldp plan has none
-    or invertible_exp_epsilon refuses it, and naming alpha when a size is
-    not a finite number.
-    """
-    if scheme == "comm":
-        return 2 * max(comm_stage_sizes(k, s, alpha, ell))
-    if scheme == "ldp":
-        _check_plan(k, s, alpha)
-        if epsilon is None:
-            raise ValueError("ldp scheme needs epsilon")
-        e = invertible_exp_epsilon(epsilon)
-        root = C_LDP_RISK * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
-        n = _ceil_size(root * root, alpha)
-        return n + (n % 2)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def comm_stage_sizes(k: int, s: int, alpha: float, ell: int) -> tuple[int, int]:
     """Per-half sample sizes of the hashing scheme's two stages.
 
     Raises ValueError unless 1 <= s <= k and 0 < alpha < 1 (_check_plan)
-    and ell >= 1 (check_ell), and naming alpha when a size is not a finite
-    number.
+    and ell >= 1 (check_ell, through effective_ell), and naming alpha when
+    a size is not a finite number.
     """
     _check_plan(k, s, alpha)
-    check_ell(ell)
-    # 2^ell >= s once ell reaches s's bit length, so a large ell builds no 2^ell
-    buckets = s if ell >= s.bit_length() else min(2**ell, s)
+    # min(2^ell, s): where effective_ell caps ell, 2^ell and 2^cap both pass s, so a large ell builds no 2^ell
+    buckets = min(1 << effective_ell(ell, s), s)
     denom = alpha * alpha * buckets or math.nan  # alpha^2 can underflow to 0
     stage1 = _ceil_size(C1_SUPPORT * s * s * max(math.log(k / s), 1.0) / denom, alpha)
     stage2 = _ceil_size(C2_ESTIMATE * s * s / denom, alpha)
     return stage1, stage2
+
+
+def comm_sample_size(k: int, s: int, alpha: float, ell: int) -> int:
+    """Users the hashing scheme needs for TV error alpha with ell bits per user: both halves get the larger stage.
+
+    The stages need C1*s^2*max(log(k/s),1) / (alpha^2*min(2^ell,s)) and
+    C2*s^2 / (alpha^2*min(2^ell,s)) users (comm_stage_sizes, whose
+    ValueErrors these are).
+    """
+    return 2 * max(comm_stage_sizes(k, s, alpha, ell))
 
 
 def _check_plan(k: int, s: int, alpha: float) -> None:
@@ -287,6 +270,22 @@ def ldp_risk_bound(k: int, s: int, epsilon: float, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n!r}")
     e = invertible_exp_epsilon(epsilon)
     return C_LDP_RISK * s * math.sqrt(math.log(2 * k / s) / n) * (e + 1) / (e - 1)
+
+
+def ldp_sample_size(k: int, s: int, alpha: float, epsilon: float) -> int:
+    """Users the one-bit private scheme needs for TV error alpha, rounded up even.
+
+    Inverts the risk bound C_LDP_RISK*s*sqrt(log(2k/s))/sqrt(n) *
+    (e^eps+1)/(e^eps-1) at accuracy alpha. Raises ValueError unless
+    1 <= s <= k and 0 < alpha < 1 (_check_plan), naming epsilon when
+    invertible_exp_epsilon refuses it, and naming alpha when the size is not
+    a finite number.
+    """
+    _check_plan(k, s, alpha)
+    e = invertible_exp_epsilon(epsilon)
+    root = C_LDP_RISK * s * math.sqrt(math.log(2 * k / s)) * (e + 1) / ((e - 1) * alpha)
+    n = _ceil_size(root * root, alpha)
+    return n + (n % 2)
 
 
 def randomized_response_channel(num_symbols: int, epsilon: float) -> np.ndarray:

@@ -99,36 +99,33 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-def plan_report(scheme: str, k: int, s: int, alpha: float, epsilon: float | None = None, ell: int | None = None) -> str:
-    """Human-readable sample-size plan for one problem instance."""
+def plan_report(scheme: str, k: int, s: int, alpha: float, param: float | int) -> str:
+    """Human-readable sample-size plan for one problem instance; param is epsilon for "ldp" and ell for "comm"."""
     lines = []
     if scheme == "comm":
-        n = bounds.planned_sample_size("comm", k, s, alpha, ell=ell)
-        stage1, stage2 = bounds.comm_stage_sizes(k, s, alpha, ell)
-        eff = effective_ell(ell, s)
-        lines.append(f"scheme comm_hash: k={k} s={s} alpha={alpha} ell={ell}")
+        n = bounds.comm_sample_size(k, s, alpha, param)
+        stage1, stage2 = bounds.comm_stage_sizes(k, s, alpha, param)
+        eff = effective_ell(param, s)
+        capped = f" (capped from {param}: more buckets than ~2s buy nothing)" if eff < param else ""
+        lines.append(f"scheme comm_hash: k={k} s={s} alpha={alpha} ell={param}")
         lines.append(f"planned n = {n} (per half: support stage {stage1}, estimation stage {stage2})")
-        if eff < ell:
-            lines.append(f"effective ell = {eff} (capped from {ell}: more buckets than ~2s buy nothing)")
-        else:
-            lines.append(f"effective ell = {eff}")
+        lines.append(f"effective ell = {eff}{capped}")
         lines.append(f"guarantee at planned n: TV error <= {alpha} with probability >= 0.9")
     elif scheme == "ldp":
-        n = bounds.planned_sample_size("ldp", k, s, alpha, epsilon=epsilon)
-        lines.append(f"scheme hr (ldp): k={k} s={s} alpha={alpha} epsilon={epsilon}")
+        n = bounds.ldp_sample_size(k, s, alpha, param)
+        lines.append(f"scheme hr (ldp): k={k} s={s} alpha={alpha} epsilon={param}")
         lines.append(f"planned n = {n}")
-        lines.append(f"risk bound at planned n: {bounds.ldp_risk_bound(k, s, epsilon, n):.6g} (target alpha = {alpha})")
+        lines.append(f"risk bound at planned n: {bounds.ldp_risk_bound(k, s, param, n):.6g} (target alpha = {alpha})")
     else:
         raise ValueError("scheme must be 'ldp' or 'comm'")
     return "\n".join(lines)
 
 
 def _cmd_plan(args) -> int:
-    if args.scheme == "ldp" and args.eps is None:
-        raise ValueError("--scheme ldp needs --eps")
-    if args.scheme == "comm" and args.ell is None:
-        raise ValueError("--scheme comm needs --ell")
-    print(plan_report(args.scheme, args.k, args.s, args.alpha, epsilon=args.eps, ell=args.ell))
+    flag, param = ("--eps", args.eps) if args.scheme == "ldp" else ("--ell", args.ell)
+    if param is None:
+        raise ValueError(f"--scheme {args.scheme} needs {flag}")
+    print(plan_report(args.scheme, args.k, args.s, args.alpha, param))
     return 0
 
 

@@ -26,6 +26,8 @@ preimage scan that the count law is checked against.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .core import check_ell
@@ -35,7 +37,7 @@ from .projection import split_half_estimate
 def effective_ell(ell: int, s: int) -> int:
     """Bits the scheme actually uses: min(ell, ceil(log2 s) + 1); ValueError unless ell >= 1 (check_ell)."""
     check_ell(ell)
-    return min(ell, (s - 1).bit_length() + 1)
+    return min(ell, (operator.index(s) - 1).bit_length() + 1)
 
 
 def comm_run_stack(P: np.ndarray, n: int, ell: int, s: int, keys):

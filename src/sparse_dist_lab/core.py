@@ -138,11 +138,12 @@ def _exp_text(divisor: int) -> str:
 def exp_epsilon(epsilon: float, divisor: int = 1) -> float:
     """e^(epsilon / divisor) for a privacy budget epsilon.
 
-    Raises ValueError naming epsilon unless epsilon is positive and the
-    exponential is a finite float (e^x overflows past x ~ 709.78), so a
-    too-large budget fails with a message instead of an OverflowError or NaN
-    probabilities.
+    Raises ValueError naming epsilon unless epsilon is a real number
+    (check_number: not None, not a bool), positive, and its exponential is
+    a finite float (e^x overflows past x ~ 709.78), so a too-large budget
+    fails with a message instead of an OverflowError or NaN probabilities.
     """
+    check_number("epsilon", epsilon, integral=False)
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     try:
@@ -187,13 +188,12 @@ def check_sparsity(k: int, s: int) -> None:
 
 
 def check_ell(ell: int) -> None:
-    """Raise ValueError naming ell unless it is an integer >= 1, and for None: the one home of the rule on bits per user.
+    """Raise ValueError naming ell unless it is an integer >= 1: the one home of the rule on bits per user.
 
-    A float or bool ell is refused by check_number, as `ell must be an integer, not 2.5`.
+    A float, bool or None ell is refused by check_number, as `ell must be an integer, not 2.5`.
     """
-    if ell is not None:
-        check_number("ell", ell)
-    if ell is None or not ell >= 1:
+    check_number("ell", ell)
+    if not ell >= 1:
         raise ValueError(f"ell must be >= 1, got {ell!r}")
 
 

@@ -15,12 +15,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_number
+
 
 def hadamard_dim(k: int) -> int:
-    """Smallest power of two K with K >= k+1 (the protocol's block size)."""
+    """Smallest power of two K with K >= k+1 (the protocol's block size).
+
+    Raises ValueError naming k unless it is an integer (check_number: a
+    Python or NumPy integer, not a bool) and positive.
+    """
+    check_number("k", k)
     if k < 1:
         raise ValueError("k must be positive")
-    return 1 << (k).bit_length()  # k+1 <= 2^ceil(log2(k+1)) = 2^(k.bit_length())
+    return 1 << int(k).bit_length()  # k+1 <= 2^ceil(log2(k+1)) = 2^(k.bit_length())
 
 
 def _check_dim(K: int) -> None:

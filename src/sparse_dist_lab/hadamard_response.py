@@ -69,6 +69,20 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
     return scale * fwht(2.0 * s_hat - 1.0)[..., :k]
 
 
+def hr_group_sizes(n: int, k: int) -> np.ndarray:
+    """The users in each of the K = hadamard_dim(k) groups when n users are assigned round-robin.
+
+    The one home of HR's user-count rule: raises ValueError unless n >= K,
+    so that no group is empty.
+    """
+    K = hadamard_dim(k)
+    if n < K:
+        raise ValueError(f"n={n} is below the block size K={K} of k={k}: HR needs n >= K")
+    sizes = np.full(K, n // K, dtype=np.int64)
+    sizes[: n % K] += 1
+    return sizes
+
+
 def hr_draw_fractions(P: np.ndarray, n: int, epsilon: float, keys) -> np.ndarray:
     """Draw, for each row of a (B, k) stack of targets, the K per-group fractions of ones of n users.
 
@@ -78,16 +92,13 @@ def hr_draw_fractions(P: np.ndarray, n: int, epsilon: float, keys) -> np.ndarray
     group j sends a 1 with probability t_j (see hr_expected_fractions),
     independently of all other users, so ones_j ~ Binomial(n_j, t_j) is the
     exact law of encoding and aggregating every user's bit. Returns the
-    (B, K) fractions. Raises ValueError unless keys holds one key per row.
+    (B, K) fractions. Raises ValueError unless keys holds one key per row,
+    and unless n >= K (hr_group_sizes).
     """
     if len(keys) != len(P):
         raise ValueError(f"got {len(keys)} keys for {len(P)} targets")
-    K = hadamard_dim(np.shape(P)[1])
-    if n < K:
-        raise ValueError(f"need at least K={K} users, got n={n}")
-    sizes = np.full(K, n // K, dtype=np.int64)
-    sizes[: n % K] += 1
-    t = np.clip(hr_expected_fractions(P, epsilon, K), 0.0, 1.0)  # round-off can pass 1 at large eps
+    sizes = hr_group_sizes(n, np.shape(P)[1])
+    t = np.clip(hr_expected_fractions(P, epsilon, len(sizes)), 0.0, 1.0)  # round-off can pass 1 at large eps
     ones = np.stack([keyed_generator(key).binomial(sizes, row) for key, row in zip(keys, t)])
     return ones / sizes
 

@@ -69,8 +69,8 @@ from .core import (
     tv_distance,
     uniform_sparse_stack,
 )
-from .hadamard import hadamard_dim
-from .hadamard_response import hr_run_stack
+from .hadamard_response import hr_group_sizes, hr_run_stack
+from .projection import split_halves
 from .rappor import flip_probability, rappor_run_stack
 
 CSV_HEADER = "scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed,sampler"
@@ -191,16 +191,16 @@ class Cell:
     construction raises ValueError saying which one fails unless the scheme
     is known, k, s and n are integers and param is an integer ell for
     comm_hash and a real epsilon otherwise (see _number: a bool, a string
-    or a float where an integer is due is refused), 1 <= n < 2^63
-    (NumPy's binomial and multinomial take n as an int64), 1 <= s <= k
+    or a float where an integer is due is refused), n < 2^63 (NumPy's
+    binomial and multinomial take n as an int64), 1 <= s <= k
     (core.check_sparsity, so k >= 1 too), and epsilon's exponential (e^eps
     for HR's decoder, e^(eps/2) for rappor's flip probability) is finite
     and not 1, where the decoder would divide by 0, or ell >= 1
     (core.check_ell, through effective_ell). HR needs n >= K, its block
-    size, and the split-half schemes n >= 2. The fields are stored as
-    Python ints and epsilon as a float, so that equal cells (1 == 1.0,
-    np.int64(3) == 3) share one canonical string, row text and cached
-    cell_hash.
+    size (hr_group_sizes), and the split-half schemes n >= 2
+    (split_halves): these are the rules on n's low end. The fields are stored as Python ints and epsilon as a
+    float, so that equal cells (1 == 1.0, np.int64(3) == 3) share one
+    canonical string, row text and cached cell_hash.
     """
 
     scheme: str
@@ -215,8 +215,6 @@ class Cell:
         for name in ("k", "s", "n"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         object.__setattr__(self, "param", _number(f"{sweep} entry", self.param, integral=sweep == "ell_list"))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.n >= 2**63:
             raise ValueError(f"n={self.n} is too large: n must be below 2^63")
         check_sparsity(self.k, self.s)
@@ -224,10 +222,10 @@ class Cell:
             (flip_probability if self.scheme == "rappor" else invertible_exp_epsilon)(self.param)
         else:
             effective_ell(self.param, self.s)
-        if scheme_family(self.scheme) == "hr" and self.n < hadamard_dim(self.k):
-            raise ValueError(f"n={self.n} is below the block size K={hadamard_dim(self.k)} of k={self.k}: HR needs n >= K")
-        if self.scheme in ("rappor", "comm_hash") and self.n < 2:
-            raise ValueError(f"n={self.n}: {self.scheme} splits users in half and needs n >= 2")
+        if scheme_family(self.scheme) == "hr":
+            hr_group_sizes(self.n, self.k)
+        else:
+            split_halves(self.n)
 
     @property
     def bits(self) -> int:

@@ -127,12 +127,22 @@ def split_half_decode(N: np.ndarray, m2: int, drop: float, noise: float):
     return raw, project_simplex_vec(raw)
 
 
+def split_halves(n: int) -> tuple[int, int]:
+    """The users in the two halves of n: n // 2 and n - n // 2.
+
+    The one home of the split-half schemes' user-count rule: raises
+    ValueError unless n >= 2, so that neither half is empty.
+    """
+    if n < 2:
+        raise ValueError(f"n={n}: a split-half scheme splits users in half and needs n >= 2")
+    return n // 2, n - n // 2
+
+
 def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, s: int, keys):
     """Split n users in half and estimate each row of a (B, k) stack of s-sparse targets from the halves' counts.
 
-    The first half holds n // 2 users and the second n - n // 2, so any
-    n >= 2 splits. keys is a sequence of integer keys in [0, 2^64), one per
-    row; row i draws from the child streams 0 to 3 of the stream whose key
+    The halves hold split_halves(n) users. keys is a sequence of integer
+    keys in [0, 2^64), one per row; row i draws from the child streams 0 to 3 of the stream whose key
     is keys[i], in the order 0, 2, 1, 3. Child 0: the first half's symbol
     histogram, a multinomial over the row's support (a zero-probability
     symbol takes nothing from a stream, so these are the counts of a draw
@@ -147,15 +157,12 @@ def split_half_estimate(P: np.ndarray, n: int, drop: float, noise: float, s: int
     this thread's keyed_generator, so a stream's variates do not depend on
     the order the streams are drawn in. Returns T and split_half_decode's
     (B, t) raw and projected estimates on T. Raises ValueError unless
-    n >= 2 and keys holds one key per row.
+    n >= 2 (split_halves) and keys holds one key per row.
     """
     P = np.asarray(P, dtype=np.float64)
     if len(keys) != len(P):
         raise ValueError(f"got {len(keys)} keys for {len(P)} targets")
-    m1 = n // 2
-    m2 = n - m1
-    if m1 == 0:
-        raise ValueError("need at least two users")
+    m1, m2 = split_halves(n)
     M = np.zeros(P.shape, dtype=np.int64)
     children = [derive_keys(key, range(4)) for key in keys]
     supports = [row.nonzero()[0] for row in P]

@@ -19,12 +19,12 @@ import pytest
 from oracles import chi_square, enumerate_packing_indices, induced_output_dist, make_packing_dist, packing_reference_dist
 from pins import PINS
 from sparse_dist_lab.bounds import (
+    comm_sample_size,
     expected_chisq_over_packing,
     hamming_ball_count,
     indicator_response_channel,
     ldp_risk_bound,
     packing_gap,
-    planned_sample_size,
     random_lbit_channel,
     randomized_response_channel,
     verify_ldp,
@@ -170,7 +170,7 @@ def test_criterion_05_sparse_beats_dense_on_shared_messages():
 
 def test_criterion_06_hashing_support_capture():
     k, s, ell, alpha = 1000, 8, 3, 0.2
-    n = planned_sample_size("comm", k, s, alpha, ell=ell)
+    n = comm_sample_size(k, s, alpha, ell)
     assert n == 1351927848  # pinned fixture: C1/C2 arithmetic
     capture_hits = 0
     l1_hits = 0

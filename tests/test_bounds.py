@@ -20,6 +20,7 @@ from oracles import (
 )
 from sparse_dist_lab.bounds import (
     BoundReport,
+    comm_sample_size,
     comm_stage_sizes,
     expected_chisq_over_packing,
     hamming_ball_count,
@@ -28,8 +29,8 @@ from sparse_dist_lab.bounds import (
     lbit_contraction_ceiling,
     ldp_contraction_ceiling,
     ldp_risk_bound,
+    ldp_sample_size,
     packing_gap,
-    planned_sample_size,
     random_lbit_channel,
     randomized_response_channel,
     verification_suite,
@@ -351,11 +352,11 @@ def test_comm_planning_log_floor():
     n1, n2 = comm_stage_sizes(2, 1, alpha, 1)
     assert n1 == math.ceil(700000 / alpha**2)
     assert n2 == math.ceil(6400 / alpha**2)
-    assert planned_sample_size("comm", 2, 1, alpha, ell=1) == 2 * max(n1, n2)
+    assert comm_sample_size(2, 1, alpha, 1) == 2 * max(n1, n2)
 
 
 def test_comm_planning_fixture():
-    assert planned_sample_size("comm", 1000, 8, 0.2, ell=3) == 1351927848
+    assert comm_sample_size(1000, 8, 0.2, 3) == 1351927848
 
 
 def test_comm_planning_past_the_bucket_cap_builds_no_power():
@@ -371,7 +372,7 @@ def test_comm_planning_past_the_bucket_cap_builds_no_power():
         pytest.param(1000, 8, -0.2, 3, "alpha must lie in (0, 1), got -0.2", id="alpha<0"),
         pytest.param(1000, 8, 2.0, 3, "alpha must lie in (0, 1), got 2.0", id="alpha>1"),
         pytest.param(1000, 8, 0.2, 0, "ell must be >= 1, got 0", id="ell=0"),
-        pytest.param(1000, 8, 0.2, None, "ell must be >= 1, got None", id="ell=None"),
+        pytest.param(1000, 8, 0.2, None, "ell must be an integer, not None", id="ell=None"),
     ],
 )
 def test_comm_stage_sizes_refuses_what_the_plan_cannot_take(k, s, alpha, ell, message):
@@ -384,55 +385,56 @@ def test_ldp_planning_scales_inverse_square_in_eps():
     # The 1/eps^2 law is exact only in the small-eps limit where
     # (e^eps+1)/(e^eps-1) ~ 2/eps; check the ratio there.
     k, s, alpha = 1000, 8, 0.2
-    n1 = planned_sample_size("ldp", k, s, alpha, epsilon=1e-4)
-    n2 = planned_sample_size("ldp", k, s, alpha, epsilon=2e-4)
+    n1 = ldp_sample_size(k, s, alpha, 1e-4)
+    n2 = ldp_sample_size(k, s, alpha, 2e-4)
     assert n1 / n2 == pytest.approx(4.0, rel=1e-3)
 
 
 def test_ldp_planning_fixture():
-    assert planned_sample_size("ldp", 1000, 8, 0.2, epsilon=1.0) == 66189604
+    assert ldp_sample_size(1000, 8, 0.2, 1.0) == 66189604
 
 
 def test_planning_monotonicity():
-    base = planned_sample_size("comm", 1000, 8, 0.2, ell=3)
-    assert planned_sample_size("comm", 1000, 16, 0.2, ell=3) >= base
-    assert planned_sample_size("comm", 2000, 8, 0.2, ell=3) >= base
-    assert planned_sample_size("comm", 1000, 8, 0.4, ell=3) <= base
-    assert planned_sample_size("comm", 1000, 8, 0.2, ell=4) <= base
-    lbase = planned_sample_size("ldp", 1000, 8, 0.2, epsilon=1.0)
-    assert planned_sample_size("ldp", 1000, 8, 0.2, epsilon=2.0) <= lbase
-    assert planned_sample_size("ldp", 1000, 16, 0.2, epsilon=1.0) >= lbase
+    base = comm_sample_size(1000, 8, 0.2, 3)
+    assert comm_sample_size(1000, 16, 0.2, 3) >= base
+    assert comm_sample_size(2000, 8, 0.2, 3) >= base
+    assert comm_sample_size(1000, 8, 0.4, 3) <= base
+    assert comm_sample_size(1000, 8, 0.2, 4) <= base
+    lbase = ldp_sample_size(1000, 8, 0.2, 1.0)
+    assert ldp_sample_size(1000, 8, 0.2, 2.0) <= lbase
+    assert ldp_sample_size(1000, 16, 0.2, 1.0) >= lbase
 
 
 def test_planning_result_is_even():
     for ell in (1, 2, 5):
-        assert planned_sample_size("comm", 500, 4, 0.3, ell=ell) % 2 == 0
-    assert planned_sample_size("ldp", 500, 4, 0.3, epsilon=0.7) % 2 == 0
+        assert comm_sample_size(500, 4, 0.3, ell) % 2 == 0
+    assert ldp_sample_size(500, 4, 0.3, 0.7) % 2 == 0
 
 
 def test_planning_validates_inputs():
-    with pytest.raises(ValueError):
-        planned_sample_size("comm", 1000, 8, 0.2)  # missing ell
-    with pytest.raises(ValueError):
-        planned_sample_size("ldp", 1000, 8, -0.2, epsilon=1.0)
-    with pytest.raises(ValueError):
-        planned_sample_size("other", 1000, 8, 0.2, epsilon=1.0)
+    # each plan's parameter is required, and None gets its type rule's message
+    for call, message in (
+        (lambda: comm_sample_size(1000, 8, 0.2, None), "ell must be an integer, not None"),
+        (lambda: ldp_sample_size(1000, 8, -0.2, 1.0), "alpha must lie in (0, 1), got -0.2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.mark.parametrize(
     "epsilon, message",
-    [(0, "epsilon must be positive, got 0"), (-1, "epsilon must be positive, got -1"), (None, "ldp scheme needs epsilon")],
+    [(0, "epsilon must be positive, got 0"), (-1, "epsilon must be positive, got -1"), (None, "epsilon must be a real number, not None")],
 )
 def test_ldp_planning_gives_the_one_epsilon_message(epsilon, message):
-    # a nonpositive epsilon gets core.exp_epsilon's message, as at every other epsilon site
+    # a missing or nonpositive epsilon gets core.exp_epsilon's message, as at every other epsilon site
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        planned_sample_size("ldp", 1000, 8, 0.2, epsilon=epsilon)
+        ldp_sample_size(1000, 8, 0.2, epsilon)
 
 
 def test_bounds_reject_epsilon_whose_exponential_overflows():
     # e^800 overflows a float; each must name epsilon, not raise OverflowError.
     calls = (
-        lambda: planned_sample_size("ldp", 1000, 8, 0.2, epsilon=800.0),
+        lambda: ldp_sample_size(1000, 8, 0.2, 800.0),
         lambda: ldp_risk_bound(1000, 8, 800.0, 10**6),
         lambda: ldp_contraction_ceiling(800.0, 2, 0.05),
         lambda: randomized_response_channel(5, 800.0),
@@ -448,14 +450,14 @@ def test_bounds_reject_epsilon_whose_exponential_overflows():
 def test_inversions_reject_epsilon_whose_exponential_rounds_to_one():
     # e^1e-17 == 1.0, so each would divide by e^eps - 1 = 0.
     calls = (
-        lambda: planned_sample_size("ldp", 1000, 8, 0.2, epsilon=1e-17),
+        lambda: ldp_sample_size(1000, 8, 0.2, 1e-17),
         lambda: ldp_risk_bound(1000, 8, 1e-17, 10**6),
         lambda: hr_decode_raw(np.full(16, 0.5), 1e-17, 10),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"epsilon=1e-17 is too small: e\^epsilon rounds to 1"):
             call()
-    assert planned_sample_size("ldp", 1000, 8, 0.2, epsilon=1e-15) > 10**30
+    assert ldp_sample_size(1000, 8, 0.2, 1e-15) > 10**30
     assert math.isfinite(ldp_risk_bound(1000, 8, 1e-15, 10**6))
 
 

@@ -17,13 +17,15 @@ from oracles import (
     sample_iid,
 )
 from sparse_dist_lab.bounds import (
+    comm_sample_size,
     comm_stage_sizes,
     expected_chisq_over_packing,
     hamming_ball_count,
     lbit_contraction_ceiling,
+    ldp_contraction_ceiling,
     ldp_risk_bound,
+    ldp_sample_size,
     packing_gap,
-    planned_sample_size,
     random_lbit_channel,
     randomized_response_channel,
 )
@@ -35,14 +37,18 @@ from sparse_dist_lab.core import (
     check_sparsity,
     derive_key,
     derive_keys,
+    exp_epsilon,
     fold_string,
     keyed_generator,
     mix64,
     tv_distance,
     uniform_sparse_stack,
 )
+from sparse_dist_lab.hadamard import hadamard_dim
+from sparse_dist_lab.hadamard_response import hr_decode_raw
 from sparse_dist_lab.harness import Cell
 from sparse_dist_lab.projection import top_s_indices
+from sparse_dist_lab.rappor import flip_probability
 
 
 def uniform_sparse(k, s, key):
@@ -437,8 +443,8 @@ _SPARSITY_ENTRIES = {
     "hamming_ball_count": lambda s: hamming_ball_count(16, s, 2),
     "packing_gap": lambda s: packing_gap(16, s, diagnostic=True),
     "ldp_risk_bound": lambda s: ldp_risk_bound(16, s, 1.0, 1000),
-    "planned_sample_size_comm": lambda s: planned_sample_size("comm", 16, s, 0.2, ell=3),
-    "planned_sample_size_ldp": lambda s: planned_sample_size("ldp", 16, s, 0.2, epsilon=1.0),
+    "comm_sample_size": lambda s: comm_sample_size(16, s, 0.2, 3),
+    "ldp_sample_size": lambda s: ldp_sample_size(16, s, 0.2, 1.0),
     "comm_stage_sizes": lambda s: comm_stage_sizes(16, s, 0.2, 3),
 }
 
@@ -456,7 +462,7 @@ _ELL_ENTRIES = {
     "effective_ell": lambda ell: effective_ell(ell, 2),
     "lbit_contraction_ceiling": lambda ell: lbit_contraction_ceiling(ell, 2, 0.05),
     "random_lbit_channel": lambda ell: random_lbit_channel(7, ell, derive_key(0, 0)),
-    "planned_sample_size_comm": lambda ell: planned_sample_size("comm", 1000, 8, 0.2, ell=ell),
+    "comm_sample_size": lambda ell: comm_sample_size(1000, 8, 0.2, ell),
     "comm_stage_sizes": lambda ell: comm_stage_sizes(1000, 8, 0.2, ell),
 }
 
@@ -482,6 +488,45 @@ def test_every_ell_entry_gives_the_one_message(entry):
 def test_sparsity_and_ell_rules_refuse_a_non_integer(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Every public entry that takes a privacy budget epsilon, called with the given epsilon.
+_EPSILON_ENTRIES = {
+    "exp_epsilon": exp_epsilon,
+    "flip_probability": flip_probability,
+    "hr_decode_raw": lambda eps: hr_decode_raw(np.full(16, 0.5), eps, 10),
+    "ldp_contraction_ceiling": lambda eps: ldp_contraction_ceiling(eps, 2, 0.05),
+    "ldp_risk_bound": lambda eps: ldp_risk_bound(1000, 8, eps, 10),
+    "ldp_sample_size": lambda eps: ldp_sample_size(1000, 8, 0.2, eps),
+}
+
+
+@pytest.mark.parametrize("epsilon", [None, True, "1.0"], ids=["None", "True", "str"])
+@pytest.mark.parametrize("entry", sorted(_EPSILON_ENTRIES))
+def test_every_epsilon_entry_refuses_a_non_number(entry, epsilon):
+    # each raised a bare TypeError, or read True as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'epsilon must be a real number, not {epsilon!r}')}$"):
+        _EPSILON_ENTRIES[entry](epsilon)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(lambda s: effective_ell(5, s), np.int64(4), id="effective_ell"),
+        pytest.param(lambda s: comm_stage_sizes(1000, s, 0.2, 5), np.int64(4), id="comm_stage_sizes"),
+        pytest.param(hadamard_dim, np.int64(1000), id="hadamard_dim"),
+        pytest.param(hadamard_dim, 2.5, id="hadamard_dim-float"),
+        pytest.param(hadamard_dim, True, id="hadamard_dim-bool"),
+    ],
+)
+def test_bit_length_entries_read_any_integer_and_only_integers(call, value):
+    # each called .bit_length() on its argument: a NumPy integer raised
+    # AttributeError, a float too, and True was read as 1
+    if isinstance(value, np.integer):
+        assert call(value) == call(int(value))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'k must be an integer, not {value!r}')}$"):
+            call(value)
 
 
 def test_sparsity_and_ell_rules_take_numpy_integers():

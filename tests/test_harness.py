@@ -219,12 +219,34 @@ def test_config_accepts_rappor_at_s_equal_k():
     "scheme, params", [("rappor", {}), ("comm_hash", {"epsilon_list": None, "ell_list": [1]})], ids=["rappor", "comm_hash"]
 )
 def test_config_rejects_split_half_grid_with_one_user(scheme, params):
-    with pytest.raises(ValueError, match=rf"n=1: {scheme} splits users in half and needs n >= 2"):
+    with pytest.raises(ValueError, match=f"^{re.escape(_SPLIT_USERS)}$"):
         tiny_config(scheme=scheme, n=1, **params)
     assert tiny_config(scheme=scheme, n=2, **params).n == 2
 
 
-_SPLIT = "splits users in half and needs n >= 2"
+# the user-count rules' messages: each rule has one home, in its runner's module
+_HR_USERS = "n=50 is below the block size K=64 of k=32: HR needs n >= K"
+_SPLIT_USERS = "n=1: a split-half scheme splits users in half and needs n >= 2"
+_FLAT_32 = np.full((1, 32), 1 / 32)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Cell("hr_dense", 32, 2, 50, 1.0), _HR_USERS, id="hr-Cell"),
+        pytest.param(lambda: tiny_config(scheme="hr_dense", n=50), _HR_USERS, id="hr-config"),
+        pytest.param(lambda: hr_draw_fractions(_FLAT_32, 50, 1.0, [1]), _HR_USERS, id="hr-hr_draw_fractions"),
+        pytest.param(lambda: hr_run_stack(_FLAT_32, 50, 1.0, 2, [1]), _HR_USERS, id="hr-hr_run_stack"),
+        pytest.param(lambda: Cell("rappor", 32, 2, 1, 1.0), _SPLIT_USERS, id="split-Cell"),
+        pytest.param(lambda: tiny_config(scheme="rappor", n=1), _SPLIT_USERS, id="split-config"),
+        pytest.param(lambda: rappor_run_stack(_FLAT_32, 1, 1.0, 2, [1]), _SPLIT_USERS, id="split-rappor_run_stack"),
+        pytest.param(lambda: comm_run_stack(_FLAT_32, 1, 3, 2, [1]), _SPLIT_USERS, id="split-comm_run_stack"),
+    ],
+)
+def test_each_user_count_rule_gives_one_message(call, message):
+    # the runners said `need at least K=64 users, got n=50` and `need at least two users`
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -233,11 +255,11 @@ _SPLIT = "splits users in half and needs n >= 2"
         pytest.param(("hr_sparse", 32, 0, 2000, 1.0), "require 1 <= s <= k (got s=0, k=32)", id="s=0"),
         pytest.param(("hr_sparse", 32, 40, 2000, 1.0), "require 1 <= s <= k (got s=40, k=32)", id="s>k"),
         pytest.param(("rappor", 0, 1, 400, 1.0), "require 1 <= s <= k (got s=1, k=0)", id="k=0"),
-        pytest.param(("comm_hash", 16, 2, 0, 1), "n must be >= 1, got 0", id="n=0"),
+        pytest.param(("comm_hash", 16, 2, 0, 1), "n=0: a split-half scheme splits users in half and needs n >= 2", id="n=0"),
         pytest.param(("comm_hash", 16, 2, 2**63, 1), f"n={2**63} is too large: n must be below 2^63", id="n=2^63"),
-        pytest.param(("hr_dense", 32, 2, 50, 1.0), "n=50 is below the block size K=64 of k=32: HR needs n >= K", id="hr-n<K"),
-        pytest.param(("rappor", 16, 2, 1, 1.0), f"n=1: rappor {_SPLIT}", id="rappor-n=1"),
-        pytest.param(("comm_hash", 16, 2, 1, 1), f"n=1: comm_hash {_SPLIT}", id="comm_hash-n=1"),
+        pytest.param(("hr_dense", 32, 2, 50, 1.0), _HR_USERS, id="hr-n<K"),
+        pytest.param(("rappor", 16, 2, 1, 1.0), _SPLIT_USERS, id="rappor-n=1"),
+        pytest.param(("comm_hash", 16, 2, 1, 1), _SPLIT_USERS, id="comm_hash-n=1"),
         pytest.param(("hr_sparse", 32, 2, 2000, 0.0), "epsilon must be positive, got 0.0", id="eps=0"),
         pytest.param(("rappor", 16, 2, 400, -1.0), "epsilon must be positive, got -1.0", id="eps<0"),
         pytest.param(("hr_sparse", 32, 2, 2000, 800.0), "epsilon=800.0 is too large", id="hr-eps-overflows"),
@@ -1025,7 +1047,7 @@ _NO_CELL = "names no cell a grid can hold: "
         ),
         pytest.param("k", 1, "0", _NO_CELL + "require 1 <= s <= k (got s=2, k=0)", id="k-1-0-an integer >= 1"),
         pytest.param("s", 2, "-2", _NO_CELL + "require 1 <= s <= k (got s=-2, k=32)", id="s-2--2-an integer >= 1"),
-        pytest.param("n", 3, "0", _NO_CELL + "n must be >= 1, got 0", id="n-3-0-an integer >= 1"),
+        pytest.param("n", 3, "0", _NO_CELL + "n=0 is below the block size K=64 of k=32: HR needs n >= K", id="n-3-0-an integer >= 1"),
         ("s", 2, "40", _NO_CELL + "require 1 <= s <= k (got s=40, k=32)"),
         ("eps_or_ell", 4, "-1.0", _NO_CELL + "epsilon must be positive, got -1.0"),
         ("n", 3, "50", _NO_CELL + "n=50 is below the block size K=64 of k=32: HR needs n >= K"),
@@ -1187,18 +1209,18 @@ def test_summary_sorts_eps_numerically():
 
 
 def test_plan_report_notes_capped_ell():
-    text = plan_report("comm", 1000, 4, 0.2, ell=5)
+    text = plan_report("comm", 1000, 4, 0.2, 5)
     assert "capped" in text
     assert "effective ell = 3" in text
-    flat = plan_report("comm", 1000, 8, 0.2, ell=3)
+    flat = plan_report("comm", 1000, 8, 0.2, 3)
     assert "capped" not in flat
 
 
 def test_plan_report_ldp():
-    text = plan_report("ldp", 1000, 8, 0.2, epsilon=1.0)
+    text = plan_report("ldp", 1000, 8, 0.2, 1.0)
     assert "planned n = 66189604" in text
     with pytest.raises(ValueError):
-        plan_report("bogus", 10, 1, 0.5, epsilon=1.0)
+        plan_report("bogus", 10, 1, 0.5, 1.0)
 
 
 # ------------------------------------------------------------------------ CLI

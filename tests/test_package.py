@@ -82,6 +82,9 @@ def _run_python(args: list[str], **env) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+PINNED_DEMOS = sorted(pin.removesuffix(".stdout") for pin in PINS if pin.endswith("_demo.stdout"))
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # a demo's temporary files go under tmp_path, and none may be left there
@@ -90,11 +93,12 @@ def test_demo_runs(demo, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", sorted(pin.removesuffix(".stdout") for pin in PINS if pin.endswith("_demo.stdout")))
-def test_demo_stdout_bytes_are_pinned(name):
-    done = _run_python([str(ROOT / "demos" / f"{name}.py")])
+@pytest.mark.parametrize("name", PINNED_DEMOS)
+def test_demo_stdout_bytes_are_pinned(name, tmp_path):
+    done = _run_python([str(ROOT / "demos" / f"{name}.py")], TMPDIR=str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == PINS[f"{name}.stdout"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_sha256_pin_is_written_once_in_the_pin_table():

@@ -102,7 +102,7 @@ def test_user_permutation_within_half_is_irrelevant():
 
 def test_estimate_rejects_empty_half():
     # one user leaves the first half empty
-    with pytest.raises(ValueError, match="at least two users"):
+    with pytest.raises(ValueError, match="^n=1: a split-half scheme splits users in half and needs n >= 2$"):
         run(np.full((1, 4), 0.25), 1, 1.0, 1, [derive_key(0, 0)])
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm_hash import effective_ell
-from .core import check_ell, check_master_seed, check_probs, check_sparsity, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .core import check_ell, check_master_seed, check_number, check_probs, check_sparsity, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
 
 REPORT_TOL = 1e-9
 
@@ -140,13 +140,10 @@ def ldp_contraction_ceiling(epsilon: float, s: int, alpha: float) -> float:
     """Ceiling 64 alpha^2 (e^epsilon - 1)^2 / s on expected_chisq_over_packing for any epsilon-LDP channel.
 
     64 is the explicit constant the privacy-contraction proof carries.
-    Raises ValueError naming epsilon unless e^epsilon is a finite float,
-    naming s unless s >= 1, and naming alpha unless it is finite and
-    positive.
+    Raises ValueError naming epsilon unless e^epsilon is a finite float, and
+    naming s or alpha as _check_ceiling_args does.
     """
-    if not s >= 1:
-        raise ValueError(f"s must be >= 1, got {s!r}")
-    _check_alpha(alpha)
+    _check_ceiling_args(s, alpha)
     e = exp_epsilon(epsilon)
     # a product, not a power: past epsilon ~ 355, (e - 1) ** 2 raises OverflowError where this is inf
     return 64 * alpha**2 * (e - 1) * (e - 1) / s
@@ -155,25 +152,26 @@ def ldp_contraction_ceiling(epsilon: float, s: int, alpha: float) -> float:
 def lbit_contraction_ceiling(ell: int, s: int, alpha: float) -> float:
     """Ceiling 8 alpha 2^ell / s on expected_chisq_over_packing for any channel with 2^ell outputs.
 
-    Raises ValueError naming s unless s >= 1, naming ell unless ell >= 1
-    (check_ell) and when 2^ell overflows a float, and naming alpha unless it
-    is finite and positive.
+    Raises ValueError naming s or alpha as _check_ceiling_args does, and
+    naming ell unless ell >= 1 (check_ell) and when 2^ell overflows a float.
     """
-    if not s >= 1:
-        raise ValueError(f"s must be >= 1, got {s!r}")
+    _check_ceiling_args(s, alpha)
     check_ell(ell)
-    _check_alpha(alpha)
     if ell >= 1024:  # 2^1024 is past the largest float
         raise ValueError(f"ell={ell!r} is too large: 2^ell overflows a float")
     return 8 * alpha * 2.0**ell / s
 
 
-def _check_alpha(alpha: float) -> None:
-    """Raise ValueError naming alpha unless it is a finite positive number.
+def _check_ceiling_args(s: int, alpha: float) -> None:
+    """Raise ValueError naming s unless it is an integer >= 1, and naming alpha unless it is finite and positive.
 
-    The ceilings do not require 8 alpha < 1, as expected_chisq_over_packing
-    does: they are formulas in alpha and hold as such.
+    A float or bool s is refused by check_number. The ceilings take no k,
+    so s has no upper limit here, and they do not require 8 alpha < 1, as
+    expected_chisq_over_packing does: they are formulas and hold as such.
     """
+    check_number("s", s)
+    if not s >= 1:
+        raise ValueError(f"s must be >= 1, got {s!r}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite positive number, got {alpha!r}")
 

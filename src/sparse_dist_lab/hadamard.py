@@ -2,9 +2,9 @@
 
 The Hadamard response protocol never materializes the K x K matrix: its
 channel needs column memberships (a popcount parity) and decoding needs one
-matrix-vector product, done in O(K log K) by the butterfly transform below.
-K can reach 8192 at full experiment scale, so both operations are kept
-allocation-light.
+matrix-vector product, done in O(K log K) by one constant-geometry butterfly
+recursion. K can reach 8192 at full experiment scale, so both operations are
+kept allocation-light: the transform holds two copies of its input.
 
 Indexing is 0-based: row/column 0 is the all-ones row/column of the usual
 recursive (Sylvester) construction, and for 0 <= x, y < K the entry is
@@ -46,46 +46,28 @@ def membership_parity(K: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def fwht(v: np.ndarray) -> np.ndarray:
     """Multiply by H_K in place-order: H_K @ v for len(v) = K, row-wise on a (B, K) stack.
 
-    log2(K) levels of paired sums and differences, at strides 1, 2, ..., K/2
-    in that order. The transform is its own inverse up to the factor K
-    (H_K @ H_K = K * I), which tests exploit.
+    The transform is its own inverse up to the factor K (H_K @ H_K = K * I),
+    which tests exploit.
 
-    With K = 2^m, index i is viewed as i = r*C + c in an R x C matrix
-    (R = 2^floor(m/2), C = K/R). The levels of stride h < C pair columns, so they run on a
-    transposed (C x R) copy, where each half of a butterfly is one contiguous
-    run of h*R values rather than K/2h runs of h; the rest pair rows and run
-    in the original layout. Every level adds the same pairs as the textbook
-    butterfly, so each row is bit-identical to it.
+    Constant geometry: each of the log2(K) rounds writes the sums of the
+    adjacent pairs (x[2j], x[2j+1]) to the first half and their differences
+    to the second, ping-ponging between two buffers. Round r adds exactly the
+    pairs that the textbook butterfly adds at stride 2^r, in the same order,
+    so each row is bit-identical to it; every round reads and writes the
+    same strides, and the input is copied once and never written.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise ValueError(f"fwht takes a vector or a (B, K) stack, got shape {v.shape}")
     K = v.shape[-1]
     _check_dim(K)
-    rows = 1 << ((K.bit_length() - 1) // 2)
-    cols = K // rows
-    low = _butterflies(v.reshape(-1, rows, cols).transpose(0, 2, 1).copy().reshape(-1), 1, cols, rows)
-    high = _butterflies(low.reshape(-1, cols, rows).transpose(0, 2, 1).copy().reshape(-1), cols, K, 1)
-    return high.reshape(v.shape)
-
-
-def _butterflies(x: np.ndarray, h: int, stop: int, run: int) -> np.ndarray:
-    """Apply the levels of stride h, 2h, ... below stop to the flat buffer x.
-
-    At stride h a value's partner sits h*run places further on. Every block
-    of 2*h*run values divides K, so x may hold several K-value rows back to
-    back and no block spans two of them. Levels ping-pong between x and one
-    spare buffer; returns the one holding the result.
-    """
+    x = v.reshape(-1, K).copy()
     y = np.empty_like(x)
-    while h < stop:
-        a = x.reshape(-1, 2, h * run)
-        b = y.reshape(-1, 2, h * run)
-        np.add(a[:, 0], a[:, 1], out=b[:, 0])
-        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+    for _ in range(K.bit_length() - 1):
+        np.add(x[:, 0::2], x[:, 1::2], out=y[:, : K // 2])
+        np.subtract(x[:, 0::2], x[:, 1::2], out=y[:, K // 2 :])
         x, y = y, x
-        h *= 2
-    return x
+    return x.reshape(v.shape)
 
 
 def dense_matrix(K: int) -> np.ndarray:

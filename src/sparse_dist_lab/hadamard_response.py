@@ -37,12 +37,12 @@ def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
     t_j = P(bit=1 | group j) when users' symbols are drawn from p. Feeding
     this vector to the decoder recovers p exactly (up to float round-off),
     which is the identity the decoder tests pin down. For a (B, k) stack of
-    distributions, returns the (B, K) stack of their fractions.
+    distributions, returns the (B, K) stack of their fractions. Raises
+    ValueError unless k <= K.
     """
     pv = np.asarray(p, dtype=np.float64)
     k = pv.shape[-1]
-    if k > K:
-        raise ValueError("distribution does not fit the block size")
+    _check_fits(k, K)
     q_in, q_out = indicator_response_probs(epsilon)
     p_K = np.zeros(pv.shape[:-1] + (K,))
     p_K[..., :k] = pv
@@ -56,17 +56,22 @@ def hr_decode_raw(fracs, epsilon: float, k: int) -> np.ndarray:
     Inverts the response map: recenter the fractions to 2*s_hat - 1, apply
     the transform, rescale by (e^eps+1)/(K(e^eps-1)), truncate to k entries.
     A (B, K) stack of fractions gives a (B, k) stack of estimates. Raises
-    ValueError unless every fraction lies in [0, 1].
+    ValueError unless k <= K and every fraction lies in [0, 1].
     """
     s_hat = np.asarray(fracs, dtype=np.float64)
     K = s_hat.shape[-1]
-    if k > K:
-        raise ValueError("k exceeds block size")
+    _check_fits(k, K)
     if not (s_hat.min() >= 0 and s_hat.max() <= 1):  # NaN fails both
         raise ValueError("fractions must lie in [0,1]")
     e = invertible_exp_epsilon(epsilon)
     scale = (e + 1) / (K * (e - 1))
     return scale * fwht(2.0 * s_hat - 1.0)[..., :k]
+
+
+def _check_fits(k: int, K: int) -> None:
+    """Raise ValueError naming k and K unless k <= K: the one home of the rule that the domain fits the block."""
+    if k > K:
+        raise ValueError(f"k={k} exceeds the block size K={K}")
 
 
 def hr_group_sizes(n: int, k: int) -> np.ndarray:

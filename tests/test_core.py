@@ -483,6 +483,10 @@ def test_every_ell_entry_gives_the_one_message(entry):
         pytest.param(lambda: comm_stage_sizes(1000, 8, 0.2, 2.5), "ell must be an integer, not 2.5", id="comm_stage_sizes-ell"),
         pytest.param(lambda: top_s_indices(np.arange(16.0), True), "s must be an integer, not True", id="top_s_indices-s-bool"),
         pytest.param(lambda: effective_ell(True, 2), "ell must be an integer, not True", id="effective_ell-ell-bool"),
+        pytest.param(lambda: ldp_contraction_ceiling(1.0, 2.5, 0.05), "s must be an integer, not 2.5", id="ldp_contraction_ceiling-s"),
+        pytest.param(lambda: lbit_contraction_ceiling(2, 2.5, 0.05), "s must be an integer, not 2.5", id="lbit_contraction_ceiling-s"),
+        pytest.param(lambda: ldp_contraction_ceiling(1.0, True, 0.05), "s must be an integer, not True", id="ldp_contraction_ceiling-s-bool"),
+        pytest.param(lambda: lbit_contraction_ceiling(2, True, 0.05), "s must be an integer, not True", id="lbit_contraction_ceiling-s-bool"),
     ],
 )
 def test_sparsity_and_ell_rules_refuse_a_non_integer(call, message):
@@ -534,3 +538,5 @@ def test_sparsity_and_ell_rules_take_numpy_integers():
     check_ell(np.uint8(3))
     assert uniform_sparse_stack(16, np.int64(2), [1]).shape == (1, 16)
     assert ldp_risk_bound(1000, np.int64(8), 1.0, 1000) == ldp_risk_bound(1000, 8, 1.0, 1000)
+    assert ldp_contraction_ceiling(1.0, np.int64(2), 0.05) == ldp_contraction_ceiling(1.0, 2, 0.05)
+    assert lbit_contraction_ceiling(2, np.int64(2), 0.05) == lbit_contraction_ceiling(2, 2, 0.05)

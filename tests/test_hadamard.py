@@ -1,5 +1,7 @@
 """The Hadamard entry oracle, membership sets, and the fast transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,9 @@ def test_fwht_bit_identical_to_textbook_butterfly():
             stack = gen.standard_normal((B, K)) * 10.0 ** gen.uniform(-10, 10, (B, K))
             want = np.array([textbook_fwht(row) for row in stack])
             assert np.array_equal(fwht(stack), want), (K, B)
+            # strided and Fortran-ordered stacks transform as their C-ordered copies
+            assert np.array_equal(fwht(stack[:, ::-1]), [textbook_fwht(row) for row in stack[:, ::-1]]), (K, B)
+            assert np.array_equal(fwht(np.asfortranarray(stack)), want), (K, B)
 
 
 def test_fwht_rejects_non_power_of_two():
@@ -177,3 +182,15 @@ def test_fwht_does_not_mutate_input():
     keep = v.copy()
     fwht(v)
     assert np.array_equal(v, keep)
+
+
+def test_fwht_holds_two_copies_of_its_input():
+    # full_grid's HR stack; the transform holds its copy of the input and one spare buffer
+    stack = np.random.default_rng(5).standard_normal((20, 8192))
+    tracemalloc.start()
+    try:
+        fwht(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stack.nbytes, peak / stack.nbytes

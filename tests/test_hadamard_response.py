@@ -1,6 +1,7 @@
 """One-bit Hadamard response: encode, aggregate, decode, privacy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,8 +154,13 @@ def test_end_to_end_unbiasedness():
 
 
 def test_decode_raw_rejects_oversized_k():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape('k=9 exceeds the block size K=8')}$"):
         hr_decode_raw(np.full(8, 0.5), 1.0, 9)
+
+
+def test_expected_fractions_rejects_oversized_k():
+    with pytest.raises(ValueError, match=f"^{re.escape('k=9 exceeds the block size K=8')}$"):
+        hr_expected_fractions(np.full(9, 1 / 9), 1.0, 8)
 
 
 def test_run_recovers_sparse_target():

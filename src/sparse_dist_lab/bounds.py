@@ -23,6 +23,7 @@ import numpy as np
 
 from .comm_hash import effective_ell
 from .core import check_ell, check_master_seed, check_number, check_probs, check_sparsity, derive_key, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .hadamard_response import indicator_response_probs
 
 REPORT_TOL = 1e-9
 
@@ -89,10 +90,12 @@ def verify_ldp(W: np.ndarray, epsilon: float) -> bool:
     fails for every finite epsilon; an all-zero column constrains nothing.
     The comparison carries 1e-9 relative slack so channels sitting exactly
     at their privacy level pass. An e^epsilon that overflows a float sets no
-    limit. Raises ValueError unless W is a channel matrix (see _channel) and
-    naming epsilon if it is NaN, which no ratio could be compared with.
+    limit. Raises ValueError unless W is a channel matrix (see _channel), and
+    naming epsilon unless it is a real number (check_number: not None, not a
+    bool) or if it is NaN, which no ratio could be compared with.
     """
     mat = _channel(W)
+    check_number("epsilon", epsilon, integral=False)
     if math.isnan(epsilon):
         raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     try:
@@ -181,7 +184,11 @@ def implied_sample_lower_bound(gap: float, per_user_chisq: float) -> float:
 
     Recovering the packing index with error probability <= 0.1 forces
     n * chi2 >= 0.9 * gap - log 2, so n must be at least the returned value.
+    Raises ValueError naming the gap if it is NaN, and naming the per-user
+    chi-squared unless it is positive.
     """
+    if math.isnan(gap):
+        raise ValueError(f"gap must be a number, got {gap!r}")
     if not per_user_chisq > 0:  # NaN fails too
         raise ValueError(f"per-user chi-squared must be positive, got {per_user_chisq!r}")
     return (0.9 * gap - math.log(2)) / per_user_chisq
@@ -262,8 +269,9 @@ def _ceil_size(size: float, alpha: float) -> int:
 
 
 def ldp_risk_bound(k: int, s: int, epsilon: float, n: int) -> float:
-    """The proven accuracy of the one-bit scheme at sample size n; ValueError unless 1 <= s <= k (check_sparsity) and n >= 1."""
+    """The proven accuracy of the one-bit scheme at sample size n; ValueError unless 1 <= s <= k (check_sparsity) and n is an integer >= 1."""
     check_sparsity(k, s)
+    check_number("n", n)
     if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     e = invertible_exp_epsilon(epsilon)
@@ -299,14 +307,8 @@ def randomized_response_channel(num_symbols: int, epsilon: float) -> np.ndarray:
     return _channel(mat)
 
 
-def indicator_response_probs(epsilon: float) -> tuple[float, float]:
-    """(P[bit=1 | member], P[bit=1 | non-member]) of epsilon-LDP response to set membership."""
-    e = exp_epsilon(epsilon)
-    return e / (e + 1), 1 / (e + 1)
-
-
 def indicator_response_channel(num_symbols: int, epsilon: float, member: np.ndarray) -> np.ndarray:
-    """Two-output randomized response to membership of x in a fixed set."""
+    """Two-output randomized response to membership of x in a fixed set: Hadamard response's bit law as a channel."""
     q_in, q_out = indicator_response_probs(epsilon)
     member = np.asarray(member, dtype=bool)
     if member.size != num_symbols:

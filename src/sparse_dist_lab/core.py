@@ -177,12 +177,14 @@ def check_number(name: str, value, integral: bool = True) -> None:
 
 
 def check_sparsity(k: int, s: int) -> None:
-    """Raise ValueError naming s and k unless s is an integer and 1 <= s <= k: the one home of the sparsity rule.
+    """Raise ValueError naming s and k unless both are integers and 1 <= s <= k: the one home of the sparsity rule.
 
     An s-sparse target over [k] needs that, so no k below 1 passes. A float
-    or bool s is refused by check_number, as `s must be an integer, not 2.5`.
+    or bool s or k is refused by check_number, s first, as `s must be an
+    integer, not 2.5` or `k must be an integer, not 2.5`.
     """
     check_number("s", s)
+    check_number("k", k)
     if not 1 <= s <= k:
         raise ValueError(f"require 1 <= s <= k (got s={s}, k={k})")
 

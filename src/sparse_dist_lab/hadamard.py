@@ -1,10 +1,11 @@
-"""Hadamard column membership and the fast Walsh-Hadamard transform.
+"""The Hadamard block size and the fast Walsh-Hadamard transform.
 
-The Hadamard response protocol never materializes the K x K matrix: its
-channel needs column memberships (a popcount parity) and decoding needs one
-matrix-vector product, done in O(K log K) by one constant-geometry butterfly
-recursion. K can reach 8192 at full experiment scale, so both operations are
-kept allocation-light: the transform holds two copies of its input.
+The Hadamard response protocol never materializes the K x K matrix: both its
+noiseless group fractions and its decoder are one matrix-vector product,
+done in O(K log K) by one constant-geometry butterfly recursion. K can reach
+8192 at full experiment scale, so the transform is kept allocation-light:
+it holds two copies of its input. The dense matrix and the per-pair column
+membership parity are test oracles (tests/oracles.py).
 
 Indexing is 0-based: row/column 0 is the all-ones row/column of the usual
 recursive (Sylvester) construction, and for 0 <= x, y < K the entry is
@@ -35,14 +36,6 @@ def _check_dim(K: int) -> None:
         raise ValueError(f"K must be a power of two, got {K}")
 
 
-def membership_parity(K: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Elementwise B_{y_i} membership of x_i (both arrays), as booleans."""
-    _check_dim(K)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    return (np.bitwise_count(np.bitwise_and(xs, ys)) & 1) == 0
-
-
 def fwht(v: np.ndarray) -> np.ndarray:
     """Multiply by H_K in place-order: H_K @ v for len(v) = K, row-wise on a (B, K) stack.
 
@@ -68,15 +61,3 @@ def fwht(v: np.ndarray) -> np.ndarray:
         np.subtract(x[:, 0::2], x[:, 1::2], out=y[:, K // 2 :])
         x, y = y, x
     return x.reshape(v.shape)
-
-
-def dense_matrix(K: int) -> np.ndarray:
-    """The full K x K matrix as int64, entry (x, y) = (-1)^popcount(x AND y).
-
-    For verification and small-instance channel constructions only; protocol
-    paths never call this.
-    """
-    _check_dim(K)
-    idx = np.arange(K)
-    parity = (np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1).astype(np.int64)
-    return 1 - 2 * parity

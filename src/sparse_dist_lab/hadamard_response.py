@@ -18,17 +18,26 @@ fractions, which is how the projection comparison experiments are run.
 
 Protocol runs draw the per-group counts of ones from their exact binomial
 law, in O(K) whatever n is. No per-user message is materialized; the tests
-hold the per-user encoder and aggregator that law is checked against.
+hold the per-user encoder and aggregator that law is checked against, and
+each group's explicit k x 2 channel, which the privacy checks read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bounds import indicator_response_channel, indicator_response_probs
-from .core import invertible_exp_epsilon, keyed_generator
-from .hadamard import fwht, hadamard_dim, membership_parity
+from .core import check_number, exp_epsilon, invertible_exp_epsilon, keyed_generator
+from .hadamard import fwht, hadamard_dim
 from .projection import project_simplex_vec, top_s_indices
+
+
+def indicator_response_probs(epsilon: float) -> tuple[float, float]:
+    """(P[bit=1 | member], P[bit=1 | non-member]) of epsilon-LDP response to set membership: a user's bit law.
+
+    Raises ValueError naming epsilon as exp_epsilon does.
+    """
+    e = exp_epsilon(epsilon)
+    return e / (e + 1), 1 / (e + 1)
 
 
 def hr_expected_fractions(p, epsilon: float, K: int) -> np.ndarray:
@@ -77,9 +86,10 @@ def _check_fits(k: int, K: int) -> None:
 def hr_group_sizes(n: int, k: int) -> np.ndarray:
     """The users in each of the K = hadamard_dim(k) groups when n users are assigned round-robin.
 
-    The one home of HR's user-count rule: raises ValueError unless n >= K,
-    so that no group is empty.
+    The one home of HR's user-count rule: raises ValueError unless n is an
+    integer (check_number) and n >= K, so that no group is empty.
     """
+    check_number("n", n)
     K = hadamard_dim(k)
     if n < K:
         raise ValueError(f"n={n} is below the block size K={K} of k={k}: HR needs n >= K")
@@ -122,20 +132,3 @@ def hr_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     T = top_s_indices(raw, s)
     raw_T = np.take_along_axis(raw, T, axis=1)
     return T, raw_T, project_simplex_vec(raw_T)
-
-
-def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> np.ndarray:
-    """The explicit per-user channel of group j, as a k x 2 stochastic matrix.
-
-    Row x is (P(bit=0 | x), P(bit=1 | x)). Used by the bounds machinery to
-    check the privacy guarantee numerically; k defaults to K-1, the largest
-    domain the block size supports.
-    """
-    if not 0 <= j < K:
-        raise ValueError(f"group {j} out of range for K={K}")
-    if k is None:
-        k = K - 1
-    if not 1 <= k <= K:
-        raise ValueError("k out of range")
-    member = membership_parity(K, np.full(k, j, dtype=np.int64), np.arange(k, dtype=np.int64))
-    return indicator_response_channel(k, epsilon, member)

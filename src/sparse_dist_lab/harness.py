@@ -261,14 +261,6 @@ def trial_seeds(master_seed: int, cell: Cell, trials) -> list[int]:
     return derive_keys(mix64(master_seed) ^ cell_hash(cell), trials)
 
 
-def run_cell(cell: Cell, trials: list[int], master_seed: int) -> np.ndarray:
-    """Run a cell's trials as one stacked batch; the (B,) TV errors, in the order of trials.
-
-    The errors of _cell_errors at the trials' seeds (trial_seeds).
-    """
-    return _cell_errors(cell, trial_seeds(master_seed, cell, trials))
-
-
 def _cell_errors(cell: Cell, seeds: list[int]) -> np.ndarray:
     """The (B,) TV errors of a cell's trials whose integer seeds are given, run as one stacked batch.
 
@@ -434,11 +426,6 @@ def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds:
         head = f"{cell.scheme},{cell.k},{cell.s},{cell.n},{_param_text(cell.param)}"
         out.extend(f"{head},{t},{tv_of[t]!r},{cell.bits},{seed_of[t]},{SAMPLER_VERSION}\n" for t in pending)
     return "".join(out)
-
-
-def _cell_rows(cell: Cell, trials: list[int], master_seed: int) -> str:
-    """The CSV rows of one cell's trials, in order, as a grid writes them."""
-    return _group_rows([(cell, trials)], trials, trial_seeds(master_seed, cell, trials))
 
 
 def _usable_cpus() -> int:

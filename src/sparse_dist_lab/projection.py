@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_sparsity, derive_keys, keyed_generator
+from .core import check_number, check_sparsity, derive_keys, keyed_generator
 
 
 def _as_rows(v) -> np.ndarray:
@@ -131,8 +131,10 @@ def split_halves(n: int) -> tuple[int, int]:
     """The users in the two halves of n: n // 2 and n - n // 2.
 
     The one home of the split-half schemes' user-count rule: raises
-    ValueError unless n >= 2, so that neither half is empty.
+    ValueError unless n is an integer (check_number) and n >= 2, so that
+    neither half is empty.
     """
+    check_number("n", n)
     if n < 2:
         raise ValueError(f"n={n}: a split-half scheme splits users in half and needs n >= 2")
     return n // 2, n - n // 2

@@ -13,14 +13,14 @@ channel pair: a bit is set for the user's own symbol with probability 1 - q
 and for any other symbol with probability q, independently across bits, so
 drop = noise = q. Messages cost k bits per user - the price paid for needing
 no public randomness. No per-user message is materialized; the tests hold
-the per-user encoder the count law is checked against.
+the per-user encoder the count law is checked against, and the exact
+2^k-output channel the privacy claim is checked against at tiny k.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bounds import _channel
 from .core import invertible_exp_epsilon
 from .projection import split_half_estimate
 
@@ -44,21 +44,3 @@ def rappor_run_stack(P: np.ndarray, n: int, epsilon: float, s: int, keys):
     """
     q = flip_probability(epsilon)
     return split_half_estimate(P, n, q, q, s, keys)
-
-
-def rappor_channel_matrix(epsilon: float, k: int) -> np.ndarray:
-    """The full 2^k-output channel, for exact privacy checks at tiny k.
-
-    Output y is read as a bit mask (bit i of y = coordinate i of the
-    message); P(y | x) = q^d (1-q)^(k-d) with d the Hamming distance between
-    y and the one-hot encoding of x.
-    """
-    if k > 20:
-        raise ValueError("exact channel enumeration is limited to k <= 20")
-    q = flip_probability(epsilon)
-    ys = np.arange(2**k, dtype=np.int64)
-    mat = np.empty((k, 2**k))
-    for x in range(k):
-        d = np.bitwise_count(ys ^ (1 << x))
-        mat[x] = q**d * (1 - q) ** (k - d)
-    return _channel(mat)

@@ -11,6 +11,13 @@ the public seed, the user index and the symbol, masked to the bucket count)
 with the preimage scan that counts, for each symbol, the messages consistent
 with it. Messages are plain ints or arrays.
 
+The privacy checks read each channel written out as an explicit matrix:
+Hadamard response's k x 2 channel of one group (hr_channel_matrix, from the
+per-pair column membership parity membership_parity) and RAPPOR's exact
+2^k-output channel at tiny k (rappor_channel_matrix). The dense Hadamard
+matrix (dense_matrix) checks the fast transform, and run_cell runs one
+cell's trials as the harness does, without a CSV.
+
 verify_ldp is checked against the column-by-column loop ldp_holds. The
 lower bounds compute the expected chi-squared divergence over the
 packing family in closed form. The tests check it against the family itself:
@@ -41,11 +48,12 @@ from typing import Iterator
 
 import numpy as np
 
-from sparse_dist_lab.bounds import indicator_response_probs
+from sparse_dist_lab.bounds import _channel, indicator_response_channel
 from sparse_dist_lab.comm_hash import effective_ell
 from sparse_dist_lab.core import _MIX_M1, _MIX_M2, GOLDEN64, MASK64, check_probs, mix64, tv_distance
-from sparse_dist_lab.hadamard import hadamard_dim, membership_parity
-from sparse_dist_lab.hadamard_response import hr_decode_raw
+from sparse_dist_lab.hadamard import _check_dim, hadamard_dim
+from sparse_dist_lab.hadamard_response import _check_fits, hr_decode_raw, indicator_response_probs
+from sparse_dist_lab.harness import Cell, _cell_errors, trial_seeds
 from sparse_dist_lab.projection import project_simplex_vec, split_half_decode, top_s_indices
 from sparse_dist_lab.rappor import flip_probability
 
@@ -86,6 +94,38 @@ def entry(K: int, x: int, y: int) -> int:
 def in_column_set(K: int, y: int, x: int) -> bool:
     """True iff row x carries +1 in column y (membership in the set B_y)."""
     return entry(K, x, y) == 1
+
+
+def dense_matrix(K: int) -> np.ndarray:
+    """The full K x K matrix as int64, entry (x, y) = (-1)^popcount(x AND y)."""
+    _check_dim(K)
+    idx = np.arange(K)
+    parity = (np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1).astype(np.int64)
+    return 1 - 2 * parity
+
+
+def membership_parity(K: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Elementwise B_{y_i} membership of x_i (both arrays), as booleans."""
+    _check_dim(K)
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    return (np.bitwise_count(np.bitwise_and(xs, ys)) & 1) == 0
+
+
+def hr_channel_matrix(epsilon: float, K: int, j: int, k: int | None = None) -> np.ndarray:
+    """The explicit per-user channel of group j, as a k x 2 stochastic matrix.
+
+    Row x is (P(bit=0 | x), P(bit=1 | x)); k defaults to K-1, the largest
+    domain the block size supports. Raises ValueError unless 0 <= j < K and
+    k <= K, and unless the channel has a row (k >= 1).
+    """
+    if not 0 <= j < K:
+        raise ValueError(f"group {j} out of range for K={K}")
+    if k is None:
+        k = K - 1
+    _check_fits(k, K)
+    member = membership_parity(K, np.full(k, j, dtype=np.int64), np.arange(k, dtype=np.int64))
+    return indicator_response_channel(k, epsilon, member)
 
 
 def hr_encode(x: int, user_index: int, epsilon: float, K: int, gen: np.random.Generator) -> int:
@@ -261,6 +301,24 @@ def column_sums(messages: np.ndarray) -> np.ndarray:
     return messages.sum(axis=0, dtype=np.int64)
 
 
+def rappor_channel_matrix(epsilon: float, k: int) -> np.ndarray:
+    """The full 2^k-output channel, for exact privacy checks at tiny k.
+
+    Output y is read as a bit mask (bit i of y = coordinate i of the
+    message); P(y | x) = q^d (1-q)^(k-d) with d the Hamming distance between
+    y and the one-hot encoding of x.
+    """
+    if k > 20:
+        raise ValueError("exact channel enumeration is limited to k <= 20")
+    q = flip_probability(epsilon)
+    ys = np.arange(2**k, dtype=np.int64)
+    mat = np.empty((k, 2**k))
+    for x in range(k):
+        d = np.bitwise_count(ys ^ (1 << x))
+        mat[x] = q**d * (1 - q) ** (k - d)
+    return _channel(mat)
+
+
 # ------------------------------------------------------------------ comm_hash
 
 
@@ -310,6 +368,18 @@ def preimage_counts(users: np.ndarray, values: np.ndarray, public_seed: int, buc
     users, values = np.asarray(users, dtype=np.int64), np.asarray(values, dtype=np.int64)
     evals = hash_eval_batch(public_seed, buckets, users[:, None], np.arange(k)[None, :])
     return (evals == values[:, None]).sum(axis=0)
+
+
+# -------------------------------------------------------------------- harness
+
+
+def run_cell(cell: Cell, trials: list[int], master_seed: int) -> np.ndarray:
+    """Run a cell's trials as one stacked batch; the (B,) TV errors, in the order of trials.
+
+    The errors a grid writes for those trials: the harness's own
+    _cell_errors at the trials' seeds (trial_seeds).
+    """
+    return _cell_errors(cell, trial_seeds(master_seed, cell, trials))
 
 
 # -------------------------------------------------------------- packing family

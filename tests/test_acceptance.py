@@ -16,7 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import chi_square, enumerate_packing_indices, induced_output_dist, make_packing_dist, packing_reference_dist
+from oracles import (
+    chi_square,
+    dense_matrix,
+    enumerate_packing_indices,
+    hr_channel_matrix,
+    induced_output_dist,
+    make_packing_dist,
+    packing_reference_dist,
+    rappor_channel_matrix,
+    run_cell,
+)
 from pins import PINS
 from sparse_dist_lab.bounds import (
     comm_sample_size,
@@ -32,9 +42,8 @@ from sparse_dist_lab.bounds import (
 from sparse_dist_lab.cli import main
 from sparse_dist_lab.comm_hash import comm_run_stack
 from sparse_dist_lab.core import derive_key, tv_distance, uniform_sparse_stack
-from sparse_dist_lab.hadamard import dense_matrix, fwht
+from sparse_dist_lab.hadamard import fwht
 from sparse_dist_lab.hadamard_response import (
-    hr_channel_matrix,
     hr_decode_raw,
     hr_draw_fractions,
     hr_expected_fractions,
@@ -42,13 +51,11 @@ from sparse_dist_lab.hadamard_response import (
 from sparse_dist_lab.harness import (
     Cell,
     load_configs,
-    run_cell,
     run_grid,
     read_results,
     summarize,
 )
 from sparse_dist_lab.projection import project_simplex_vec, top_s_indices
-from sparse_dist_lab.rappor import rappor_channel_matrix
 
 MASTER_SEED = 20240801
 DESK_GRID = Path(__file__).resolve().parents[1] / "configs" / "desk_grid.json"

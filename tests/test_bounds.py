@@ -13,10 +13,12 @@ from oracles import (
     PackingIndex,
     chi_square,
     enumerate_packing_indices,
+    hr_channel_matrix,
     induced_output_dist,
     ldp_holds,
     make_packing_dist,
     packing_reference_dist,
+    rappor_channel_matrix,
 )
 from sparse_dist_lab.bounds import (
     BoundReport,
@@ -37,8 +39,7 @@ from sparse_dist_lab.bounds import (
     verify_ldp,
 )
 from sparse_dist_lab.core import derive_key, keyed_generator
-from sparse_dist_lab.hadamard_response import hr_channel_matrix, hr_decode_raw
-from sparse_dist_lab.rappor import rappor_channel_matrix
+from sparse_dist_lab.hadamard_response import hr_decode_raw
 
 
 def slow_expected_chisq(W, k, s, alpha):
@@ -87,12 +88,14 @@ def test_channel_constructors_reject_size_zero():
         lambda: indicator_response_channel(0, 1.0, np.zeros(0, dtype=bool)),
         lambda: random_lbit_channel(0, 2, derive_key(0, 0)),
         lambda: rappor_channel_matrix(1.0, 0),
+        lambda: hr_channel_matrix(1.0, 8, 1, k=0),
     )
     for call in calls:
         with pytest.raises(ValueError, match="2-d and nonempty"):
             call()
-    with pytest.raises(ValueError, match="k out of range"):
-        hr_channel_matrix(1.0, 8, 1, k=0)
+    # a domain past the block is refused by HR's one k <= K rule
+    with pytest.raises(ValueError, match=f"^{re.escape('k=9 exceeds the block size K=8')}$"):
+        hr_channel_matrix(1.0, 8, 1, k=9)
 
 
 def test_channel_constructors_return_checked_float_arrays():
@@ -263,6 +266,9 @@ def test_implied_sample_lower_bound():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="per-user chi-squared must be positive"):
             implied_sample_lower_bound(gap, bad)
+    # a NaN gap returned nan
+    with pytest.raises(ValueError, match=f"^{re.escape('gap must be a number, got nan')}$"):
+        implied_sample_lower_bound(math.nan, chisq)
 
 
 def test_bound_formulas_reject_arguments_they_cannot_take():

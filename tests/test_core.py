@@ -28,6 +28,7 @@ from sparse_dist_lab.bounds import (
     packing_gap,
     random_lbit_channel,
     randomized_response_channel,
+    verify_ldp,
 )
 from sparse_dist_lab.comm_hash import effective_ell
 from sparse_dist_lab.core import (
@@ -487,6 +488,14 @@ def test_every_ell_entry_gives_the_one_message(entry):
         pytest.param(lambda: lbit_contraction_ceiling(2, 2.5, 0.05), "s must be an integer, not 2.5", id="lbit_contraction_ceiling-s"),
         pytest.param(lambda: ldp_contraction_ceiling(1.0, True, 0.05), "s must be an integer, not True", id="ldp_contraction_ceiling-s-bool"),
         pytest.param(lambda: lbit_contraction_ceiling(2, True, 0.05), "s must be an integer, not True", id="lbit_contraction_ceiling-s-bool"),
+        pytest.param(lambda: check_sparsity(2.5, 2), "k must be an integer, not 2.5", id="check_sparsity-k"),
+        pytest.param(lambda: check_sparsity(True, 1), "k must be an integer, not True", id="check_sparsity-k-bool"),
+        pytest.param(lambda: ldp_risk_bound(2.5, 2, 1.0, 100), "k must be an integer, not 2.5", id="ldp_risk_bound-k"),
+        pytest.param(lambda: comm_stage_sizes(1000.5, 8, 0.2, 3), "k must be an integer, not 1000.5", id="comm_stage_sizes-k"),
+        pytest.param(lambda: ldp_sample_size(1000.5, 8, 0.2, 1.0), "k must be an integer, not 1000.5", id="ldp_sample_size-k"),
+        pytest.param(lambda: packing_gap(1000.0, 8), "k must be an integer, not 1000.0", id="packing_gap-k"),
+        pytest.param(lambda: hamming_ball_count(1000.0, 8, 4), "k must be an integer, not 1000.0", id="hamming_ball_count-k"),
+        pytest.param(lambda: uniform_sparse_stack(2.5, 2, [1]), "k must be an integer, not 2.5", id="uniform_sparse_stack-k"),
     ],
 )
 def test_sparsity_and_ell_rules_refuse_a_non_integer(call, message):
@@ -502,6 +511,7 @@ _EPSILON_ENTRIES = {
     "ldp_contraction_ceiling": lambda eps: ldp_contraction_ceiling(eps, 2, 0.05),
     "ldp_risk_bound": lambda eps: ldp_risk_bound(1000, 8, eps, 10),
     "ldp_sample_size": lambda eps: ldp_sample_size(1000, 8, 0.2, eps),
+    "verify_ldp": lambda eps: verify_ldp(np.full((2, 2), 0.5), eps),
 }
 
 
@@ -535,6 +545,8 @@ def test_bit_length_entries_read_any_integer_and_only_integers(call, value):
 
 def test_sparsity_and_ell_rules_take_numpy_integers():
     check_sparsity(16, np.int64(2))
+    check_sparsity(np.int64(16), 2)
+    assert ldp_risk_bound(np.int64(1000), 8, 1.0, 1000) == ldp_risk_bound(1000, 8, 1.0, 1000)
     check_ell(np.uint8(3))
     assert uniform_sparse_stack(16, np.int64(2), [1]).shape == (1, 16)
     assert ldp_risk_bound(1000, np.int64(8), 1.0, 1000) == ldp_risk_bound(1000, 8, 1.0, 1000)

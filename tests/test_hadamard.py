@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import entry, in_column_set
-from sparse_dist_lab.hadamard import dense_matrix, fwht, hadamard_dim, membership_parity
+from oracles import dense_matrix, entry, in_column_set, membership_parity
+from sparse_dist_lab.hadamard import fwht, hadamard_dim
 
 
 def sylvester(K):

@@ -6,12 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from oracles import hr_aggregate, hr_encode, hr_encode_batch, in_column_set, scatter
+from oracles import hr_aggregate, hr_channel_matrix, hr_encode, hr_encode_batch, in_column_set, scatter
 from sparse_dist_lab.bounds import verify_ldp
 from sparse_dist_lab.core import derive_key, keyed_generator
 from sparse_dist_lab.hadamard import hadamard_dim
 from sparse_dist_lab.hadamard_response import (
-    hr_channel_matrix,
     hr_decode_raw,
     hr_draw_fractions,
     hr_expected_fractions,

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_mean_tv, scatter
+from oracles import exact_mean_tv, run_cell, scatter
 from pins import PINS, SAMPLER_VERSION
 from sparse_dist_lab import harness
+from sparse_dist_lab.bounds import ldp_risk_bound
 from sparse_dist_lab.cli import main, plan_report
 from sparse_dist_lab.comm_hash import comm_run_stack
 from sparse_dist_lab.core import GOLDEN64, MASK64, derive_key, derive_keys, mix64, uniform_sparse_stack
 from sparse_dist_lab.hadamard import hadamard_dim
-from sparse_dist_lab.hadamard_response import hr_decode_raw, hr_draw_fractions, hr_run_stack
+from sparse_dist_lab.hadamard_response import hr_decode_raw, hr_draw_fractions, hr_group_sizes, hr_run_stack
 from sparse_dist_lab.harness import (
     CSV_HEADER,
     Cell,
@@ -30,14 +31,13 @@ from sparse_dist_lab.harness import (
     config_cells,
     load_configs,
     read_results,
-    run_cell,
     run_grid,
     scheme_family,
     summarize,
     trial_seeds,
     write_summary,
 )
-from sparse_dist_lab.projection import project_simplex_vec, top_s_indices
+from sparse_dist_lab.projection import project_simplex_vec, split_halves, top_s_indices
 from sparse_dist_lab.rappor import rappor_run_stack
 
 
@@ -241,6 +241,14 @@ _FLAT_32 = np.full((1, 32), 1 / 32)
         pytest.param(lambda: tiny_config(scheme="rappor", n=1), _SPLIT_USERS, id="split-config"),
         pytest.param(lambda: rappor_run_stack(_FLAT_32, 1, 1.0, 2, [1]), _SPLIT_USERS, id="split-rappor_run_stack"),
         pytest.param(lambda: comm_run_stack(_FLAT_32, 1, 3, 2, [1]), _SPLIT_USERS, id="split-comm_run_stack"),
+        # a float or bool n died in NumPy (an int cast, slice indices) or gave a number, True read as 1
+        pytest.param(lambda: hr_group_sizes(1000.5, 50), "n must be an integer, not 1000.5", id="n-float-hr_group_sizes"),
+        pytest.param(lambda: hr_run_stack(_FLAT_32, 1000.7, 1.0, 2, [1]), "n must be an integer, not 1000.7", id="n-float-hr_run_stack"),
+        pytest.param(lambda: split_halves(101.5), "n must be an integer, not 101.5", id="n-float-split_halves"),
+        pytest.param(lambda: rappor_run_stack(_FLAT_32, 1001.5, 1.0, 2, [1]), "n must be an integer, not 1001.5", id="n-float-rappor_run_stack"),
+        pytest.param(lambda: comm_run_stack(_FLAT_32, 1001.0, 3, 2, [1]), "n must be an integer, not 1001.0", id="n-float-comm_run_stack"),
+        pytest.param(lambda: ldp_risk_bound(1000, 8, 1.0, 1.5), "n must be an integer, not 1.5", id="n-float-ldp_risk_bound"),
+        pytest.param(lambda: ldp_risk_bound(1000, 8, 1.0, True), "n must be an integer, not True", id="n-bool-ldp_risk_bound"),
     ],
 )
 def test_each_user_count_rule_gives_one_message(call, message):
@@ -373,12 +381,13 @@ def test_run_trial_repeatable():
     a = run_cell(cell, [1], 7)[0]
     b = run_cell(cell, [1], 7)[0]
     assert a == b
-    assert harness._cell_rows(cell, [1], 7) == harness._cell_rows(cell, [1], 7)
+    seeds = trial_seeds(7, cell, [1])
+    assert harness._group_rows([(cell, [1])], [1], seeds) == harness._group_rows([(cell, [1])], [1], seeds)
 
 
 def test_run_trial_csv_row_shape():
     cell = Cell("comm_hash", 16, 1, 500, 2)
-    row = harness._cell_rows(cell, [0], 3)
+    row = harness._group_rows([(cell, [0])], [0], trial_seeds(3, cell, [0]))
     assert row.count("\n") == 1 and row.endswith("\n")
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
     assert "wall" not in row
@@ -688,7 +697,7 @@ def test_grid_rows_equal_trials_run_one_by_one(tmp_path, monkeypatch, grid):
     cfg = ExperimentConfig(trials=4, master_seed=13, **grid)
     out = tmp_path / "res.csv"
     run_grid(cfg, str(out), threads=2)
-    rows = [harness._cell_rows(cell, [t], 13) for cell in config_cells(cfg) for t in range(4)]
+    rows = [harness._group_rows([(cell, [t])], [t], trial_seeds(13, cell, [t])) for cell in config_cells(cfg) for t in range(4)]
     assert out.read_text() == CSV_HEADER + "\n" + "".join(rows)
 
 

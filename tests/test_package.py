@@ -1,4 +1,4 @@
-"""The package surface: every export and every public name in src/ is used, every demo and README snippet runs, and every output pin lives in tests/pins.py."""
+"""The package surface: every export and every public name in src/ is used, no run-path module imports the bounds, every demo and README snippet runs, and every output pin lives in tests/pins.py."""
 
 import ast
 import hashlib
@@ -61,12 +61,11 @@ def _public_names(tree: ast.Module) -> set[str]:
 
 def test_every_public_src_name_is_used():
     # Each public top-level name in src/ is read outside its own definition
-    # by the package, a demo or the acceptance tests; a name only the other
-    # tests read belongs with them (tests/oracles.py) or nowhere. The
-    # package root's re-exports are not uses.
+    # by the package (the CLI included) or a demo; a name only the tests
+    # read belongs with them (tests/oracles.py) or nowhere. The package
+    # root's re-exports are not uses.
     modules = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py") if path.name != "__init__.py"}
-    outside = [*DEMOS, ROOT / "tests" / "test_acceptance.py"]
-    readers = [*modules.values(), *(ast.parse(path.read_text()) for path in outside)]
+    readers = [*modules.values(), *(ast.parse(path.read_text()) for path in DEMOS)]
     unused = [
         f"{module}.{name}"
         for module, tree in sorted(modules.items())
@@ -74,6 +73,28 @@ def test_every_public_src_name_is_used():
         if not any(name in _names_used(reader, skip_def=name) for reader in readers)
     ]
     assert unused == []
+
+
+# The modules a protocol run goes through, from the primitives to the grid runner.
+RUN_PATH = ("core", "hadamard", "projection", "hadamard_response", "rappor", "comm_hash", "harness")
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Every dotted part an import names: `from .bounds import x`, `from . import bounds` and `import a.bounds` all give bounds."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_run_path_module_imports_bounds():
+    # The lower bounds sit above the protocols: bounds reads each scheme's
+    # law from its protocol module, never the reverse.
+    assert [module for module in RUN_PATH if "bounds" in _imported_names(ast.parse((SRC / f"{module}.py").read_text()))] == []
 
 
 def _run_python(args: list[str], **env) -> subprocess.CompletedProcess:

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import column_sums, rappor_encode, rappor_encode_batch, scatter
+from oracles import column_sums, rappor_channel_matrix, rappor_encode, rappor_encode_batch, scatter
 from sparse_dist_lab.bounds import verify_ldp
 from sparse_dist_lab.core import derive_key, keyed_generator, tv_distance
 from sparse_dist_lab.projection import split_half_counts, split_half_decode, top_s_indices
-from sparse_dist_lab.rappor import flip_probability, rappor_channel_matrix, rappor_run_stack
+from sparse_dist_lab.rappor import flip_probability, rappor_run_stack
 
 
 def decode(M, N, m2, s, eps):

@@ -184,11 +184,14 @@ def implied_sample_lower_bound(gap: float, per_user_chisq: float) -> float:
 
     Recovering the packing index with error probability <= 0.1 forces
     n * chi2 >= 0.9 * gap - log 2, so n must be at least the returned value.
-    Raises ValueError naming the gap if it is NaN, and naming the per-user
-    chi-squared unless it is positive.
+    Raises ValueError naming the gap unless it is a real number
+    (check_number: not a string, not a bool) and finite, and naming the
+    per-user chi-squared unless it is a real number and positive.
     """
-    if math.isnan(gap):
-        raise ValueError(f"gap must be a number, got {gap!r}")
+    check_number("gap", gap, integral=False)
+    if not math.isfinite(gap):
+        raise ValueError(f"gap must be {'a number' if math.isnan(gap) else 'finite'}, got {gap!r}")
+    check_number("per-user chi-squared", per_user_chisq, integral=False)
     if not per_user_chisq > 0:  # NaN fails too
         raise ValueError(f"per-user chi-squared must be positive, got {per_user_chisq!r}")
     return (0.9 * gap - math.log(2)) / per_user_chisq
@@ -200,9 +203,14 @@ def hamming_ball_count(k: int, s: int, t: float) -> int:
     Two weight-s binary vectors at Hamming distance 2j differ in exactly j
     swapped positions, so distances are even and the ball size is
     sum_{j=0}^{floor(t/2)} C(s,j) * C(k-s,j). Exact integer arithmetic.
-    Raises ValueError unless 1 <= s <= k (check_sparsity).
+    Raises ValueError unless 1 <= s <= k (check_sparsity), and naming t
+    unless it is a real number (check_number: not a string, not a bool),
+    finite and >= 0.
     """
     check_sparsity(k, s)
+    check_number("t", t, integral=False)
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"t must be a finite number >= 0, got {t!r}")
     return sum(math.comb(s, j) * math.comb(k - s, j) for j in range(int(t // 2) + 1))
 
 

@@ -3,8 +3,10 @@
 A grid is the Cartesian product of sparsity values, constraint values
 (epsilon or ell), and trial indices, at fixed (scheme, k, n). Each trial
 draws a fresh s-sparse uniform target, runs the scheme end to end, and
-records the TV error. Pending cells that are adjacent in grid order and
-share a cell hash form one run, and each run draws once: the union of its
+records the TV error. run_grid reads the done rows (_read_rows), plans the
+pending runs (plan_runs, a pure function of the config and those rows) and
+writes them. A Run is the pending cells that are adjacent in grid order and
+share a cell hash, and each run draws once: the union of its
 cells' pending trials runs as one stack, each trial drawing from its own
 streams, and decoding, projection and scoring run once over the stack, row
 by row, into an array of TV errors (_cell_errors), which _group_rows
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -52,6 +55,7 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,15 +413,55 @@ def _read_rows(path: str) -> tuple[list[dict], int]:
     return rows, torn
 
 
-def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: list[int]) -> str:
-    """A run's CSV rows as one string, member by member, from one stacked batch of the union of their pending trials.
+class Run(NamedTuple):
+    """One draw of a grid: the pending cells adjacent in grid order that share a cell_hash.
 
-    members are the (cell, pending trials) pairs of a run, cells adjacent
-    in grid order that share a cell_hash, trials the sorted union of their
-    pending trials and seeds those trials' integer seeds. A trial's result
-    does not depend on its batch, so each member's rows are those it would
-    get alone: the cell (its own param text and bits), each trial's TV
-    error (repr), seed and SAMPLER_VERSION. Errors name the first member.
+    members are the (cell, pending trials) pairs, trials the sorted union of
+    their pending trials and seeds those trials' integer seeds.
+    """
+
+    members: list[tuple[Cell, list[int]]]
+    trials: list[int]
+    seeds: list[int]
+
+
+def plan_runs(config: ExperimentConfig, rows: list[dict]) -> list[Run]:
+    """The grid's runs with pending trials, in grid order, given the rows already done (as _read_rows parses them).
+
+    Adjacent cells of config_cells with one cell_hash form one run, whose
+    trial seeds are derived once and serve both the check of done rows and
+    the draw. Same-hash cells that are not adjacent are separate runs, which
+    draw the same trials. Raises ValueError at the first done row, in grid
+    order, written under another master seed than config's: a row's key
+    leaves the seed out, so it would otherwise count as done. Pure: reads
+    no file and forks nothing.
+    """
+    done = {(r["cell"], r["trial"]): r["seed"] for r in rows}
+    runs = []
+    for _, cells in itertools.groupby(config_cells(config), cell_hash):
+        cells = list(cells)
+        seeds = trial_seeds(config.master_seed, cells[0], range(config.trials))
+        for cell, t in itertools.product(cells, range(config.trials)):
+            if done.get((cell, t), seeds[t]) != seeds[t]:
+                raise ValueError(
+                    f"row ({cell.scheme}, s={cell.s}, {_param_text(cell.param)}, trial {t}) has seed "
+                    f"{done[cell, t]}, but master seed {config.master_seed} gives {seeds[t]}; "
+                    "resume with the master seed the file was written with, or use a new file"
+                )
+        members = [(cell, pending) for cell in cells if (pending := [t for t in range(config.trials) if (cell, t) not in done])]
+        if members:
+            trials = sorted(set().union(*(pending for _, pending in members)))
+            runs.append(Run(members, trials, [seeds[t] for t in trials]))
+    return runs
+
+
+def _group_rows(members: list[tuple[Cell, list[int]]], trials: list[int], seeds: list[int]) -> str:
+    """A Run's CSV rows as one string, member by member, from one stacked batch of the union of their pending trials.
+
+    Takes the Run's fields. A trial's result does not depend on its batch,
+    so each member's rows are those it would get alone: the cell (its own
+    param text and bits), each trial's TV error (repr), seed and
+    SAMPLER_VERSION. Errors name the first member.
     """
     tv_of = dict(zip(trials, _cell_errors(members[0][0], seeds).tolist()))
     seed_of = dict(zip(trials, seeds))
@@ -453,10 +497,8 @@ def _worker_count(threads: int, runs: int, cpus: int, work: int) -> int:
     return max(1, min(threads, runs, cpus, work // _WORKER_MIN_WORK))
 
 
-def _run_stripe(fd: int, stripe: list[tuple]) -> None:
-    """Body of a forked worker: pickle each run's rows, or the error that stopped it, to fd.
-
-    A run is the (members, trials, seeds) that _group_rows takes.
+def _run_stripe(fd: int, stripe: list[Run]) -> None:
+    """Body of a forked worker: pickle each Run's rows, or the error that stopped it, to fd.
 
     Leaves with os._exit, so the child never returns into its caller and
     never flushes a buffer it inherited (the results CSV, stdout).
@@ -472,7 +514,7 @@ def _run_stripe(fd: int, stripe: list[tuple]) -> None:
                         payload = pickle.dumps(err)
                         pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
                     except Exception:
-                        payload = pickle.dumps(RuntimeError(f"cell {run[0][0][0]}: {type(err).__name__}: {err}"))
+                        payload = pickle.dumps(RuntimeError(f"cell {run.members[0][0]}: {type(err).__name__}: {err}"))
                     out.write(payload)
                     break
                 pickle.dump(rows, out)
@@ -482,15 +524,14 @@ def _run_stripe(fd: int, stripe: list[tuple]) -> None:
         os._exit(status)
 
 
-def _write_cells(fh, runs: list[tuple], workers: int) -> None:
+def _write_cells(fh, runs: list[Run], workers: int) -> None:
     """Compute runs on workers processes and write each run's rows to fh, in order.
 
-    A run is the (members, trials, seeds) that _group_rows takes, and runs
-    are in grid order. The calling process forks workers - 1 children (none
-    for one worker) and works as worker 0; run i runs in worker
-    i % workers. Each child pickles its runs' rows to its own pipe. Each
-    run's rows are written with one write and one flush. Children are
-    reaped before returning, and killed first if anything raised.
+    runs are Runs in grid order (see plan_runs). The calling process forks
+    workers - 1 children (none for one worker) and works as worker 0; run i
+    runs in worker i % workers. Each child pickles its runs' rows to its own
+    pipe. Each run's rows are written with one write and one flush. Children
+    are reaped before returning, and killed first if anything raised.
     """
     pids = []  # worker w's pid is pids[w - 1]
     readers = {}  # pid -> its pipe's read end, until the worker is reaped
@@ -516,7 +557,7 @@ def _write_cells(fh, runs: list[tuple], workers: int) -> None:
                     readers.pop(pid).close()
                     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
-                    raise RuntimeError(f"cell {run[0][0][0]}: worker process {pid} {how} before sending the cell's rows") from None
+                    raise RuntimeError(f"cell {run.members[0][0]}: worker process {pid} {how} before sending the cell's rows") from None
                 if isinstance(rows, BaseException):
                     raise rows
             fh.write(rows)
@@ -533,14 +574,11 @@ def _write_cells(fh, runs: list[tuple], workers: int) -> None:
 def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     """Run (or resume) one config's grid, appending rows to out_path.
 
-    Pending cells that are adjacent in grid order and share a cell_hash
-    (comm_hash cells with ell past the effective_ell cap) form one run,
-    and each run draws once: its members' pending trials run as one
-    stacked batch (see _group_rows). A run's seeds are derived once and
-    serve the resume check, the draw and the rows. Same-hash cells that are
-    not adjacent are separate runs, which draw the same trials and write
-    the same rows. ``threads`` is the number of worker processes, w, capped
-    at the runs, at the CPUs this process may use and at one worker per
+    Three steps: read out_path's done rows (_read_rows), plan the pending
+    Runs (plan_runs), and write them (_write_cells). Each Run draws once:
+    its members' pending trials run as one stacked batch (see _group_rows).
+    ``threads`` is the number of worker processes, w, capped at the runs,
+    at the CPUs this process may use and at one worker per
     _WORKER_MIN_WORK drawn symbol-trials (trials x k), so a small grid runs
     in this process whatever ``threads`` is (on 2 vCPUs, two workers beat
     one from about 32,000-50,000 symbol-trials). One worker runs every run
@@ -558,55 +596,28 @@ def run_grid(config: ExperimentConfig, out_path: str, threads: int = 1) -> int:
     sampler 2 file is refused, never extended), if a row does not parse
     (see _parse_row) or repeats an earlier row's (cell, trial) (see
     _read_rows), or if a row was written under another master seed than
-    config's: a row's key leaves the seed out, so it would otherwise count
-    as done. A torn last line (no trailing newline) is truncated, with a
-    note on stderr, and its row rerun.
+    config's (see plan_runs). A torn last line (no trailing newline) is
+    truncated, with a note on stderr, and its row rerun.
     """
-    seed = config.master_seed
     try:
         rows, torn = _read_rows(out_path)
     except FileNotFoundError:
         rows, torn = [], 0
-    done = {(r["cell"], r["trial"]): r["seed"] for r in rows}
-    # each run's members and the seeds of trials 0 .. config.trials - 1, then
-    # the (members, trials, seeds) that _group_rows takes
-    runs = []
-    key = None
-    for cell in config_cells(config):
-        if cell_hash(cell) != key:
-            key = cell_hash(cell)
-            members, seeds = [], trial_seeds(seed, cell, range(config.trials))
-        pending = []
-        for t in range(config.trials):
-            found = done.get((cell, t))
-            if found is None:
-                pending.append(t)
-            elif found != seeds[t]:
-                raise ValueError(
-                    f"{out_path}: row ({cell.scheme}, s={cell.s}, {_param_text(cell.param)}, trial {t}) has seed "
-                    f"{found}, but master seed {seed} gives {seeds[t]}; "
-                    "resume with the master seed the file was written with, or use a new file"
-                )
-        if pending:
-            if not members:
-                runs.append((members, seeds))
-            members.append((cell, pending))
-    for i, (members, seeds) in enumerate(runs):
-        trials = sorted(set().union(*(pending for _, pending in members)))
-        runs[i] = (members, trials, [seeds[t] for t in trials])
-
+    try:
+        runs = plan_runs(config, rows)
+    except ValueError as err:
+        raise ValueError(f"{out_path}: {err}") from None
     if torn:
         os.truncate(out_path, os.path.getsize(out_path) - torn)
         print(f"{out_path}: dropped a torn last line ({torn} bytes with no newline); resuming", file=sys.stderr)
-    fresh = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
-    drawn = sum(len(trials) for _, trials, _ in runs)
+    drawn = sum(len(run.trials) for run in runs)
     workers = _worker_count(threads, len(runs), _usable_cpus(), config.k * drawn)
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
-        if fresh:
+        if fh.tell() == 0:  # a new or empty file
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         _write_cells(fh, runs, workers)
-    return sum(len(pending) for members, _, _ in runs for _, pending in members)
+    return sum(len(pending) for run in runs for _, pending in run.members)
 
 
 def read_results(path: str) -> list[dict]:

@@ -271,6 +271,23 @@ def test_implied_sample_lower_bound():
         implied_sample_lower_bound(math.nan, chisq)
 
 
+@pytest.mark.parametrize(
+    "gap, chisq, message",
+    [
+        pytest.param("1", 0.5, "gap must be a real number, not '1'", id="gap-str"),
+        pytest.param(True, 0.5, "gap must be a real number, not True", id="gap-bool"),
+        pytest.param(math.inf, 0.5, "gap must be finite, got inf", id="gap-inf"),
+        pytest.param(-math.inf, 0.5, "gap must be finite, got -inf", id="gap-minus-inf"),
+        pytest.param(10.0, "1", "per-user chi-squared must be a real number, not '1'", id="chisq-str"),
+        pytest.param(10.0, True, "per-user chi-squared must be a real number, not True", id="chisq-bool"),
+    ],
+)
+def test_implied_sample_lower_bound_refuses_a_gap_or_chisq_it_cannot_take(gap, chisq, message):
+    # each raised a bare TypeError, returned inf or read True as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        implied_sample_lower_bound(gap, chisq)
+
+
 def test_bound_formulas_reject_arguments_they_cannot_take():
     # each raised ZeroDivisionError or OverflowError, or returned a number
     calls = (
@@ -339,6 +356,23 @@ def test_hamming_ball_count_brute_force():
         counts = (dist <= t).sum(axis=1)
         assert counts.max() == hamming_ball_count(k, s, t)
         assert counts.min() == counts.max()  # family is transitive
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        pytest.param(math.nan, "t must be a finite number >= 0, got nan", id="nan"),
+        pytest.param(math.inf, "t must be a finite number >= 0, got inf", id="inf"),
+        pytest.param(-4, "t must be a finite number >= 0, got -4", id="negative"),
+        pytest.param("2", "t must be a real number, not '2'", id="str"),
+        pytest.param(True, "t must be a real number, not True", id="bool"),
+    ],
+)
+def test_hamming_ball_count_refuses_a_radius_it_cannot_take(t, message):
+    # NaN and inf raised "cannot convert float NaN to integer", naming no
+    # parameter; -4 gave a ball of 0, "2" a bare TypeError and True a ball of 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hamming_ball_count(10, 2, t)
 
 
 def test_hamming_ball_never_exceeds_closed_upper_bound():

@@ -813,6 +813,93 @@ def test_grid_draws_each_experiment_once(tmp_path, monkeypatch):
     assert sorted(h for h, _ in drawn) == sorted([capped] * 3 + [cell_hash(Cell("comm_hash", 32, 4, 2000, 1))])
 
 
+# At s = 2 the cells ell = 2, 3, 4 share the capped cell's hash, so they are one run.
+_CAPPED_GRID = dict(scheme="comm_hash", k=32, s_list=[2, 4], n=2000, trials=4, master_seed=9, ell_list=[1, 2, 3, 4])
+
+
+def _cut_results(path, missing):
+    """A complete _CAPPED_GRID results file at path, less the rows whose (s, ell, trial) text is in missing."""
+    run_grid(ExperimentConfig(**_CAPPED_GRID), str(path), threads=1)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if tuple(line.split(",")[i] for i in (2, 4, 5)) not in missing))
+
+
+def test_plan_runs_is_what_run_grid_draws(tmp_path, monkeypatch):
+    # The run of ell = 2, 3, 4 at s = 2 resumes with members that lack
+    # different trials, as CI's cut of desk_grid does.
+    cfg = ExperimentConfig(**_CAPPED_GRID)
+    out = tmp_path / "res.csv"
+    _cut_results(out, {("2", "2", "0"), ("2", "3", "1"), ("2", "3", "2"), ("2", "4", "2"), ("4", "1", "3")})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan_runs opened a file or forked")
+
+    rows = read_results(str(out))
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "open", refuse, raising=False)
+        patch.setattr(harness.os, "fork", refuse)
+        plan = harness.plan_runs(cfg, rows)
+    ell = {param: Cell("comm_hash", 32, 2, 2000, param) for param in (2, 3, 4)}
+    s4 = Cell("comm_hash", 32, 4, 2000, 1)
+    assert plan == [
+        harness.Run([(ell[2], [0]), (ell[3], [1, 2]), (ell[4], [2])], [0, 1, 2], trial_seeds(9, ell[2], [0, 1, 2])),
+        harness.Run([(s4, [3])], [3], trial_seeds(9, s4, [3])),
+    ]
+
+    handed = []
+    real_group_rows = harness._group_rows
+
+    def recording_group_rows(members, trials, seeds):
+        handed.append(harness.Run(members, trials, seeds))
+        return real_group_rows(members, trials, seeds)
+
+    monkeypatch.setattr(harness, "_group_rows", recording_group_rows)
+    # one worker: a recorder in a forked worker could not report back
+    assert run_grid(cfg, str(out), threads=1) == 5
+    assert handed == plan
+    assert harness.plan_runs(cfg, read_results(str(out))) == []
+
+
+def test_plan_runs_names_the_row_of_another_master_seed(tmp_path):
+    # run_grid gives plan_runs' message, prefixed with the file's path
+    out = tmp_path / "res.csv"
+    _cut_results(out, set())
+    cfg = ExperimentConfig(**{**_CAPPED_GRID, "master_seed": 10})
+    first = Cell("comm_hash", 32, 2, 2000, 1)
+    message = (
+        f"row (comm_hash, s=2, 1, trial 0) has seed {trial_seed(9, first, 0)}, but master seed 10 gives "
+        f"{trial_seed(10, first, 0)}; resume with the master seed the file was written with, or use a new file"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.plan_runs(cfg, read_results(str(out)))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{out}: {message}')}$"):
+        run_grid(cfg, str(out), threads=1)
+
+
+def test_run_grid_writes_one_plan_at_any_worker_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_WORKER_MIN_WORK", 1)
+    handed = {}
+    real_write_cells = harness._write_cells
+
+    def recording_write_cells(fh, runs, workers):
+        handed[workers] = runs
+        real_write_cells(fh, runs, workers)
+
+    monkeypatch.setattr(harness, "_write_cells", recording_write_cells)
+    cfg = ExperimentConfig(**_CAPPED_GRID)
+    seen = {}
+    for threads in (1, 2):
+        out = tmp_path / f"w{threads}.csv"
+        _cut_results(out, {("2", "3", "1"), ("2", "4", "2"), ("4", "2", "0"), ("4", "4", "3")})
+        handed.clear()
+        assert run_grid(cfg, str(out), threads=threads) == 4
+        assert list(handed) == [threads]  # threads workers ran the plan
+        seen[threads] = handed[threads], out.read_bytes()
+    assert seen[1] == seen[2]
+    assert len(seen[1][0]) == 3  # s = 2's capped run, then s = 4's ell = 2 and its capped run
+
+
 # The first rows of the every_scheme golden file as sampler 2 wrote it
 # (_GOLDEN_GRIDS, trials=2, master_seed=20240801).
 _SAMPLER_2_LINES = """scheme,k,s,n,eps_or_ell,trial,tv_error,bits_per_user,seed
